@@ -16,7 +16,7 @@
 //! direction of gaps, sweet spots) is; see `EXPERIMENTS.md`.
 
 use parbs_sim::experiments::SweepRow;
-use parbs_sim::{Harness, MixEvaluation, Session, SimConfig};
+use parbs_sim::{Harness, MixEvaluation, SimConfig};
 
 /// Run scale parsed from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,13 +102,6 @@ impl Scale {
     #[must_use]
     pub fn harness(&self, cores: usize) -> Harness {
         Harness::new(SimConfig { target_instructions: self.target, ..SimConfig::for_cores(cores) })
-    }
-
-    /// A measurement session for an `cores`-core system at this scale.
-    #[deprecated(note = "use `Scale::harness` and the plan-based API")]
-    #[must_use]
-    pub fn session(&self, cores: usize) -> Session {
-        Session::new(SimConfig { target_instructions: self.target, ..SimConfig::for_cores(cores) })
     }
 }
 

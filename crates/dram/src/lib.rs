@@ -17,11 +17,14 @@
 //! switch penalty (tRTRS).
 //!
 //! The scheduling policy is pluggable through the [`MemoryScheduler`] trait:
-//! per decision slot the controller sorts the queued read requests with the
-//! scheduler's comparison function and issues the next required DRAM command
-//! (precharge / activate / read) of the highest-priority request whose
-//! command is *ready* — the "first-ready" discipline of FR-FCFS generalized
-//! to arbitrary priority orders.
+//! per decision slot the controller scans the queued read requests for the
+//! largest cached [`MemoryScheduler::priority_key`] (keys are recomputed
+//! only when an event can change them) and issues the next required DRAM
+//! command (precharge / activate / read) of the highest-priority request
+//! whose command is *ready* — the "first-ready" discipline of FR-FCFS
+//! generalized to arbitrary priority orders. The scheduler's pairwise
+//! `compare` is the reference order the keys must reproduce; the
+//! controller's comparator-sort path is kept only to cross-check them.
 //!
 //! A [`ProtocolChecker`] can observe every issued command and verify that no
 //! DRAM timing constraint is ever violated; the property-based tests use it

@@ -2,8 +2,8 @@
 //! [`Spec`](crate::Spec) and consumes events as a `parbs_obs::EventSink`,
 //! so it drops into every simulator entry point that takes a sink.
 //!
-//! Per event, evaluation is two-phase (the order is load-bearing for
-//! verdict identity with `InvariantSink` — see `ir.rs`):
+//! Per event, evaluation is two-phase (the order is load-bearing for the
+//! invariant prelude's verdicts — see `ir.rs`):
 //!
 //! 1. match inputs against **pre-update** state (guards),
 //! 2. run updates and triggers interleaved in declaration order,
@@ -33,7 +33,8 @@ pub struct Alarm {
     /// Cycle of the event that fired the trigger.
     pub at: u64,
     /// The thread the firing event concerns, when it names exactly one
-    /// (used to compare verdicts against `InvariantSink` violations).
+    /// (part of the `(name, cycle, thread)` verdict the identity tests
+    /// compare).
     pub thread: Option<usize>,
     /// Rendered message template.
     pub message: String,
@@ -167,9 +168,9 @@ fn eval(e: &Expr, event: &Event, at: u64, cells: &mut [Cell]) -> i64 {
 
 /// An online evaluator for one compiled spec over one event stream.
 ///
-/// Implements [`EventSink`], so it attaches anywhere an `InvariantSink` or
-/// `JsonlSink` does: `run_observed`, the flow driver, sweeps, or offline
-/// replay of a recorded JSONL trace.
+/// Implements [`EventSink`], so it attaches anywhere a `JsonlSink` does:
+/// `run_observed`, the flow driver, sweeps, or offline replay of a recorded
+/// JSONL trace.
 #[derive(Debug)]
 pub struct Monitor {
     spec: Spec,

@@ -3,9 +3,8 @@
 //!
 //! Most fields are verbatim event payload; a few are *derived* so specs can
 //! express checks that need structured payloads (`rank_permutation` /
-//! `rank_sorted` fold the `RankComputed` entry list exactly the way
-//! `parbs_obs::InvariantSink` does, which is what makes the invariant
-//! prelude verdict-identical).
+//! `rank_sorted` fold the `RankComputed` entry list into the two Rule 3
+//! checks of the invariant prelude).
 
 use parbs_obs::{CmdKind, Event, ServiceClass};
 
@@ -323,8 +322,6 @@ fn clamp_usize(v: usize) -> i64 {
 }
 
 /// Derived `rank_permutation`: ranks are exactly `0..n`, each once.
-///
-/// Mirrors `InvariantSink`'s permutation check verbatim.
 fn rank_permutation(entries: &[parbs_obs::RankEntry]) -> bool {
     let mut ranks: Vec<u32> = entries.iter().map(|e| e.rank).collect();
     ranks.sort_unstable();
@@ -332,9 +329,8 @@ fn rank_permutation(entries: &[parbs_obs::RankEntry]) -> bool {
 }
 
 /// Derived `rank_sorted`: walking the entries in rank order, the
-/// `(max_bank_load, total_load)` pairs never decrease.
-///
-/// Mirrors `InvariantSink`'s Max-Total (shortest-job-first) check verbatim.
+/// `(max_bank_load, total_load)` pairs never decrease — the Max-Total
+/// (shortest-job-first) order.
 fn rank_sorted(entries: &[parbs_obs::RankEntry]) -> bool {
     let mut by_rank: Vec<&parbs_obs::RankEntry> = entries.iter().collect();
     by_rank.sort_by_key(|e| e.rank);
@@ -469,8 +465,8 @@ pub fn value(event: &Event, field: Field) -> i64 {
 
 /// The thread an event concerns, when it names exactly one.
 ///
-/// Alarms carry this so monitor verdicts can be compared to
-/// `InvariantSink` violations per thread.
+/// Alarms carry this so verdicts can be compared per thread, online
+/// against offline replay and against recorded verdicts.
 #[must_use]
 pub fn thread_of(event: &Event) -> Option<usize> {
     match event {

@@ -6,8 +6,8 @@
 //! 1. Inputs are matched (kind + guard) against **pre-update** state.
 //! 2. [`Step`]s run in declaration order — state updates and trigger
 //!    evaluations interleave, so a trigger declared after a counter arm
-//!    sees the post-update value (this is what lets the Marking-Cap
-//!    trigger reproduce `InvariantSink`'s increment-then-check).
+//!    sees the post-update value (this is what gives the Marking-Cap
+//!    trigger its increment-then-check semantics).
 //! 3. [`Removal`]s run last, so same-event readers (e.g. a `sub` arm
 //!    keyed through a map the event also removes from) still see the
 //!    entry.

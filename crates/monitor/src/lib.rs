@@ -35,9 +35,8 @@
 //! 0-key streams (field shadows stream). Expressions are `Int`/`Bool`
 //! typed; division by zero yields 0. Per event, updates and triggers run
 //! interleaved in declaration order against pre-update guards, and
-//! `remove`/`reset` arms run last — the exact semantics that let the
-//! [`prelude::INVARIANTS`] spec reproduce `parbs_obs::InvariantSink`
-//! verdict-for-verdict.
+//! `remove`/`reset` arms run last — the exact semantics the
+//! [`prelude::INVARIANTS`] spec's four PAR-BS batching checks rely on.
 //!
 //! ## Entry points
 //!

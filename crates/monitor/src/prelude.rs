@@ -1,22 +1,23 @@
 //! Built-in specs shipped with the crate.
 //!
-//! [`INVARIANTS`] re-expresses the four PAR-BS batching invariants in the
-//! spec language, verdict-identical to `parbs_obs::InvariantSink` on
-//! `(rule, cycle, thread)` triples (the workspace test
-//! `tests/monitor_identity.rs` enforces this across the scheduler zoo,
-//! online and via JSONL replay). [`QOS`] goes beyond the invariant sink:
-//! windowed attained-service share, BLISS blacklist staleness, and flow
-//! backlog high-water alerts.
+//! [`INVARIANTS`] expresses the four PAR-BS batching invariants in the
+//! spec language; it is the checker behind `parbs-sim --check-invariants`.
+//! `tests/invariants_prelude.rs` feeds it hand-built event sequences, and
+//! the workspace test `tests/monitor_identity.rs` holds its online and
+//! JSONL replay verdicts equal across the scheduler zoo and against
+//! recorded `(rule, cycle, thread)` triples of a broken scheduler. [`QOS`] goes
+//! beyond the batching rules: windowed attained-service share, BLISS
+//! blacklist staleness, and flow backlog high-water alerts.
 
 use crate::Spec;
 
 /// The four PAR-BS batching invariants as a monitor spec.
 ///
-/// Trigger names match `InvariantRule::name()`: `marked-first`,
-/// `marking-cap`, `batch-exclusive`, `rank-order`.
+/// One error trigger per rule: `marked-first`, `marking-cap`,
+/// `batch-exclusive`, `rank-order`.
 pub const INVARIANTS: &str = r#"
-# PAR-BS batching invariants (Mutlu & Moscibroda, ISCA 2008), re-expressed
-# as streams. Verdict-identical to parbs_obs::InvariantSink.
+# PAR-BS batching invariants (Mutlu & Moscibroda, ISCA 2008), expressed
+# as streams.
 
 input enq    := enqueued when !write
 input mark   := marked
@@ -26,7 +27,7 @@ input rdcmd  := command_issued when rd && !marked
 input ranked := rank_computed
 
 # Per-request geometry, live between enqueue and completion. Only
-# non-write reads are tracked, mirroring the checker's blocker filter.
+# non-write reads are tracked: only a read can block another read.
 map in_flight[request] := 1 on enq, remove on done
 map bank_of[request]   := bank on enq, remove on done
 map row_of[request]    := row on enq, remove on done
@@ -39,7 +40,7 @@ counter marked_queued[bank_of[request], row_of[request]] := add in_flight[reques
 map was_marked[request] := in_flight[request] on mark, remove on done
 
 # Marking-Cap accounting for the current batch. The marks table clears on
-# every batch formation, exactly like the checker.
+# every batch formation.
 hold cap     := cap on formed init 0
 hold has_cap := has_cap on formed
 counter marks[thread, bank] := add 1 on mark, reset on formed
@@ -51,7 +52,7 @@ trigger error "marked-first" on rdcmd when marked_queued[bank, row] > was_marked
 
 # Rule 1 (Marking-Cap): at most cap marks per (thread, bank) per batch.
 # The counter arm above runs first, so the trigger sees the post-increment
-# value — the checker's increment-then-check.
+# value: increment, then check.
 trigger error "marking-cap" on mark when has_cap && marks[thread, bank] > cap message "thread {thread} has {marks[thread, bank]} marked requests at bank {bank}, exceeding Marking-Cap {cap}"
 
 # Rule 1 (exclusivity): no new exclusive batch before the previous drained.
@@ -62,10 +63,10 @@ trigger error "batch-exclusive" on formed when exclusive && marked_out > 0 messa
 trigger error "rank-order" on ranked when !rank_permutation || (max_total && !rank_sorted) message "batch {batch} ranking of {threads} thread(s) violates Max-Total order (permutation={rank_permutation}, sorted={rank_sorted})"
 "#;
 
-/// QoS alerts beyond the invariant checker.
+/// QoS alerts beyond the batching invariants.
 pub const QOS: &str = r#"
-# Quality-of-service alerts: fairness and backlog signals the invariant
-# checker does not cover.
+# Quality-of-service alerts: fairness and backlog signals the batching
+# invariants do not cover.
 
 input svc_cmd  := command_issued when rd || wr
 input bl_set   := blacklist_set
@@ -139,7 +140,7 @@ mod tests {
     }
 
     #[test]
-    fn invariant_trigger_names_match_the_checker_rules() {
+    fn invariant_triggers_are_the_four_batching_rules() {
         let spec = invariants();
         let names: Vec<(String, Severity)> = spec.triggers();
         let expect = ["marked-first", "marking-cap", "batch-exclusive", "rank-order"];

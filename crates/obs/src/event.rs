@@ -151,7 +151,7 @@ pub enum Event {
         /// Batch sequence number the ranking belongs to.
         batch: u64,
         /// True when the Max-Total (shortest-job-first) scheme produced it,
-        /// i.e. the `InvariantSink` may check the ordering.
+        /// i.e. an invariant checker may check the ordering.
         max_total: bool,
         /// Ranking entries, sorted by ascending rank.
         entries: Vec<RankEntry>,

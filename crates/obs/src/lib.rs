@@ -13,9 +13,10 @@
 //! - [`ChromeTraceSink`] — `chrome://tracing` / Perfetto JSON with one track
 //!   per bank, one per thread, and batch spans on a scheduler track.
 //! - [`JsonlSink`] — one JSON object per event, for streaming logs.
-//! - [`InvariantSink`] — online checking of the PAR-BS batching invariants
-//!   (marked-first service, Marking-Cap, batch exclusivity, Max-Total rank
-//!   order) with violation reports carrying the offending event window.
+//!
+//! Online checking of the PAR-BS batching invariants lives in
+//! `parbs-monitor`: its `prelude::invariants()` spec compiles to a monitor
+//! that attaches as one more sink.
 //!
 //! Plus structural helpers: [`CollectSink`] (buffer everything) and
 //! [`FanoutSink`] (broadcast to several sinks).
@@ -35,7 +36,6 @@
 mod chrome;
 mod counter;
 mod event;
-mod invariant;
 mod json;
 mod jsonl;
 mod sink;
@@ -43,7 +43,6 @@ mod sink;
 pub use chrome::ChromeTraceSink;
 pub use counter::{BankCounters, CounterSink, ThreadCounters};
 pub use event::{CmdKind, Event, RankEntry, ServiceClass};
-pub use invariant::{InvariantRule, InvariantSink, Violation};
 pub use json::{parse_jsonl, ParseEventError};
 pub use jsonl::JsonlSink;
 pub use sink::{downcast_sink, CollectSink, EventSink, FanoutSink};

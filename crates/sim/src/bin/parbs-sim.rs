@@ -22,14 +22,6 @@
 //! options: --target <instructions>   per-thread run length (default 30000)
 //!          --seed <seed>             workload seed (default 42)
 //!          --jobs <n>                worker threads (default: all cores)
-//!          --lanes <1|2|4>           execution backend: scalar (1) or a
-//!                                    many-lane lockstep kernel stepping
-//!                                    2/4 shape-compatible plan jobs per
-//!                                    cycle; results are byte-identical
-//!
-//! Adding `--list` to an evaluation command (case-study, mix, sweep,
-//! mapping-sweep, zoo-sweep) prints the plan's jobs and which of them the
-//! chosen backend lane-batches vs runs scalar-fallback, without running.
 //!
 //! checkpointing (`run` only; one mix, one scheduler, one System):
 //!          --sched <name>            scheduler for the run (default PAR-BS)
@@ -40,8 +32,10 @@
 //!                                    system's config/scheduler/mix
 //!                                    fingerprint or the run hard-errors
 //!
-//! Malformed option values (`--jobs abc`, `--ranks -1`) are hard errors
-//! naming the offending flag, never silent fallbacks to defaults.
+//! Malformed option values (`--jobs abc`, `--ranks -1`), value flags with
+//! no value (`--trace-out` at the end of the line) and unknown flags
+//! (`--check-invariant`) are hard errors (exit 2) naming the offending
+//! flag, never silent fallbacks to defaults.
 //!
 //! DRAM shape (any command):
 //!          --ranks <n>               ranks per channel (default 1)
@@ -51,8 +45,10 @@
 //! observability (case-study / mix only; runs the mix once, observed):
 //!          --trace-out <path>        write the event trace to <path>
 //!          --trace-format <fmt>      chrome (Perfetto-loadable) | jsonl
-//!          --check-invariants        verify PAR-BS batching invariants;
-//!                                    exit 1 on any violation
+//!          --check-invariants        verify the PAR-BS batching invariants
+//!                                    with the prelude:invariants monitor
+//!                                    on every channel; exit 1 on any
+//!                                    violation
 //!          --trace-sched <name>      scheduler for the observed run
 //!                                    (FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|
 //!                                    BLISS|ATLAS, default PAR-BS)
@@ -68,8 +64,9 @@
 //!          --sched <name>            run one scheduler instead of the zoo
 //!          --flow-rate <n>           mean flow arrivals per kilocycle (2)
 //!          --flow-size-max <n>       bounded-Pareto size cap, requests (256)
-//!          --check-invariants        protocol checker + scheduler invariant
-//!                                    audit on every controller
+//!          --check-invariants        protocol checker + prelude:invariants
+//!                                    monitor on every controller; exit 1
+//!                                    on any violation
 //! ```
 //!
 //! Every evaluation command fans its plan across `--jobs` worker threads
@@ -80,14 +77,55 @@ use std::time::Instant;
 
 use parbs_dram::MappingPolicy;
 use parbs_monitor::Spec;
-use parbs_sim::{
-    experiments, AnyBackend, EvalPlan, ExecBackend, Harness, ObserveOptions, SchedulerKind,
-    SimConfig, TraceFormat,
-};
+use parbs_sim::{experiments, Harness, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
 use parbs_workloads::{
     all_benchmarks, by_name, case_study_1, case_study_2, case_study_3, random_mixes, BoundedPareto,
     FlowConfig, MixSpec,
 };
+
+/// Every flag that takes a value.
+const VALUE_FLAGS: [&str; 16] = [
+    "--target",
+    "--seed",
+    "--jobs",
+    "--ranks",
+    "--mapping",
+    "--sched",
+    "--checkpoint-out",
+    "--checkpoint-every",
+    "--resume",
+    "--trace-out",
+    "--trace-format",
+    "--trace-sched",
+    "--spec",
+    "--replay",
+    "--flow-rate",
+    "--flow-size-max",
+];
+
+/// Every flag that stands alone.
+const SWITCHES: [&str; 4] = ["--list", "--no-xor", "--check-invariants", "--monitor-report"];
+
+/// Rejects, with exit 2 naming the flag, any `--flag` that is neither a
+/// value flag nor a switch, and any value flag that is last on the line or
+/// followed by another flag. A typo such as `--check-invariant` would
+/// otherwise run unchecked, and a bare `--trace-out` would run untraced.
+fn check_flags(args: &[String]) {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") || SWITCHES.contains(&arg.as_str()) {
+            continue;
+        }
+        if !VALUE_FLAGS.contains(&arg.as_str()) {
+            eprintln!("unknown flag {arg}; `parbs-sim --list` shows the options");
+            std::process::exit(2);
+        }
+        if rest.next().is_none_or(|v| v.starts_with("--")) {
+            eprintln!("{arg} requires a value");
+            std::process::exit(2);
+        }
+    }
+}
 
 /// Looks up the value of `flag`. A missing flag is `None`; a flag that is
 /// present but has a missing or unparseable value is a **hard error** naming
@@ -285,8 +323,8 @@ fn run_observed_cli(
     if oa.check {
         for rep in &obs.invariants {
             println!("channel {}: {}", rep.channel, rep.summary);
-            for v in &rep.violations {
-                println!("{v}");
+            for a in &rep.alarms {
+                println!("{a}");
             }
         }
         if obs.violation_count > 0 {
@@ -407,42 +445,6 @@ fn harness_for(cores: usize, target: u64, shape: &ShapeArgs) -> Harness {
     Harness::new(cfg)
 }
 
-/// Parses `--lanes` into a backend. Widths other than 1/2/4 are hard
-/// errors: the lane kernels are monomorphized per width, so an arbitrary
-/// count cannot be honoured and must not silently degrade to scalar.
-fn backend_arg(args: &[String]) -> AnyBackend {
-    match value_of(args, "--lanes") {
-        None => AnyBackend::Scalar,
-        Some(n) => AnyBackend::from_lanes(n as usize).unwrap_or_else(|| {
-            eprintln!("invalid value '{n}' for --lanes: expected 1, 2 or 4");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// The `--list` view of a plan under a backend: which jobs will be
-/// lane-batched together and which fall back to the scalar path (singleton
-/// shape groups, or everything when the backend is scalar).
-fn print_lane_plan(harness: &Harness, plan: &EvalPlan, backend: AnyBackend) {
-    let assignments = harness.lane_assignments(plan, backend.lane_width());
-    let batched = assignments.iter().filter(|a| a.is_some()).count();
-    println!(
-        "plan: {} job(s) under backend {} — {} lane-batched, {} scalar-fallback",
-        plan.len(),
-        backend.name(),
-        batched,
-        plan.len() - batched
-    );
-    println!("{:>4} {:16} {:10} execution", "job", "mix", "scheduler");
-    for (i, (job, a)) in plan.jobs().iter().zip(&assignments).enumerate() {
-        let how = match a {
-            Some(group) => format!("lane-batched (group {group})"),
-            None => "scalar-fallback".to_owned(),
-        };
-        println!("{:>4} {:16} {:10} {}", i, job.mix.name, job.kind.name(), how);
-    }
-}
-
 fn print_available() {
     println!("mixes (run with `parbs-sim case-study <n>` / `parbs-sim mix <a,b,c,d>`):");
     for (n, mix) in [(1, case_study_1()), (2, case_study_2()), (3, case_study_3())] {
@@ -467,9 +469,6 @@ fn print_available() {
     println!("  (more sweeps — marking-cap, batching, ranking, priorities — are");
     println!("   regenerated by the parbs-bench binaries: fig11..fig14, table3, table4)");
     println!("\noptions: --target N   --seed N   --jobs N (default: all cores)");
-    println!("backend: --lanes 1|2|4 (lockstep lane kernel; byte-identical results;");
-    println!("         add --list to an evaluation command to preview which jobs");
-    println!("         get lane-batched vs scalar-fallback)");
     println!("ckpt:    run <a,b,c,d> --sched S --checkpoint-out F");
     println!("         [--checkpoint-every N] [--resume F]");
     println!("shape:   --ranks N   --mapping row|line   --no-xor");
@@ -481,18 +480,13 @@ fn print_available() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(&args);
     let target = value_of(&args, "--target").unwrap_or(30_000);
     let seed = value_of(&args, "--seed").unwrap_or(42);
     let jobs =
         value_of(&args, "--jobs").map_or_else(parbs_sim::default_jobs, |v| (v as usize).max(1));
     let shape = ShapeArgs::parse(&args);
-    let backend = backend_arg(&args);
-    let list_only = args.iter().any(|a| a == "--list");
-    let lane_listable = matches!(
-        args.first().map(String::as_str),
-        Some("case-study" | "mix" | "sweep" | "mapping-sweep" | "zoo-sweep")
-    );
-    if list_only && !lane_listable {
+    if args.iter().any(|a| a == "--list") {
         print_available();
         return;
     }
@@ -513,13 +507,9 @@ fn main() {
             }
             let harness = harness_for(mix.cores(), target, &shape);
             let plan = experiments::compare_plan(&mix);
-            if list_only {
-                print_lane_plan(&harness, &plan, backend);
-                return;
-            }
             println!("case study {} ({} cores):", mix.name, mix.cores());
             let start = Instant::now();
-            print_evals(&harness.run_plan_with(&plan, jobs, &backend));
+            print_evals(&harness.run_plan(&plan, jobs));
             print_run_summary(start, plan.len(), jobs, &harness);
         }
         Some("mix") => {
@@ -541,12 +531,8 @@ fn main() {
             }
             let harness = harness_for(mix.cores(), target, &shape);
             let plan = experiments::compare_plan(&mix);
-            if list_only {
-                print_lane_plan(&harness, &plan, backend);
-                return;
-            }
             let start = Instant::now();
-            print_evals(&harness.run_plan_with(&plan, jobs, &backend));
+            print_evals(&harness.run_plan(&plan, jobs));
             print_run_summary(start, plan.len(), jobs, &harness);
         }
         Some("bench") => {
@@ -743,12 +729,8 @@ fn main() {
             let harness = harness_for(4, target, &shape);
             let mixes = random_mixes(4, n, seed);
             let sweep = experiments::sweep_plan(&mixes, &experiments::paper_five_labeled());
-            if list_only {
-                print_lane_plan(&harness, sweep.plan(), backend);
-                return;
-            }
             let start = Instant::now();
-            let rows = sweep.run_with(&harness, jobs, &backend);
+            let rows = sweep.run(&harness, jobs);
             println!(
                 "{:10} {:>10} {:>7} {:>7} {:>7} {:>8}",
                 "scheduler", "unfairness", "wspeed", "hspeed", "ast", "wc"
@@ -772,10 +754,6 @@ fn main() {
             let harness = harness_for(4, target, &shape);
             let mixes = random_mixes(4, n, seed);
             let sweep = experiments::mapping_sweep_plan(&mixes, harness.config().dram.geometry);
-            if list_only {
-                print_lane_plan(&harness, sweep.plan(), backend);
-                return;
-            }
             println!(
                 "geometry/mapping ablation: {} rows x {} mix(es) = {} jobs",
                 sweep.labels().len(),
@@ -783,7 +761,7 @@ fn main() {
                 sweep.job_count()
             );
             let start = Instant::now();
-            let rows = sweep.run_with(&harness, jobs, &backend);
+            let rows = sweep.run(&harness, jobs);
             println!(
                 "{:22} {:>10} {:>7} {:>7} {:>7} {:>8}",
                 "shape/scheduler", "unfairness", "wspeed", "hspeed", "ast", "wc"
@@ -808,17 +786,13 @@ fn main() {
             let mut mixes = vec![parbs_workloads::accel_case_study()];
             mixes.extend(parbs_workloads::cpu_accel_mixes(4, n, seed));
             let sweep = experiments::zoo_sweep_plan(&mixes);
-            if list_only {
-                print_lane_plan(&harness, sweep.plan(), backend);
-                return;
-            }
             println!(
                 "scheduler zoo: 7 schedulers x {} mixed CPU/accelerator mix(es) = {} jobs",
                 mixes.len(),
                 sweep.job_count()
             );
             let start = Instant::now();
-            let rows = experiments::zoo_rows(sweep.run_with(&harness, jobs, &backend), &mixes);
+            let rows = experiments::zoo_rows(sweep.run(&harness, jobs), &mixes);
             println!(
                 "{:10} {:>10} {:>12} {:>9} {:>11} {:>7} {:>7}",
                 "scheduler", "unfairness", "cpu-unfair", "cpu-max", "accel-max", "wspeed", "hspeed"
@@ -978,7 +952,7 @@ fn main() {
                 "usage: parbs-sim <case-study 1|2|3 | mix a,b,c,d | bench name | list | sweep [n] \
                  | run a,b,c,d | mapping-sweep [n] | zoo-sweep [n] | flow-sweep [n] \
                  | monitor --spec S --replay F> \
-                 [--target N] [--seed N] [--jobs N] [--lanes 1|2|4] \
+                 [--target N] [--seed N] [--jobs N] \
                  [--sched S] [--checkpoint-out F] [--checkpoint-every N] [--resume F] \
                  [--ranks N] [--mapping row|line] [--no-xor] \
                  [--trace-out F] [--trace-format chrome|jsonl] [--check-invariants] \

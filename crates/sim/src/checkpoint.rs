@@ -5,12 +5,21 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PARBSCKP"
-//! 8       4     format version (little-endian u32, currently 1)
+//! 8       4     format version (little-endian u32, currently 2)
 //! 12      8     fingerprint (little-endian u64): FNV-1a over the full
 //!               SimConfig debug rendering, every channel's scheduler
 //!               name, and the workload label
-//! 20      ...   RunProgress state, then System state (parbs-snap codec)
+//! 20      ...   RunProgress state (parbs-snap codec): target, per-thread
+//!               snapshot options, remaining count, cycle, timed-out flag
+//! ...     ...   System state: next request id, inflight misses
+//!               (key-sorted), per-thread stall feedback, per-thread
+//!               worst-case latency, pending completions, then every
+//!               core's state and every controller's state
 //! ```
+//!
+//! Version 2 dropped version 1's per-thread BLP trackers from the System
+//! state: nothing read them. Version 1 blobs are rejected with
+//! [`CheckpointError::BadVersion`].
 //!
 //! The fingerprint binds the blob to the exact system shape it was saved
 //! from: restoring into a system with a different configuration, scheduler,
@@ -27,7 +36,7 @@ use crate::{RunProgress, System};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -127,19 +127,6 @@ impl SweepPlan {
     pub fn run(&self, harness: &Harness, jobs: usize) -> Vec<SweepRow> {
         self.collate(harness.run_plan(&self.plan, jobs))
     }
-
-    /// Like [`SweepPlan::run`] but executing shared runs through `backend`
-    /// (see [`Harness::run_plan_with`]): same rows, byte-identical, at any
-    /// backend width and `jobs` level.
-    #[must_use]
-    pub fn run_with(
-        &self,
-        harness: &Harness,
-        jobs: usize,
-        backend: &dyn crate::ExecBackend,
-    ) -> Vec<SweepRow> {
-        self.collate(harness.run_plan_with(&self.plan, jobs, backend))
-    }
 }
 
 /// The plan behind Figs. 8 and 10 and Table 4: every mix under every

@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use parbs_dram::{Controller, LineAddr, Request, RequestKind, ThreadId};
 use parbs_metrics::{FlowMetrics, FlowSummary, LatencyHistogram};
 use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{downcast_sink, FanoutSink, InvariantSink};
+use parbs_obs::{downcast_sink, FanoutSink};
 use parbs_workloads::{FlowConfig, FlowSource, RequestSource};
 
 use crate::executor::scope_map;
@@ -53,8 +53,8 @@ pub struct SourceDriveResult {
     pub read_latency: LatencyHistogram,
     /// Deepest total (all-channel) driver-side backlog observed.
     pub peak_backlog: usize,
-    /// Protocol/scheduler invariant violations observed (always 0 unless
-    /// invariant checking was requested).
+    /// Alarms of the [`parbs_monitor::prelude::invariants`] monitor (always
+    /// 0 unless invariant checking was requested).
     pub invariant_violations: usize,
     /// Monitor alarms observed (always 0 unless a spec was given).
     pub monitor_alarms: usize,
@@ -65,9 +65,10 @@ pub struct SourceDriveResult {
 /// or `cfg.max_cycles` elapses.
 ///
 /// With `check_invariants`, every controller runs the DRAM protocol
-/// checker **and** an [`InvariantSink`] auditing scheduler events; the
-/// violation count lands in the result (the protocol checker itself panics
-/// on violation, as elsewhere in the crate). With `spec`, every controller
+/// checker **and** a [`parbs_monitor::prelude::invariants`] monitor
+/// auditing scheduler events; its alarm count lands in
+/// `invariant_violations` (the protocol checker itself panics on
+/// violation, as elsewhere in the crate). With `spec`, every controller
 /// additionally runs a [`parbs_monitor`] monitor compiled from the spec and
 /// the alarm count lands in `monitor_alarms`.
 ///
@@ -91,12 +92,13 @@ pub fn drive_source(
             }
         })
         .collect();
+    let invariants = check_invariants.then(parbs_monitor::prelude::invariants);
     if check_invariants || spec.is_some() {
         for ctrl in &mut controllers {
             ctrl.scheduler_mut().set_observing(true);
             let mut fan = FanoutSink::new();
-            if check_invariants {
-                fan.push(Box::new(InvariantSink::new()));
+            if let Some(invariants) = &invariants {
+                fan.push(Box::new(invariants.monitor()));
             }
             if let Some(spec) = spec {
                 fan.push(Box::new(spec.monitor()));
@@ -178,18 +180,15 @@ pub fn drive_source(
     for ctrl in &mut controllers {
         let Some(sink) = ctrl.take_event_sink() else { continue };
         let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        for child in fan.into_sinks() {
-            let child = match downcast_sink::<InvariantSink>(child) {
-                Ok(inv) => {
-                    invariant_violations += inv.violations().len();
-                    continue;
-                }
-                Err(child) => child,
-            };
-            if let Ok(mon) = downcast_sink::<Monitor>(child) {
-                monitor_alarms += mon.alarms().len();
-            }
+        // Push order: the invariants monitor first, then the spec monitor.
+        let mut alarms = fan
+            .into_sinks()
+            .into_iter()
+            .map(|child| downcast_sink::<Monitor>(child).map_or(0, |mon| mon.alarms().len()));
+        if check_invariants {
+            invariant_violations += alarms.next().unwrap_or(0);
         }
+        monitor_alarms += alarms.sum::<usize>();
     }
     SourceDriveResult {
         cycles: now,
@@ -318,25 +317,5 @@ mod tests {
         assert!(!r.drive.timed_out);
         assert_eq!(r.drive.invariant_violations, 0);
         assert_eq!(r.drive.monitor_alarms, 0);
-    }
-
-    #[test]
-    fn closed_loop_source_drives_through_the_same_loop() {
-        use parbs_workloads::{by_name, ClosedLoopSource, SyntheticStream};
-        let cfg = SimConfig { target_instructions: 2_000, ..SimConfig::for_cores(4) };
-        let streams: Vec<Box<dyn parbs_cpu::InstructionStream>> = (0..4)
-            .map(|i| {
-                Box::new(SyntheticStream::new(
-                    by_name("mcf").unwrap(),
-                    cfg.geometry(),
-                    cfg.seed,
-                    i as u64,
-                )) as Box<dyn parbs_cpu::InstructionStream>
-            })
-            .collect();
-        let mut src = ClosedLoopSource::new(cfg.core, streams, cfg.target_instructions);
-        let r = drive_source(&cfg, &SchedulerKind::FrFcfs, &mut src, false, None);
-        assert!(!r.timed_out, "closed-loop source drains through the open-loop driver");
-        assert!(r.reads_completed > 0);
     }
 }

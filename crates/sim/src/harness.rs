@@ -19,9 +19,7 @@ use parbs_dram::{Geometry, MappingPolicy, TimingParams};
 use parbs_metrics::{evaluate, MetricsRow, ThreadComparison, ThreadMeasurement};
 use parbs_workloads::{BenchmarkProfile, MixSpec, SyntheticStream};
 
-use crate::{
-    EvalJob, EvalOverrides, EvalPlan, RunResult, SchedulerKind, SimConfig, System, ThreadRunStats,
-};
+use crate::{EvalJob, EvalOverrides, RunResult, SchedulerKind, SimConfig, System, ThreadRunStats};
 
 /// The evaluated result of one (mix, scheduler) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,15 +262,8 @@ impl Harness {
         self.build_shared(mix, kind, cfg).run()
     }
 
-    /// Builds (without running) the shared-run system for one job — the
-    /// seam the lane backends use to assemble a batch of independent
-    /// systems before stepping them in lockstep.
-    pub(crate) fn build_shared(
-        &self,
-        mix: &MixSpec,
-        kind: &SchedulerKind,
-        cfg: SimConfig,
-    ) -> System {
+    /// Builds (without running) the shared-run system for one job.
+    fn build_shared(&self, mix: &MixSpec, kind: &SchedulerKind, cfg: SimConfig) -> System {
         assert_eq!(
             mix.cores(),
             self.cfg.cores,
@@ -309,22 +300,7 @@ impl Harness {
         overrides: &EvalOverrides,
     ) -> MixEvaluation {
         let job_cfg = self.job_config(overrides);
-        let shared = self.run_shared_under(mix, kind, job_cfg);
-        self.evaluate_with_shared(mix, kind, overrides, shared)
-    }
-
-    /// Combines an already-executed shared run with the (memoized) alone
-    /// baselines into the job's evaluation — the back half of
-    /// [`Harness::evaluate_mix_with`], split out so lane backends can run
-    /// the shared simulations in batches.
-    pub(crate) fn evaluate_with_shared(
-        &self,
-        mix: &MixSpec,
-        kind: &SchedulerKind,
-        overrides: &EvalOverrides,
-        shared: RunResult,
-    ) -> MixEvaluation {
-        let job_cfg = self.job_config(overrides);
+        let shared = self.run_shared_under(mix, kind, job_cfg.clone());
         let comparisons: Vec<ThreadComparison> = mix
             .benchmarks
             .iter()
@@ -339,7 +315,7 @@ impl Harness {
             mix: mix.name.clone(),
             thread_names: mix.benchmarks.iter().map(|b| b.name.to_owned()).collect(),
             metrics: evaluate(&comparisons),
-            shared: shared.threads.clone(),
+            shared: shared.threads,
             worst_case_latency: shared.worst_case_latency,
             row_hit_rate: shared.row_hit_rate,
         }
@@ -365,107 +341,6 @@ impl Harness {
         overrides: &EvalOverrides,
     ) -> System {
         self.build_shared(mix, kind, self.job_config(overrides))
-    }
-
-    /// The lane-batching shape key of one job: the DRAM shape its shared
-    /// run executes on after overrides. Jobs agreeing on the key run the
-    /// same geometry and mapping, so they can share a lockstep lane group.
-    fn shape_key(&self, job: &EvalJob) -> (Geometry, MappingPolicy) {
-        let cfg = self.job_config(&job.overrides);
-        (cfg.dram.geometry, cfg.dram.mapping)
-    }
-
-    /// Groups plan indices into lane batches: jobs are keyed by DRAM shape
-    /// (in first-appearance order) and each shape's indices are chunked
-    /// into consecutive groups of at most `width`, preserving plan order
-    /// within a shape. Deterministic — the same plan and width always
-    /// produce the same grouping.
-    #[must_use]
-    pub fn lane_groups(&self, plan: &EvalPlan, width: usize) -> Vec<Vec<usize>> {
-        let width = width.max(1);
-        let mut order: Vec<(Geometry, MappingPolicy)> = Vec::new();
-        let mut by_key: HashMap<(Geometry, MappingPolicy), Vec<usize>> = HashMap::new();
-        for (i, job) in plan.jobs().iter().enumerate() {
-            let key = self.shape_key(job);
-            by_key
-                .entry(key)
-                .or_insert_with(|| {
-                    order.push(key);
-                    Vec::new()
-                })
-                .push(i);
-        }
-        let mut groups = Vec::new();
-        for key in order {
-            for chunk in by_key[&key].chunks(width) {
-                groups.push(chunk.to_vec());
-            }
-        }
-        groups
-    }
-
-    /// How each job of `plan` would execute under a `width`-lane backend:
-    /// the lane group it joins, or `None` for the scalar fallback (a group
-    /// of one — lockstepping a single system buys nothing).
-    #[must_use]
-    pub fn lane_assignments(&self, plan: &EvalPlan, width: usize) -> Vec<Option<usize>> {
-        let mut assignment = vec![None; plan.len()];
-        for (g, group) in self.lane_groups(plan, width).iter().enumerate() {
-            if group.len() > 1 {
-                for &i in group {
-                    assignment[i] = Some(g);
-                }
-            }
-        }
-        assignment
-    }
-
-    /// Like [`Harness::run_plan`] but executing shared runs through
-    /// `backend`: compatible jobs (same DRAM shape after overrides) are
-    /// batched into lockstep lane groups of up to the backend's width;
-    /// singleton groups fall back to the scalar path. Results come back in
-    /// plan order and are byte-identical to [`Harness::run_plan`] at every
-    /// `jobs` level — the backends only change *how* the cycle loop is
-    /// driven, never what each system computes.
-    pub fn run_plan_with(
-        &self,
-        plan: &EvalPlan,
-        jobs: usize,
-        backend: &dyn crate::ExecBackend,
-    ) -> Vec<MixEvaluation> {
-        if backend.lane_width() <= 1 {
-            return self.run_plan(plan, jobs);
-        }
-        let groups = self.lane_groups(plan, backend.lane_width());
-        let evaluated: Vec<Vec<MixEvaluation>> =
-            crate::executor::scope_map(&groups, jobs, |group| {
-                if group.len() == 1 {
-                    return vec![self.evaluate(&plan.jobs()[group[0]])];
-                }
-                let systems: Vec<System> = group
-                    .iter()
-                    .map(|&i| {
-                        let job = &plan.jobs()[i];
-                        self.build_shared(&job.mix, &job.kind, self.job_config(&job.overrides))
-                    })
-                    .collect();
-                backend
-                    .run_batch(systems)
-                    .into_iter()
-                    .zip(group)
-                    .map(|(shared, &i)| {
-                        let job = &plan.jobs()[i];
-                        self.evaluate_with_shared(&job.mix, &job.kind, &job.overrides, shared)
-                    })
-                    .collect()
-            });
-        let mut slots: Vec<Option<MixEvaluation>> = (0..plan.len()).map(|_| None).collect();
-        for (group, evals) in groups.iter().zip(evaluated) {
-            for (&i, e) in group.iter().zip(evals) {
-                assert!(slots[i].replace(e).is_none(), "job {i} evaluated twice");
-            }
-        }
-        slots.into_iter().map(|e| e.expect("every planned job evaluated")).collect()
     }
 }
 
@@ -510,10 +385,10 @@ mod tests {
 
     #[test]
     fn alone_cache_distinguishes_dram_shapes() {
-        // Regression (from the Session era): the cache key once covered
-        // only the channel count and run length, so systems differing in
-        // any other DRAM parameter (here: bank count) would alias to one
-        // entry and reuse a baseline from the wrong memory system.
+        // Regression: an earlier cache key covered only the channel count
+        // and run length, so systems differing in any other DRAM parameter
+        // (here: bank count) would alias to one entry and reuse a baseline
+        // from the wrong memory system.
         let b = by_name("mcf").unwrap();
         let eight = Harness::new(quick_cfg());
         let mut four_cfg = quick_cfg();

