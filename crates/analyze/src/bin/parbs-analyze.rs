@@ -26,7 +26,9 @@
 //! non-zero with its `line:col: message` position. `report` runs the
 //! checkers at a modest depth and prints a summary of the rule table and
 //! key layouts. Every failure exits non-zero, so all subcommands are
-//! CI-gateable.
+//! CI-gateable. A flag the subcommand does not read, a value flag with no
+//! value and a malformed or out-of-range value exit 2 naming the flag, so a
+//! typo cannot silently weaken a proof.
 
 use std::process::ExitCode;
 
@@ -37,6 +39,93 @@ use parbs_analyze::{
 };
 use parbs_dram::TIMING_RULES;
 
+const SUBCOMMANDS: [&str; 5] =
+    ["check-timing", "check-keys", "check-liveness", "check-spec", "report"];
+
+/// What a flag takes.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// A scheduler name, or `all`.
+    Name,
+    /// An integer no larger than the bound.
+    Int(u64),
+}
+
+const U8: Takes = Takes::Int(u8::MAX as u64);
+const U32: Takes = Takes::Int(u32::MAX as u64);
+const U64: Takes = Takes::Int(u64::MAX);
+
+/// The flags `command` reads.
+fn flags_of(command: &str) -> &'static [(&'static str, Takes)] {
+    match command {
+        "check-timing" => &[
+            ("--depth", U32),
+            ("--ranks", U64),
+            ("--banks", U64),
+            ("--rows", U64),
+            ("--refresh", Takes::Nothing),
+            ("--trefi-dc", U64),
+            ("--no-gating", Takes::Nothing),
+        ],
+        "check-keys" => &[("--scheduler", Takes::Name)],
+        "check-liveness" => &[
+            ("--scheduler", Takes::Name),
+            ("--banks", U64),
+            ("--rows", U8),
+            ("--queue", U64),
+            ("--threads", U64),
+            ("--depth", U32),
+            ("--witness", Takes::Nothing),
+        ],
+        "report" => &[
+            ("--depth", U32),
+            ("--ranks", U64),
+            ("--banks", U64),
+            ("--rows", U64),
+            ("--scheduler", Takes::Name),
+        ],
+        _ => &[],
+    }
+}
+
+/// Checks `args` against what `command` reads: every flag must be one of
+/// [`flags_of`], every value flag needs a value, and every integer must
+/// parse within its bound. Only `check-spec` takes a positional argument.
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    let mut positional = 0;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if !arg.starts_with("--") {
+            positional += 1;
+            if command != "check-spec" || positional > 1 {
+                return Err(format!("unexpected argument '{arg}' for `parbs-analyze {command}`"));
+            }
+            continue;
+        }
+        let Some(&(_, takes)) = flags_of(command).iter().find(|(f, _)| f == arg) else {
+            return Err(format!("unknown flag {arg} for `parbs-analyze {command}`"));
+        };
+        if let Takes::Nothing = takes {
+            continue;
+        }
+        let Some(value) = rest.next().filter(|v| !v.starts_with("--")) else {
+            return Err(format!("{arg} requires a value"));
+        };
+        if let Takes::Int(max) = takes {
+            if !value.parse::<u64>().is_ok_and(|v| v <= max) {
+                return Err(format!(
+                    "invalid value '{value}' for {arg}: expected an integer from 0 to {max}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The integer value of `flag`; [`check_flags`] has already rejected a
+/// malformed one.
 fn value_of(args: &[String], flag: &str) -> Option<u64> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).and_then(|v| v.parse().ok())
 }
@@ -220,6 +309,12 @@ fn report(args: &[String]) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(command) = args.first().filter(|c| SUBCOMMANDS.contains(&c.as_str())) {
+        if let Err(e) = check_flags(command, &args[1..]) {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    }
     let result = match args.first().map(String::as_str) {
         Some("check-timing") => check_timing(&args[1..]),
         Some("check-keys") => check_keys(&args[1..]),
@@ -227,8 +322,8 @@ fn main() -> ExitCode {
         Some("check-spec") => check_spec(&args[1..]),
         Some("report") => report(&args[1..]),
         other => Err(format!(
-            "usage: parbs-analyze <check-timing|check-keys|check-liveness|check-spec|report> \
-             [options]\n(got {other:?})"
+            "usage: parbs-analyze <{}> [options]\n(got {other:?})",
+            SUBCOMMANDS.join("|")
         )),
     };
     match result {

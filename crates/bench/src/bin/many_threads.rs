@@ -11,7 +11,7 @@
 //! within 2x. Emits `BENCH_many_threads.json` in the working directory.
 //!
 //! Run with: `cargo run --release -p parbs-bench --bin many_threads`
-//! (`--quick` shrinks the sample count for CI).
+//! (`--quick` shrinks the sample count for CI; any other argument exits 2).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -54,7 +54,7 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = parbs_bench::quick_flag();
     let (samples, iters) = if quick { (15, 100) } else { (50, 1_000) };
     let mut rows: Vec<Row> = Vec::new();
     for kind in hotpath::all_schedulers() {

@@ -4,7 +4,8 @@
 //! `BENCH_parallel_sweep.json` in the working directory.
 //!
 //! Run with: `cargo run --release -p parbs-bench --bin parallel_sweep`
-//! (`--quick` shrinks the per-thread instruction target for CI).
+//! (`--quick` shrinks the per-thread instruction target for CI; any other
+//! argument exits 2).
 //!
 //! The >=2x speedup assertion only fires on hosts with at least 4 available
 //! cores — on smaller machines (or under CPU quotas) the run still checks
@@ -40,7 +41,7 @@ fn timed_run(target: u64, jobs: usize) -> Run {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = parbs_bench::quick_flag();
     let target = if quick { 4_000 } else { 30_000 };
     let host_parallelism =
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);

