@@ -165,12 +165,21 @@ impl Controller {
     #[must_use]
     pub fn with_checker(config: DramConfig, scheduler: Box<dyn MemoryScheduler>) -> Self {
         let mut c = Self::new(config, scheduler);
-        c.checker = Some(ProtocolChecker::with_ranks(
-            c.config.ranks_per_channel(),
-            c.config.banks_per_rank(),
-            c.config.timing,
-        ));
+        c.attach_checker();
         c
+    }
+
+    /// Verifies every command from now on against a fresh
+    /// [`ProtocolChecker`], as [`Controller::with_checker`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the controller has issued a command: the checker tracks
+    /// bank state from the channel's first command.
+    pub fn attach_checker(&mut self) {
+        assert_eq!(self.stats.commands_issued, 0, "attach the checker before the first command");
+        let (ranks, banks) = (self.config.ranks_per_channel(), self.config.banks_per_rank());
+        self.checker = Some(ProtocolChecker::with_ranks(ranks, banks, self.config.timing));
     }
 
     /// The scheduler's display name.
@@ -243,12 +252,6 @@ impl Controller {
     #[must_use]
     pub fn reads(&self) -> &[Request] {
         &self.reads
-    }
-
-    /// Number of queued writes.
-    #[must_use]
-    pub fn write_queue_len(&self) -> usize {
-        self.writes.len()
     }
 
     /// True if another read can be accepted.
@@ -539,15 +542,12 @@ impl Controller {
                 note(t, b);
             }
         }
-        let mut union = 0u64;
         for &t in self.blp_touched.iter() {
             let mask = self.blp_masks[t];
-            union |= mask;
             self.stats.record_thread_blp(ThreadId(t), mask.count_ones() as usize);
             self.blp_masks[t] = 0;
         }
         self.blp_touched.clear();
-        self.stats.blp.record(union.count_ones() as usize);
     }
 
     /// Attempts to issue one command for the given queue side. Returns true
@@ -816,7 +816,7 @@ impl Controller {
                     self.read_keys.swap_remove(i);
                 }
                 self.stats.reads_completed += 1;
-                self.stats.record_read_latency(finish - req.arrival, req.thread);
+                self.stats.record_read_latency(finish - req.arrival);
             }
         }
     }
@@ -1139,6 +1139,6 @@ mod tests {
         let done = drain(&mut ctrl);
         assert_eq!(done.len(), 20);
         assert_eq!(ctrl.stats().reads_completed, 20);
-        assert!(ctrl.stats().worst_case_latency > 0);
+        assert!(ctrl.stats().read_latency.max() > 0);
     }
 }

@@ -35,7 +35,7 @@
 //! structured event stream (enqueues, batch formation/marking/ranking,
 //! command issue with row hit/closed/conflict classification, completions,
 //! write-drain windows, refreshes, bus samples). [`CommandTraceSink`]
-//! rebuilds the legacy `(cycle, Command)` trace from that stream, and
+//! rebuilds the `(cycle, Command)` trace from that stream, and
 //! [`render_timeline`] draws the ASCII service-order diagrams from it. With
 //! no sink attached the instrumentation costs one branch per site.
 //!

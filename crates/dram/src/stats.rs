@@ -61,20 +61,12 @@ pub struct ControllerStats {
     pub commands_issued: u64,
     /// All-bank refreshes issued.
     pub refreshes: u64,
-    /// Sum of read latencies (arrival → data at core), for averaging.
-    pub total_read_latency: u64,
-    /// Largest single read latency observed — the paper's worst-case
-    /// request latency (Table 4, "WC lat.").
-    pub worst_case_latency: u64,
-    /// Channel-wide bank-level parallelism.
-    pub blp: BlpTracker,
     /// Per-thread bank-level parallelism (grown on demand).
     pub thread_blp: Vec<BlpTracker>,
     /// Per-thread read row-category counters `(hits, closed, conflicts)`.
     pub thread_read_categories: Vec<(u64, u64, u64)>,
-    /// Per-thread worst-case read latency.
-    pub thread_worst_case: Vec<u64>,
-    /// Distribution of read latencies (arrival → data at core).
+    /// Distribution of read latencies (arrival → data at core); its maximum
+    /// is the paper's worst-case request latency (Table 4, "WC lat.").
     pub read_latency: LatencyHistogram,
 }
 
@@ -90,31 +82,15 @@ impl ControllerStats {
         }
     }
 
-    /// Mean read latency in cycles (0.0 before any read completes).
-    #[must_use]
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads_completed == 0 {
-            0.0
-        } else {
-            self.total_read_latency as f64 / self.reads_completed as f64
-        }
-    }
-
     /// Records one per-thread BLP observation (banks currently working for
     /// the thread). Called by the controller once per DRAM cycle.
     pub fn record_thread_blp(&mut self, thread: ThreadId, banks: usize) {
         self.thread_tracker(thread).record(banks);
     }
 
-    /// Records a completed read's latency for global and per-thread maxima.
-    pub fn record_read_latency(&mut self, latency: u64, thread: ThreadId) {
+    /// Records a completed read's latency.
+    pub fn record_read_latency(&mut self, latency: u64) {
         self.read_latency.record(latency);
-        self.total_read_latency += latency;
-        self.worst_case_latency = self.worst_case_latency.max(latency);
-        if self.thread_worst_case.len() <= thread.0 {
-            self.thread_worst_case.resize(thread.0 + 1, 0);
-        }
-        self.thread_worst_case[thread.0] = self.thread_worst_case[thread.0].max(latency);
     }
 
     /// Average BLP observed for `thread` (0.0 if never sampled).
@@ -134,20 +110,6 @@ impl ControllerStats {
             crate::CommandKind::Activate => slot.1 += 1,
             crate::CommandKind::Precharge => slot.2 += 1,
             crate::CommandKind::Refresh => {}
-        }
-    }
-
-    /// Read row-hit rate of one thread (0.0 if it had no reads).
-    #[must_use]
-    pub fn thread_read_hit_rate(&self, thread: ThreadId) -> f64 {
-        let Some((h, c, x)) = self.thread_read_categories.get(thread.0) else {
-            return 0.0;
-        };
-        let total = h + c + x;
-        if total == 0 {
-            0.0
-        } else {
-            *h as f64 / total as f64
         }
     }
 
@@ -181,12 +143,8 @@ impl parbs_snap::Snap for ControllerStats {
         w.u64(self.row_conflicts);
         w.u64(self.commands_issued);
         w.u64(self.refreshes);
-        w.u64(self.total_read_latency);
-        w.u64(self.worst_case_latency);
-        w.put(&self.blp);
         w.put(&self.thread_blp);
         w.put(&self.thread_read_categories);
-        w.put(&self.thread_worst_case);
         w.put(&self.read_latency);
     }
 
@@ -201,12 +159,8 @@ impl parbs_snap::Snap for ControllerStats {
             row_conflicts: r.u64()?,
             commands_issued: r.u64()?,
             refreshes: r.u64()?,
-            total_read_latency: r.u64()?,
-            worst_case_latency: r.u64()?,
-            blp: r.get()?,
             thread_blp: r.get()?,
             thread_read_categories: r.get()?,
-            thread_worst_case: r.get()?,
             read_latency: r.get()?,
         })
     }
@@ -241,12 +195,9 @@ mod tests {
     #[test]
     fn worst_case_latency_tracks_maximum() {
         let mut s = ControllerStats::default();
-        s.record_read_latency(100, ThreadId(0));
-        s.record_read_latency(700, ThreadId(1));
-        s.record_read_latency(300, ThreadId(0));
-        assert_eq!(s.worst_case_latency, 700);
-        assert_eq!(s.thread_worst_case[0], 300);
-        assert_eq!(s.thread_worst_case[1], 700);
+        s.record_read_latency(100);
+        s.record_read_latency(700);
+        s.record_read_latency(300);
         assert_eq!(s.read_latency.count(), 3);
         assert_eq!(s.read_latency.max(), 700);
     }

@@ -34,12 +34,6 @@ impl CommandTraceSink {
         CommandTraceSink::default()
     }
 
-    /// The commands collected so far.
-    #[must_use]
-    pub fn trace(&self) -> &[(u64, Command)] {
-        &self.trace
-    }
-
     /// Consumes the sink, returning the collected trace.
     #[must_use]
     pub fn into_trace(self) -> Vec<(u64, Command)> {

@@ -26,6 +26,9 @@ const SCHED_PID: u32 = 3;
 /// Scheduler-track tids.
 const BATCH_TID: u32 = 0;
 const DRAIN_TID: u32 = 1;
+/// Slice width (cycles) of commands without a data transfer: one DRAM
+/// command slot.
+const COMMAND_WIDTH: u64 = 10;
 
 /// Streams events into Chrome trace-event JSON entries; call
 /// [`ChromeTraceSink::finish`] after the run to get the complete document.
@@ -37,8 +40,6 @@ pub struct ChromeTraceSink {
     sched_meta_done: bool,
     /// Cycle the current write-drain window started, if one is open.
     drain_start: Option<u64>,
-    /// Fixed slice width (cycles) for commands without a data transfer.
-    command_width: u64,
 }
 
 impl Default for ChromeTraceSink {
@@ -48,8 +49,7 @@ impl Default for ChromeTraceSink {
 }
 
 impl ChromeTraceSink {
-    /// Creates a sink with the default non-column command width (10 cycles,
-    /// one DRAM command slot).
+    /// Creates an empty sink.
     #[must_use]
     pub fn new() -> Self {
         ChromeTraceSink {
@@ -58,27 +58,7 @@ impl ChromeTraceSink {
             seen_threads: HashSet::new(),
             sched_meta_done: false,
             drain_start: None,
-            command_width: 10,
         }
-    }
-
-    /// Overrides the slice width used for activate/precharge commands.
-    #[must_use]
-    pub fn with_command_width(mut self, cycles: u64) -> Self {
-        self.command_width = cycles.max(1);
-        self
-    }
-
-    /// Number of trace entries emitted so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no entries have been emitted.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Consumes the sink and renders the complete JSON document.
@@ -168,7 +148,7 @@ impl EventSink for ChromeTraceSink {
                 ..
             } => {
                 self.ensure_bank(*bank);
-                let dur = data_end.map_or(self.command_width, |end| end.saturating_sub(*at).max(1));
+                let dur = data_end.map_or(COMMAND_WIDTH, |end| end.saturating_sub(*at).max(1));
                 let mut args = format!(
                     "{{\"req\":{request},\"thread\":{thread},\"row\":{row},\"marked\":{marked}"
                 );
@@ -351,7 +331,6 @@ mod tests {
         for e in &stream() {
             sink.record(e);
         }
-        assert!(!sink.is_empty());
         let doc = sink.finish();
         assert!(doc.starts_with("{\"displayTimeUnit\""));
         assert!(doc.trim_end().ends_with("]}"));

@@ -24,23 +24,11 @@ pub struct ThreadCounters {
     pub row_closed: u64,
     /// First commands that were row conflicts.
     pub row_conflicts: u64,
-    /// Sum of read latencies (arrival → data observed), in cycles.
-    pub total_read_latency: u64,
     /// Worst read latency observed, in cycles.
     pub max_read_latency: u64,
 }
 
 impl ThreadCounters {
-    /// Mean read latency in cycles.
-    #[must_use]
-    pub fn mean_read_latency(&self) -> f64 {
-        if self.reads_completed == 0 {
-            0.0
-        } else {
-            self.total_read_latency as f64 / self.reads_completed as f64
-        }
-    }
-
     /// Row-buffer hit rate over the thread's classified requests.
     #[must_use]
     pub fn row_hit_rate(&self) -> f64 {
@@ -106,12 +94,6 @@ impl CounterSink {
     #[must_use]
     pub fn bank(&self, bank: usize) -> BankCounters {
         self.banks.get(bank).copied().unwrap_or_default()
-    }
-
-    /// Number of distinct threads observed (highest index + 1).
-    #[must_use]
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
     }
 
     /// Number of distinct banks observed (highest index + 1).
@@ -201,7 +183,6 @@ impl EventSink for CounterSink {
                     let latency = finish.saturating_sub(arrival);
                     let t = self.thread_mut(thread);
                     t.reads_completed += 1;
-                    t.total_read_latency += latency;
                     t.max_read_latency = t.max_read_latency.max(latency);
                     self.read_latency.record(latency);
                 }

@@ -30,7 +30,9 @@ use std::time::Instant;
 
 use parbs_dram::MappingPolicy;
 use parbs_monitor::Spec;
-use parbs_sim::{experiments, Harness, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
+use parbs_sim::{
+    experiments, Harness, MonitorReport, ObserveOptions, SchedulerKind, SimConfig, TraceFormat,
+};
 use parbs_workloads::{
     all_benchmarks, by_name, case_study_1, case_study_2, case_study_3, random_mixes, BoundedPareto,
     FlowConfig, MixSpec,
@@ -352,10 +354,7 @@ impl Args {
             mixes8,
             mixes16,
         };
-        if let Some(t) = args.num("--target") {
-            if t == 0 {
-                fail("invalid value '0' for --target: expected at least 1");
-            }
+        if let Some(t) = args.num_at_least("--target", 1) {
             args.target = t;
         }
         if let Some(m) = args.num("--mixes") {
@@ -385,6 +384,16 @@ impl Args {
         Some(v.parse().unwrap_or_else(|_| {
             fail(format!("invalid value '{v}' for {flag}: expected a non-negative integer"))
         }))
+    }
+
+    /// The integer value of `flag`, which must be at least `min`; a smaller
+    /// or malformed one exits 2.
+    fn num_at_least(&self, flag: &str, min: u64) -> Option<u64> {
+        let n = self.num(flag)?;
+        if n < min {
+            fail(format!("invalid value '{n}' for {flag}: expected at least {min}"));
+        }
+        Some(n)
     }
 
     /// The optional positional count of the sweeps (`sweep [n]`).
@@ -521,45 +530,58 @@ fn run_observed_cli(mix: &MixSpec, args: &Args, oa: &ObserveArgs) {
         println!("wrote {} bytes of {} trace to {path}", trace.len(), oa.format.name());
     }
     if oa.check {
-        for rep in &obs.invariants {
-            println!("channel {}: {}", rep.channel, rep.summary);
-            for a in &rep.alarms {
-                println!("{a}");
-            }
-        }
-        if obs.violation_count > 0 {
-            eprintln!("{} invariant violation(s)", obs.violation_count);
-            std::process::exit(1);
-        }
-        println!("invariants: OK ({} channel(s) checked)", obs.invariants.len());
+        let (n, scope) = (obs.violation_count, format!("{} channel(s)", obs.invariants.len()));
+        print_verdict(INVARIANTS_VERDICT, &obs.invariants, false, n, n > 0, &scope);
     }
     if oa.spec.is_some() {
-        let mut errors = false;
-        for rep in &obs.monitors {
-            println!("channel {}: {}", rep.channel, rep.summary);
-            for a in &rep.alarms {
-                println!("{a}");
-            }
-            if oa.monitor_report {
-                for (name, sev, count) in &rep.trigger_counts {
-                    println!("  trigger {name} [{sev}]: {count} fire(s)");
-                }
-            }
-            errors |= !rep.ok;
-        }
-        if errors {
-            eprintln!("{} monitor alarm(s)", obs.alarm_count);
-            std::process::exit(1);
-        }
-        println!("monitor: OK ({} channel(s) monitored)", obs.monitors.len());
+        let scope = format!("{} channel(s)", obs.monitors.len());
+        let (alarms, failed) = (obs.alarm_count, obs.monitors.iter().any(|rep| !rep.ok));
+        print_verdict(SPEC_VERDICT, &obs.monitors, oa.monitor_report, alarms, failed, &scope);
     }
     println!("observed in {:.2}s", start.elapsed().as_secs_f64());
 }
 
-/// Re-runs every (scheduler, mix) cell of the zoo observed with `spec`
-/// attached and prints the per-trigger fire counts summed over channels —
-/// the measured "which scheduler trips which trigger where" table.
-fn zoo_trigger_table(mixes: &[MixSpec], args: &Args, spec: &Spec) {
+/// How the `--check-invariants` verdict names its monitor, what the
+/// monitor did, and an alarm.
+const INVARIANTS_VERDICT: [&str; 3] = ["invariants", "checked", "invariant violation(s)"];
+
+/// How the `--spec` verdict names the same.
+const SPEC_VERDICT: [&str; 3] = ["monitor", "monitored", "monitor alarm(s)"];
+
+/// Prints one monitor's verdict: each channel report of an observed run
+/// (with its trigger counts when `triggers`), then `OK` over `scope`, or,
+/// when `failed`, the alarm count on stderr and exit 1.
+fn print_verdict(
+    [monitor, verb, alarm]: [&str; 3],
+    reports: &[MonitorReport],
+    triggers: bool,
+    alarms: usize,
+    failed: bool,
+    scope: &str,
+) {
+    for rep in reports {
+        println!("channel {}: {}", rep.channel, rep.summary);
+        for a in &rep.alarms {
+            println!("{a}");
+        }
+        if triggers {
+            for (name, sev, count) in &rep.trigger_counts {
+                println!("  trigger {name} [{sev}]: {count} fire(s)");
+            }
+        }
+    }
+    if failed {
+        eprintln!("{alarms} {alarm}");
+        std::process::exit(1);
+    }
+    println!("{monitor}: OK ({scope} {verb})");
+}
+
+/// Re-runs every (scheduler, mix) cell of the zoo on `cfg`, the system the
+/// zoo table measured, observed with `spec` attached, and prints the
+/// per-trigger fire counts summed over channels — the measured "which
+/// scheduler trips which trigger where" table.
+fn zoo_trigger_table(mixes: &[MixSpec], cfg: &SimConfig, spec: &Spec) {
     let triggers = spec.triggers();
     print!("{:10} {:12}", "scheduler", "mix");
     for (name, _) in &triggers {
@@ -568,9 +590,8 @@ fn zoo_trigger_table(mixes: &[MixSpec], args: &Args, spec: &Spec) {
     println!(" {:>7}", "events");
     for sched in SchedulerKind::zoo_seven() {
         for mix in mixes {
-            let cfg = SimConfig { seed: args.seed, ..args.config(mix.cores()) };
             let opts = ObserveOptions { spec: Some(spec.clone()), ..Default::default() };
-            let obs = parbs_sim::run_observed(cfg, mix, &sched, &opts);
+            let obs = parbs_sim::run_observed(cfg.clone(), mix, &sched, &opts);
             let mut counts = vec![0u64; triggers.len()];
             let mut events = 0u64;
             for rep in &obs.monitors {
@@ -716,10 +737,7 @@ fn run(args: &Args) {
     // saved from one mix cannot restore into another.
     let label = names.join(",");
     let ckpt_out = args.value("--checkpoint-out");
-    let every = args.num("--checkpoint-every").unwrap_or(1_000_000);
-    if every == 0 {
-        fail("invalid value '0' for --checkpoint-every: expected at least 1");
-    }
+    let every = args.num_at_least("--checkpoint-every", 1).unwrap_or(1_000_000);
     let harness = args.harness(mix.cores());
     let mut sys = harness.shared_system(&mix, &sched, &Default::default());
     let mut progress = match args.value("--resume") {
@@ -834,7 +852,7 @@ fn zoo_sweep(args: &Args) {
     );
     print_run_summary(start, sweep.job_count(), args.jobs, &harness);
     if let Some(spec) = args.value("--spec") {
-        zoo_trigger_table(&mixes, args, &load_spec(spec));
+        zoo_trigger_table(&mixes, harness.config(), &load_spec(spec));
     }
 }
 
@@ -842,8 +860,9 @@ fn flow_sweep(args: &Args) {
     let n = args.count(4096);
     let mut cfg = SimConfig { seed: args.seed, ..SimConfig::for_cores(4) };
     args.shape(&mut cfg);
-    let rate_per_kcycle = args.num("--flow-rate").unwrap_or(2);
-    let size_max = args.num("--flow-size-max").unwrap_or(256).max(2);
+    let rate_per_kcycle = args.num_at_least("--flow-rate", 1).unwrap_or(2);
+    // The smallest flow has two requests.
+    let size_max = args.num_at_least("--flow-size-max", 2).unwrap_or(256);
     let flows = FlowConfig {
         arrival_rate: rate_per_kcycle as f64 / 1000.0,
         size: BoundedPareto { alpha: 1.2, min: 2, max: size_max },
@@ -913,19 +932,12 @@ fn flow_sweep(args: &Args) {
         start.elapsed().as_secs_f64(),
         args.jobs
     );
+    let scope = format!("{} run(s)", rows.len());
     if check {
-        if violations > 0 {
-            eprintln!("{violations} invariant violation(s)");
-            std::process::exit(1);
-        }
-        println!("invariants: OK ({} run(s) checked)", rows.len());
+        print_verdict(INVARIANTS_VERDICT, &[], false, violations, violations > 0, &scope);
     }
     if spec.is_some() {
-        if alarms > 0 {
-            eprintln!("{alarms} monitor alarm(s)");
-            std::process::exit(1);
-        }
-        println!("monitor: OK ({} run(s) monitored)", rows.len());
+        print_verdict(SPEC_VERDICT, &[], false, alarms, alarms > 0, &scope);
     }
 }
 

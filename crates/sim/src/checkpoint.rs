@@ -5,21 +5,23 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PARBSCKP"
-//! 8       4     format version (little-endian u32, currently 2)
+//! 8       4     format version (little-endian u32, currently 3)
 //! 12      8     fingerprint (little-endian u64): FNV-1a over the full
 //!               SimConfig debug rendering, every channel's scheduler
 //!               name, and the workload label
 //! 20      ...   RunProgress state (parbs-snap codec): target, per-thread
 //!               snapshot options, remaining count, cycle, timed-out flag
-//! ...     ...   System state: next request id, inflight misses
-//!               (key-sorted), per-thread stall feedback, per-thread
-//!               worst-case latency, pending completions, then every
-//!               core's state and every controller's state
+//! ...     ...   System state: per-thread stall feedback, per-thread
+//!               worst-case latency, then every core's state
+//! ...     ...   Memory-side state: next request id, in-flight reads
+//!               (sorted by request id, each with its core and miss), then
+//!               every controller's state
 //! ```
 //!
-//! Version 2 dropped version 1's per-thread BLP trackers from the System
-//! state: nothing read them. Version 1 blobs are rejected with
-//! [`CheckpointError::BadVersion`].
+//! Version 3 groups the memory side's state after the cores and drops the
+//! completion buffer (empty between cycles) and the controller statistics
+//! nothing read. Version 2 dropped per-thread BLP trackers. Blobs of
+//! earlier versions are rejected with [`CheckpointError::BadVersion`].
 //!
 //! The fingerprint binds the blob to the exact system shape it was saved
 //! from: restoring into a system with a different configuration, scheduler,
@@ -36,7 +38,7 @@ use crate::{RunProgress, System};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,11 +110,6 @@ impl System {
         progress: &RunProgress,
         label: &str,
     ) -> Result<Vec<u8>, CheckpointError> {
-        if !self.snapshot_supported() {
-            return Err(CheckpointError::Unsupported(
-                "a controller has a protocol checker or event sink attached",
-            ));
-        }
         let mut w = SnapWriter::new();
         w.raw(&CHECKPOINT_MAGIC);
         w.u32(CHECKPOINT_VERSION);
@@ -227,6 +224,15 @@ mod tests {
         let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
         blob[8] = 99;
         assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found: 99 }));
+    }
+
+    #[test]
+    fn version_2_blobs_are_rejected() {
+        let mut sys = build(&SchedulerKind::FrFcfs);
+        let progress = sys.begin_run();
+        let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
+        blob[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found: 2 }));
     }
 
     #[test]

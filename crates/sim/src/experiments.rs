@@ -413,18 +413,32 @@ pub fn table3_rows(harness: &Harness, jobs: usize) -> Vec<Table3Row> {
 /// Micro-experiments behind the motivation figures (Figs. 1 and 2).
 pub mod micro {
     use parbs::{ParBsConfig, ParBsScheduler};
-    use parbs_dram::{
-        Controller, DramConfig, FcfsScheduler, LineAddr, Request, RequestKind, ThreadId,
-    };
+    use parbs_dram::{Completion, FcfsScheduler, LineAddr, MemoryScheduler, RequestKind, ThreadId};
 
-    fn read(id: u64, thread: usize, bank: usize, row: u64) -> Request {
-        Request::new(
-            id,
-            ThreadId(thread),
-            LineAddr { channel: 0, bank, row, col: 0 },
-            RequestKind::Read,
-            0,
-        )
+    use crate::memory::MemorySide;
+    use crate::SimConfig;
+
+    /// Serves `reads` — `(thread, bank, row)`, all arriving at cycle 0 in
+    /// this order — on one protocol-checked channel under `scheduler` and
+    /// returns their completions.
+    fn serve(
+        scheduler: &dyn Fn() -> Box<dyn MemoryScheduler>,
+        reads: &[(usize, usize, u64)],
+    ) -> Vec<Completion> {
+        let cfg = SimConfig { check_protocol: true, ..SimConfig::for_cores(4) };
+        let mut memory = MemorySide::new(&cfg, &|_| scheduler());
+        for &(thread, bank, row) in reads {
+            let addr = LineAddr { channel: 0, bank, row, col: 0 };
+            let kind = RequestKind::Read;
+            assert!(memory.enqueue(ThreadId(thread), addr, kind, 0, Default::default(), Some(())));
+        }
+        let mut done = Vec::new();
+        let mut now = 0;
+        while memory.reads_in_flight() {
+            memory.tick(now, |(), c| done.push(*c));
+            now += 1;
+        }
+        done
     }
 
     /// Figure 1: one thread's two requests to **different banks** overlap,
@@ -434,12 +448,8 @@ pub mod micro {
     #[must_use]
     pub fn fig1_overlap() -> (u64, u64) {
         let run = |banks: [usize; 2], rows: [u64; 2]| {
-            let mut ctrl =
-                Controller::with_checker(DramConfig::default(), Box::new(FcfsScheduler::new()));
-            ctrl.try_enqueue(read(0, 0, banks[0], rows[0])).unwrap();
-            ctrl.try_enqueue(read(1, 0, banks[1], rows[1])).unwrap();
-            let mut now = 0;
-            let done = ctrl.run_to_drain(&mut now, 1_000_000);
+            let reads = [(0, banks[0], rows[0]), (0, banks[1], rows[1])];
+            let done = serve(&|| Box::new(FcfsScheduler::new()), &reads);
             done.iter().map(|c| c.finish).max().unwrap()
         };
         (run([0, 1], [1, 1]), run([0, 0], [1, 2]))
@@ -451,28 +461,20 @@ pub mod micro {
     /// under PAR-BS; the averages show ~2 vs ~1.5 bank latencies.
     #[must_use]
     pub fn fig2_stall_times() -> ([u64; 2], [u64; 2]) {
-        let run = |parbs: bool| {
-            let sched: Box<dyn parbs_dram::MemoryScheduler> = if parbs {
-                Box::new(ParBsScheduler::new(ParBsConfig::default()))
-            } else {
-                Box::new(FcfsScheduler::new())
-            };
-            let mut ctrl = Controller::with_checker(DramConfig::default(), sched);
+        let run = |scheduler: &dyn Fn() -> Box<dyn MemoryScheduler>| {
             // Arrival order from the figure: each thread's two concurrent
             // requests interleave with the other thread's.
-            ctrl.try_enqueue(read(0, 0, 0, 1)).unwrap();
-            ctrl.try_enqueue(read(1, 1, 1, 2)).unwrap();
-            ctrl.try_enqueue(read(2, 1, 0, 3)).unwrap();
-            ctrl.try_enqueue(read(3, 0, 1, 4)).unwrap();
-            let mut now = 0;
-            let done = ctrl.run_to_drain(&mut now, 1_000_000);
+            let done = serve(scheduler, &[(0, 0, 1), (1, 1, 2), (1, 0, 3), (0, 1, 4)]);
             let mut stall = [0u64; 2];
             for c in &done {
                 stall[c.thread.0] = stall[c.thread.0].max(c.finish);
             }
             stall
         };
-        (run(false), run(true))
+        (
+            run(&|| Box::new(FcfsScheduler::new())),
+            run(&|| Box::new(ParBsScheduler::new(ParBsConfig::default()))),
+        )
     }
 }
 

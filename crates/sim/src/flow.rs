@@ -21,24 +21,17 @@
 //! over-estimates — consistent across schedulers, which is what a
 //! comparison needs. See `DESIGN.md` for the full argument.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use parbs_dram::{Controller, LineAddr, Request, RequestKind, ThreadId};
+use parbs::ThreadPriority;
+use parbs_dram::LineAddr;
 use parbs_metrics::{FlowMetrics, FlowSummary, LatencyHistogram};
-use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{downcast_sink, FanoutSink};
-use parbs_workloads::{FlowConfig, FlowSource, RequestSource};
+use parbs_monitor::Spec;
+use parbs_workloads::{FlowConfig, FlowSource, RequestSource, SourcedRequest};
 
 use crate::executor::scope_map;
+use crate::memory::{alarm_count, MemorySide};
 use crate::{SchedulerKind, SimConfig};
-
-/// One buffered request: decoded address plus the source's token.
-struct Buffered {
-    thread: ThreadId,
-    addr: LineAddr,
-    kind: RequestKind,
-    token: u64,
-}
 
 /// Outcome of driving one [`RequestSource`] to exhaustion.
 #[derive(Debug, Clone)]
@@ -83,83 +76,37 @@ pub fn drive_source(
     check_invariants: bool,
     spec: Option<&Spec>,
 ) -> SourceDriveResult {
-    let mut controllers: Vec<Controller> = (0..cfg.dram.channels())
-        .map(|_| {
-            if check_invariants || cfg.check_protocol {
-                Controller::with_checker(cfg.dram.clone(), scheduler.build(cfg))
-            } else {
-                Controller::new(cfg.dram.clone(), scheduler.build(cfg))
-            }
-        })
-        .collect();
-    let invariants = check_invariants.then(parbs_monitor::prelude::invariants);
-    if check_invariants || spec.is_some() {
-        for ctrl in &mut controllers {
-            ctrl.scheduler_mut().set_observing(true);
-            let mut fan = FanoutSink::new();
-            if let Some(invariants) = &invariants {
-                fan.push(Box::new(invariants.monitor()));
-            }
-            if let Some(spec) = spec {
-                fan.push(Box::new(spec.monitor()));
-            }
-            ctrl.set_event_sink(Box::new(fan));
-        }
-    }
-    let mapper = cfg.dram.mapper();
-    let mut backlogs: Vec<VecDeque<Buffered>> =
-        (0..controllers.len()).map(|_| VecDeque::new()).collect();
-    let mut inflight: HashMap<u64, u64> = HashMap::new();
-    let mut completions = Vec::new();
+    // An in-flight read carries the source's token back; every requester
+    // runs at the default priority.
+    let mut memory: MemorySide<u64> = MemorySide::new(cfg, &|cfg| scheduler.build(cfg));
+    let priority = ThreadPriority::default();
+    memory.observe(check_invariants, spec, Vec::new());
+    // Per channel, the requests it had no room for yet, with their address.
+    let mut backlogs: Vec<VecDeque<(LineAddr, SourcedRequest)>> =
+        (0..cfg.dram.channels()).map(|_| VecDeque::new()).collect();
     let mut emitted = Vec::new();
-    let mut next_request: u64 = 0;
     let mut peak_backlog = 0usize;
     let mut now = 0u64;
     let mut timed_out = false;
 
     loop {
-        for ctrl in &mut controllers {
-            ctrl.tick(now, &mut completions);
-        }
-        for c in completions.drain(..) {
-            if c.kind == RequestKind::Read {
-                if let Some(token) = inflight.remove(&c.request.0) {
-                    source.on_complete(token, now);
-                }
-            }
-        }
+        memory.tick(now, |token, _| source.on_complete(token, now));
         source.poll(now, &mut emitted);
         for r in emitted.drain(..) {
-            let addr = mapper.decode(r.line);
-            backlogs[addr.channel].push_back(Buffered {
-                thread: r.thread,
-                addr,
-                kind: r.kind,
-                token: r.token,
-            });
+            let addr = memory.decode(r.line);
+            backlogs[addr.channel].push_back((addr, r));
         }
-        for (ch, backlog) in backlogs.iter_mut().enumerate() {
-            let ctrl = &mut controllers[ch];
-            while let Some(front) = backlog.front() {
-                let ok = match front.kind {
-                    RequestKind::Read => ctrl.can_accept_read(),
-                    RequestKind::Write => ctrl.can_accept_write(),
-                };
-                if !ok {
+        for backlog in &mut backlogs {
+            while let Some(&(addr, r)) = backlog.front() {
+                if !memory.enqueue(r.thread, addr, r.kind, now, priority, Some(r.token)) {
                     break;
                 }
-                let b = backlog.pop_front().expect("front exists");
-                let req = Request::new(next_request, b.thread, b.addr, b.kind, now);
-                ctrl.try_enqueue(req).expect("capacity was checked");
-                if b.kind == RequestKind::Read {
-                    inflight.insert(next_request, b.token);
-                }
-                next_request += 1;
+                backlog.pop_front();
             }
         }
         peak_backlog = peak_backlog.max(backlogs.iter().map(VecDeque::len).sum());
         now += 1;
-        let drained = backlogs.iter().all(VecDeque::is_empty) && inflight.is_empty();
+        let drained = backlogs.iter().all(VecDeque::is_empty) && !memory.reads_in_flight();
         if source.exhausted() && drained {
             break;
         }
@@ -169,35 +116,15 @@ pub fn drive_source(
         }
     }
 
-    let mut read_latency = LatencyHistogram::new();
-    let mut reads_completed = 0;
-    for ctrl in &controllers {
-        read_latency.merge(&ctrl.stats().read_latency);
-        reads_completed += ctrl.stats().reads_completed;
-    }
-    let mut invariant_violations = 0;
-    let mut monitor_alarms = 0;
-    for ctrl in &mut controllers {
-        let Some(sink) = ctrl.take_event_sink() else { continue };
-        let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        // Push order: the invariants monitor first, then the spec monitor.
-        let mut alarms = fan
-            .into_sinks()
-            .into_iter()
-            .map(|child| downcast_sink::<Monitor>(child).map_or(0, |mon| mon.alarms().len()));
-        if check_invariants {
-            invariant_violations += alarms.next().unwrap_or(0);
-        }
-        monitor_alarms += alarms.sum::<usize>();
-    }
+    let detached = memory.detach();
     SourceDriveResult {
         cycles: now,
         timed_out,
-        reads_completed,
-        read_latency,
+        reads_completed: memory.reads_completed(),
+        read_latency: memory.read_latency(),
         peak_backlog,
-        invariant_violations,
-        monitor_alarms,
+        invariant_violations: alarm_count(&detached.invariants),
+        monitor_alarms: alarm_count(&detached.monitors),
     }
 }
 

@@ -44,6 +44,7 @@ mod executor;
 pub mod experiments;
 mod flow;
 mod harness;
+mod memory;
 mod observe;
 mod plan;
 mod sched_kind;

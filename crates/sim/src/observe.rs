@@ -5,15 +5,16 @@
 //!
 //! Channel 0 (where most requests of a 1-channel Table 2 system land)
 //! carries the trace and counter sinks; every channel gets a
-//! [`parbs_monitor::prelude::invariants`] monitor when invariant checking
-//! is on, since the PAR-BS batching rules hold per controller.
+//! [`parbs_monitor::prelude::invariants`] monitor and the DRAM protocol
+//! checker when invariant checking is on, since the PAR-BS batching rules
+//! hold per controller.
 
-use parbs_cpu::InstructionStream;
-use parbs_monitor::{Monitor, Spec};
-use parbs_obs::{downcast_sink, ChromeTraceSink, CounterSink, EventSink, FanoutSink, JsonlSink};
-use parbs_workloads::{MixSpec, SyntheticStream};
+use parbs_monitor::Spec;
+use parbs_obs::{downcast_sink, ChromeTraceSink, CounterSink, EventSink, JsonlSink};
+use parbs_workloads::MixSpec;
 
-use crate::{RunResult, SchedulerKind, SimConfig, System};
+use crate::memory::alarm_count;
+use crate::{EvalOverrides, Harness, RunResult, SchedulerKind, SimConfig};
 
 /// Serialization format for `--trace-out`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -49,8 +50,9 @@ impl TraceFormat {
 /// What to observe during a [`run_observed`] run.
 #[derive(Debug, Clone, Default)]
 pub struct ObserveOptions {
-    /// Attach a [`parbs_monitor::prelude::invariants`] monitor to every
-    /// channel (alongside any `spec` monitor).
+    /// Run the DRAM protocol checker and a
+    /// [`parbs_monitor::prelude::invariants`] monitor on every channel
+    /// (alongside any `spec` monitor).
     pub check_invariants: bool,
     /// Serialize channel 0's event stream in this format.
     pub trace: Option<TraceFormat>,
@@ -96,105 +98,14 @@ pub struct ObservedRun {
     pub alarm_count: usize,
 }
 
-/// Builds the per-channel sink stack. Push order is the detach contract of
-/// [`detach`]: the invariants monitor first, then the spec monitor, then
-/// counters, then the trace serializer.
-fn attach(sys: &mut System, opts: &ObserveOptions) {
-    let invariants = opts.check_invariants.then(parbs_monitor::prelude::invariants);
-    for c in 0..sys.channels() {
-        let mut fan = FanoutSink::new();
-        if let Some(invariants) = &invariants {
-            fan.push(Box::new(invariants.monitor()));
-        }
-        if let Some(spec) = &opts.spec {
-            fan.push(Box::new(spec.monitor()));
-        }
-        if c == 0 {
-            fan.push(Box::new(CounterSink::new()));
-            match opts.trace {
-                Some(TraceFormat::Chrome) => fan.push(Box::new(ChromeTraceSink::new())),
-                Some(TraceFormat::Jsonl) => fan.push(Box::new(JsonlSink::new(Vec::new()))),
-                None => {}
-            }
-        }
-        if !fan.is_empty() {
-            sys.set_event_sink(c, Box::new(fan));
-        }
-    }
-}
-
-/// The report of a monitor attached by [`attach`] on `channel`.
-fn monitor_report(channel: usize, sink: Option<Box<dyn EventSink>>) -> MonitorReport {
-    let Some(Ok(mon)) = sink.map(downcast_sink::<Monitor>) else {
-        unreachable!("attach pushes a monitor into this slot");
-    };
-    MonitorReport {
-        channel,
-        summary: mon.summary(),
-        alarms: mon.alarms().iter().map(ToString::to_string).collect(),
-        trigger_counts: mon
-            .trigger_counts()
-            .into_iter()
-            .map(|(n, s, k)| (n.to_owned(), s, k))
-            .collect(),
-        events: mon.events,
-        ok: mon.ok(),
-    }
-}
-
-/// Detaches every sink and folds their contents into an [`ObservedRun`].
-fn detach(sys: &mut System, opts: &ObserveOptions, result: RunResult) -> ObservedRun {
-    let mut out = ObservedRun {
-        result,
-        trace: None,
-        counters: String::new(),
-        invariants: Vec::new(),
-        violation_count: 0,
-        monitors: Vec::new(),
-        alarm_count: 0,
-    };
-    for c in 0..sys.channels() {
-        let Some(sink) = sys.take_event_sink(c) else { continue };
-        let Ok(fan) = downcast_sink::<FanoutSink>(sink) else { continue };
-        let mut sinks = fan.into_sinks().into_iter();
-        if opts.check_invariants {
-            let report = monitor_report(c, sinks.next());
-            out.violation_count += report.alarms.len();
-            out.invariants.push(report);
-        }
-        if opts.spec.is_some() {
-            let report = monitor_report(c, sinks.next());
-            out.alarm_count += report.alarms.len();
-            out.monitors.push(report);
-        }
-        for child in sinks {
-            let child = match downcast_sink::<CounterSink>(child) {
-                Ok(counters) => {
-                    out.counters = counters.summary();
-                    continue;
-                }
-                Err(child) => child,
-            };
-            let child = match downcast_sink::<ChromeTraceSink>(child) {
-                Ok(chrome) => {
-                    out.trace = Some(chrome.finish());
-                    continue;
-                }
-                Err(child) => child,
-            };
-            if let Ok(jsonl) = downcast_sink::<JsonlSink<Vec<u8>>>(child) {
-                out.trace = Some(jsonl.into_string());
-            }
-        }
-    }
-    out
-}
-
-/// Runs `mix` once under `scheduler` with sinks attached per `opts`.
+/// Runs `mix` once under `scheduler` with sinks attached per `opts`: the
+/// monitors on every channel, then a counter sink and the trace serializer
+/// on channel 0.
 ///
 /// # Panics
 ///
-/// Panics if the mix's core count differs from `cfg.cores`.
+/// Panics if the mix's core count differs from `cfg.cores`, or on a DRAM
+/// protocol violation when `opts.check_invariants` is set.
 #[must_use]
 pub fn run_observed(
     cfg: SimConfig,
@@ -202,22 +113,37 @@ pub fn run_observed(
     scheduler: &SchedulerKind,
     opts: &ObserveOptions,
 ) -> ObservedRun {
-    assert_eq!(mix.cores(), cfg.cores, "mix '{}' needs {} cores", mix.name, mix.cores());
-    let geometry = cfg.geometry();
-    let seed = cfg.seed;
-    let streams: Vec<Box<dyn InstructionStream>> = mix
-        .benchmarks
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            Box::new(SyntheticStream::new(b, geometry, seed, i as u64))
-                as Box<dyn InstructionStream>
-        })
-        .collect();
-    let mut sys = System::new(cfg, streams, scheduler);
-    attach(&mut sys, opts);
+    let mut sys = Harness::new(cfg).shared_system(mix, scheduler, &EvalOverrides::none());
+    let mut channel0: Vec<Box<dyn EventSink>> = vec![Box::new(CounterSink::new())];
+    match opts.trace {
+        Some(TraceFormat::Chrome) => channel0.push(Box::new(ChromeTraceSink::new())),
+        Some(TraceFormat::Jsonl) => channel0.push(Box::new(JsonlSink::new(Vec::new()))),
+        None => {}
+    }
+    sys.observe(opts.check_invariants, opts.spec.as_ref(), channel0);
     let result = sys.run();
-    detach(&mut sys, opts, result)
+    let detached = sys.detach();
+    // Channel 0's sinks come back in push order: counters, then the trace.
+    let mut channel0 = detached.channel0.into_iter();
+    let Some(Ok(counters)) = channel0.next().map(downcast_sink::<CounterSink>) else {
+        unreachable!("channel 0 carries a counter sink")
+    };
+    let trace = channel0.next().map(|sink| match downcast_sink::<ChromeTraceSink>(sink) {
+        Ok(chrome) => chrome.finish(),
+        Err(sink) => match downcast_sink::<JsonlSink<Vec<u8>>>(sink) {
+            Ok(jsonl) => jsonl.into_string(),
+            Err(_) => unreachable!("the trace sink is chrome or jsonl"),
+        },
+    });
+    ObservedRun {
+        result,
+        trace,
+        counters: counters.summary(),
+        violation_count: alarm_count(&detached.invariants),
+        invariants: detached.invariants,
+        alarm_count: alarm_count(&detached.monitors),
+        monitors: detached.monitors,
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
-//! The cycle-driven full system: cores + controllers + request routing.
-
-use std::collections::HashMap;
+//! The cycle-driven full system: closed-loop cores on the memory side.
 
 use parbs_cpu::{Core, InstructionStream, MissId};
-use parbs_dram::{Completion, Controller, Request, RequestKind, ThreadId, DRAM_CYCLE};
+use parbs_dram::{RequestKind, ThreadId, DRAM_CYCLE};
 
+use crate::memory::{Detached, MemorySide};
 use crate::{SchedulerKind, SimConfig};
 
 /// Per-thread measurement snapshot, taken the cycle the thread commits its
@@ -159,21 +158,17 @@ impl RunProgress {
 pub struct System {
     cfg: SimConfig,
     cores: Vec<Core>,
-    controllers: Vec<Controller>,
-    mapper: parbs_dram::AddressMapper,
-    next_request: u64,
-    /// In-flight read requests: request id → (core, miss).
-    inflight: HashMap<u64, (usize, MissId)>,
+    /// The controllers; an in-flight read carries its (core, miss) back.
+    memory: MemorySide<(usize, MissId)>,
     prev_stall: Vec<u64>,
     thread_worst_case: Vec<u64>,
-    completions: Vec<Completion>,
 }
 
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
             .field("cores", &self.cores.len())
-            .field("channels", &self.controllers.len())
+            .field("channels", &self.cfg.dram.channels())
             .finish()
     }
 }
@@ -212,40 +207,14 @@ impl System {
     ) -> Self {
         assert_eq!(streams.len(), cfg.cores, "one stream per core");
         let cores: Vec<Core> = streams.into_iter().map(|s| Core::new(cfg.core, s)).collect();
-        let controllers: Vec<Controller> = (0..cfg.dram.channels())
-            .map(|_| {
-                if cfg.check_protocol {
-                    Controller::with_checker(cfg.dram.clone(), factory(&cfg))
-                } else {
-                    Controller::new(cfg.dram.clone(), factory(&cfg))
-                }
-            })
-            .collect();
-        let mapper = cfg.dram.mapper();
         let n = cfg.cores;
         System {
             cores,
-            controllers,
-            mapper,
-            next_request: 0,
-            inflight: HashMap::new(),
+            memory: MemorySide::new(&cfg, factory),
             prev_stall: vec![0; n],
             thread_worst_case: vec![0; n],
-            completions: Vec::new(),
             cfg,
         }
-    }
-
-    /// One-line internal-state summaries of each channel's scheduler.
-    #[must_use]
-    pub fn scheduler_debug_summaries(&mut self) -> Vec<String> {
-        self.controllers.iter_mut().map(|c| c.scheduler_mut().debug_summary()).collect()
-    }
-
-    /// The number of DRAM channels (= controllers) in the system.
-    #[must_use]
-    pub fn channels(&self) -> usize {
-        self.controllers.len()
     }
 
     /// Per channel, the packed priority key of every queued read evaluated
@@ -254,30 +223,23 @@ impl System {
     /// bit, or the restored scheduler would make different decisions than
     /// the one that was saved.
     pub fn priority_keys(&mut self, now: u64) -> Vec<Vec<u128>> {
-        self.controllers.iter_mut().map(|c| c.priority_keys(now)).collect()
+        self.memory.priority_keys(now)
     }
 
-    /// Attaches an observability sink to `channel`'s controller, returning
-    /// the sink it replaces (see [`Controller::set_event_sink`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn set_event_sink(
+    /// Attaches one run's observers before its first cycle (see
+    /// [`MemorySide::observe`]).
+    pub(crate) fn observe(
         &mut self,
-        channel: usize,
-        sink: Box<dyn parbs_obs::EventSink>,
-    ) -> Option<Box<dyn parbs_obs::EventSink>> {
-        self.controllers[channel].set_event_sink(sink)
+        check_invariants: bool,
+        spec: Option<&parbs_monitor::Spec>,
+        channel0: Vec<Box<dyn parbs_obs::EventSink>>,
+    ) {
+        self.memory.observe(check_invariants, spec, channel0);
     }
 
-    /// Detaches and returns `channel`'s observability sink, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn take_event_sink(&mut self, channel: usize) -> Option<Box<dyn parbs_obs::EventSink>> {
-        self.controllers[channel].take_event_sink()
+    /// Takes off what [`System::observe`] attached.
+    pub(crate) fn detach(&mut self) -> Detached {
+        self.memory.detach()
     }
 
     /// Runs until every thread has committed `target_instructions` (or
@@ -339,67 +301,31 @@ impl System {
     pub fn finish_run(&mut self, mut progress: RunProgress) -> RunResult {
         let n = self.cores.len();
         let now = progress.now;
-        let timed_out = progress.timed_out;
         let threads: Vec<ThreadRunStats> = (0..n)
             .map(|t| {
                 progress.snapshots[t].take().unwrap_or_else(|| self.snapshot_at(t, now.max(1)))
             })
             .collect();
-        let (hits, total): (u64, u64) = self
-            .controllers
-            .iter()
-            .map(|c| {
-                let s = c.stats();
-                (s.row_hits, s.row_hits + s.row_closed + s.row_conflicts)
-            })
-            .fold((0, 0), |(h, t), (h2, t2)| (h + h2, t + t2));
-        let mut read_latency = parbs_metrics::LatencyHistogram::new();
-        for c in &self.controllers {
-            read_latency.merge(&c.stats().read_latency);
-        }
         RunResult {
             worst_case_latency: self.thread_worst_case.iter().copied().max().unwrap_or(0),
             threads,
             cycles: now,
-            row_hit_rate: if total == 0 { 0.0 } else { hits as f64 / total as f64 },
-            timed_out,
-            read_latency,
+            row_hit_rate: self.memory.row_hit_rate(),
+            timed_out: progress.timed_out,
+            read_latency: self.memory.read_latency(),
         }
     }
 
     fn snapshot_at(&self, t: usize, cycles: u64) -> ThreadRunStats {
         let s = self.cores[t].stats();
-        let (hits, total) = self
-            .controllers
-            .iter()
-            .map(|c| {
-                let cat = c.stats().thread_read_categories.get(t).copied().unwrap_or((0, 0, 0));
-                (cat.0, cat.0 + cat.1 + cat.2)
-            })
-            .fold((0u64, 0u64), |(h, n), (h2, n2)| (h + h2, n + n2));
         ThreadRunStats {
             instructions: s.committed,
             cycles,
             mem_stall_cycles: s.mem_stall_cycles,
             dram_reads: s.dram_reads,
             dram_writes: s.dram_writes,
-            blp: {
-                // Combine per-channel BLP trackers (weighted by samples is
-                // unavailable; with ≤4 channels a simple mean of non-zero
-                // channels is adequate).
-                let vals: Vec<f64> = self
-                    .controllers
-                    .iter()
-                    .map(|c| c.stats().thread_blp_average(ThreadId(t)))
-                    .filter(|v| *v > 0.0)
-                    .collect();
-                if vals.is_empty() {
-                    0.0
-                } else {
-                    vals.iter().sum::<f64>() / vals.len() as f64
-                }
-            },
-            read_hit_rate: if total == 0 { 0.0 } else { hits as f64 / total as f64 },
+            blp: self.memory.blp_of(ThreadId(t)),
+            read_hit_rate: self.memory.read_hit_rate_of(ThreadId(t)),
             worst_case_latency: self.thread_worst_case[t],
         }
     }
@@ -407,18 +333,12 @@ impl System {
     /// One processor cycle: controllers, completion routing, cores, memory
     /// issue, and (on DRAM-cycle boundaries) stall feedback.
     fn tick(&mut self, now: u64) {
-        for ctrl in &mut self.controllers {
-            ctrl.tick(now, &mut self.completions);
-        }
-        for c in self.completions.drain(..) {
-            if c.kind == RequestKind::Read {
-                if let Some((core, miss)) = self.inflight.remove(&c.request.0) {
-                    self.cores[core].complete_read(miss);
-                    let wc = &mut self.thread_worst_case[c.thread.0];
-                    *wc = (*wc).max(c.latency());
-                }
-            }
-        }
+        let System { memory, cores, thread_worst_case, .. } = self;
+        memory.tick(now, |(core, miss), c| {
+            cores[core].complete_read(miss);
+            let wc = &mut thread_worst_case[c.thread.0];
+            *wc = (*wc).max(c.latency());
+        });
         for core in &mut self.cores {
             core.tick(now);
         }
@@ -437,89 +357,60 @@ impl System {
                     delta
                 })
                 .collect();
-            for ctrl in &mut self.controllers {
-                ctrl.report_stall_cycles(&stalls, now);
-            }
+            self.memory.report_stall_cycles(&stalls, now);
         }
     }
 
     fn issue_memory_ops(&mut self, t: usize, now: u64) {
+        let thread = ThreadId(t);
         // Reads: issue as many ready misses as MSHRs and buffers allow.
         while let Some((line, miss)) = self.cores[t].pending_read() {
-            let addr = self.mapper.decode(line);
-            let ctrl = &mut self.controllers[addr.channel];
-            if !ctrl.can_accept_read() {
+            let (addr, priority) = (self.memory.decode(line), self.cfg.priority_of(t));
+            if !self.memory.enqueue(thread, addr, RequestKind::Read, now, priority, Some((t, miss)))
+            {
                 break;
             }
-            let mut req =
-                Request::new(self.next_request, ThreadId(t), addr, RequestKind::Read, now);
-            req.priority_level = self.cfg.priority_of(t).period().map(|p| p as u8);
-            ctrl.try_enqueue(req).expect("capacity was checked");
-            self.inflight.insert(self.next_request, (t, miss));
-            self.next_request += 1;
             self.cores[t].read_issued(miss);
         }
         // Writes: drain the store queue into the write buffers.
         while let Some(line) = self.cores[t].pending_write() {
-            let addr = self.mapper.decode(line);
-            let ctrl = &mut self.controllers[addr.channel];
-            if !ctrl.can_accept_write() {
+            let (addr, priority) = (self.memory.decode(line), self.cfg.priority_of(t));
+            if !self.memory.enqueue(thread, addr, RequestKind::Write, now, priority, None) {
                 break;
             }
-            let mut req =
-                Request::new(self.next_request, ThreadId(t), addr, RequestKind::Write, now);
-            req.priority_level = self.cfg.priority_of(t).period().map(|p| p as u8);
-            ctrl.try_enqueue(req).expect("capacity was checked");
-            self.next_request += 1;
             self.cores[t].write_issued();
         }
     }
 }
 
 impl System {
-    /// Whether every controller can be snapshotted (no protocol checker or
-    /// observability sink attached — both hold state outside the snapshot
-    /// format).
-    pub(crate) fn snapshot_supported(&self) -> bool {
-        self.controllers.iter().all(Controller::snapshot_supported)
-    }
-
     /// FNV-1a digest over everything that must match for a snapshot to be
     /// restorable into this system: the full configuration, the scheduler
     /// on each channel, and the caller-supplied workload label.
     pub(crate) fn state_fingerprint(&self, label: &str) -> u64 {
         let mut fp = parbs_snap::Fingerprint::new();
         fp.update_str(&format!("{:?}", self.cfg));
-        for c in &self.controllers {
-            fp.update_str(c.scheduler_name());
+        for name in self.memory.scheduler_names() {
+            fp.update_str(name);
         }
         fp.update_str(label);
         fp.digest()
     }
 
-    /// Serializes the full mutable state of the system (cores, controllers,
-    /// routing tables, per-thread aggregates). Fails with
-    /// [`parbs_snap::SnapError::Unsupported`] when a controller has a
-    /// protocol checker or event sink attached.
+    /// Serializes the full mutable state of the system: per-thread stall
+    /// feedback and worst-case latency, every core, then the memory side.
+    /// Fails with [`parbs_snap::SnapError::Unsupported`] when a controller
+    /// has a protocol checker or event sink attached.
     pub(crate) fn save_state(
         &self,
         w: &mut parbs_snap::SnapWriter,
     ) -> Result<(), parbs_snap::SnapError> {
-        w.u64(self.next_request);
-        let mut inflight: Vec<(u64, (usize, MissId))> =
-            self.inflight.iter().map(|(&k, &v)| (k, v)).collect();
-        inflight.sort_unstable_by_key(|&(k, _)| k);
-        w.put(&inflight);
         w.put(&self.prev_stall);
         w.put(&self.thread_worst_case);
-        w.put(&self.completions);
         for core in &self.cores {
             core.save_state(w);
         }
-        for ctrl in &self.controllers {
-            ctrl.save_state(w)?;
-        }
-        Ok(())
+        self.memory.save_state(w)
     }
 
     /// Restores state saved by [`System::save_state`] into a freshly built
@@ -528,9 +419,6 @@ impl System {
         &mut self,
         r: &mut parbs_snap::SnapReader<'_>,
     ) -> Result<(), parbs_snap::SnapError> {
-        self.next_request = r.u64()?;
-        let inflight: Vec<(u64, (usize, MissId))> = r.get()?;
-        self.inflight = inflight.into_iter().collect();
         let prev_stall: Vec<u64> = r.get()?;
         if prev_stall.len() != self.cores.len() {
             return Err(parbs_snap::SnapError::Mismatch {
@@ -541,14 +429,10 @@ impl System {
         }
         self.prev_stall = prev_stall;
         self.thread_worst_case = r.get()?;
-        self.completions = r.get()?;
         for core in &mut self.cores {
             core.restore_state(r)?;
         }
-        for ctrl in &mut self.controllers {
-            ctrl.restore_state(r)?;
-        }
-        Ok(())
+        self.memory.restore_state(r)
     }
 }
 

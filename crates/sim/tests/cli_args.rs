@@ -123,6 +123,58 @@ fn zero_target_is_a_hard_error() {
 }
 
 #[test]
+fn flow_flags_out_of_range_are_hard_errors() {
+    // A zero rate spawned no flow and ran every cell to the cycle cap; a
+    // size cap of 1 was silently raised to 2.
+    run_expecting_usage_error(
+        &["flow-sweep", "16", "--sched", "FCFS", "--flow-rate", "0"],
+        "invalid value '0' for --flow-rate",
+    );
+    run_expecting_usage_error(
+        &["flow-sweep", "16", "--flow-size-max", "1"],
+        "invalid value '1' for --flow-size-max",
+    );
+}
+
+/// The stdout of a successful `parbs-sim` run.
+fn stdout_of(args: &[&str]) -> String {
+    let out = parbs_sim().args(args).output().expect("parbs-sim runs");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 output")
+}
+
+#[test]
+fn zoo_trigger_table_counts_the_runs_the_zoo_table_reports() {
+    // The zoo table runs on the default system seed (0x5EED = 24301); the
+    // trigger table used to re-simulate every cell at `--seed` (42).
+    let zoo = stdout_of(&["zoo-sweep", "0", "--target", "1500", "--spec", "prelude:invariants"]);
+    let row = zoo
+        .lines()
+        .find(|l| l.split_whitespace().take(2).eq(["PAR-BS", "CSA"]))
+        .expect("a PAR-BS row for the accelerator case study");
+    let events: u64 = row.split_whitespace().last().unwrap().parse().expect("events column");
+    let observed = stdout_of(&[
+        "mix",
+        "libquantum,mcf,xalancbmk,gpu-stream",
+        "--target",
+        "1500",
+        "--spec",
+        "prelude:invariants",
+        "--sched",
+        "PAR-BS",
+        "--seed",
+        "24301",
+    ]);
+    let monitored: u64 = observed
+        .lines()
+        .filter_map(|l| l.split_once(" events monitored"))
+        .map(|(head, _)| head.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert!(monitored > 0, "the observed run reports its monitor: {observed}");
+    assert_eq!(events, monitored, "trigger table row: {row}");
+}
+
+#[test]
 fn a_flag_the_command_does_not_read_is_a_hard_error() {
     run_expecting_usage_error(&["fig05_case1", "--ranks", "2"], "--ranks");
     run_expecting_usage_error(&["mix", "lbm,mcf", "--checkpoint-out", "f"], "--checkpoint-out");
