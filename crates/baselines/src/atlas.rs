@@ -23,7 +23,6 @@ use parbs_obs::Event;
 /// ATLAS's key: the inverted least-attained-service rank first (rank 0
 /// packs largest), then row hits, then the inverted request id.
 pub(crate) const ATLAS_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "ATLAS",
     fields: &[
         KeyField { name: "las_rank", semantic: FieldSemantic::Rank, lo: 65, width: 16 },
         KeyField { name: "row_hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
@@ -252,7 +251,6 @@ impl MemoryScheduler for AtlasScheduler {
         // attained service by construction, so it holds the top rank until
         // serviced.
         Some(LivenessContract {
-            scheduler: "ATLAS",
             policy: LivenessPolicy::LeastAttained { saturation: 3 },
             claim: StarvationClaim::Bounded,
         })

@@ -21,7 +21,6 @@ use parbs_obs::Event;
 /// BLISS's key: non-blacklisted threads first, then row hits, then the
 /// inverted request id.
 pub(crate) const BLISS_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "BLISS",
     fields: &[
         KeyField {
             name: "not_blacklisted",
@@ -196,7 +195,6 @@ impl MemoryScheduler for BlissScheduler {
         // outranks its row hits. (The periodic clearing interval is not
         // modeled; see [`LivenessPolicy::Blacklist`].)
         Some(LivenessContract {
-            scheduler: "BLISS",
             policy: LivenessPolicy::Blacklist { threshold: self.cfg.blacklist_threshold },
             claim: StarvationClaim::Bounded,
         })

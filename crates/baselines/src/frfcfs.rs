@@ -39,7 +39,6 @@ impl FrFcfsScheduler {
 /// FR-FCFS packs row-hit first (the "first-ready" criterion), then the
 /// inverted request id (oldest first).
 pub(crate) const FRFCFS_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "FR-FCFS",
     fields: &[
         KeyField { name: "row_hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
         KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
@@ -71,11 +70,7 @@ impl MemoryScheduler for FrFcfsScheduler {
         // outranks an older row-conflict request indefinitely, so FR-FCFS
         // honestly claims unbounded starvation and the model checker must
         // find the hammering lasso.
-        Some(LivenessContract {
-            scheduler: "FR-FCFS",
-            policy: LivenessPolicy::FrFcfs,
-            claim: StarvationClaim::Unbounded,
-        })
+        Some(LivenessContract { policy: LivenessPolicy::FrFcfs, claim: StarvationClaim::Unbounded })
     }
 }
 

@@ -156,7 +156,6 @@ impl Default for NfqScheduler {
 /// inverted request id. Request ids are bounded by the 63-bit age field
 /// (asserted in `priority_key`).
 pub(crate) const NFQ_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "NFQ",
     fields: &[
         KeyField { name: "recent_hit", semantic: FieldSemantic::RecentRowHit, lo: 127, width: 1 },
         KeyField { name: "deadline", semantic: FieldSemantic::Deadline, lo: 63, width: 64 },
@@ -237,7 +236,6 @@ impl MemoryScheduler for NfqScheduler {
         // hammer stream — the least-attained-service mechanism with the
         // clock read as attained service.
         Some(LivenessContract {
-            scheduler: "NFQ",
             policy: LivenessPolicy::LeastAttained { saturation: 3 },
             claim: StarvationClaim::Bounded,
         })

@@ -11,7 +11,6 @@ use parbs_dram::{
 /// STFM's key: the fairness-mode ("boosted") thread first, then row hits,
 /// then the inverted request id.
 pub(crate) const STFM_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "STFM",
     fields: &[
         KeyField { name: "boosted", semantic: FieldSemantic::Boosted, lo: 65, width: 1 },
         KeyField { name: "row_hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
@@ -337,7 +336,6 @@ impl MemoryScheduler for StfmScheduler {
         // a saturating went-unserved counter; crossing the threshold is the
         // unfairness trip point.
         Some(LivenessContract {
-            scheduler: "STFM",
             policy: LivenessPolicy::FairnessThreshold { threshold: 3 },
             claim: StarvationClaim::Bounded,
         })

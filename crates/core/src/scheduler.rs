@@ -381,10 +381,9 @@ impl ParBsScheduler {
 
 /// PAR-BS packs Rule 3.2's order exactly (Figure 4): marked bit, inverted
 /// thread priority level, row-hit bit, inverted within-batch rank, inverted
-/// request id. Mirrors [`PriorityValue::pack`]; `parbs-analyze` cross-checks
+/// request id. Mirrors [`PriorityValue::pack`]; `parbs_sim::analyze` cross-checks
 /// the two.
 pub(crate) const PARBS_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "PAR-BS",
     fields: &[
         KeyField { name: "marked", semantic: FieldSemantic::Marked, lo: 113, width: 1 },
         KeyField { name: "level", semantic: FieldSemantic::PriorityLevel, lo: 97, width: 16 },
@@ -458,7 +457,6 @@ impl MemoryScheduler for ParBsScheduler {
         // marking — every queued request joins the next batch — so the
         // effective cap is "unlimited" rather than a different mechanism.
         Some(LivenessContract {
-            scheduler: "PAR-BS",
             policy: LivenessPolicy::BatchMarking { cap: self.current_cap.unwrap_or(u32::MAX) },
             claim: StarvationClaim::Bounded,
         })

@@ -9,7 +9,7 @@
 //! ([`crate::TIMING_RULES`], via [`RuleEngine`]) rather than hand-coded:
 //! every pairwise constraint the checker enforces is stated once, as data,
 //! in `rules.rs`, and the same table drives the reference oracle the
-//! `parbs-analyze` differential model checker uses to cross-validate
+//! `parbs_sim::analyze` differential model checker uses to cross-validate
 //! [`crate::Channel::can_issue`]. The checker layers on top of the table the
 //! parts that are not timing rules: command-clock alignment, rank/bank index
 //! validity, and bank-state legality (no `ACT` on an open bank, column row
@@ -73,7 +73,7 @@ impl ProtocolChecker {
     }
 
     /// Validates `cmd` at cycle `at` against the derived state **without
-    /// recording it** — the probe entry point the `parbs-analyze`
+    /// recording it** — the probe entry point the `parbs_sim::analyze`
     /// differential model checker uses to test many candidate cycles
     /// against one state.
     ///

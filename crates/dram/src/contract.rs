@@ -6,7 +6,7 @@
 //! machine-checkable statement of that kind of claim, declared by each
 //! scheduler the same way a [`crate::KeyLayout`] declares its priority-key
 //! bit layout: the contract names the *abstract policy class* the scheduler
-//! belongs to and the *starvation claim* it makes, and `parbs-analyze
+//! belongs to and the *starvation claim* it makes, and `parbs-sim
 //! check-liveness` model-checks the claim by exhaustively exploring the
 //! policy class on a tiny geometry — either proving a concrete service
 //! bound or exhibiting a minimal starvation lasso.
@@ -108,12 +108,10 @@ impl fmt::Display for StarvationClaim {
     }
 }
 
-/// A scheduler's declared liveness contract, checked by `parbs-analyze
+/// A scheduler's declared liveness contract, checked by `parbs-sim
 /// check-liveness` (see [`crate::MemoryScheduler::liveness_contract`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LivenessContract {
-    /// Scheduler display name the contract belongs to.
-    pub scheduler: &'static str,
     /// The abstract policy class the claim is checked under.
     pub policy: LivenessPolicy,
     /// The claim itself.
@@ -138,10 +136,7 @@ impl LivenessContract {
         };
         if let Some((name, value)) = param {
             if value == 0 {
-                return Err(format!(
-                    "{}: {} of policy {} must be non-zero",
-                    self.scheduler, name, self.policy
-                ));
+                return Err(format!("{name} of policy {} must be non-zero", self.policy));
             }
         }
         Ok(())
@@ -150,7 +145,7 @@ impl LivenessContract {
 
 impl fmt::Display for LivenessContract {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {} claims {}", self.scheduler, self.policy, self.claim)
+        write!(f, "{} claims {}", self.policy, self.claim)
     }
 }
 
@@ -161,13 +156,11 @@ mod tests {
     #[test]
     fn zero_parameters_are_rejected() {
         let c = LivenessContract {
-            scheduler: "X",
             policy: LivenessPolicy::BatchMarking { cap: 0 },
             claim: StarvationClaim::Bounded,
         };
         assert!(c.validate().is_err());
         let ok = LivenessContract {
-            scheduler: "X",
             policy: LivenessPolicy::BatchMarking { cap: 2 },
             claim: StarvationClaim::Bounded,
         };
@@ -176,11 +169,8 @@ mod tests {
 
     #[test]
     fn display_is_one_line() {
-        let c = LivenessContract {
-            scheduler: "FR-FCFS",
-            policy: LivenessPolicy::FrFcfs,
-            claim: StarvationClaim::Unbounded,
-        };
-        assert_eq!(c.to_string(), "FR-FCFS: fr-fcfs claims unbounded");
+        let c =
+            LivenessContract { policy: LivenessPolicy::FrFcfs, claim: StarvationClaim::Unbounded };
+        assert_eq!(c.to_string(), "fr-fcfs claims unbounded");
     }
 }

@@ -209,7 +209,7 @@ impl Controller {
     /// Fault-injection shim for the refresh model checker: when disabled,
     /// the controller drops refresh scheduling entirely — no rank is ever
     /// refreshed, so a busy channel violates the tREFI deadline rule. Used
-    /// by `parbs-analyze check-timing --refresh` to cross-validate that its
+    /// by `parbs-sim check-timing --refresh` to cross-validate that its
     /// abstract refresh model and the concrete controller agree on both the
     /// correct behavior and the seeded bug. Always enabled in production.
     pub fn set_refresh_gating(&mut self, enabled: bool) {

@@ -5,7 +5,7 @@
 //! load-bearing: the controller's hot path schedules purely on cached keys,
 //! so a bit-layout mistake silently reorders requests. This module lets each
 //! scheduler *declare* its layout as data — a [`KeyLayout`] of ordered named
-//! bit-fields — which `parbs-analyze` then checks statically (fields
+//! bit-fields — which `parbs_sim::analyze` then checks statically (fields
 //! non-overlapping, most-significant-first dominance order matching the
 //! documented intent, declared domains fitting their widths) and
 //! cross-validates against `priority_key` over enumerated scheduler states.
@@ -89,9 +89,6 @@ impl KeyField {
 /// order; that equivalence is what makes the declaration checkable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KeyLayout {
-    /// The scheduler the layout belongs to (matches
-    /// [`crate::MemoryScheduler::name`]).
-    pub scheduler: &'static str,
     /// The fields, most-significant (highest-priority intent) first.
     pub fields: &'static [KeyField],
 }
@@ -121,23 +118,22 @@ impl KeyLayout {
     /// field starting at bit 0.
     pub fn validate(&self) -> Result<(), String> {
         if self.fields.is_empty() {
-            return Err(format!("{}: layout has no fields", self.scheduler));
+            return Err("layout has no fields".to_owned());
         }
         let mut names: Vec<&str> = self.fields.iter().map(|f| f.name).collect();
         names.sort_unstable();
         names.dedup();
         if names.len() != self.fields.len() {
-            return Err(format!("{}: duplicate field name", self.scheduler));
+            return Err("duplicate field name".to_owned());
         }
         let mut prev_lo: Option<u32> = None;
         for f in self.fields {
             if f.width == 0 {
-                return Err(format!("{}: field `{}` has zero width", self.scheduler, f.name));
+                return Err(format!("field `{}` has zero width", f.name));
             }
             if u64::from(f.lo) + u64::from(f.width) > 128 {
                 return Err(format!(
-                    "{}: field `{}` ({}..{}) exceeds 128 bits",
-                    self.scheduler,
+                    "field `{}` ({}..{}) exceeds 128 bits",
                     f.name,
                     f.lo,
                     f.lo + f.width
@@ -148,8 +144,8 @@ impl KeyLayout {
                 // must end strictly below the previous field's low bit.
                 Some(lo) if f.lo + f.width > lo => {
                     return Err(format!(
-                        "{}: field `{}` overlaps or is out of MSB-first order",
-                        self.scheduler, f.name
+                        "field `{}` overlaps or is out of MSB-first order",
+                        f.name
                     ));
                 }
                 _ => prev_lo = Some(f.lo),
@@ -158,9 +154,9 @@ impl KeyLayout {
         let last = self.fields.last().expect("non-empty");
         if last.semantic != FieldSemantic::Age || last.lo != 0 {
             return Err(format!(
-                "{}: the final tiebreaker must be an age field at bit 0 \
+                "the final tiebreaker must be an age field at bit 0 \
                  (found `{}` at bit {})",
-                self.scheduler, last.name, last.lo
+                last.name, last.lo
             ));
         }
         Ok(())
@@ -191,7 +187,6 @@ mod tests {
     use super::*;
 
     const GOOD: KeyLayout = KeyLayout {
-        scheduler: "test",
         fields: &[
             KeyField { name: "hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
             KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
@@ -208,7 +203,6 @@ mod tests {
     #[test]
     fn overlap_and_order_are_rejected() {
         let overlap = KeyLayout {
-            scheduler: "test",
             fields: &[
                 KeyField { name: "a", semantic: FieldSemantic::RowHit, lo: 63, width: 2 },
                 KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
@@ -216,7 +210,6 @@ mod tests {
         };
         assert!(overlap.validate().unwrap_err().contains("overlaps"));
         let swapped = KeyLayout {
-            scheduler: "test",
             fields: &[
                 KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
                 KeyField { name: "hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
@@ -228,7 +221,6 @@ mod tests {
     #[test]
     fn missing_age_tiebreaker_is_rejected() {
         let no_age = KeyLayout {
-            scheduler: "test",
             fields: &[KeyField { name: "hit", semantic: FieldSemantic::RowHit, lo: 0, width: 1 }],
         };
         assert!(no_age.validate().unwrap_err().contains("age"));

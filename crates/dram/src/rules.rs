@@ -9,7 +9,7 @@
 //! [`TimingParam`]s. The imperative issue gating in [`crate::Channel`] and
 //! the post-hoc [`crate::ProtocolChecker`] are both validated against this
 //! table: the checker's timing validation is *evaluated from it* (via
-//! [`RuleEngine`]), and `parbs-analyze`'s differential bounded model checker
+//! [`RuleEngine`]), and `parbs_sim::analyze`'s differential bounded model checker
 //! cross-checks `Channel::can_issue`, an independent earliest-time oracle
 //! built from the same table, and the checker on exhaustively enumerated
 //! command sequences.
@@ -38,7 +38,7 @@
 //! Rules come in two polarities ([`RuleKind`]): ordinary min-separation
 //! rules gate command issue, while *deadline* rules (tREFI) put a ceiling
 //! on how long a required command may stay absent. Deadline rules are
-//! invisible to the issue path and are enforced by `parbs-analyze`'s
+//! invisible to the issue path and are enforced by `parbs_sim::analyze`'s
 //! refresh model checker instead.
 
 use crate::{CommandKind, TimingParams, DRAM_CYCLE};
@@ -205,7 +205,7 @@ pub enum ToTime {
 /// later than `min_sep` (read: *max_sep*) cycles after the anchor — so no
 /// candidate command can ever violate one by issuing. They constrain the
 /// **absence** of commands, which only a liveness check can observe:
-/// [`RuleEngine::first_violation`] skips them, and `parbs-analyze`'s
+/// [`RuleEngine::first_violation`] skips them, and `parbs_sim::analyze`'s
 /// refresh model checker (`check-timing --refresh`) enforces them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {

@@ -121,7 +121,7 @@ pub trait MemoryScheduler {
     }
 
     /// The declared bit layout of [`MemoryScheduler::priority_key`], for
-    /// static analysis: `parbs-analyze check-keys` validates the structural
+    /// static analysis: `parbs-sim check-keys` validates the structural
     /// invariants ([`KeyLayout::validate`]) and cross-checks the packed key
     /// against the declaration over enumerated scheduler states. Returning
     /// `None` (the default) opts the policy out of key analysis; every
@@ -131,7 +131,7 @@ pub trait MemoryScheduler {
     }
 
     /// The declared liveness contract of this policy, for static analysis:
-    /// `parbs-analyze check-liveness` model-checks the declared
+    /// `parbs-sim check-liveness` model-checks the declared
     /// [`StarvationClaim`] under the declared [`LivenessPolicy`] class on a
     /// tiny geometry, proving a concrete starvation bound or exhibiting a
     /// minimal starvation lasso. Returning `None` (the default) opts the
@@ -227,7 +227,6 @@ impl FcfsScheduler {
 
 /// FCFS packs one field: the inverted request id (oldest first).
 pub(crate) const FCFS_KEY_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "FCFS",
     fields: &[KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 }],
 };
 
@@ -251,11 +250,7 @@ impl MemoryScheduler for FcfsScheduler {
     fn liveness_contract(&self) -> Option<LivenessContract> {
         // Strict arrival order: the oldest request is always next, so the
         // bound is simply the number of older queued requests.
-        Some(LivenessContract {
-            scheduler: "FCFS",
-            policy: LivenessPolicy::Fifo,
-            claim: StarvationClaim::Bounded,
-        })
+        Some(LivenessContract { policy: LivenessPolicy::Fifo, claim: StarvationClaim::Bounded })
     }
 }
 

@@ -118,6 +118,6 @@ pub(crate) struct SpecIr {
     pub removals: Vec<Removal>,
     pub triggers: Vec<TriggerDef>,
     /// Non-fatal observations (unused streams, very large windows) for
-    /// `parbs-analyze check-spec`.
+    /// `parbs-sim check-spec`.
     pub lints: Vec<String>,
 }

@@ -2,19 +2,40 @@
 //!
 //! Expressions use Pratt-style precedence climbing:
 //! `||` < `&&` < comparisons < `+ -` < `* / %` < unary `! -`.
+//!
+//! Every parenthesis, index bracket, unary operator and chained binary
+//! operator nests the expression tree one level deeper. Past
+//! [`MAX_NESTING`] levels the spec is rejected at the token that would go
+//! deeper, so no spec can overflow the stack of this parser or of the
+//! passes that walk its tree.
 
 use crate::ast::{ACounterArm, ADecl, AExpr, AInit, AValueArm, BinOp, Severity, Sp, UnOp};
 use crate::lex::{Tok, Token};
 use crate::SpecError;
 
+/// How deeply an expression may nest.
+const MAX_NESTING: usize = 256;
+
 pub(crate) struct Parser {
     toks: Vec<Token>,
     pos: usize,
+    /// Nesting levels open at the current token.
+    depth: usize,
 }
 
 impl Parser {
     pub(crate) fn new(toks: Vec<Token>) -> Parser {
-        Parser { toks, pos: 0 }
+        Parser { toks, pos: 0, depth: 0 }
+    }
+
+    /// Opens one nesting level at the current token, or rejects the spec
+    /// there when [`MAX_NESTING`] levels are already open.
+    fn nest(&mut self) -> Result<(), SpecError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here(format!("expression nests deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn peek(&self) -> &Token {
@@ -298,51 +319,53 @@ impl Parser {
         self.bin_expr(0)
     }
 
+    /// The binary operator at the current token and its binding power.
+    fn bin_op(&self) -> Option<(BinOp, u8)> {
+        Some(match &self.peek().tok {
+            Tok::OrOr => (BinOp::Or, 1),
+            Tok::AndAnd => (BinOp::And, 2),
+            Tok::Lt => (BinOp::Lt, 3),
+            Tok::Le => (BinOp::Le, 3),
+            Tok::Gt => (BinOp::Gt, 3),
+            Tok::Ge => (BinOp::Ge, 3),
+            Tok::EqEq => (BinOp::Eq, 3),
+            Tok::Ne => (BinOp::Ne, 3),
+            Tok::Plus => (BinOp::Add, 4),
+            Tok::Minus => (BinOp::Sub, 4),
+            Tok::Star => (BinOp::Mul, 5),
+            Tok::Slash => (BinOp::Div, 5),
+            Tok::Percent => (BinOp::Mod, 5),
+            _ => return None,
+        })
+    }
+
     fn bin_expr(&mut self, min_bp: u8) -> Result<Sp<AExpr>, SpecError> {
+        let outer = self.depth;
         let mut lhs = self.unary()?;
-        loop {
-            let op = match &self.peek().tok {
-                Tok::OrOr => (BinOp::Or, 1),
-                Tok::AndAnd => (BinOp::And, 2),
-                Tok::Lt => (BinOp::Lt, 3),
-                Tok::Le => (BinOp::Le, 3),
-                Tok::Gt => (BinOp::Gt, 3),
-                Tok::Ge => (BinOp::Ge, 3),
-                Tok::EqEq => (BinOp::Eq, 3),
-                Tok::Ne => (BinOp::Ne, 3),
-                Tok::Plus => (BinOp::Add, 4),
-                Tok::Minus => (BinOp::Sub, 4),
-                Tok::Star => (BinOp::Mul, 5),
-                Tok::Slash => (BinOp::Div, 5),
-                Tok::Percent => (BinOp::Mod, 5),
-                _ => return Ok(lhs),
-            };
-            let (bin, bp) = op;
-            if bp < min_bp {
-                return Ok(lhs);
-            }
+        while let Some((bin, bp)) = self.bin_op().filter(|&(_, bp)| bp >= min_bp) {
+            // Each operator nests the tree built so far one level deeper.
+            self.nest()?;
             self.advance();
             let rhs = self.bin_expr(bp + 1)?;
             let (line, col) = (lhs.line, lhs.col);
             lhs = Sp::new(AExpr::Bin(bin, Box::new(lhs), Box::new(rhs)), line, col);
         }
+        self.depth = outer;
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Sp<AExpr>, SpecError> {
         let t = self.peek().clone();
-        match t.tok {
-            Tok::Bang => {
-                self.advance();
-                let inner = self.unary()?;
-                Ok(Sp::new(AExpr::Un(UnOp::Not, Box::new(inner)), t.line, t.col))
-            }
-            Tok::Minus => {
-                self.advance();
-                let inner = self.unary()?;
-                Ok(Sp::new(AExpr::Un(UnOp::Neg, Box::new(inner)), t.line, t.col))
-            }
-            _ => self.primary(),
-        }
+        let op = match t.tok {
+            Tok::Bang => UnOp::Not,
+            Tok::Minus => UnOp::Neg,
+            _ => return self.primary(),
+        };
+        self.nest()?;
+        self.advance();
+        let inner = self.unary()?;
+        self.depth -= 1;
+        Ok(Sp::new(AExpr::Un(op, Box::new(inner)), t.line, t.col))
     }
 
     fn primary(&mut self) -> Result<Sp<AExpr>, SpecError> {
@@ -361,8 +384,10 @@ impl Parser {
                 Ok(Sp::new(AExpr::Bool(false), t.line, t.col))
             }
             Tok::LParen => {
+                self.nest()?;
                 self.advance();
                 let inner = self.expr()?;
+                self.depth -= 1;
                 self.expect(&Tok::RParen, "')'")?;
                 Ok(inner)
             }
@@ -376,6 +401,7 @@ impl Parser {
             Tok::Ident(name) => {
                 self.advance();
                 if self.peek().tok == Tok::LBracket {
+                    self.nest()?;
                     self.advance();
                     let mut keys = Vec::new();
                     loop {
@@ -384,6 +410,7 @@ impl Parser {
                             break;
                         }
                     }
+                    self.depth -= 1;
                     self.expect(&Tok::RBracket, "']' after key list")?;
                     Ok(Sp::new(AExpr::Index(name, keys), t.line, t.col))
                 } else {
@@ -441,5 +468,27 @@ mod tests {
         );
         let err = parse("input x := ").unwrap_err();
         assert_eq!(err.to_string(), "1:12: expected an event kind, found end of spec");
+    }
+
+    /// The error of `input x := enqueued when ` followed by `guard`.
+    fn guard_error(guard: &str) -> String {
+        parse(&format!("input x := enqueued when {guard}")).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn deep_nesting_fails_with_the_position_instead_of_overflowing() {
+        // `(unit, k)`: the guard repeats `unit`, whose `k`-th character
+        // opens a nesting level. The guard starts at column 26, so the
+        // level past the limit opens at column 26 + MAX_NESTING * len + k.
+        let limit = format!("expression nests deeper than {MAX_NESTING} levels");
+        for (unit, k) in [("(", 0), ("!", 0), ("-", 0), ("a[", 1), ("1+", 1)] {
+            let e = guard_error(&format!("{}1", unit.repeat(100_000)));
+            let col = 26 + MAX_NESTING * unit.len() + k;
+            assert_eq!(e, format!("1:{col}: {limit}"), "{unit}");
+        }
+        // At the limit the expression still parses.
+        let deepest = format!("{}1{}", "(".repeat(MAX_NESTING), ")".repeat(MAX_NESTING));
+        parse(&format!("input x := enqueued when {deepest}")).unwrap();
+        parse(&format!("input x := enqueued when {}true", "!".repeat(MAX_NESTING))).unwrap();
     }
 }

@@ -1,7 +1,7 @@
 //! Golden tests for spec compile errors: each malformed spec is pinned to
 //! the *exact* rendered diagnostic (`line:col: message`), so error position,
 //! offending stream name, and expected type stay stable for tooling that
-//! parses them (editors, `parbs-analyze check-spec`, CI logs).
+//! parses them (editors, `parbs-sim check-spec`, CI logs).
 
 use parbs_monitor::Spec;
 

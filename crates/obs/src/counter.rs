@@ -1,80 +1,29 @@
-//! [`CounterSink`]: per-thread and per-bank rollup counters over the event
-//! stream, feeding the same metric primitives as `parbs-metrics`.
+//! [`CounterSink`]: a one-line rollup of the event stream — event count,
+//! thread and bank index spans, batch telemetry and read latency — feeding
+//! the same latency histogram as `parbs-metrics`.
 
 use parbs_metrics::LatencyHistogram;
 
-use crate::{CmdKind, Event, EventSink, ServiceClass};
+use crate::{Event, EventSink};
 
-/// Per-thread counters accumulated from the event stream.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadCounters {
-    /// Read requests enqueued.
-    pub reads: u64,
-    /// Write requests enqueued.
-    pub writes: u64,
-    /// Read requests completed.
-    pub reads_completed: u64,
-    /// Requests marked into batches.
-    pub marked: u64,
-    /// DRAM commands issued on the thread's behalf.
-    pub commands: u64,
-    /// First commands that were row hits.
-    pub row_hits: u64,
-    /// First commands to a closed bank.
-    pub row_closed: u64,
-    /// First commands that were row conflicts.
-    pub row_conflicts: u64,
-    /// Worst read latency observed, in cycles.
-    pub max_read_latency: u64,
-}
-
-impl ThreadCounters {
-    /// Row-buffer hit rate over the thread's classified requests.
-    #[must_use]
-    pub fn row_hit_rate(&self) -> f64 {
-        let total = self.row_hits + self.row_closed + self.row_conflicts;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-}
-
-/// Per-bank counters accumulated from the event stream.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankCounters {
-    /// Row activations.
-    pub activates: u64,
-    /// Column reads.
-    pub reads: u64,
-    /// Column writes.
-    pub writes: u64,
-    /// Precharges.
-    pub precharges: u64,
-}
-
-/// A rollup sink: folds the event stream into per-thread counters, per-bank
-/// counters, batch telemetry, and a read-latency histogram compatible with
-/// the `parbs-metrics` reporting used everywhere else in the workspace.
+/// A rollup sink: folds the event stream into the counts its
+/// [`CounterSink::summary`] line prints.
 #[derive(Debug, Default)]
 pub struct CounterSink {
-    threads: Vec<ThreadCounters>,
-    banks: Vec<BankCounters>,
+    /// Total events observed.
+    pub events: u64,
+    /// Threads observed: the highest thread index seen on a request, plus 1.
+    pub thread_span: usize,
+    /// Banks observed: the highest bank index seen on a command, plus 1.
+    pub bank_span: usize,
     /// Batches formed.
     pub batches: u64,
     /// Batches whose drain was observed.
     pub batches_drained: u64,
     /// Sum of formation→drain spans of drained batches, in cycles.
     pub total_batch_cycles: u64,
-    /// All-bank refreshes issued.
-    pub refreshes: u64,
-    /// Write-drain mode entries.
-    pub write_drains: u64,
     /// Read-latency distribution (arrival → data observed).
     pub read_latency: LatencyHistogram,
-    /// Total events observed.
-    pub events: u64,
 }
 
 impl CounterSink {
@@ -82,24 +31,6 @@ impl CounterSink {
     #[must_use]
     pub fn new() -> Self {
         CounterSink::default()
-    }
-
-    /// Counters of `thread` (zeros if the thread never appeared).
-    #[must_use]
-    pub fn thread(&self, thread: usize) -> ThreadCounters {
-        self.threads.get(thread).cloned().unwrap_or_default()
-    }
-
-    /// Counters of `bank` (zeros if the bank never appeared).
-    #[must_use]
-    pub fn bank(&self, bank: usize) -> BankCounters {
-        self.banks.get(bank).copied().unwrap_or_default()
-    }
-
-    /// Number of distinct banks observed (highest index + 1).
-    #[must_use]
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
     }
 
     /// Mean formation→drain span of drained batches, in cycles.
@@ -112,18 +43,8 @@ impl CounterSink {
         }
     }
 
-    fn thread_mut(&mut self, thread: usize) -> &mut ThreadCounters {
-        if self.threads.len() <= thread {
-            self.threads.resize_with(thread + 1, ThreadCounters::default);
-        }
-        &mut self.threads[thread]
-    }
-
-    fn bank_mut(&mut self, bank: usize) -> &mut BankCounters {
-        if self.banks.len() <= bank {
-            self.banks.resize(bank + 1, BankCounters::default());
-        }
-        &mut self.banks[bank]
+    fn saw_thread(&mut self, thread: usize) {
+        self.thread_span = self.thread_span.max(thread + 1);
     }
 
     /// One-line human-readable rollup.
@@ -132,8 +53,8 @@ impl CounterSink {
         format!(
             "{} events: {} threads, {} banks, {} batches ({} drained, avg {:.0} cycles), {} reads completed (mean latency {:.0})",
             self.events,
-            self.threads.len(),
-            self.banks.len(),
+            self.thread_span,
+            self.bank_span,
             self.batches,
             self.batches_drained,
             self.avg_batch_cycles(),
@@ -147,53 +68,27 @@ impl EventSink for CounterSink {
     fn record(&mut self, event: &Event) {
         self.events += 1;
         match *event {
-            Event::Enqueued { thread, write, .. } => {
-                let t = self.thread_mut(thread);
-                if write {
-                    t.writes += 1;
-                } else {
-                    t.reads += 1;
-                }
+            Event::Enqueued { thread, .. } | Event::Marked { thread, .. } => {
+                self.saw_thread(thread);
             }
-            Event::Marked { thread, .. } => self.thread_mut(thread).marked += 1,
             Event::BatchFormed { .. } => self.batches += 1,
             Event::BatchDrained { at, formed_at, .. } => {
                 self.batches_drained += 1;
                 self.total_batch_cycles += at.saturating_sub(formed_at);
             }
-            Event::CommandIssued { thread, kind, bank, service, .. } => {
-                let t = self.thread_mut(thread);
-                t.commands += 1;
-                match service {
-                    Some(ServiceClass::Hit) => t.row_hits += 1,
-                    Some(ServiceClass::Closed) => t.row_closed += 1,
-                    Some(ServiceClass::Conflict) => t.row_conflicts += 1,
-                    None => {}
-                }
-                let b = self.bank_mut(bank);
-                match kind {
-                    CmdKind::Activate => b.activates += 1,
-                    CmdKind::Read => b.reads += 1,
-                    CmdKind::Write => b.writes += 1,
-                    CmdKind::Precharge => b.precharges += 1,
-                }
+            Event::CommandIssued { thread, bank, .. } => {
+                self.saw_thread(thread);
+                self.bank_span = self.bank_span.max(bank + 1);
             }
             Event::Completed { thread, write, arrival, finish, .. } => {
                 if !write {
-                    let latency = finish.saturating_sub(arrival);
-                    let t = self.thread_mut(thread);
-                    t.reads_completed += 1;
-                    t.max_read_latency = t.max_read_latency.max(latency);
-                    self.read_latency.record(latency);
+                    self.saw_thread(thread);
+                    self.read_latency.record(finish.saturating_sub(arrival));
                 }
             }
-            Event::WriteDrain { start, .. } => {
-                if start {
-                    self.write_drains += 1;
-                }
-            }
-            Event::Refresh { .. } => self.refreshes += 1,
-            Event::RankComputed { .. }
+            Event::WriteDrain { .. }
+            | Event::Refresh { .. }
+            | Event::RankComputed { .. }
             | Event::BusSample { .. }
             | Event::BlacklistSet { .. }
             | Event::BlacklistCleared { .. }
@@ -205,6 +100,7 @@ impl EventSink for CounterSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CmdKind, ServiceClass};
 
     #[test]
     fn counters_fold_a_small_stream() {
@@ -270,28 +166,27 @@ mod tests {
             sink.record(e);
         }
         assert_eq!(sink.events, events.len() as u64);
-        assert_eq!(sink.thread(0).reads, 1);
-        assert_eq!(sink.thread(0).marked, 1);
-        assert_eq!(sink.thread(0).commands, 2);
-        assert_eq!(sink.thread(0).row_closed, 1);
-        assert_eq!(sink.thread(0).max_read_latency, 120);
-        assert_eq!(sink.thread(1).writes, 1);
-        assert_eq!(sink.bank(2).activates, 1);
-        assert_eq!(sink.bank(2).reads, 1);
+        assert_eq!((sink.thread_span, sink.bank_span), (2, 3));
         assert_eq!(sink.batches, 1);
         assert_eq!(sink.batches_drained, 1);
         assert!((sink.avg_batch_cycles() - 110.0).abs() < 1e-9);
-        assert_eq!(sink.refreshes, 1);
         assert_eq!(sink.read_latency.count(), 1);
         assert_eq!(sink.read_latency.max(), 120);
-        assert!(!sink.summary().is_empty());
+        assert_eq!(
+            sink.summary(),
+            "9 events: 2 threads, 3 banks, 1 batches (1 drained, avg 110 cycles), \
+             1 reads completed (mean latency 120)"
+        );
     }
 
     #[test]
-    fn unknown_indices_read_as_zero() {
+    fn an_empty_stream_summarizes_to_zeros() {
         let sink = CounterSink::new();
-        assert_eq!(sink.thread(9).reads, 0);
-        assert_eq!(sink.bank(9).activates, 0);
         assert_eq!(sink.avg_batch_cycles(), 0.0);
+        assert_eq!(
+            sink.summary(),
+            "0 events: 0 threads, 0 banks, 0 batches (0 drained, avg 0 cycles), \
+             0 reads completed (mean latency 0)"
+        );
     }
 }

@@ -46,14 +46,21 @@ enum Value {
     Obj(BTreeMap<String, Value>),
 }
 
+/// How deeply arrays and objects may nest. Event records nest three
+/// levels at most; the limit keeps a hostile line from overflowing the
+/// stack of the recursive descent.
+const MAX_NESTING: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
+        Parser { bytes: s.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -87,8 +94,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Value, ParseEventError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -96,6 +103,21 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
         }
+    }
+
+    /// Parses an array or object with `parse`, one level deeper; past
+    /// [`MAX_NESTING`] levels it fails at the opening bracket.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseEventError>,
+    ) -> Result<Value, ParseEventError> {
+        if self.depth == MAX_NESTING {
+            return err(format!("nesting deeper than {MAX_NESTING} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseEventError> {
@@ -612,6 +634,22 @@ mod tests {
         assert!(Event::from_json("not json").is_err());
         let e = Event::from_json("{\"type\":\"refresh\",\"at\":1,\"rank\":0} tail").unwrap_err();
         assert!(e.message.contains("trailing"), "{e}");
+    }
+
+    #[test]
+    fn deep_nesting_fails_with_the_position_instead_of_overflowing() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let at_limit = format!("{}0{}", open.repeat(MAX_NESTING), close.repeat(MAX_NESTING));
+            let e = Event::from_json(&at_limit).unwrap_err();
+            assert!(!e.message.contains("nesting"), "{MAX_NESTING} levels parse: {e}");
+            let e = Event::from_json(&open.repeat(200_000)).unwrap_err();
+            let byte = MAX_NESTING * open.len();
+            assert_eq!(
+                e.message,
+                format!("nesting deeper than {MAX_NESTING} levels at byte {byte}"),
+                "{open}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //!
 //! ## Shipped sinks
 //!
-//! - [`CounterSink`] — per-thread / per-bank rollup counters plus a
-//!   `parbs-metrics` latency histogram.
+//! - [`CounterSink`] — a one-line rollup (event count, thread and bank
+//!   spans, batches, read latency) over a `parbs-metrics` histogram.
 //! - [`ChromeTraceSink`] — `chrome://tracing` / Perfetto JSON with one track
 //!   per bank, one per thread, and batch spans on a scheduler track.
 //! - [`JsonlSink`] — one JSON object per event, for streaming logs.
@@ -41,7 +41,7 @@ mod jsonl;
 mod sink;
 
 pub use chrome::ChromeTraceSink;
-pub use counter::{BankCounters, CounterSink, ThreadCounters};
+pub use counter::CounterSink;
 pub use event::{CmdKind, Event, RankEntry, ServiceClass};
 pub use json::{parse_jsonl, ParseEventError};
 pub use jsonl::JsonlSink;

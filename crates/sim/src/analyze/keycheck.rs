@@ -21,7 +21,7 @@
 //! The checks are state-driven rather than proof-based: they enumerate
 //! channel states with open and closed rows, expired and live capture
 //! windows, and marked and unmarked requests, which covers every branch the
-//! seven shipped schedulers' packers have.
+//! shipped schedulers' packers have.
 
 use parbs_dram::{
     Channel, Command, CommandKind, FieldSemantic, KeyLayout, LineAddr, MemoryScheduler, Request,
@@ -220,45 +220,4 @@ pub fn check_scheduler_keys(
         }
     }
     Ok(report)
-}
-
-/// Builds every shipped scheduler by display name; `None` for unknown names.
-#[must_use]
-pub fn scheduler_by_name(name: &str) -> Option<Box<dyn Fn() -> Box<dyn MemoryScheduler>>> {
-    match name {
-        "FCFS" => Some(Box::new(|| Box::new(parbs_dram::FcfsScheduler::new()))),
-        "FR-FCFS" => Some(Box::new(|| Box::new(parbs_baselines::FrFcfsScheduler::new()))),
-        "NFQ" => Some(Box::new(|| Box::new(parbs_baselines::NfqScheduler::new()))),
-        "STFM" => Some(Box::new(|| Box::new(parbs_baselines::StfmScheduler::new()))),
-        "PAR-BS" => {
-            Some(Box::new(|| Box::new(parbs::ParBsScheduler::new(parbs::ParBsConfig::default()))))
-        }
-        "BLISS" => Some(Box::new(|| Box::new(parbs_baselines::BlissScheduler::new()))),
-        "ATLAS" => Some(Box::new(|| Box::new(parbs_baselines::AtlasScheduler::new()))),
-        _ => None,
-    }
-}
-
-/// The seven shipped scheduler names: the paper's five in the paper's
-/// order, then the post-PAR-BS zoo members (BLISS, ATLAS).
-pub const ALL_SCHEDULERS: &[&str] = &["FCFS", "FR-FCFS", "NFQ", "STFM", "PAR-BS", "BLISS", "ATLAS"];
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_shipped_schedulers_pass() {
-        for name in ALL_SCHEDULERS {
-            let make = scheduler_by_name(name).expect("known scheduler");
-            let report = check_scheduler_keys(make.as_ref())
-                .unwrap_or_else(|e| panic!("{name} failed key check: {e}"));
-            assert!(report.states >= 5 && report.pairs > 0, "{name}: check must exercise states");
-        }
-    }
-
-    #[test]
-    fn unknown_scheduler_name_is_rejected() {
-        assert!(scheduler_by_name("LRU").is_none());
-    }
 }

@@ -1,6 +1,6 @@
 //! Liveness model checking: per-scheduler starvation bounds.
 //!
-//! Where the differential checker ([`crate::run_differential`]) proves
+//! Where the differential checker ([`super::run_differential`]) proves
 //! *safety* (no illegal command ever issues), this module decides a
 //! *liveness* question: **can a request starve forever?** For each
 //! scheduler's declared [`LivenessContract`] it exhaustively explores a
@@ -31,7 +31,7 @@
 //! Service order inside each policy is decided only by *relations* (row
 //! hit against the open row, marked bit, per-thread saturating counters)
 //! and by age — never by raw bank/row/thread ids. That label-equivariance
-//! is what makes the symmetry quotient of [`crate::symmetry`] sound: states
+//! is what makes the symmetry quotient of [`super::symmetry`] sound: states
 //! are deduplicated by canonical form, and the raw state count is
 //! recovered exactly from orbit sizes.
 //!
@@ -43,11 +43,10 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 
-use parbs_dram::{LivenessContract, LivenessPolicy, StarvationClaim, TimingParams, DRAM_CYCLE};
+use parbs_dram::{LivenessPolicy, MemoryScheduler, StarvationClaim, TimingParams, DRAM_CYCLE};
 use parbs_obs::{CmdKind, Event, ServiceClass};
 
-use crate::keycheck::scheduler_by_name;
-use crate::symmetry::{canonicalize, NONE};
+use crate::analyze::symmetry::{canonicalize, NONE};
 
 /// Geometry and exploration limits for the liveness checker.
 #[derive(Debug, Clone)]
@@ -866,7 +865,7 @@ pub enum LivenessVerdict {
 /// A full liveness-check result for one scheduler.
 #[derive(Debug, Clone)]
 pub struct LivenessReport {
-    /// Scheduler name (from the contract).
+    /// Scheduler name ([`MemoryScheduler::name`]).
     pub scheduler: String,
     /// The policy class that was model-checked.
     pub policy: LivenessPolicy,
@@ -937,22 +936,28 @@ fn services_to_cycles(services: u32, t: &TimingParams) -> u64 {
     base + refreshes * t.t_rfc
 }
 
-/// Model-checks one declared contract on the given geometry.
+/// Model-checks `sched`'s declared liveness contract on the given
+/// geometry.
 ///
 /// # Errors
 ///
-/// On an invalid geometry or contract. A truncated exploration is not an
-/// error — it yields an [`LivenessVerdict::Inconclusive`] report.
-pub fn check_contract(
-    contract: &LivenessContract,
+/// On a scheduler with no declared contract, an invalid contract, or an
+/// invalid geometry. A truncated exploration is not an error — it yields an
+/// [`LivenessVerdict::Inconclusive`] report.
+pub fn check_scheduler_liveness(
+    sched: &dyn MemoryScheduler,
     cfg: &LivenessConfig,
 ) -> Result<LivenessReport, String> {
+    let name = sched.name();
+    let contract = sched
+        .liveness_contract()
+        .ok_or_else(|| format!("scheduler '{name}' declares no liveness contract"))?;
     cfg.validate()?;
-    contract.validate()?;
+    contract.validate().map_err(|e| format!("{name}: {e}"))?;
     let policy = contract.policy;
     let ex = explore(&policy, cfg);
     let mut report = LivenessReport {
-        scheduler: contract.scheduler.to_string(),
+        scheduler: name.to_owned(),
         policy,
         claim: contract.claim,
         verdict: LivenessVerdict::Inconclusive,
@@ -1011,32 +1016,21 @@ pub fn check_contract(
     Ok(report)
 }
 
-/// Model-checks the named scheduler's declared liveness contract.
-///
-/// # Errors
-///
-/// On an unknown scheduler name, a scheduler with no declared contract,
-/// or an invalid geometry.
-pub fn check_scheduler_liveness(
-    name: &str,
-    cfg: &LivenessConfig,
-) -> Result<LivenessReport, String> {
-    let make = scheduler_by_name(name).ok_or_else(|| format!("unknown scheduler '{name}'"))?;
-    let contract = make()
-        .liveness_contract()
-        .ok_or_else(|| format!("scheduler '{name}' declares no liveness contract"))?;
-    check_contract(&contract, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SchedulerKind, SimConfig};
     use parbs_monitor::prelude;
     use parbs_obs::EventSink;
 
+    /// Model-checks the contract of `kind`.
+    fn check(kind: &SchedulerKind, cfg: &LivenessConfig) -> Result<LivenessReport, String> {
+        check_scheduler_liveness(&*kind.build(&SimConfig::for_cores(4)), cfg)
+    }
+
     #[test]
     fn frfcfs_emits_a_minimal_starvation_lasso() {
-        let r = check_scheduler_liveness("FR-FCFS", &LivenessConfig::tiny()).unwrap();
+        let r = check(&SchedulerKind::FrFcfs, &LivenessConfig::tiny()).unwrap();
         assert!(matches!(r.verdict, LivenessVerdict::Unbounded), "{r}");
         assert!(r.claim_verified(), "FR-FCFS declares unbounded starvation");
         assert!(r.closed);
@@ -1053,8 +1047,9 @@ mod tests {
 
     #[test]
     fn bounded_schedulers_prove_their_claims() {
-        for name in ["FCFS", "PAR-BS", "BLISS", "ATLAS", "NFQ", "STFM"] {
-            let r = check_scheduler_liveness(name, &LivenessConfig::tiny()).unwrap();
+        for kind in SchedulerKind::all().into_iter().filter(|k| *k != SchedulerKind::FrFcfs) {
+            let name = kind.name();
+            let r = check(&kind, &LivenessConfig::tiny()).unwrap();
             assert!(r.closed, "{name} exploration must reach its fixpoint");
             let LivenessVerdict::Bounded { services, cycles } = r.verdict else {
                 panic!("{name} must prove a finite starvation bound: {r}");
@@ -1086,7 +1081,7 @@ mod tests {
         // Under FCFS the worst case is arriving behind a full queue:
         // capacity - 1 older requests.
         let cfg = LivenessConfig::tiny();
-        let r = check_scheduler_liveness("FCFS", &cfg).unwrap();
+        let r = check(&SchedulerKind::Fcfs, &cfg).unwrap();
         let LivenessVerdict::Bounded { services, .. } = r.verdict else {
             panic!("FCFS is bounded")
         };
@@ -1102,7 +1097,7 @@ mod tests {
             max_depth: Some(8),
             ..Default::default()
         };
-        let r = check_scheduler_liveness("FR-FCFS", &cfg).unwrap();
+        let r = check(&SchedulerKind::FrFcfs, &cfg).unwrap();
         assert!(r.canonical_states > 1_000, "nontrivial exploration: {r}");
         assert!(
             r.raw_states >= 10 * r.canonical_states,
@@ -1113,7 +1108,7 @@ mod tests {
     #[test]
     fn parbs_witness_replays_clean_through_the_invariant_monitor() {
         let cfg = LivenessConfig::tiny();
-        let r = check_scheduler_liveness("PAR-BS", &cfg).unwrap();
+        let r = check(&SchedulerKind::ParBs(Default::default()), &cfg).unwrap();
         let w = r.witness.expect("extremal trace");
         let events = w.to_events(&r.policy, &cfg);
         assert!(
@@ -1134,7 +1129,7 @@ mod tests {
         // The starvation lasso is unfair but not a *batching*-invariant
         // violation: it must replay clean too (there are no marks at all).
         let cfg = LivenessConfig::tiny();
-        let r = check_scheduler_liveness("FR-FCFS", &cfg).unwrap();
+        let r = check(&SchedulerKind::FrFcfs, &cfg).unwrap();
         let w = r.witness.expect("lasso");
         let events = w.to_events(&r.policy, &cfg);
         assert!(!events.is_empty());
@@ -1147,16 +1142,30 @@ mod tests {
     }
 
     #[test]
-    fn unknown_scheduler_and_bad_geometry_error() {
-        assert!(check_scheduler_liveness("NOPE", &LivenessConfig::tiny()).is_err());
+    fn a_missing_contract_and_a_bad_geometry_error() {
+        struct NoContract;
+        impl MemoryScheduler for NoContract {
+            fn name(&self) -> &str {
+                "bare"
+            }
+            fn priority_key(
+                &self,
+                req: &parbs_dram::Request,
+                _: &parbs_dram::SchedView<'_>,
+            ) -> u128 {
+                u128::from(u64::MAX - req.id.0)
+            }
+        }
+        let err = check_scheduler_liveness(&NoContract, &LivenessConfig::tiny()).unwrap_err();
+        assert!(err.contains("declares no liveness contract"), "{err}");
         let cfg = LivenessConfig { banks: 0, ..Default::default() };
-        assert!(check_scheduler_liveness("FCFS", &cfg).is_err());
+        assert!(check(&SchedulerKind::Fcfs, &cfg).is_err());
     }
 
     #[test]
     fn truncated_exploration_is_inconclusive() {
         let cfg = LivenessConfig { max_depth: Some(2), ..Default::default() };
-        let r = check_scheduler_liveness("FCFS", &cfg).unwrap();
+        let r = check(&SchedulerKind::Fcfs, &cfg).unwrap();
         assert!(!r.closed);
         assert!(matches!(r.verdict, LivenessVerdict::Inconclusive));
         assert!(!r.claim_verified());

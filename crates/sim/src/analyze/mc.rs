@@ -32,7 +32,7 @@ use parbs_dram::{
     DRAM_CYCLE, TIMING_RULES,
 };
 
-use crate::oracle::{TimingOracle, Verdict};
+use crate::analyze::oracle::{TimingOracle, Verdict};
 
 /// Geometry, depth and timing for one differential run.
 #[derive(Debug, Clone)]

@@ -1,9 +1,9 @@
-//! Static analysis for the PAR-BS model — `parbs-analyze`.
+//! Static analysis of the PAR-BS model.
 //!
 //! Simulation results are only as trustworthy as the DRAM model and the
 //! scheduler priority encodings underneath them, and both are implemented
 //! more than once in this workspace (an imperative hot path plus a
-//! declarative specification). This crate closes the loop between the
+//! declarative specification). This module closes the loop between the
 //! copies:
 //!
 //! * [`TimingOracle`] — an independent earliest-legal-time evaluator built
@@ -32,9 +32,10 @@
 //!   the rule table, and a dropped refresh rule is caught at the
 //!   analytically minimal counterexample depth.
 //!
-//! The `parbs-analyze` binary exposes all of these as CI-runnable
-//! subcommands (`check-timing` — including `--refresh`, `check-keys`,
-//! `check-liveness`, `check-spec`, `report`).
+//! The schedulers under analysis are the ones [`crate::SchedulerKind::all`]
+//! lists, built with [`crate::SchedulerKind::build`]. `parbs-sim` exposes
+//! the checks as CI-runnable commands: `check-timing` (including
+//! `--refresh`), `check-keys`, `check-liveness`, `check-spec` and `report`.
 
 mod keycheck;
 mod liveness;
@@ -43,10 +44,9 @@ mod oracle;
 mod refresh;
 mod symmetry;
 
-pub use keycheck::{check_scheduler_keys, scheduler_by_name, KeyReport, ALL_SCHEDULERS};
+pub use keycheck::{check_scheduler_keys, KeyReport};
 pub use liveness::{
-    check_contract, check_scheduler_liveness, LivenessConfig, LivenessReport, LivenessVerdict,
-    Move, Witness,
+    check_scheduler_liveness, LivenessConfig, LivenessReport, LivenessVerdict, Move, Witness,
 };
 pub use mc::{run_differential, run_differential_with_rules, Disagreement, McConfig, McStats};
 pub use oracle::{TimingOracle, Verdict};

@@ -14,7 +14,7 @@
 //! incremental per-bank/per-rank state. A bug in the fold/update logic of
 //! either incremental implementation therefore cannot cancel out here —
 //! which is the property the differential model checker
-//! ([`crate::run_differential`]) relies on.
+//! ([`super::run_differential`]) relies on.
 //!
 //! [`TimingOracle::with_rules`] accepts an arbitrary rule slice, which is
 //! how the test suite seeds rule mutations (a dropped `tFAW`, a dropped

@@ -36,7 +36,7 @@
 //!    and each bank's unused rows contribute `(rows − used)!`. No raw
 //!    re-exploration is ever performed.
 
-use crate::liveness::{LivenessConfig, ModelState, VictimPhase};
+use crate::analyze::liveness::{LivenessConfig, ModelState, VictimPhase};
 
 /// Sentinel for "no row open" / "not yet relabeled".
 pub(crate) const NONE: u8 = u8::MAX;
@@ -215,7 +215,7 @@ pub(crate) fn canonicalize(s: &ModelState, cfg: &LivenessConfig) -> (Vec<u8>, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::liveness::{PolicyState, Slot};
+    use crate::analyze::liveness::{PolicyState, Slot};
 
     fn cfg() -> LivenessConfig {
         LivenessConfig {

@@ -21,72 +21,132 @@ use parbs_workloads::{
     fig9_8core, random_mixes, MixSpec,
 };
 
-use crate::{Args, Command};
+use crate::{Args, Command, Flag, JOBS, MIXES, QUICK, SEED, TARGET};
 
-/// Every regeneration, in paper order.
+/// What a case-study regeneration reads: its mixes and schedulers are
+/// fixed, so `--seed` and `--mixes` cannot move its output.
+const CASE_FLAGS: &[Flag] = &[QUICK, TARGET, JOBS];
+
+/// What a regeneration over random 4-core mixes reads.
+const MIX_FLAGS: &[Flag] = &[QUICK, TARGET, MIXES, SEED, JOBS];
+
+/// Every regeneration, in paper order, with the flags it reads: the
+/// analytic ones (Figs. 1-3, Tables 1-2) read none.
 pub static REGENERATIONS: [Command; 21] = [
     Command::regeneration(
         "fig01_overlap",
+        &[],
         "Fig. 1: two requests of one thread overlap across banks",
         fig01_overlap,
     ),
     Command::regeneration(
         "fig02_parallelism",
+        &[],
         "Fig. 2: parallelism-aware vs conventional scheduling",
         fig02_parallelism,
     ),
     Command::regeneration(
         "fig03_batch_abstract",
+        &[],
         "Fig. 3: the within-batch scheduling abstraction",
         fig03_batch_abstract,
     ),
-    Command::regeneration("fig05_case1", "Fig. 5: Case Study I (memory-intensive)", fig05_case1),
-    Command::regeneration("fig06_case2", "Fig. 6: Case Study II (non-intensive)", fig06_case2),
-    Command::regeneration("fig07_case3", "Fig. 7: Case Study III (4 x lbm)", fig07_case3),
-    Command::regeneration("fig08_4core_avg", "Fig. 8: random 4-core workloads", fig08_4core_avg),
-    Command::regeneration("fig09_8core", "Fig. 9: the mixed 8-core workload", fig09_8core),
-    Command::regeneration("fig10_16core", "Fig. 10: 16-core workloads", fig10_16core),
-    Command::regeneration("fig11_marking_cap", "Fig. 11: Marking-Cap sweep", fig11_marking_cap),
+    Command::regeneration(
+        "fig05_case1",
+        CASE_FLAGS,
+        "Fig. 5: Case Study I (memory-intensive)",
+        fig05_case1,
+    ),
+    Command::regeneration(
+        "fig06_case2",
+        CASE_FLAGS,
+        "Fig. 6: Case Study II (non-intensive)",
+        fig06_case2,
+    ),
+    Command::regeneration(
+        "fig07_case3",
+        CASE_FLAGS,
+        "Fig. 7: Case Study III (4 x lbm)",
+        fig07_case3,
+    ),
+    Command::regeneration(
+        "fig08_4core_avg",
+        MIX_FLAGS,
+        "Fig. 8: random 4-core workloads",
+        fig08_4core_avg,
+    ),
+    Command::regeneration(
+        "fig09_8core",
+        CASE_FLAGS,
+        "Fig. 9: the mixed 8-core workload",
+        fig09_8core,
+    ),
+    // `--mixes` sets only the 4-core mix count.
+    Command::regeneration(
+        "fig10_16core",
+        &[QUICK, TARGET, SEED, JOBS],
+        "Fig. 10: 16-core workloads",
+        fig10_16core,
+    ),
+    Command::regeneration(
+        "fig11_marking_cap",
+        MIX_FLAGS,
+        "Fig. 11: Marking-Cap sweep",
+        fig11_marking_cap,
+    ),
     Command::regeneration(
         "fig12_batching_choice",
+        MIX_FLAGS,
         "Fig. 12: static, empty-slot and full batching",
         fig12_batching_choice,
     ),
     Command::regeneration(
         "fig13_within_batch",
+        MIX_FLAGS,
         "Fig. 13: within-batch ranking policies",
         fig13_within_batch,
     ),
-    Command::regeneration("fig14_priorities", "Fig. 14: thread priorities", fig14_priorities),
-    Command::regeneration("table1_cost", "Table 1: PAR-BS hardware cost", table1_cost),
-    Command::regeneration("table2_config", "Table 2: baseline configuration", table2_config),
+    Command::regeneration(
+        "fig14_priorities",
+        CASE_FLAGS,
+        "Fig. 14: thread priorities",
+        fig14_priorities,
+    ),
+    Command::regeneration("table1_cost", &[], "Table 1: PAR-BS hardware cost", table1_cost),
+    Command::regeneration("table2_config", &[], "Table 2: baseline configuration", table2_config),
     Command::regeneration(
         "table3_benchmarks",
+        CASE_FLAGS,
         "Table 3: benchmark characteristics, measured alone",
         table3_benchmarks,
     ),
     Command::regeneration(
         "table4_summary",
+        MIX_FLAGS,
         "Table 4: summary over 4-, 8- and 16-core systems",
         table4_summary,
     ),
     Command::regeneration(
         "ext_schedulers",
+        MIX_FLAGS,
         "extension: paper five + STFQ + adaptive-cap PAR-BS",
         ext_schedulers,
     ),
     Command::regeneration(
         "ext_param_sweep",
+        MIX_FLAGS,
         "extension: system-parameter sensitivity",
         ext_param_sweep,
     ),
     Command::regeneration(
         "ext_latency_tail",
+        MIX_FLAGS,
         "extension: read-latency distribution",
         ext_latency_tail,
     ),
     Command::regeneration(
         "ext_zoo",
+        MIX_FLAGS,
         "extension: seven-scheduler zoo over CPU/accelerator mixes",
         ext_zoo,
     ),

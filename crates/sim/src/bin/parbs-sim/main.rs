@@ -8,11 +8,16 @@
 //! The commands run case studies and custom mixes under the paper's five
 //! schedulers, sweeps (random mixes, the geometry/mapping ablation, the
 //! seven-scheduler zoo, open-loop flows), one checkpointable run, observed
-//! runs with traces and monitors, and offline monitor replay. One more
-//! command per figure and table of the paper, named after it
-//! (`fig05_case1`, `table4_summary`, `ext_zoo`, ...), regenerates it; they
-//! all read `--quick`, `--target N`, `--mixes N`, `--seed N` and `--jobs N`
-//! (see `EXPERIMENTS.md`).
+//! runs with traces and monitors, and offline monitor replay. The static
+//! analysis (`check-timing`, `check-keys`, `check-liveness`, `check-spec`,
+//! `report`) proves the timing model, each scheduler's key contract and its
+//! starvation bound, and the gate benchmarks (`sched_hotpath`,
+//! `many_threads`, `parallel_sweep`) write `BENCH_*.json` snapshots and
+//! fail when their gate does not hold. One more command per figure and
+//! table of the paper, named after it (`fig05_case1`, `table4_summary`,
+//! `ext_zoo`, ...), regenerates it; each reads those of `--quick`,
+//! `--target N`, `--mixes N`, `--seed N` and `--jobs N` that move its
+//! output (see `EXPERIMENTS.md`).
 //!
 //! Each command reads a fixed list of flags, and that list drives both the
 //! parser and `--list`. A flag the command does not read, an unknown flag,
@@ -26,6 +31,7 @@
 //! 42) seeds mix construction, and the simulated system of an observed run
 //! or a flow sweep.
 
+use std::ops::RangeInclusive;
 use std::time::Instant;
 
 use parbs_dram::MappingPolicy;
@@ -38,7 +44,9 @@ use parbs_workloads::{
     FlowConfig, MixSpec,
 };
 
+mod analysis;
 mod figures;
+mod gates;
 
 /// A command-line flag: its name and the placeholder of the value it takes
 /// (empty for a switch, which takes none).
@@ -76,6 +84,15 @@ const MONITOR_REPORT: Flag = switch("--monitor-report");
 const REPLAY: Flag = value("--replay", "F");
 const FLOW_RATE: Flag = value("--flow-rate", "N");
 const FLOW_SIZE_MAX: Flag = value("--flow-size-max", "N");
+const DEPTH: Flag = value("--depth", "N");
+const BANKS: Flag = value("--banks", "N");
+const ROWS: Flag = value("--rows", "N");
+const REFRESH: Flag = switch("--refresh");
+const TREFI_DC: Flag = value("--trefi-dc", "N");
+const NO_GATING: Flag = switch("--no-gating");
+const QUEUE: Flag = value("--queue", "N");
+const THREADS: Flag = value("--threads", "N");
+const WITNESS: Flag = switch("--witness");
 
 /// The flags of `case-study` and `mix`: a five-scheduler comparison, or one
 /// observed run when a flag of [`OBSERVED`] is given.
@@ -96,9 +113,6 @@ const COMPARE_FLAGS: &[Flag] = &[
 
 /// The flags that turn a comparison into an observed run.
 const OBSERVED: &[&str] = &["--trace-out", "--check-invariants", "--spec"];
-
-/// What the regenerations read (the analytic ones ignore all five).
-const REGEN_FLAGS: &[Flag] = &[QUICK, TARGET, MIXES, SEED, JOBS];
 
 /// One `parbs-sim` command: what it takes, the flags it reads, and what it
 /// does.
@@ -127,8 +141,13 @@ impl Command {
     }
 
     /// A figure or table of the paper, or an extension experiment.
-    const fn regeneration(name: &'static str, about: &'static str, run: fn(&Args)) -> Command {
-        Command::new(name, "", REGEN_FLAGS, about, run)
+    const fn regeneration(
+        name: &'static str,
+        flags: &'static [Flag],
+        about: &'static str,
+        run: fn(&Args),
+    ) -> Command {
+        Command::new(name, "", flags, about, run)
     }
 
     const fn needs(self, needs: &'static [(&'static str, &'static [&'static str])]) -> Command {
@@ -149,7 +168,7 @@ impl Command {
     }
 }
 
-static COMMANDS: [Command; 12] = [
+static COMMANDS: [Command; 20] = [
     Command::new(
         "case-study",
         "<1|2|3>",
@@ -237,6 +256,71 @@ static COMMANDS: [Command; 12] = [
         &[SPEC, REPLAY],
         "replay a JSONL event trace through a monitor spec, offline",
         monitor,
+    ),
+    Command::new(
+        "check-timing",
+        "",
+        &[DEPTH, RANKS, BANKS, ROWS, REFRESH, TREFI_DC, NO_GATING],
+        "model-check Channel gating vs the TIMING_RULES oracle vs the protocol checker on \
+         tiny geometries (default depth 6, 1 and 2 ranks); --refresh model-checks the tREFI \
+         deadline instead (--no-gating seeds the dropped-refresh bug, which must be caught)",
+        analysis::check_timing,
+    )
+    .needs(&[("--trefi-dc", &["--refresh"]), ("--no-gating", &["--refresh"])]),
+    Command::new(
+        "check-keys",
+        "",
+        &[SCHED],
+        "validate each scheduler's declared priority-key layout against priority_key and \
+         compare (default: every scheduler)",
+        analysis::check_keys,
+    ),
+    Command::new(
+        "check-liveness",
+        "",
+        &[SCHED, BANKS, ROWS, QUEUE, THREADS, DEPTH, WITNESS],
+        "prove each scheduler's starvation bound, or print its minimal starvation lasso, by \
+         exhaustive exploration of a tiny geometry (default: every scheduler)",
+        analysis::check_liveness,
+    ),
+    Command::new(
+        "check-spec",
+        "<file|prelude:NAME>",
+        &[],
+        "compile a monitor spec and print its streams and triggers",
+        analysis::check_spec,
+    ),
+    Command::new(
+        "report",
+        "",
+        &[DEPTH, RANKS, BANKS, ROWS, SCHED],
+        "the timing-rule table and key layouts, then check-timing (default depth 4) and \
+         check-keys",
+        analysis::report,
+    ),
+    Command::new(
+        "sched_hotpath",
+        "",
+        &[QUICK],
+        "gate: the keyed decision is at least 2x faster than the comparator sort at 128 \
+         entries; writes BENCH_sched_hotpath.json",
+        gates::sched_hotpath,
+    ),
+    Command::new(
+        "many_threads",
+        "",
+        &[QUICK],
+        "gate: decision cost at a 10k-requester population stays within 2x of 16; writes \
+         BENCH_many_threads.json",
+        gates::many_threads,
+    ),
+    Command::new(
+        "parallel_sweep",
+        "",
+        &[QUICK],
+        "gate: a sweep at jobs=4 matches jobs=1 (and is 2x faster on 4+ cores); writes \
+         BENCH_parallel_sweep.json",
+        gates::parallel_sweep,
     ),
     Command::new("--list", "", &[], "this list", print_available),
 ];
@@ -354,7 +438,7 @@ impl Args {
             mixes8,
             mixes16,
         };
-        if let Some(t) = args.num_at_least("--target", 1) {
+        if let Some(t) = args.num_in("--target", 1..=u64::MAX) {
             args.target = t;
         }
         if let Some(m) = args.num("--mixes") {
@@ -386,12 +470,15 @@ impl Args {
         }))
     }
 
-    /// The integer value of `flag`, which must be at least `min`; a smaller
-    /// or malformed one exits 2.
-    fn num_at_least(&self, flag: &str, min: u64) -> Option<u64> {
+    /// The integer value of `flag`, which must lie in `range`; a value
+    /// outside it or a malformed one exits 2.
+    fn num_in(&self, flag: &str, range: RangeInclusive<u64>) -> Option<u64> {
         let n = self.num(flag)?;
-        if n < min {
-            fail(format!("invalid value '{n}' for {flag}: expected at least {min}"));
+        if n < *range.start() {
+            fail(format!("invalid value '{n}' for {flag}: expected at least {}", range.start()));
+        }
+        if n > *range.end() {
+            fail(format!("invalid value '{n}' for {flag}: expected at most {}", range.end()));
         }
         Some(n)
     }
@@ -737,7 +824,7 @@ fn run(args: &Args) {
     // saved from one mix cannot restore into another.
     let label = names.join(",");
     let ckpt_out = args.value("--checkpoint-out");
-    let every = args.num_at_least("--checkpoint-every", 1).unwrap_or(1_000_000);
+    let every = args.num_in("--checkpoint-every", 1..=u64::MAX).unwrap_or(1_000_000);
     let harness = args.harness(mix.cores());
     let mut sys = harness.shared_system(&mix, &sched, &Default::default());
     let mut progress = match args.value("--resume") {
@@ -860,9 +947,9 @@ fn flow_sweep(args: &Args) {
     let n = args.count(4096);
     let mut cfg = SimConfig { seed: args.seed, ..SimConfig::for_cores(4) };
     args.shape(&mut cfg);
-    let rate_per_kcycle = args.num_at_least("--flow-rate", 1).unwrap_or(2);
+    let rate_per_kcycle = args.num_in("--flow-rate", 1..=u64::MAX).unwrap_or(2);
     // The smallest flow has two requests.
-    let size_max = args.num_at_least("--flow-size-max", 2).unwrap_or(256);
+    let size_max = args.num_in("--flow-size-max", 2..=u64::MAX).unwrap_or(256);
     let flows = FlowConfig {
         arrival_rate: rate_per_kcycle as f64 / 1000.0,
         size: BoundedPareto { alpha: 1.2, min: 2, max: size_max },
@@ -1007,9 +1094,9 @@ fn print_available(_: &Args) {
         }
     }
     println!("\nregenerations (one per paper figure/table, plus extensions):");
-    print_wrapped(6, flag_usage(REGEN_FLAGS));
     for c in &figures::REGENERATIONS {
         println!("  {:22} {}", c.name, c.about);
+        print_wrapped(6, flag_usage(c.flags));
     }
 }
 

@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn interrupted_run_resumes_byte_identically() {
-        for kind in SchedulerKind::zoo_seven() {
+        for kind in SchedulerKind::all() {
             // Uninterrupted reference run.
             let mut reference = build(&kind);
             let expected = reference.run();

@@ -16,6 +16,10 @@
 //! in a concurrent single-flight cache keyed by [`AloneKey`], so results
 //! are identical at every `jobs` level.
 //!
+//! The [`analyze`] module holds the static analysis: the differential
+//! timing model checker, the key-contract and liveness checks of every
+//! scheduler in [`SchedulerKind::all`], and the refresh-deadline check.
+//!
 //! The [`experiments`] module encodes the parameter sweeps of Section 8
 //! (scheduler comparisons, Marking-Cap sweep, batching-mode sweep,
 //! within-batch ranking sweep, thread priorities) as plan builders.
@@ -38,6 +42,7 @@
 //! assert_eq!(rows[0].metrics.slowdowns.len(), 4);
 //! ```
 
+pub mod analyze;
 mod checkpoint;
 mod config;
 mod executor;

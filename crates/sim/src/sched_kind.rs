@@ -1,5 +1,5 @@
-//! Scheduler selection: the five policies of the paper's evaluation plus
-//! the post-PAR-BS zoo members (BLISS, ATLAS).
+//! Scheduler selection: the five policies of the paper's evaluation, the
+//! post-PAR-BS zoo members (BLISS, ATLAS) and STFQ.
 
 use parbs::{ParBsConfig, ParBsScheduler};
 use parbs_baselines::{
@@ -59,6 +59,16 @@ impl SchedulerKind {
         let mut kinds = Self::paper_five();
         kinds.push(SchedulerKind::Bliss(BlissConfig::default()));
         kinds.push(SchedulerKind::Atlas(AtlasConfig::default()));
+        kinds
+    }
+
+    /// Every shipped scheduler: the seven-scheduler zoo followed by STFQ.
+    /// The static analysis, the gate benchmarks and every suite that
+    /// claims to cover all schedulers iterate this list.
+    #[must_use]
+    pub fn all() -> Vec<SchedulerKind> {
+        let mut kinds = Self::zoo_seven();
+        kinds.push(SchedulerKind::Stfq);
         kinds
     }
 
@@ -176,19 +186,23 @@ mod tests {
     }
 
     #[test]
+    fn all_is_the_zoo_then_stfq() {
+        let names: Vec<&str> =
+            SchedulerKind::all().iter().map(super::SchedulerKind::name).collect();
+        assert_eq!(names, ["FR-FCFS", "FCFS", "NFQ", "STFM", "PAR-BS", "BLISS", "ATLAS", "STFQ"]);
+    }
+
+    #[test]
     fn build_produces_matching_names() {
         let cfg = SimConfig::for_cores(4);
-        for kind in SchedulerKind::zoo_seven() {
+        for kind in SchedulerKind::all() {
             assert_eq!(kind.build(&cfg).name(), kind.name());
         }
-        assert_eq!(SchedulerKind::Stfq.build(&cfg).name(), "STFQ");
     }
 
     #[test]
     fn every_name_parses_back_to_its_kind() {
-        let mut kinds = SchedulerKind::zoo_seven();
-        kinds.push(SchedulerKind::Stfq);
-        for kind in kinds {
+        for kind in SchedulerKind::all() {
             assert_eq!(kind.name().parse::<SchedulerKind>(), Ok(kind.clone()));
             assert!(SchedulerKind::NAMES.split('|').any(|n| n == kind.name()), "{kind} is listed");
         }

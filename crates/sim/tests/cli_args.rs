@@ -136,6 +136,81 @@ fn flow_flags_out_of_range_are_hard_errors() {
     );
 }
 
+#[test]
+fn analysis_flags_are_checked() {
+    // A typo used to run the default (weaker) check and exit 0.
+    run_expecting_usage_error(
+        &["check-liveness", "--sched", "PAR-BS", "--dept", "8"],
+        "unknown flag --dept",
+    );
+    run_expecting_usage_error(&["check-keys", "--bogus", "3"], "unknown flag --bogus");
+    run_expecting_usage_error(&["check-keys", "--depth", "3"], "--depth");
+    run_expecting_usage_error(&["check-spec", "prelude:qos", "--witness"], "--witness");
+    run_expecting_usage_error(&["check-timing", "--depth", "6x"], "invalid value '6x' for --depth");
+    run_expecting_usage_error(
+        &["check-liveness", "--rows", "256"],
+        "invalid value '256' for --rows",
+    );
+    run_expecting_usage_error(
+        &["check-timing", "--depth", "4294967296"],
+        "invalid value '4294967296' for --depth",
+    );
+    run_expecting_usage_error(&["check-timing", "--depth"], "--depth requires a value");
+    run_expecting_usage_error(
+        &["check-liveness", "--sched", "--witness"],
+        "--sched requires a value",
+    );
+    run_expecting_usage_error(&["check-timing", "6"], "unexpected argument '6'");
+    run_expecting_usage_error(&["check-timing", "--no-gating"], "--refresh");
+    run_expecting_usage_error(&["check-keys", "--sched", "LRU"], "unknown scheduler 'LRU'");
+}
+
+#[test]
+fn check_spec_resolves_its_argument_like_spec() {
+    run_expecting_usage_error(&["check-spec"], "usage: parbs-sim check-spec");
+    run_expecting_usage_error(&["check-spec", "prelude:nope"], "unknown prelude spec 'nope'");
+    let path = std::env::temp_dir().join("parbs-cli-args-broken.spec");
+    std::fs::write(&path, "input x := ").expect("write the spec");
+    let path = path.to_str().expect("a UTF-8 temp path");
+    run_expecting_usage_error(&["check-spec", path], "1:12: expected an event kind");
+    let out = stdout_of(&["check-spec", "prelude:invariants"]);
+    assert!(out.starts_with("check-spec: prelude:invariants: "), "{out}");
+}
+
+#[test]
+fn a_misspelled_gate_flag_is_a_hard_error() {
+    // The gates read `--quick` or nothing; a typo must not silently run
+    // the full-size measurement.
+    for gate in ["sched_hotpath", "many_threads", "parallel_sweep"] {
+        run_expecting_usage_error(&[gate, "--quik"], "--quik");
+    }
+}
+
+#[test]
+fn a_regeneration_reads_only_the_flags_that_move_it() {
+    run_expecting_usage_error(&["fig05_case1", "--seed", "7"], "--seed");
+    run_expecting_usage_error(&["fig01_overlap", "--quick"], "--quick");
+    run_expecting_usage_error(&["fig10_16core", "--mixes", "3"], "--mixes");
+}
+
+#[test]
+fn deeply_nested_input_fails_with_a_message_instead_of_overflowing() {
+    // Both used to overflow the stack and abort (exit 134).
+    let dir = std::env::temp_dir();
+    let replay = dir.join("parbs-cli-args-deep.jsonl");
+    std::fs::write(&replay, "[".repeat(200_000)).expect("write the replay");
+    let replay = replay.to_str().expect("a UTF-8 temp path");
+    run_expecting_usage_error(
+        &["monitor", "--spec", "prelude:invariants", "--replay", replay],
+        "nesting deeper than",
+    );
+    let spec = dir.join("parbs-cli-args-deep.spec");
+    let guard = format!("{}1", "(".repeat(100_000));
+    std::fs::write(&spec, format!("input x := enqueued when {guard}")).expect("write the spec");
+    let spec = spec.to_str().expect("a UTF-8 temp path");
+    run_expecting_usage_error(&["case-study", "1", "--spec", spec], "nests deeper than");
+}
+
 /// The stdout of a successful `parbs-sim` run.
 fn stdout_of(args: &[&str]) -> String {
     let out = parbs_sim().args(args).output().expect("parbs-sim runs");
@@ -203,7 +278,7 @@ fn unknown_scheduler_is_a_hard_error() {
 }
 
 #[test]
-fn list_names_every_regeneration() {
+fn list_names_every_command() {
     let out = parbs_sim().arg("--list").output().expect("parbs-sim runs");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
@@ -230,7 +305,17 @@ fn list_names_every_regeneration() {
         "ext_latency_tail",
         "ext_zoo",
     ];
-    for name in regenerations {
+    let analysis_and_gates = [
+        "check-timing",
+        "check-keys",
+        "check-liveness",
+        "check-spec",
+        "report",
+        "sched_hotpath",
+        "many_threads",
+        "parallel_sweep",
+    ];
+    for name in regenerations.into_iter().chain(analysis_and_gates) {
         assert!(
             stdout.lines().any(|l| l.split_whitespace().next() == Some(name)),
             "--list must name {name}"

@@ -2,8 +2,8 @@
 //! and guaranteed detection of seeded rule mutations with minimal-length
 //! witness prefixes.
 
-use parbs_analyze::{run_differential, run_differential_with_rules, McConfig, Verdict};
 use parbs_dram::{CommandKind, TimingParams, TIMING_RULES};
+use parbs_sim::analyze::{run_differential, run_differential_with_rules, McConfig, Verdict};
 
 /// Keep exhaustive-enumeration depth affordable under `cargo test` (debug
 /// builds); the CI `analyze` job drives the release binary at depth ≥ 6.

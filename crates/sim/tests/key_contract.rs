@@ -1,27 +1,27 @@
-//! Key-contract analyzer tests: the five shipped schedulers pass, and
+//! Key-contract analyzer tests: every shipped scheduler passes, and
 //! deliberately-broken test-only schedulers are rejected with a pointed
 //! diagnostic.
 
 use std::cmp::Ordering;
 
-use parbs_analyze::{check_scheduler_keys, scheduler_by_name, ALL_SCHEDULERS};
 use parbs_dram::{FieldSemantic, KeyField, KeyLayout, MemoryScheduler, Request, SchedView};
+use parbs_sim::analyze::check_scheduler_keys;
+use parbs_sim::{SchedulerKind, SimConfig};
 
 #[test]
 fn every_shipped_scheduler_passes_check_keys() {
-    for name in ALL_SCHEDULERS {
-        let make = scheduler_by_name(name).expect("shipped scheduler");
-        let report = check_scheduler_keys(make.as_ref())
-            .unwrap_or_else(|e| panic!("{name} failed the key contract: {e}"));
-        assert_eq!(&report.scheduler, name);
-        assert!(report.pairs >= 30, "{name}: pair coverage too thin ({})", report.pairs);
+    for kind in SchedulerKind::all() {
+        let report = check_scheduler_keys(&|| kind.build(&SimConfig::for_cores(4)))
+            .unwrap_or_else(|e| panic!("{kind} failed the key contract: {e}"));
+        assert_eq!(report.scheduler, kind.name());
+        assert!(report.states >= 5, "{kind}: state coverage too thin ({})", report.states);
+        assert!(report.pairs >= 30, "{kind}: pair coverage too thin ({})", report.pairs);
     }
 }
 
 /// FR-FCFS's declared layout, reused by the broken schedulers below: the
 /// declarations are fine — the *implementations* betray them.
 static FRFCFS_LIKE_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "swapped",
     fields: &[
         KeyField { name: "row_hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },
         KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
@@ -58,7 +58,6 @@ fn swapped_key_fields_are_rejected() {
 struct MisdeclaredScheduler;
 
 static LSB_FIRST_LAYOUT: KeyLayout = KeyLayout {
-    scheduler: "lsb-first",
     fields: &[
         KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
         KeyField { name: "row_hit", semantic: FieldSemantic::RowHit, lo: 64, width: 1 },

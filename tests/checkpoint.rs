@@ -21,10 +21,11 @@ fn mix_from(seed: u64) -> MixSpec {
     MixSpec::from_names("prop", &names)
 }
 
-/// Picks one of the seven zoo schedulers.
+/// Picks one of the schedulers of [`SchedulerKind::all`].
 fn kind_from(pick: u8) -> SchedulerKind {
-    let mut zoo = SchedulerKind::zoo_seven();
-    zoo.swap_remove(pick as usize % 7)
+    let mut all = SchedulerKind::all();
+    let n = all.len();
+    all.swap_remove(pick as usize % n)
 }
 
 /// Runs `sys` for up to `cut` cycles and checkpoints it there.
@@ -77,10 +78,10 @@ proptest! {
         // The scheduler-observable state is the packed priority key of
         // every queued read: if save/resume preserves those bit for bit,
         // the restored scheduler makes exactly the decisions the saved one
-        // would have. Checked across the full seven-scheduler zoo.
+        // would have. Checked across every scheduler.
         let harness = quick_harness(600);
         let mix = mix_from(seed);
-        for kind in SchedulerKind::zoo_seven() {
+        for kind in SchedulerKind::all() {
             let mut sys = harness.shared_system(&mix, &kind, &Default::default());
             let mut progress = sys.begin_run();
             for _ in 0..cut {

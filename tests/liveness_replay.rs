@@ -1,5 +1,5 @@
 //! Cross-validation of the liveness model checker against the simulator's
-//! observability stack: the witness traces `parbs-analyze check-liveness`
+//! observability stack: the witness traces `parbs-sim check-liveness`
 //! emits are replayed through the obs event bus into the *same*
 //! `prelude:invariants` monitor spec that judges real simulated runs. A
 //! clean replay means the abstract model's serves speak the exact event
@@ -7,11 +7,19 @@
 //! accounting) — so a bound proved on the model is a statement about the
 //! same discipline the simulator implements, not a private re-definition.
 
-use parbs_analyze::{check_scheduler_liveness, LivenessConfig, LivenessVerdict, ALL_SCHEDULERS};
 use parbs_monitor::prelude;
 use parbs_obs::EventSink;
+use parbs_sim::analyze::{
+    check_scheduler_liveness, LivenessConfig, LivenessReport, LivenessVerdict,
+};
 use parbs_sim::{run_observed, ObserveOptions, SchedulerKind, SimConfig};
 use parbs_workloads::case_study_1;
+
+/// Model-checks the liveness contract of `kind` on `cfg`.
+fn check(kind: &SchedulerKind, cfg: &LivenessConfig) -> LivenessReport {
+    check_scheduler_liveness(&*kind.build(&SimConfig::for_cores(4)), cfg)
+        .unwrap_or_else(|e| panic!("{kind}: {e}"))
+}
 
 /// Replays `events` through a fresh `prelude:invariants` monitor and
 /// returns it for inspection.
@@ -24,10 +32,11 @@ fn monitored(events: &[parbs_obs::Event]) -> parbs_monitor::Monitor {
 }
 
 #[test]
-fn every_zoo_witness_replays_clean_through_the_invariant_spec() {
+fn every_scheduler_witness_replays_clean_through_the_invariant_spec() {
     let cfg = LivenessConfig::tiny();
-    for name in ALL_SCHEDULERS {
-        let report = check_scheduler_liveness(name, &cfg).expect("zoo schedulers have contracts");
+    for kind in SchedulerKind::all() {
+        let name = kind.name();
+        let report = check(&kind, &cfg);
         assert!(report.claim_verified(), "{report}");
         let witness = report.witness.as_ref().expect("closed explorations carry a witness");
         let events = witness.to_events(&report.policy, &cfg);
@@ -48,7 +57,7 @@ fn the_starvation_lasso_is_observable_on_the_event_bus() {
     // is enqueued and never completes, while the hammering adversary's
     // requests complete forever — visible, protocol-clean starvation.
     let cfg = LivenessConfig::tiny();
-    let report = check_scheduler_liveness("FR-FCFS", &cfg).unwrap();
+    let report = check(&SchedulerKind::FrFcfs, &cfg);
     assert!(matches!(report.verdict, LivenessVerdict::Unbounded));
     let witness = report.witness.as_ref().unwrap();
     assert!(!witness.cycle.is_empty(), "a lasso has a cycle");
@@ -78,7 +87,7 @@ fn the_same_spec_judges_model_witnesses_and_simulated_runs() {
     assert!(obs.monitors.iter().all(|m| m.ok));
 
     let cfg = LivenessConfig::tiny();
-    let report = check_scheduler_liveness("PAR-BS", &cfg).unwrap();
+    let report = check(&SchedulerKind::ParBs(Default::default()), &cfg);
     let events = report.witness.as_ref().unwrap().to_events(&report.policy, &cfg);
     let mon = monitored(&events);
     assert!(mon.ok(), "{} / {:?}", mon.summary(), mon.alarms());

@@ -3,10 +3,10 @@
 //! controller event streams and offline over a JSONL replay of the same
 //! trace.
 //!
-//! Pass-side identity runs the full seven-scheduler zoo over the paper case
-//! studies and random mixes; violation-side identity uses a deliberately
-//! broken batching scheduler (Rule 2 inverted) whose verdicts are pinned to
-//! recorded `(rule, cycle, thread)` triples.
+//! Pass-side identity runs every scheduler of `SchedulerKind::all()` over the
+//! paper case studies and random mixes; violation-side identity uses a
+//! deliberately broken batching scheduler (Rule 2 inverted) whose verdicts
+//! are pinned to recorded `(rule, cycle, thread)` triples.
 
 mod common;
 
@@ -53,7 +53,7 @@ fn assert_identical_and_clean(mix: &MixSpec, kind: &SchedulerKind, spec: &Spec) 
 #[test]
 fn zoo_verdicts_match_on_the_case_studies() {
     let spec = prelude::invariants();
-    for kind in SchedulerKind::zoo_seven() {
+    for kind in SchedulerKind::all() {
         for mix in [case_study_1(), case_study_2(), case_study_3()] {
             assert_identical_and_clean(&mix, &kind, &spec);
         }
@@ -63,7 +63,7 @@ fn zoo_verdicts_match_on_the_case_studies() {
 #[test]
 fn zoo_verdicts_match_on_random_mixes() {
     let spec = prelude::invariants();
-    for kind in SchedulerKind::zoo_seven() {
+    for kind in SchedulerKind::all() {
         for mix in random_mixes(4, 2, 13) {
             assert_identical_and_clean(&mix, &kind, &spec);
         }
@@ -76,7 +76,7 @@ fn qos_spec_runs_clean_across_the_zoo() {
     // without error-severity alarms and replay to the same trigger counts.
     let spec = prelude::qos();
     let mix = case_study_1();
-    for kind in SchedulerKind::zoo_seven() {
+    for kind in SchedulerKind::all() {
         let cfg = SimConfig { target_instructions: 800, ..SimConfig::for_cores(mix.cores()) };
         let opts = ObserveOptions {
             check_invariants: false,

@@ -136,10 +136,10 @@ fn chrome_trace_of_fig3_micro_example_is_byte_identical_across_jobs_levels() {
 fn checkpoint_resume_matches_uninterrupted_run_through_the_harness_seam() {
     // Save at an arbitrary mid-run cycle, rebuild the system from scratch,
     // resume from the blob, and finish: the result must be byte-identical
-    // to the never-interrupted run, for every scheduler in the zoo.
+    // to the never-interrupted run, for every scheduler.
     let harness = Harness::new(quick_cfg());
     let mix = case_study_1();
-    for kind in SchedulerKind::zoo_seven() {
+    for kind in SchedulerKind::all() {
         let mut straight = harness.shared_system(&mix, &kind, &Default::default());
         let expected = straight.run();
 
