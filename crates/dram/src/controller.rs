@@ -65,6 +65,9 @@ pub struct Controller {
     reads: Vec<Request>,
     writes: Vec<Request>,
     pending: Vec<Completion>,
+    /// The earliest `finish` in `pending` (`u64::MAX` when empty): `tick`
+    /// scans `pending` only once this cycle is reached.
+    next_finish: u64,
     stats: ControllerStats,
     checker: Option<ProtocolChecker>,
     /// Requests whose first command has been issued (used to classify each
@@ -91,6 +94,12 @@ pub struct Controller {
     /// bank-state-changing command, `pre_schedule` reporting a change,
     /// external scheduler mutation); cleared by recomputing `read_keys`.
     read_keys_dirty: bool,
+    /// The read indices in walk order, as `key_order` sorts `read_keys`,
+    /// while `read_order_stale` is false.
+    read_order: Vec<usize>,
+    /// Set when `read_keys` are recomputed or a read leaves the queue;
+    /// cleared by re-sorting `read_order`.
+    read_order_stale: bool,
     /// Test shim: route scheduling decisions through the O(n log n)
     /// comparator sort instead of cached keys.
     comparator_path: bool,
@@ -98,10 +107,10 @@ pub struct Controller {
     /// (or issues) refreshes — the seeded "dropped tREFI rule" bug that the
     /// refresh model checker must catch. Always true in production.
     refresh_gating: bool,
-    /// Reusable buffer for inline write-side FR-FCFS keys.
+    /// Reusable buffers for inline write-side FR-FCFS keys and their walk
+    /// order.
     write_keys: Vec<u128>,
-    /// Reusable selection scratch: requests already tried this decision.
-    tried: Vec<bool>,
+    write_order: Vec<usize>,
     /// Reusable per-thread bank bitmasks for [`Controller::sample_blp`].
     blp_masks: Vec<u64>,
     /// Threads with a non-zero mask in `blp_masks`, in first-touch order.
@@ -140,6 +149,7 @@ impl Controller {
             reads: Vec::new(),
             writes: Vec::new(),
             pending: Vec::new(),
+            next_finish: u64::MAX,
             stats: ControllerStats::default(),
             checker: None,
             touched: std::collections::HashSet::new(),
@@ -150,10 +160,12 @@ impl Controller {
             last_bus_sample: (0, 0),
             read_keys: Vec::new(),
             read_keys_dirty: true,
+            read_order: Vec::new(),
+            read_order_stale: true,
             comparator_path: false,
             refresh_gating: true,
             write_keys: Vec::new(),
-            tried: Vec::new(),
+            write_order: Vec::new(),
             blp_masks: Vec::new(),
             blp_touched: Vec::new(),
             config,
@@ -371,12 +383,17 @@ impl Controller {
         self.sched_buf = buf;
     }
 
-    /// Forwards per-thread memory-stall feedback to the scheduler (used by
-    /// STFM). `stall_cycles[t]` is thread `t`'s stall-cycle increment since
-    /// the last call.
+    /// Forwards per-thread memory-stall feedback to the scheduler's
+    /// [`MemoryScheduler::on_stall_cycles`] (used by STFM).
+    /// `stall_cycles[t]` is thread `t`'s stall-cycle increment since the
+    /// last call.
+    ///
+    /// The cached priority keys stay valid: under the key-caching contract a
+    /// policy whose priorities move with stall feedback reports the change
+    /// from its next `pre_schedule`, as STFM does when its fairness-mode
+    /// thread switches.
     pub fn report_stall_cycles(&mut self, stall_cycles: &[u64], now: u64) {
         self.scheduler.on_stall_cycles(stall_cycles, now);
-        self.read_keys_dirty = true;
     }
 
     /// Advances the controller to processor cycle `now`.
@@ -387,13 +404,18 @@ impl Controller {
     /// boundaries (`now % DRAM_CYCLE == 0`).
     pub fn tick(&mut self, now: u64, out: &mut Vec<Completion>) {
         // Deliver finished requests.
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].finish <= now {
-                out.push(self.pending.swap_remove(i));
-            } else {
-                i += 1;
+        if now >= self.next_finish {
+            let mut next = u64::MAX;
+            let mut i = 0;
+            while i < self.pending.len() {
+                if self.pending[i].finish <= now {
+                    out.push(self.pending.swap_remove(i));
+                } else {
+                    next = next.min(self.pending[i].finish);
+                    i += 1;
+                }
             }
+            self.next_finish = next;
         }
         if !now.is_multiple_of(DRAM_CYCLE) {
             return;
@@ -553,13 +575,15 @@ impl Controller {
     /// Attempts to issue one command for the given queue side. Returns true
     /// if a command was placed on the command bus.
     ///
-    /// The hot path walks the queue in descending cached-priority-key order
-    /// via repeated max-selection — no per-cycle sort, no virtual dispatch
-    /// per comparison. The retired comparator sort is kept behind
+    /// The hot path walks the read queue in a cached order, sorted by
+    /// descending priority key only when the keys are recomputed or a read
+    /// leaves the queue — no per-cycle sort, no virtual dispatch per
+    /// comparison. The retired comparator sort is kept behind
     /// [`Controller::set_comparator_path`] as the reference implementation;
-    /// both paths must make identical decisions (priority keys and
-    /// [`MemoryScheduler::compare`] are both injective total orders, so
-    /// there are no ties for stability to resolve).
+    /// both build an order and share one walk, so they must make identical
+    /// decisions (priority keys and [`MemoryScheduler::compare`] are both
+    /// injective total orders, so there are no ties for stability to
+    /// resolve).
     fn try_issue(&mut self, side: RequestKind, now: u64) -> bool {
         let is_write = side == RequestKind::Write;
         let empty = if is_write { self.writes.is_empty() } else { self.reads.is_empty() };
@@ -583,6 +607,7 @@ impl Controller {
         read_keys.clear();
         read_keys.extend(reads.iter().map(|r| scheduler.priority_key(r, &view)));
         self.read_keys_dirty = false;
+        self.read_order_stale = true;
     }
 
     /// The write-side FR-FCFS key (row hit first, then oldest), packed the
@@ -656,82 +681,67 @@ impl Controller {
         self.channel.can_issue(&cmd, now).then_some(cmd)
     }
 
-    /// Keyed selection: repeatedly pick the highest-keyed untried request
-    /// and stop at the first whose command is ready. Read keys come from the
-    /// event-maintained cache; write keys are computed inline (the write
-    /// queue's FR-FCFS keys depend only on bank state, and writes drain in
-    /// rare bursts).
+    /// The priority walk both selection paths share: the first request in
+    /// `order` (indices into the `is_write` queue, highest priority first)
+    /// whose next command can issue now.
+    fn walk(&self, order: &[usize], is_write: bool, now: u64) -> Option<(usize, Command)> {
+        let queue = if is_write { &self.writes } else { &self.reads };
+        let mut protected_banks = self.initial_protected_banks(is_write);
+        order.iter().find_map(|&i| {
+            self.ready_command(&queue[i], is_write, now, &mut protected_banks).map(|cmd| (i, cmd))
+        })
+    }
+
+    /// Keyed selection: walk the queue in descending key order. Read keys
+    /// and their order come from the event-maintained cache; write keys are
+    /// computed and sorted inline (the write queue's FR-FCFS keys depend
+    /// only on bank state, and writes drain in rare bursts).
     fn select_by_key(&mut self, is_write: bool, now: u64) -> Option<(usize, Command)> {
         if is_write {
-            let Controller { write_keys, writes, channel, .. } = self;
+            let Controller { write_keys, write_order, writes, channel, .. } = self;
             let view = SchedView { channel, now };
             write_keys.clear();
             write_keys.extend(writes.iter().map(|r| Self::write_key(view.is_row_hit(r), r.id.0)));
-        } else if self.read_keys_dirty {
+            key_order(write_keys, write_order);
+            return self.walk(&self.write_order, true, now);
+        }
+        if self.read_keys_dirty {
             self.refresh_read_keys(now);
         }
-        let mut tried = std::mem::take(&mut self.tried);
-        let queue = if is_write { &self.writes } else { &self.reads };
-        let keys = if is_write { &self.write_keys } else { &self.read_keys };
-        // Always-on (not debug_assert): a key cache that drifted out of
-        // alignment with its queue silently scrambles priorities — the
-        // exact failure class the key-caching contract exists to prevent.
-        assert_eq!(
-            keys.len(),
-            queue.len(),
-            "priority-key cache out of sync with the {} queue",
-            if is_write { "write" } else { "read" }
-        );
-        tried.clear();
-        tried.resize(queue.len(), false);
-        let mut protected_banks = self.initial_protected_banks(is_write);
-        let mut decision = None;
-        let mut remaining = queue.len();
-        while remaining > 0 {
-            let mut best: Option<(usize, u128)> = None;
-            for (i, &k) in keys.iter().enumerate() {
-                if !tried[i] && best.is_none_or(|(_, bk)| k > bk) {
-                    best = Some((i, k));
-                }
-            }
-            let (i, _) = best.expect("remaining > 0 guarantees an untried request");
-            tried[i] = true;
-            remaining -= 1;
-            if let Some(cmd) = self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
-                decision = Some((i, cmd));
-                break;
-            }
+        if self.read_order_stale {
+            key_order(&self.read_keys, &mut self.read_order);
+            self.read_order_stale = false;
         }
-        self.tried = tried;
-        decision
+        // Always-on (not debug_assert): a key cache or walk order that
+        // drifted out of alignment with its queue silently scrambles
+        // priorities — the exact failure class the key-caching contract
+        // exists to prevent.
+        assert_eq!(
+            self.read_order.len(),
+            self.reads.len(),
+            "priority walk order out of sync with the read queue"
+        );
+        self.walk(&self.read_order, false, now)
     }
 
     /// Reference selection: full-queue comparator sort (scheduler-defined
-    /// for reads, FR-FCFS for writes), then a walk in priority order. Kept
-    /// only for validating the keyed path.
+    /// for reads, FR-FCFS for writes), then the shared walk. Kept only for
+    /// validating the keyed path.
     fn select_by_comparator(&mut self, is_write: bool, now: u64) -> Option<(usize, Command)> {
         let queue = if is_write { &self.writes } else { &self.reads };
         let mut order: Vec<usize> = (0..queue.len()).collect();
-        {
-            let view = SchedView { channel: &self.channel, now };
-            if is_write {
-                order.sort_by(|&i, &j| {
-                    let (a, b) = (&queue[i], &queue[j]);
-                    let hit_a = view.is_row_hit(a);
-                    let hit_b = view.is_row_hit(b);
-                    hit_b.cmp(&hit_a).then(a.id.cmp(&b.id))
-                });
-            } else {
-                order.sort_by(|&i, &j| self.scheduler.compare(&queue[i], &queue[j], &view));
-            }
+        let view = SchedView { channel: &self.channel, now };
+        if is_write {
+            order.sort_by(|&i, &j| {
+                let (a, b) = (&queue[i], &queue[j]);
+                let hit_a = view.is_row_hit(a);
+                let hit_b = view.is_row_hit(b);
+                hit_b.cmp(&hit_a).then(a.id.cmp(&b.id))
+            });
+        } else {
+            order.sort_by(|&i, &j| self.scheduler.compare(&queue[i], &queue[j], &view));
         }
-        let mut protected_banks = self.initial_protected_banks(is_write);
-        for &i in &order {
-            if let Some(cmd) = self.ready_command(&queue[i], is_write, now, &mut protected_banks) {
-                return Some((i, cmd));
-            }
-        }
-        None
+        self.walk(&order, is_write, now)
     }
 
     /// Issues `cmd` for the request at index `i` of the chosen queue and
@@ -804,6 +814,7 @@ impl Controller {
                 finish,
             };
             self.pending.push(completion);
+            self.next_finish = self.next_finish.min(finish);
             if is_write {
                 self.writes.swap_remove(i);
                 self.stats.writes_completed += 1;
@@ -811,10 +822,12 @@ impl Controller {
                 self.scheduler.on_complete(&req, now);
                 self.reads.swap_remove(i);
                 // Mirror the removal in the parallel key cache so clean keys
-                // stay index-aligned with `reads`.
+                // stay index-aligned with `reads`; the walk order named the
+                // moved read by its old index, so it is re-sorted.
                 if !self.read_keys_dirty {
                     self.read_keys.swap_remove(i);
                 }
+                self.read_order_stale = true;
                 self.stats.reads_completed += 1;
                 self.stats.record_read_latency(finish - req.arrival);
             }
@@ -856,8 +869,9 @@ impl Controller {
     /// Serializes the controller's mutable state: both request buffers,
     /// in-flight completions, statistics, write-drain hysteresis, refresh
     /// bookkeeping, channel timing windows and the scheduling policy's
-    /// internal state. Scratch caches (priority keys, selection buffers) are
-    /// excluded — they are rebuilt on demand after restore.
+    /// internal state. Derived caches (priority keys, their walk order, the
+    /// earliest pending finish) are excluded — they are rebuilt after
+    /// restore.
     ///
     /// # Errors
     ///
@@ -888,7 +902,9 @@ impl Controller {
     /// controller built with the same configuration and scheduler kind. The
     /// cached priority keys are invalidated, not restored: the first
     /// scheduling slot after resume recomputes them from the restored
-    /// scheduler state, so the command stream continues bit-for-bit.
+    /// scheduler state and re-sorts their walk order, so the command stream
+    /// continues bit-for-bit. The earliest pending finish is recomputed from
+    /// the restored completions.
     ///
     /// # Errors
     ///
@@ -906,6 +922,7 @@ impl Controller {
         self.reads = r.get()?;
         self.writes = r.get()?;
         self.pending = r.get()?;
+        self.next_finish = self.pending.iter().map(|c| c.finish).min().unwrap_or(u64::MAX);
         self.stats = r.get()?;
         let touched: Vec<RequestId> = r.get()?;
         self.touched = touched.into_iter().collect();
@@ -924,6 +941,15 @@ impl Controller {
         self.read_keys_dirty = true;
         Ok(())
     }
+}
+
+/// Fills `order` with the indices of `keys` sorted by descending key, ties
+/// broken by ascending index: the order in which repeated strict-max scans
+/// (the first index winning a tie) would visit them.
+fn key_order(keys: &[u128], order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..keys.len());
+    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(keys[i]), i));
 }
 
 #[cfg(test)]
@@ -1128,6 +1154,114 @@ mod tests {
         assert_eq!(ctrl.stats().reads_completed, 32);
     }
 
+    /// Ticks from `*now` until the controller has made a decision on clean
+    /// keys with a cached walk order while completions are still in flight.
+    fn tick_until_order_cached(ctrl: &mut Controller, now: &mut u64) {
+        let mut out = Vec::new();
+        loop {
+            ctrl.tick(*now, &mut out);
+            *now += 1;
+            if !ctrl.read_keys_dirty && !ctrl.read_order_stale && !ctrl.pending.is_empty() {
+                return;
+            }
+            assert!(*now < 1_000_000, "no decision on a cached order");
+        }
+    }
+
+    /// Ticks until the read queue holds `len` requests, returning the cycle
+    /// after the removal.
+    fn tick_until_reads(ctrl: &mut Controller, mut now: u64, len: usize) -> u64 {
+        let mut out = Vec::new();
+        while ctrl.reads().len() > len {
+            ctrl.tick(now, &mut out);
+            now += 1;
+            assert!(now < 1_000_000, "read queue never shrank to {len}");
+        }
+        now
+    }
+
+    #[test]
+    fn a_read_moved_by_swap_remove_is_walked_at_its_new_index() {
+        let mut ctrl =
+            Controller::with_checker(DramConfig::default(), Box::new(FcfsScheduler::new()));
+        // Open row 1 in banks 0..3, so the reads below are row hits and issue
+        // column commands only: no command dirties the keys.
+        for bank in 0..3 {
+            ctrl.try_enqueue(read(bank, 0, bank as usize, 1, 0, 0)).unwrap();
+        }
+        let mut now = 0;
+        ctrl.run_to_drain(&mut now, 100_000);
+        // Queue slots 0, 1, 2 hold ids 10, 12, 11: FCFS serves id 10 from
+        // slot 0, and `swap_remove` moves id 11 from the last slot into it.
+        for (id, bank) in [(10, 0), (12, 1), (11, 2)] {
+            ctrl.try_enqueue(read(id, 0, bank, 1, 1, now)).unwrap();
+        }
+        now = tick_until_reads(&mut ctrl, now, 2);
+        assert!(!ctrl.read_keys_dirty, "id 10 left the queue with clean keys");
+        let ids: Vec<u64> = ctrl.reads().iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, [11, 12], "the last read moved into the freed slot");
+        // A walk order left unsorted after the removal would still name
+        // slot 2, past the end of the two-read queue.
+        tick_until_reads(&mut ctrl, now, 1);
+        assert_eq!(ctrl.reads()[0].id, RequestId(12), "the moved read id 11 is served next");
+    }
+
+    #[test]
+    fn resume_rebuilds_the_walk_order_and_the_next_completion() {
+        let cfg = DramConfig::default();
+        let fresh = || Controller::new(cfg.clone(), Box::new(FcfsScheduler::new()));
+        let enqueue = |ctrl: &mut Controller, ids: std::ops::Range<u64>| {
+            for id in ids {
+                let (bank, row) = ((id * 5 % 8) as usize, id * 3 % 7);
+                ctrl.try_enqueue(read(id, (id % 4) as usize, bank, row, id % 32, 0)).unwrap();
+            }
+        };
+        let mut saved = fresh();
+        enqueue(&mut saved, 0..24);
+        let mut now = 0;
+        tick_until_order_cached(&mut saved, &mut now);
+        let mut w = parbs_snap::SnapWriter::new();
+        saved.save_state(&mut w).unwrap();
+        let bytes = w.into_bytes();
+        // One controller is new; the other has its own cached order and
+        // in-flight completions that the restore must discard.
+        let mut restored = fresh();
+        let mut reused = fresh();
+        enqueue(&mut reused, 100..120);
+        tick_until_order_cached(&mut reused, &mut 0);
+        for ctrl in [&mut restored, &mut reused] {
+            ctrl.restore_state(&mut parbs_snap::SnapReader::new(&bytes)).unwrap();
+        }
+        let mut ctrls = [saved, restored, reused];
+        for ctrl in &mut ctrls {
+            ctrl.set_event_sink(Box::new(crate::CommandTraceSink::new()));
+        }
+        let mut outs = [Vec::new(), Vec::new(), Vec::new()];
+        while !ctrls[0].reads.is_empty() || !ctrls[0].pending.is_empty() {
+            for (ctrl, out) in ctrls.iter_mut().zip(&mut outs) {
+                out.clear();
+                ctrl.tick(now, out);
+            }
+            assert_eq!(outs[0], outs[1], "fresh restore: completions at cycle {now}");
+            assert_eq!(outs[0], outs[2], "reused restore: completions at cycle {now}");
+            now += 1;
+            assert!(now < 1_000_000, "the saved controller never drained");
+        }
+        let traces: Vec<Vec<(u64, Command)>> = ctrls
+            .iter_mut()
+            .map(|ctrl| {
+                let sink = ctrl.take_event_sink().expect("sink attached above");
+                let Ok(sink) = parbs_obs::downcast_sink::<crate::CommandTraceSink>(sink) else {
+                    panic!("the attached sink is a CommandTraceSink");
+                };
+                sink.into_trace()
+            })
+            .collect();
+        assert!(!traces[0].is_empty());
+        assert_eq!(traces[0], traces[1], "fresh restore: command trace");
+        assert_eq!(traces[0], traces[2], "reused restore: command trace");
+    }
+
     #[test]
     fn run_to_drain_reports_all_requests() {
         let mut ctrl =
@@ -1140,5 +1274,43 @@ mod tests {
         assert_eq!(done.len(), 20);
         assert_eq!(ctrl.stats().reads_completed, 20);
         assert!(ctrl.stats().read_latency.max() > 0);
+    }
+}
+
+#[cfg(test)]
+mod prop_tests {
+    use super::key_order;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    /// The order repeated strict-max scans visit `keys` in: each scan takes
+    /// the largest untried key, the first index winning a tie.
+    fn max_scan_order(keys: &[u128]) -> Vec<usize> {
+        let mut tried = vec![false; keys.len()];
+        let mut order = Vec::new();
+        for _ in 0..keys.len() {
+            let mut best: Option<usize> = None;
+            for (i, &k) in keys.iter().enumerate() {
+                if !tried[i] && best.is_none_or(|b| k > keys[b]) {
+                    best = Some(i);
+                }
+            }
+            let i = best.expect("an untried key remains");
+            tried[i] = true;
+            order.push(i);
+        }
+        order
+    }
+
+    proptest! {
+        #[test]
+        fn key_order_is_the_max_scan_order_ties_included(small in vec(0u8..6, 0..129)) {
+            // Few distinct values force ties; the shift puts them in the
+            // high half of the key, where packed priority fields live.
+            let keys: Vec<u128> = small.iter().map(|&k| u128::from(k) << 100).collect();
+            let mut order = vec![usize::MAX; 3];
+            key_order(&keys, &mut order);
+            prop_assert_eq!(order, max_scan_order(&keys));
+        }
     }
 }

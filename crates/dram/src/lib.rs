@@ -17,11 +17,12 @@
 //! switch penalty (tRTRS).
 //!
 //! The scheduling policy is pluggable through the [`MemoryScheduler`] trait:
-//! per decision slot the controller scans the queued read requests for the
-//! largest cached [`MemoryScheduler::priority_key`] (keys are recomputed
-//! only when an event can change them) and issues the next required DRAM
-//! command (precharge / activate / read) of the highest-priority request
-//! whose command is *ready* — the "first-ready" discipline of FR-FCFS
+//! per decision slot the controller walks the queued read requests in
+//! descending order of their cached [`MemoryScheduler::priority_key`] (keys
+//! are recomputed only when an event can change them, and re-sorted only
+//! then or when a read leaves) and issues the next required DRAM command
+//! (precharge / activate / read) of the first request in that order whose
+//! command is *ready* — the "first-ready" discipline of FR-FCFS
 //! generalized to arbitrary priority orders. The scheduler's pairwise
 //! `compare` is the reference order the keys must reproduce; the
 //! controller's comparator-sort path is kept only to cross-check them.

@@ -61,10 +61,10 @@ impl SchedView<'_> {
 /// scheduler mutation, and whenever `pre_schedule` returns `true`. A policy
 /// whose priorities can change for any *other* reason — the passage of time
 /// (e.g. a row-capture window expiring) or state mutated in
-/// [`MemoryScheduler::on_command`] / [`MemoryScheduler::on_complete`] that
-/// feeds `priority_key` — MUST detect that change in its next
-/// `pre_schedule` call and return `true` there, or the controller will keep
-/// scheduling on stale keys.
+/// [`MemoryScheduler::on_command`] / [`MemoryScheduler::on_complete`] /
+/// [`MemoryScheduler::on_stall_cycles`] that feeds `priority_key` — MUST
+/// detect that change in its next `pre_schedule` call and return `true`
+/// there, or the controller will keep scheduling on stale keys.
 ///
 /// The controller never reorders writes through this trait; reads are
 /// prioritized over writes and writes drain in FR-FCFS order (Section 7.2).
@@ -146,6 +146,10 @@ pub trait MemoryScheduler {
     /// Feedback from the cores: `stall_cycles[t]` processor cycles of
     /// memory-related stall accrued by thread `t` since the previous call.
     /// Used by stall-time-based policies (STFM); default is to ignore it.
+    /// Closed-loop runs report every DRAM cycle and the controller keeps its
+    /// cached keys across a report, so a priority change this causes must
+    /// be reported from the next `pre_schedule` (see the key-caching
+    /// contract).
     fn on_stall_cycles(&mut self, stall_cycles: &[u64], now: u64) {
         let _ = (stall_cycles, now);
     }

@@ -87,7 +87,9 @@ fn compute_keys(
     keys.extend(q.iter().map(|r| sched.priority_key(r, view)));
 }
 
-/// One decision via the hot path: a single max-scan over cached keys.
+/// The keyed path's first pick, timed as one max-scan over cached keys: the
+/// request the controller's cached walk order starts with (the controller
+/// reads it from that order, which it sorts only when the keys change).
 fn decide_by_key_scan(keys: &[u128]) -> usize {
     let mut best = 0;
     for (i, &k) in keys.iter().enumerate() {
@@ -182,7 +184,7 @@ fn write_snapshot(path: &str, json: &str) {
 }
 
 /// The controller's scheduling hot path: the retired full-queue comparator
-/// sort vs. the cached-priority-key max-scan, per scheduler, at
+/// sort vs. the keyed path's first pick, per scheduler, at
 /// 32/64/128-entry queues. Gate: the 128-entry keyed decision is at least
 /// 2x faster than the sort for every scheduler.
 pub fn sched_hotpath(args: &Args) {
@@ -282,7 +284,7 @@ pub fn many_threads(args: &Args) {
             let view = SchedView { channel: &channel, now: 100 };
             let mut keys = Vec::new();
             // One steady-state decision slot: the event-driven
-            // `pre_schedule` pass, a full key refresh, and the max-scan.
+            // `pre_schedule` pass, a full key refresh, and the first pick.
             let decision_ns = median_ns(samples, iters, || {
                 sched.pre_schedule(black_box(&mut q), &view);
                 compute_keys(&*sched, &q, &view, &mut keys);

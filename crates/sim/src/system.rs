@@ -161,6 +161,9 @@ pub struct System {
     /// The controllers; an in-flight read carries its (core, miss) back.
     memory: MemorySide<(usize, MissId)>,
     prev_stall: Vec<u64>,
+    /// Reusable buffer for the per-thread stall increments reported each
+    /// DRAM cycle.
+    stalls: Vec<u64>,
     thread_worst_case: Vec<u64>,
 }
 
@@ -212,6 +215,7 @@ impl System {
             cores,
             memory: MemorySide::new(&cfg, factory),
             prev_stall: vec![0; n],
+            stalls: vec![0; n],
             thread_worst_case: vec![0; n],
             cfg,
         }
@@ -346,18 +350,15 @@ impl System {
             self.issue_memory_ops(t, now);
         }
         if now.is_multiple_of(DRAM_CYCLE) {
-            let stalls: Vec<u64> = self
-                .cores
-                .iter()
-                .enumerate()
-                .map(|(t, c)| {
-                    let total = c.stats().mem_stall_cycles;
-                    let delta = total - self.prev_stall[t];
-                    self.prev_stall[t] = total;
-                    delta
-                })
-                .collect();
-            self.memory.report_stall_cycles(&stalls, now);
+            let System { cores, prev_stall, stalls, memory, .. } = self;
+            for ((core, prev), delta) in
+                cores.iter().zip(prev_stall.iter_mut()).zip(stalls.iter_mut())
+            {
+                let total = core.stats().mem_stall_cycles;
+                *delta = total - *prev;
+                *prev = total;
+            }
+            memory.report_stall_cycles(stalls, now);
         }
     }
 

@@ -7,7 +7,13 @@
 //! intensities and row localities, reads and writes, bursty arrivals —
 //! enough to exercise batch formation (PAR-BS), capture-window expiry
 //! (NFQ/STFQ), fairness-mode switches (STFM, via synthetic stall reports),
-//! write drains, and refresh.
+//! write drains, and refresh. Each mix runs twice: with sparse stall reports,
+//! and with a report every DRAM cycle as `System` sends them, which the
+//! controller forwards without invalidating its cached keys.
+
+use std::cell::Cell;
+use std::cmp::Ordering;
+use std::rc::Rc;
 
 use parbs::{BatchingMode, ParBsConfig, ParBsScheduler, ThreadPriority};
 use parbs_baselines::{
@@ -15,7 +21,7 @@ use parbs_baselines::{
 };
 use parbs_dram::{
     Command, CommandTraceSink, Completion, Controller, DramConfig, FcfsScheduler, LineAddr,
-    MemoryScheduler, Request, RequestKind, ThreadId,
+    MemoryScheduler, Request, RequestKind, SchedView, ThreadId, DRAM_CYCLE,
 };
 use parbs_obs::downcast_sink;
 use rand::rngs::StdRng;
@@ -73,11 +79,34 @@ fn mix(seed: u64, count: u64) -> Vec<Arrival> {
     arrivals
 }
 
+/// How `run` feeds per-thread stall cycles to the scheduler, which
+/// STFM turns into fairness-mode switches.
+#[derive(Debug, Clone, Copy)]
+enum StallReports {
+    /// Fixed synthetic reports every 1000 cycles, before the tick.
+    Sparse,
+    /// A report every DRAM cycle after the tick, the cadence `System` uses.
+    /// The most-stalled thread rotates every 2000 cycles.
+    EveryDramCycle,
+}
+
+/// The per-thread stall increments of the [`StallReports::EveryDramCycle`]
+/// report at `now`: one thread stalls for the whole DRAM cycle, the others
+/// for a varying few cycles.
+fn rotating_stalls(now: u64) -> [u64; 4] {
+    let stalled = (now / 2_000) as usize % 4;
+    let slot = now / DRAM_CYCLE;
+    std::array::from_fn(|t| if t == stalled { DRAM_CYCLE } else { (slot + t as u64) % 3 })
+}
+
 /// Drives one controller through the mix and returns its full command trace.
-/// Enqueues retry while the request buffer is full; synthetic per-thread
-/// stall cycles are reported every 1000 cycles to exercise STFM's
-/// fairness-mode switching.
-fn run(mut ctrl: Controller, arrivals: &[Arrival]) -> (Vec<(u64, Command)>, usize) {
+/// Enqueues retry while the request buffer is full; stall cycles are
+/// reported as `reports` says.
+fn run(
+    mut ctrl: Controller,
+    arrivals: &[Arrival],
+    reports: StallReports,
+) -> (Vec<(u64, Command)>, usize) {
     ctrl.set_event_sink(Box::new(CommandTraceSink::new()));
     let mut out: Vec<Completion> = Vec::new();
     let mut completed = 0usize;
@@ -86,7 +115,7 @@ fn run(mut ctrl: Controller, arrivals: &[Arrival]) -> (Vec<(u64, Command)>, usiz
     let mut pending: Option<Request> = None;
     let stalls = [[37u64, 0, 0, 0], [0, 911, 13, 0], [5, 5, 5, 450]];
     while next < arrivals.len() || pending.is_some() {
-        if now.is_multiple_of(1_000) && now > 0 {
+        if matches!(reports, StallReports::Sparse) && now.is_multiple_of(1_000) && now > 0 {
             let s = stalls[(now / 1_000) as usize % stalls.len()];
             ctrl.report_stall_cycles(&s, now);
         }
@@ -103,6 +132,9 @@ fn run(mut ctrl: Controller, arrivals: &[Arrival]) -> (Vec<(u64, Command)>, usiz
             next += 1;
         }
         ctrl.tick(now, &mut out);
+        if matches!(reports, StallReports::EveryDramCycle) && now.is_multiple_of(DRAM_CYCLE) {
+            ctrl.report_stall_cycles(&rotating_stalls(now), now);
+        }
         completed += out.len();
         out.clear();
         now += 1;
@@ -116,21 +148,67 @@ fn run(mut ctrl: Controller, arrivals: &[Arrival]) -> (Vec<(u64, Command)>, usiz
     (sink.into_trace(), completed)
 }
 
-/// Runs the same mix through the keyed and comparator paths and asserts the
-/// traces are identical.
+/// Runs the same mix through the keyed and comparator paths, under both
+/// stall-report cadences, and asserts the traces are identical.
 fn assert_paths_agree(name: &str, make: &dyn Fn() -> Box<dyn MemoryScheduler>) {
     let arrivals = mix(0xC0FFEE, 600);
     let cfg = DramConfig::default();
-    let keyed = Controller::with_checker(cfg.clone(), make());
-    let mut comparator = Controller::with_checker(cfg, make());
-    comparator.set_comparator_path(true);
-    let (trace_k, done_k) = run(keyed, &arrivals);
-    let (trace_c, done_c) = run(comparator, &arrivals);
-    assert_eq!(done_k, arrivals.len(), "{name}: keyed path must drain the whole mix");
-    assert_eq!(done_c, arrivals.len(), "{name}: comparator path must drain the whole mix");
-    assert_eq!(trace_k.len(), trace_c.len(), "{name}: command counts differ");
-    for (i, (k, c)) in trace_k.iter().zip(&trace_c).enumerate() {
-        assert_eq!(k, c, "{name}: traces diverge at command {i}");
+    for reports in [StallReports::Sparse, StallReports::EveryDramCycle] {
+        let keyed = Controller::with_checker(cfg.clone(), make());
+        let mut comparator = Controller::with_checker(cfg.clone(), make());
+        comparator.set_comparator_path(true);
+        let (trace_k, done_k) = run(keyed, &arrivals, reports);
+        let (trace_c, done_c) = run(comparator, &arrivals, reports);
+        let name = format!("{name} ({reports:?} stall reports)");
+        assert_eq!(done_k, arrivals.len(), "{name}: keyed path must drain the whole mix");
+        assert_eq!(done_c, arrivals.len(), "{name}: comparator path must drain the whole mix");
+        assert_eq!(trace_k.len(), trace_c.len(), "{name}: command counts differ");
+        for (i, (k, c)) in trace_k.iter().zip(&trace_c).enumerate() {
+            assert_eq!(k, c, "{name}: traces diverge at command {i}");
+        }
+    }
+}
+
+/// STFM counting the slots in which `pre_schedule` switched its
+/// fairness-mode thread.
+struct CountingStfm {
+    inner: StfmScheduler,
+    switches: Rc<Cell<u32>>,
+}
+
+impl MemoryScheduler for CountingStfm {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn on_arrival(&mut self, req: &Request, now: u64) {
+        self.inner.on_arrival(req, now);
+    }
+
+    fn on_complete(&mut self, req: &Request, now: u64) {
+        self.inner.on_complete(req, now);
+    }
+
+    fn pre_schedule(&mut self, queue: &mut [Request], view: &SchedView<'_>) -> bool {
+        let switched = self.inner.pre_schedule(queue, view);
+        self.switches.set(self.switches.get() + u32::from(switched));
+        switched
+    }
+
+    fn priority_key(&self, req: &Request, view: &SchedView<'_>) -> u128 {
+        self.inner.priority_key(req, view)
+    }
+
+    fn compare(&self, a: &Request, b: &Request, view: &SchedView<'_>) -> Ordering {
+        self.inner.compare(a, b, view)
+    }
+
+    fn on_stall_cycles(&mut self, stall_cycles: &[u64], now: u64) {
+        self.inner.on_stall_cycles(stall_cycles, now);
+    }
+
+    fn on_command(&mut self, cmd: &Command, req: &Request, now: u64) {
+        self.inner.on_command(cmd, req, now);
     }
 }
 
@@ -179,6 +257,18 @@ fn stfq_keyed_path_matches_comparator() {
 #[test]
 fn stfm_keyed_path_matches_comparator() {
     assert_paths_agree("STFM", &|| Box::new(StfmScheduler::new()));
+}
+
+#[test]
+fn per_cycle_stall_reports_switch_stfms_fairness_mode_often() {
+    // The cadence the STFM equivalence above checks must actually move its
+    // priorities: every switch is a key change reported only by
+    // `pre_schedule`, never by the stall report that caused it.
+    let switches = Rc::new(Cell::new(0));
+    let stfm = CountingStfm { inner: StfmScheduler::new(), switches: Rc::clone(&switches) };
+    let ctrl = Controller::with_checker(DramConfig::default(), Box::new(stfm));
+    run(ctrl, &mix(0xC0FFEE, 600), StallReports::EveryDramCycle);
+    assert!(switches.get() >= 100, "only {} fairness-mode switches", switches.get());
 }
 
 #[test]
