@@ -9,13 +9,11 @@
 
 use parbs::{AbstractBatch, AbstractPolicy, AdaptiveCap, ParBsConfig};
 use parbs_sim::experiments::{
-    batching_kinds, batching_plan, compare_plan, marking_cap_kinds, marking_cap_plan,
-    paper_five_labeled, priority_opportunistic_plan, priority_weighted_plan, ranking_kinds,
-    ranking_plan, sweep_plan, table3_rows, zoo_rows, zoo_sweep_plan, SweepRow, ZooRow,
+    batching_kinds, marking_cap_kinds, named_rows, priority_opportunistic_plan,
+    priority_weighted_plan, ranking_kinds, table3_rows, zoo_rows, PlanRow, SweepPlan, SweepRow,
+    ZooRow,
 };
-use parbs_sim::{
-    EvalJob, EvalOverrides, EvalPlan, Harness, MixEvaluation, SchedulerKind, SimConfig,
-};
+use parbs_sim::{EvalOverrides, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{
     accel_case_study, case_study_1, case_study_2, case_study_3, cpu_accel_mixes, fig10_named,
     fig9_8core, random_mixes, MixSpec,
@@ -152,11 +150,12 @@ pub static REGENERATIONS: [Command; 21] = [
     ),
 ];
 
-/// Prints a case-study block (Figs. 5, 6, 7, 9, 11, 12, 14): per-thread
-/// memory slowdowns, the unfairness line, and the system-throughput bars.
-pub fn print_case_study(title: &str, evals: &[MixEvaluation]) {
+/// Prints a case-study block (Figs. 5, 6, 7, 9, 11, 12, 14): one line per
+/// row and mix, named by the row label, with per-thread memory slowdowns,
+/// the unfairness line, and the system-throughput bars.
+pub fn print_case_study(title: &str, rows: &[SweepRow]) {
     println!("## {title}");
-    if let Some(first) = evals.first() {
+    if let Some(first) = rows.first().and_then(|r| r.evaluations.first()) {
         print!("{:22}", "scheduler");
         for name in &first.thread_names {
             print!(" {name:>11}");
@@ -166,8 +165,8 @@ pub fn print_case_study(title: &str, evals: &[MixEvaluation]) {
             "unfairness", "wspeed", "hspeed", "ast", "wc-lat"
         );
     }
-    for e in evals {
-        print!("{:22}", e.scheduler);
+    for (label, e) in rows.iter().flat_map(|r| r.evaluations.iter().map(|e| (&r.label, e))) {
+        print!("{label:22}");
         for s in &e.metrics.slowdowns {
             print!(" {s:>11.2}");
         }
@@ -255,6 +254,11 @@ pub fn print_zoo(title: &str, rows: &[ZooRow]) {
     println!();
 }
 
+/// Every mix under the paper's five schedulers, rows named by scheduler.
+pub(crate) fn paper_five(mixes: &[MixSpec]) -> SweepPlan {
+    SweepPlan::new(mixes, &named_rows(SchedulerKind::paper_five()))
+}
+
 /// The zoo's workloads: the accelerator case study plus `n` random mixed
 /// CPU/accelerator 4-core mixes.
 pub fn zoo_mixes(n: usize, seed: u64) -> Vec<MixSpec> {
@@ -326,8 +330,8 @@ fn fig03_batch_abstract(_: &Args) {
 
 /// One mix under the paper's five schedulers, as a case-study block.
 fn case_study_figure(args: &Args, mix: &MixSpec, title: &str) {
-    let evals = args.harness(mix.cores()).run_plan(&compare_plan(mix), args.jobs);
-    print_case_study(title, &evals);
+    let rows = paper_five(std::slice::from_ref(mix)).run(&args.harness(mix.cores()), args.jobs);
+    print_case_study(title, &rows);
 }
 
 fn fig05_case1(args: &Args) {
@@ -344,7 +348,7 @@ fn fig07_case3(args: &Args) {
 
 fn fig08_4core_avg(args: &Args) {
     let mixes = random_mixes(4, args.mixes4, args.seed);
-    let rows = sweep_plan(&mixes, &paper_five_labeled()).run(&args.harness(4), args.jobs);
+    let rows = paper_five(&mixes).run(&args.harness(4), args.jobs);
     print_unfairness_by_workload(
         &format!("Figure 8 (left) — unfairness, {} 4-core workloads", mixes.len()),
         &rows,
@@ -360,7 +364,7 @@ fn fig09_8core(args: &Args) {
 fn fig10_16core(args: &Args) {
     let mut mixes = fig10_named();
     mixes.extend(random_mixes(16, args.mixes16, args.seed));
-    let rows = sweep_plan(&mixes, &paper_five_labeled()).run(&args.harness(16), args.jobs);
+    let rows = paper_five(&mixes).run(&args.harness(16), args.jobs);
     print_unfairness_by_workload(
         "Figure 10 (left) — unfairness, named + random 16-core workloads",
         &rows,
@@ -369,43 +373,30 @@ fn fig10_16core(args: &Args) {
     print_summaries("Figure 10 (right) — average system throughput (16-core)", &rows);
 }
 
-/// The middle and right panels of Figs. 11 and 12: Case Studies I and II
-/// under each labeled PAR-BS variant, rows named by the labels.
-fn case_study_panels(
-    args: &Args,
-    harness: &Harness,
-    figure: u32,
-    labeled: &[(String, SchedulerKind)],
-) {
+/// Figs. 11 and 12: the averages of `rows` over random 4-core mixes, then
+/// Case Studies I and II under each row (the middle and right panels).
+fn variant_figure(args: &Args, figure: u32, left: &str, rows: &[PlanRow]) {
+    let harness = args.harness(4);
+    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
+    print_summaries(
+        &format!("Figure {figure} (left) — {left}, averages"),
+        &SweepPlan::new(&mixes, rows).run(&harness, args.jobs),
+    );
     for (mix, panel, study) in [(case_study_1(), "middle", "I"), (case_study_2(), "right", "II")] {
-        let plan: EvalPlan =
-            labeled.iter().map(|(_, kind)| EvalJob::new(mix.clone(), kind.clone())).collect();
-        let mut evals = harness.run_plan(&plan, args.jobs);
-        for (e, (label, _)) in evals.iter_mut().zip(labeled) {
-            e.scheduler = label.clone();
-        }
         print_case_study(
             &format!("Figure {figure} ({panel}) — Case Study {study} slowdowns"),
-            &evals,
+            &SweepPlan::new(&[mix], rows).run(&harness, args.jobs),
         );
     }
 }
 
 fn fig11_marking_cap(args: &Args) {
     let caps: Vec<Option<u32>> = (1..=10).map(Some).chain([Some(20), None]).collect();
-    let harness = args.harness(4);
-    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
-    let rows = marking_cap_plan(&mixes, &caps).run(&harness, args.jobs);
-    print_summaries("Figure 11 (left) — Marking-Cap sweep, averages", &rows);
-    case_study_panels(args, &harness, 11, &marking_cap_kinds(&caps));
+    variant_figure(args, 11, "Marking-Cap sweep", &marking_cap_kinds(&caps));
 }
 
 fn fig12_batching_choice(args: &Args) {
-    let harness = args.harness(4);
-    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
-    let rows = batching_plan(&mixes).run(&harness, args.jobs);
-    print_summaries("Figure 12 (left) — batching choice, averages", &rows);
-    case_study_panels(args, &harness, 12, &batching_kinds());
+    variant_figure(args, 12, "batching choice", &batching_kinds());
 }
 
 /// Max-Total vs Total-Max vs random vs round-robin ranking vs no ranking
@@ -414,30 +405,27 @@ fn fig12_batching_choice(args: &Args) {
 fn fig13_within_batch(args: &Args) {
     let harness = args.harness(4);
     let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
-    let rows = ranking_plan(&mixes).run(&harness, args.jobs);
+    let rows = SweepPlan::new(&mixes, &ranking_kinds()).run(&harness, args.jobs);
     print_summaries("Figure 13 (left) — within-batch policy, averages", &rows);
     for (names, title) in [
         (["lbm"; 4], "Figure 13 (middle) — 4 x lbm"),
         (["matlab"; 4], "Figure 13 (right) — 4 x matlab"),
     ] {
         let mix = MixSpec::from_names(names[0], &names);
-        let rows =
-            sweep_plan(std::slice::from_ref(&mix), &ranking_kinds()).run(&harness, args.jobs);
+        let rows = SweepPlan::new(&[mix], &ranking_kinds()).run(&harness, args.jobs);
         print_summaries(title, &rows);
     }
 }
 
 fn fig14_priorities(args: &Args) {
     let harness = args.harness(4);
-    let left = harness.run_plan(&priority_weighted_plan(), args.jobs);
     print_case_study(
         "Figure 14 (left) — 4 x lbm, priorities 1-1-2-8 (NFQ/STFM weights 8-8-4-1)",
-        &left,
+        &priority_weighted_plan().run(&harness, args.jobs),
     );
-    let right = harness.run_plan(&priority_opportunistic_plan(), args.jobs);
     print_case_study(
         "Figure 14 (right) — omnetpp important, others opportunistic (weights 1-1-8192-1)",
-        &right,
+        &priority_opportunistic_plan().run(&harness, args.jobs),
     );
 }
 
@@ -524,7 +512,7 @@ fn table3_benchmarks(args: &Args) {
 fn table4_summary(args: &Args) {
     for (cores, n) in [(4usize, args.mixes4), (8, args.mixes8), (16, args.mixes16)] {
         let mixes = random_mixes(cores, n, args.seed);
-        let rows = sweep_plan(&mixes, &paper_five_labeled()).run(&args.harness(cores), args.jobs);
+        let rows = paper_five(&mixes).run(&args.harness(cores), args.jobs);
         print_summaries(&format!("Table 4 — {cores}-core system ({n} workloads)"), &rows);
     }
 }
@@ -535,16 +523,17 @@ fn table4_summary(args: &Args) {
 fn ext_schedulers(args: &Args) {
     let harness = args.harness(4);
     let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
-    let mut kinds = paper_five_labeled();
-    kinds.insert(3, ("STFQ".to_owned(), SchedulerKind::Stfq));
-    kinds.push((
+    let mut kinds = SchedulerKind::paper_five();
+    kinds.insert(3, SchedulerKind::Stfq);
+    let mut rows = named_rows(kinds);
+    let adaptive =
+        ParBsConfig { adaptive_cap: Some(AdaptiveCap::default()), ..ParBsConfig::default() };
+    rows.push((
         "PAR-BS(adaptive)".to_owned(),
-        SchedulerKind::ParBs(ParBsConfig {
-            adaptive_cap: Some(AdaptiveCap::default()),
-            ..ParBsConfig::default()
-        }),
+        SchedulerKind::ParBs(adaptive),
+        EvalOverrides::none(),
     ));
-    let rows = sweep_plan(&mixes, &kinds).run(&harness, args.jobs);
+    let rows = SweepPlan::new(&mixes, &rows).run(&harness, args.jobs);
     print_summaries("Extension — seven schedulers, 4-core averages", &rows);
     println!(
         "note: with equal shares STFQ's start tags are NFQ's finish tags shifted by one\n\
@@ -554,25 +543,24 @@ fn ext_schedulers(args: &Args) {
     // Weighted demonstration: 4 x lbm with shares 8-1-1-1.
     let mix = MixSpec::from_names("lbm-w8111", &["lbm", "lbm", "lbm", "lbm"]);
     println!("\n4 x lbm with shares 8-1-1-1 (slowdowns per thread):");
-    let shares = EvalOverrides::weighted(vec![8.0, 1.0, 1.0, 1.0]);
-    for kind in [SchedulerKind::Nfq, SchedulerKind::Stfq] {
-        let e = harness.evaluate_mix_with(&mix, &kind, &shares);
+    let shares = EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() };
+    let weighted = [SchedulerKind::Nfq, SchedulerKind::Stfq]
+        .map(|kind| (kind.name().to_owned(), kind, shares.clone()));
+    for row in SweepPlan::new(&[mix], &weighted).run(&harness, args.jobs) {
+        let slowdowns = &row.evaluations[0].metrics.slowdowns;
         println!(
             "  {:5} {:?}",
-            e.scheduler,
-            e.metrics.slowdowns.iter().map(|s| (s * 100.0).round() / 100.0).collect::<Vec<_>>()
+            row.label,
+            slowdowns.iter().map(|s| (s * 100.0).round() / 100.0).collect::<Vec<_>>()
         );
     }
 }
 
 /// One point of the parameter sweep: FR-FCFS vs PAR-BS under `cfg`.
 fn param_point(label: &str, cfg: SimConfig, mixes: &[MixSpec], jobs: usize) {
-    let rows = sweep_plan(mixes, &paper_five_labeled()).run(&Harness::new(cfg), jobs);
-    let get = |name: &str| {
-        rows.iter().find(|r| r.label == name).map(SweepRow::summary).expect("scheduler present")
-    };
-    let fr = get("FR-FCFS");
-    let pb = get("PAR-BS");
+    let kinds = [SchedulerKind::FrFcfs, SchedulerKind::ParBs(ParBsConfig::default())];
+    let rows = SweepPlan::new(mixes, &named_rows(kinds)).run(&Harness::new(cfg), jobs);
+    let (fr, pb) = (rows[0].summary(), rows[1].summary());
     println!(
         "{label:24} FR-FCFS unf {:>5.2} ws {:>5.3} | PAR-BS unf {:>5.2} ws {:>5.3} | PAR-BS ws gain {:>+5.1}%",
         fr.unfairness,
@@ -637,7 +625,9 @@ fn ext_latency_tail(args: &Args) {
         for kind in SchedulerKind::paper_five() {
             let mut h = parbs_metrics::LatencyHistogram::new();
             for mix in &mixes {
-                h.merge(&harness.run_shared(mix, &kind, &EvalOverrides::none()).read_latency);
+                h.merge(
+                    &harness.shared_system(mix, &kind, &EvalOverrides::none()).run().read_latency,
+                );
             }
             println!(
                 "{:10} {:>8.0} {:>8} {:>8} {:>8} {:>8}",
@@ -660,7 +650,8 @@ fn ext_latency_tail(args: &Args) {
 /// count given as its argument.
 fn ext_zoo(args: &Args) {
     let mixes = zoo_mixes(args.mixes4.min(30), args.seed);
-    let rows = zoo_rows(zoo_sweep_plan(&mixes).run(&args.harness(4), args.jobs), &mixes);
+    let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::zoo_seven()));
+    let rows = zoo_rows(sweep.run(&args.harness(4), args.jobs), &mixes);
     print_zoo(
         &format!(
             "Extension — scheduler zoo over {} mixed CPU/accelerator workload(s)",

@@ -16,7 +16,6 @@ use parbs_dram::{
     Channel, Command, CommandKind, LineAddr, MemoryScheduler, Request, RequestKind, SchedView,
     ThreadId, TimingParams,
 };
-use parbs_sim::experiments::{paper_five_labeled, sweep_plan};
 use parbs_sim::{Harness, MixEvaluation, SchedulerKind, SimConfig};
 use parbs_workloads::random_mixes;
 
@@ -362,7 +361,7 @@ pub fn parallel_sweep(args: &Args) {
         let harness =
             Harness::new(SimConfig { target_instructions: target, ..SimConfig::for_cores(4) });
         let mixes = random_mixes(4, 4, 42);
-        let sweep = sweep_plan(&mixes, &paper_five_labeled());
+        let sweep = crate::figures::paper_five(&mixes);
         let start = Instant::now();
         let evals = harness.run_plan(sweep.plan(), jobs);
         let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;

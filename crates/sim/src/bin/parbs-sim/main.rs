@@ -36,9 +36,8 @@ use std::time::Instant;
 
 use parbs_dram::MappingPolicy;
 use parbs_monitor::Spec;
-use parbs_sim::{
-    experiments, Harness, MonitorReport, ObserveOptions, SchedulerKind, SimConfig, TraceFormat,
-};
+use parbs_sim::experiments::{self, SweepPlan};
+use parbs_sim::{Harness, MonitorReport, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
 use parbs_workloads::{
     all_benchmarks, by_name, case_study_1, case_study_2, case_study_3, random_mixes, BoundedPareto,
     FlowConfig, MixSpec,
@@ -732,10 +731,10 @@ fn compare_or_observe(args: &Args, mix: &MixSpec, title: &str) {
         return;
     }
     let harness = args.harness(mix.cores());
-    let plan = experiments::compare_plan(mix);
+    let sweep = figures::paper_five(std::slice::from_ref(mix));
     let start = Instant::now();
-    figures::print_case_study(title, &harness.run_plan(&plan, args.jobs));
-    print_run_summary(start, plan.len(), args.jobs, &harness);
+    figures::print_case_study(title, &sweep.run(&harness, args.jobs));
+    print_run_summary(start, sweep.job_count(), args.jobs, &harness);
 }
 
 fn case_study(args: &Args) {
@@ -758,15 +757,12 @@ fn bench(args: &Args) {
     let Some(bench) = args.positional.first().and_then(|n| by_name(n)) else {
         fail("usage: parbs-sim bench <name>  (see `parbs-sim list`)");
     };
-    let mix = MixSpec { name: bench.name.to_owned(), benchmarks: vec![bench] };
-    let harness = Harness::new(SimConfig { cores: 1, ..args.config(4) });
-    let r = harness.run_shared(&mix, &SchedulerKind::FrFcfs, &Default::default());
-    let t = r.threads[0];
+    let r = experiments::table3_row(&args.config(4), bench);
     println!(
         "{} alone: MCPI {:.2} (paper {:.2})  MPKI {:.1} ({:.1})  RB hit {:.2} ({:.2})  BLP {:.2} ({:.2})  AST/req {:.0} ({:.0})",
-        bench.name, t.mcpi(), bench.paper.mcpi, t.mpki(), bench.paper.mpki,
-        r.row_hit_rate, bench.paper.rb_hit, t.blp, bench.paper.blp,
-        t.ast_per_req(), bench.paper.ast_per_req
+        bench.name, r.mcpi, bench.paper.mcpi, r.mpki, bench.paper.mpki,
+        r.rb_hit, bench.paper.rb_hit, r.blp, bench.paper.blp,
+        r.ast_per_req, bench.paper.ast_per_req
     );
 }
 
@@ -894,7 +890,7 @@ fn sweep(args: &Args) {
     let n = args.count(10);
     let harness = args.harness(4);
     let mixes = random_mixes(4, n, args.seed);
-    let sweep = experiments::sweep_plan(&mixes, &experiments::paper_five_labeled());
+    let sweep = figures::paper_five(&mixes);
     let start = Instant::now();
     let rows = sweep.run(&harness, args.jobs);
     figures::print_summaries(
@@ -908,7 +904,8 @@ fn mapping_sweep(args: &Args) {
     let n = args.count(1);
     let harness = args.harness(4);
     let mixes = random_mixes(4, n, args.seed);
-    let sweep = experiments::mapping_sweep_plan(&mixes, harness.config().dram.geometry);
+    let sweep =
+        SweepPlan::new(&mixes, &experiments::mapping_sweep_rows(harness.config().dram.geometry));
     let start = Instant::now();
     let rows = sweep.run(&harness, args.jobs);
     figures::print_summaries(
@@ -926,7 +923,7 @@ fn mapping_sweep(args: &Args) {
 fn zoo_sweep(args: &Args) {
     let harness = args.harness(4);
     let mixes = figures::zoo_mixes(args.count(4), args.seed);
-    let sweep = experiments::zoo_sweep_plan(&mixes);
+    let sweep = SweepPlan::new(&mixes, &experiments::named_rows(SchedulerKind::zoo_seven()));
     let start = Instant::now();
     let rows = experiments::zoo_rows(sweep.run(&harness, args.jobs), &mixes);
     figures::print_zoo(

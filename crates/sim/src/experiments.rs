@@ -1,13 +1,16 @@
-//! Experiment harness: the parameter sweeps and case studies of Section 8,
-//! expressed as **plan builders**.
+//! The comparisons of Section 8 as immutable plans.
 //!
-//! Each `*_plan` function returns an immutable description of the work —
-//! an [`EvalPlan`] (flat job list) or a [`SweepPlan`] (jobs plus the
-//! collation recipe back into labeled [`SweepRow`]s). Execute a plan on a
-//! [`Harness`] with [`Harness::run_plan`] / [`SweepPlan::run`], choosing
-//! any worker count; output is identical at every `jobs` level. The
-//! `parbs-sim` regeneration commands (`fig05_case1`, `table4_summary`, ...)
-//! print the results in the shape of the paper's tables and figures.
+//! Every comparison has one shape: labeled rows — a label, a scheduler and
+//! the [`EvalOverrides`] it runs with ([`PlanRow`]) — crossed with a list
+//! of mixes. [`SweepPlan::new`] builds it; [`SweepPlan::run`] executes its
+//! flat job list with [`Harness::run_plan`], at any worker count and with
+//! identical output at every `jobs` level, and collates the results into
+//! one labeled [`SweepRow`] per row. A case study is a sweep over one mix;
+//! a scheduler comparison labels its kinds by name ([`named_rows`]); the
+//! Marking-Cap, batching, ranking and geometry/mapping sweeps and the two
+//! Fig. 14 plans are named row lists. The `parbs-sim` regeneration
+//! commands (`fig05_case1`, `table4_summary`, ...) print the rows in the
+//! shape of the paper's tables and figures, reading each row's label.
 
 use parbs::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
 use parbs_dram::{Geometry, MappingPolicy};
@@ -16,17 +19,26 @@ use parbs_workloads::{all_benchmarks, classify, BenchmarkProfile, MixSpec};
 
 use crate::{EvalJob, EvalOverrides, EvalPlan, Harness, MixEvaluation, SchedulerKind, SimConfig};
 
-/// The plan behind Figs. 5, 6, 7 and 9: one mix under the paper's five
-/// schedulers, in figure order.
+/// One labeled row of a [`SweepPlan`]: the row label, the scheduler, and
+/// the overrides every job of the row runs with.
+pub type PlanRow = (String, SchedulerKind, EvalOverrides);
+
+/// Labels each kind by its display name, with no overrides: the rows of a
+/// plain scheduler comparison.
 #[must_use]
-pub fn compare_plan(mix: &MixSpec) -> EvalPlan {
-    SchedulerKind::paper_five().into_iter().map(|k| EvalJob::new(mix.clone(), k)).collect()
+pub fn named_rows(kinds: impl IntoIterator<Item = SchedulerKind>) -> Vec<PlanRow> {
+    plain_rows(kinds.into_iter().map(|k| (k.name(), k)))
 }
 
-/// All evaluations of a multi-workload sweep for one scheduler.
+/// Rows with no overrides, under the given labels.
+fn plain_rows<L: Into<String>>(rows: impl IntoIterator<Item = (L, SchedulerKind)>) -> Vec<PlanRow> {
+    rows.into_iter().map(|(label, kind)| (label.into(), kind, EvalOverrides::none())).collect()
+}
+
+/// All evaluations of one labeled row of a sweep.
 #[derive(Debug, Clone)]
 pub struct SweepRow {
-    /// Scheduler label.
+    /// Row label.
     pub label: String,
     /// One evaluation per workload, in workload order.
     pub evaluations: Vec<MixEvaluation>,
@@ -43,9 +55,11 @@ impl SweepRow {
     }
 }
 
-/// A labeled (mixes × kinds) sweep as an immutable plan: the flat job list
-/// (kind-major, matching the serial sweeps) plus the recipe to collate the
-/// flat results back into one [`SweepRow`] per labeled kind.
+/// A comparison as an immutable plan: labeled rows crossed with mixes. The
+/// flat job list is row-major (every mix under the first row, then every
+/// mix under the second, ...), the order of the serial sweeps; the plan
+/// also keeps the recipe to collate the flat results back into one
+/// [`SweepRow`] per row.
 #[derive(Debug, Clone)]
 pub struct SweepPlan {
     labels: Vec<String>,
@@ -54,38 +68,27 @@ pub struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// Builds the plan for every mix under every labeled kind.
+    /// Builds the plan for every mix under every labeled row.
     #[must_use]
-    pub fn new(mixes: &[MixSpec], kinds: &[(String, SchedulerKind)]) -> Self {
-        let rows: Vec<(String, SchedulerKind, EvalOverrides)> =
-            kinds.iter().map(|(l, k)| (l.clone(), k.clone(), EvalOverrides::none())).collect();
-        SweepPlan::with_overrides(mixes, &rows)
-    }
-
-    /// Builds the plan for every mix under every labeled job template —
-    /// a scheduler kind plus the [`EvalOverrides`] its row runs with (the
-    /// seam the geometry/mapping ablations use).
-    #[must_use]
-    pub fn with_overrides(
-        mixes: &[MixSpec],
-        rows: &[(String, SchedulerKind, EvalOverrides)],
-    ) -> Self {
-        let mut plan = EvalPlan::new();
-        for (_, kind, overrides) in rows {
-            for mix in mixes {
-                plan.push(
-                    EvalJob::new(mix.clone(), kind.clone()).with_overrides(overrides.clone()),
-                );
-            }
-        }
+    pub fn new(mixes: &[MixSpec], rows: &[PlanRow]) -> Self {
+        let plan = rows
+            .iter()
+            .flat_map(|(_, kind, overrides)| {
+                mixes.iter().map(|mix| EvalJob {
+                    mix: mix.clone(),
+                    kind: kind.clone(),
+                    overrides: overrides.clone(),
+                })
+            })
+            .collect();
         SweepPlan {
-            labels: rows.iter().map(|(l, _, _)| l.clone()).collect(),
+            labels: rows.iter().map(|(label, _, _)| label.clone()).collect(),
             mixes_per_row: mixes.len(),
             plan,
         }
     }
 
-    /// The flat job list (kind-major).
+    /// The flat job list (row-major).
     #[must_use]
     pub fn plan(&self) -> &EvalPlan {
         &self.plan
@@ -103,15 +106,12 @@ impl SweepPlan {
         self.plan.len()
     }
 
-    /// Collates flat plan-order results into labeled rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `evals` does not hold exactly one evaluation per job.
+    /// Executes the sweep on `harness` with up to `jobs` worker threads
+    /// ([`Harness::run_plan`]) and collates the plan-order results into
+    /// labeled rows.
     #[must_use]
-    pub fn collate(&self, evals: Vec<MixEvaluation>) -> Vec<SweepRow> {
-        assert_eq!(evals.len(), self.plan.len(), "one evaluation per planned job");
-        let mut evals = evals.into_iter();
+    pub fn run(&self, harness: &Harness, jobs: usize) -> Vec<SweepRow> {
+        let mut evals = harness.run_plan(&self.plan, jobs).into_iter();
         self.labels
             .iter()
             .map(|label| SweepRow {
@@ -120,29 +120,18 @@ impl SweepPlan {
             })
             .collect()
     }
-
-    /// Executes the sweep on `harness` with up to `jobs` worker threads
-    /// and collates the results.
-    #[must_use]
-    pub fn run(&self, harness: &Harness, jobs: usize) -> Vec<SweepRow> {
-        self.collate(harness.run_plan(&self.plan, jobs))
-    }
 }
 
-/// The plan behind Figs. 8 and 10 and Table 4: every mix under every
-/// labeled scheduler kind.
-#[must_use]
-pub fn sweep_plan(mixes: &[MixSpec], kinds: &[(String, SchedulerKind)]) -> SweepPlan {
-    SweepPlan::new(mixes, kinds)
-}
-
-/// The labeled job templates of the geometry/mapping sensitivity study
-/// (paper Section 6): mapping policy (row/line-interleaved) × XOR bank
+/// The labeled rows of the geometry/mapping sensitivity study (paper
+/// Section 6): mapping policy (row/line-interleaved) × XOR bank
 /// permutation on/off × ranks per channel ∈ {1, 2, 4}, each under the
 /// full seven-scheduler zoo. Non-rank geometry fields inherit `base`.
-/// Labels read `row/r2/PAR-BS`, `line-noxor/r4/BLISS`, ...
+/// Labels read `row/r2/PAR-BS`, `line-noxor/r4/BLISS`, ... The paper's
+/// Section 6 expectation: turning the XOR permutation off hurts FR-FCFS
+/// most and PAR-BS least, because batch-level parallelism recovery
+/// compensates for the extra row conflicts.
 #[must_use]
-pub fn mapping_sweep_rows(base: Geometry) -> Vec<(String, SchedulerKind, EvalOverrides)> {
+pub fn mapping_sweep_rows(base: Geometry) -> Vec<PlanRow> {
     let mut rows = Vec::new();
     for policy in [
         MappingPolicy::RowInterleaved { xor_permute: true },
@@ -152,45 +141,19 @@ pub fn mapping_sweep_rows(base: Geometry) -> Vec<(String, SchedulerKind, EvalOve
             let mapping = policy.with_xor(xor);
             for ranks in [1usize, 2, 4] {
                 let geometry = Geometry { ranks_per_channel: ranks, ..base };
+                let overrides = EvalOverrides {
+                    geometry: Some(geometry),
+                    mapping: Some(mapping),
+                    ..EvalOverrides::none()
+                };
                 for kind in SchedulerKind::zoo_seven() {
                     let label = format!("{}/r{}/{}", mapping.label(), ranks, kind.name());
-                    rows.push((label, kind, EvalOverrides::shaped(Some(geometry), Some(mapping))));
+                    rows.push((label, kind, overrides.clone()));
                 }
             }
         }
     }
     rows
-}
-
-/// The plan of the geometry/mapping ablation: every mix under every
-/// [`mapping_sweep_rows`] template. The paper's Section 6 expectation:
-/// turning the XOR permutation off hurts FR-FCFS most and PAR-BS least,
-/// because batch-level parallelism recovery compensates for the extra row
-/// conflicts.
-#[must_use]
-pub fn mapping_sweep_plan(mixes: &[MixSpec], base: Geometry) -> SweepPlan {
-    SweepPlan::with_overrides(mixes, &mapping_sweep_rows(base))
-}
-
-/// The five paper schedulers as labeled sweep inputs.
-#[must_use]
-pub fn paper_five_labeled() -> Vec<(String, SchedulerKind)> {
-    SchedulerKind::paper_five().into_iter().map(|k| (k.name().to_owned(), k)).collect()
-}
-
-/// The full seven-scheduler zoo as labeled sweep inputs (paper five plus
-/// BLISS and ATLAS).
-#[must_use]
-pub fn zoo_seven_labeled() -> Vec<(String, SchedulerKind)> {
-    SchedulerKind::zoo_seven().into_iter().map(|k| (k.name().to_owned(), k)).collect()
-}
-
-/// The scheduler-zoo comparison plan: every mixed CPU/accelerator workload
-/// under all seven schedulers. Collate its rows with [`zoo_rows`] to get
-/// the per-class fairness split the streaming agent is designed to stress.
-#[must_use]
-pub fn zoo_sweep_plan(mixes: &[MixSpec]) -> SweepPlan {
-    SweepPlan::new(mixes, &zoo_seven_labeled())
 }
 
 /// One scheduler's line of the zoo comparison: the overall sweep row plus
@@ -239,109 +202,65 @@ pub fn zoo_rows(rows: Vec<SweepRow>, mixes: &[MixSpec]) -> Vec<ZooRow> {
         .collect()
 }
 
-/// The labeled kinds of the Fig. 11 Marking-Cap sweep. `caps` are the cap
+/// The labeled rows of the Fig. 11 Marking-Cap sweep. `caps` are the cap
 /// values (`None` = no cap); labels follow the paper ("c=1".."c=20",
 /// "no-c").
 #[must_use]
-pub fn marking_cap_kinds(caps: &[Option<u32>]) -> Vec<(String, SchedulerKind)> {
-    caps.iter()
-        .map(|cap| {
-            let label = match cap {
-                Some(c) => format!("c={c}"),
-                None => "no-c".to_owned(),
-            };
-            (
-                label,
-                SchedulerKind::ParBs(ParBsConfig { marking_cap: *cap, ..ParBsConfig::default() }),
-            )
-        })
-        .collect()
+pub fn marking_cap_kinds(caps: &[Option<u32>]) -> Vec<PlanRow> {
+    plain_rows(caps.iter().map(|cap| {
+        let label = match cap {
+            Some(c) => format!("c={c}"),
+            None => "no-c".to_owned(),
+        };
+        (label, SchedulerKind::ParBs(ParBsConfig { marking_cap: *cap, ..ParBsConfig::default() }))
+    }))
 }
 
-/// The plan behind Fig. 11: the Marking-Cap sweep.
-#[must_use]
-pub fn marking_cap_plan(mixes: &[MixSpec], caps: &[Option<u32>]) -> SweepPlan {
-    SweepPlan::new(mixes, &marking_cap_kinds(caps))
-}
-
-/// The labeled kinds of the Fig. 12 batching-choice sweep: time-based
+/// The labeled rows of the Fig. 12 batching-choice sweep: time-based
 /// static batching with the paper's durations, empty-slot batching, and
 /// full batching.
 #[must_use]
-pub fn batching_kinds() -> Vec<(String, SchedulerKind)> {
-    let mut kinds: Vec<(String, SchedulerKind)> =
-        [400u64, 800, 1_600, 3_200, 6_400, 12_800, 25_600]
-            .iter()
-            .map(|&d| {
-                (
-                    format!("st-{d}"),
-                    SchedulerKind::ParBs(ParBsConfig {
-                        batching: BatchingMode::Static { duration: d },
-                        ..ParBsConfig::default()
-                    }),
-                )
-            })
-            .collect();
-    kinds.push((
-        "eslot".to_owned(),
-        SchedulerKind::ParBs(ParBsConfig {
-            batching: BatchingMode::EmptySlot,
-            ..ParBsConfig::default()
-        }),
-    ));
-    kinds.push(("full".to_owned(), SchedulerKind::ParBs(ParBsConfig::default())));
-    kinds
+pub fn batching_kinds() -> Vec<PlanRow> {
+    let parbs = |batching| SchedulerKind::ParBs(ParBsConfig { batching, ..ParBsConfig::default() });
+    let mut rows: Vec<_> = [400u64, 800, 1_600, 3_200, 6_400, 12_800, 25_600]
+        .iter()
+        .map(|&d| (format!("st-{d}"), parbs(BatchingMode::Static { duration: d })))
+        .collect();
+    rows.push(("eslot".to_owned(), parbs(BatchingMode::EmptySlot)));
+    rows.push(("full".to_owned(), SchedulerKind::ParBs(ParBsConfig::default())));
+    plain_rows(rows)
 }
 
-/// The plan behind Fig. 12: the batching-choice sweep.
+/// The labeled rows of Fig. 13: the within-batch ranking alternatives, the
+/// rank-free variants, and STFM for reference.
 #[must_use]
-pub fn batching_plan(mixes: &[MixSpec]) -> SweepPlan {
-    SweepPlan::new(mixes, &batching_kinds())
-}
-
-/// The labeled scheduler list of Fig. 13: the within-batch ranking
-/// alternatives, the rank-free variants, and STFM for reference.
-#[must_use]
-pub fn ranking_kinds() -> Vec<(String, SchedulerKind)> {
+pub fn ranking_kinds() -> Vec<PlanRow> {
     let parbs = |ranking| SchedulerKind::ParBs(ParBsConfig { ranking, ..ParBsConfig::default() });
-    vec![
-        ("max-total(PAR-BS)".to_owned(), parbs(Ranking::MaxTotal)),
-        ("total-max".to_owned(), parbs(Ranking::TotalMax)),
-        ("random".to_owned(), parbs(Ranking::Random)),
-        ("round-robin".to_owned(), parbs(Ranking::RoundRobin)),
-        ("no-rank(FR-FCFS)".to_owned(), SchedulerKind::ParBs(ParBsConfig::no_rank_frfcfs())),
-        ("no-rank(FCFS)".to_owned(), SchedulerKind::ParBs(ParBsConfig::no_rank_fcfs())),
-        ("STFM".to_owned(), SchedulerKind::Stfm),
-    ]
-}
-
-/// The plan behind Fig. 13: the within-batch scheduling sweep.
-#[must_use]
-pub fn ranking_plan(mixes: &[MixSpec]) -> SweepPlan {
-    SweepPlan::new(mixes, &ranking_kinds())
+    plain_rows([
+        ("max-total(PAR-BS)", parbs(Ranking::MaxTotal)),
+        ("total-max", parbs(Ranking::TotalMax)),
+        ("random", parbs(Ranking::Random)),
+        ("round-robin", parbs(Ranking::RoundRobin)),
+        ("no-rank(FR-FCFS)", SchedulerKind::ParBs(ParBsConfig::no_rank_frfcfs())),
+        ("no-rank(FCFS)", SchedulerKind::ParBs(ParBsConfig::no_rank_fcfs())),
+        ("STFM", SchedulerKind::Stfm),
+    ])
 }
 
 /// The plan behind Fig. 14 (left): four copies of lbm with unequal
-/// importance — NFQ/STFM weights 8-8-4-1, PAR-BS priorities 1-1-2-8. One
-/// job per scheme in the order FR-FCFS, NFQ, STFM, PAR-BS.
+/// importance — NFQ/STFM weights 8-8-4-1, PAR-BS priorities 1-1-2-8.
 #[must_use]
-pub fn priority_weighted_plan() -> EvalPlan {
-    let mix = MixSpec::from_names("lbm-pri", &["lbm", "lbm", "lbm", "lbm"]);
-    let weights = vec![8.0, 8.0, 4.0, 1.0];
-    let priorities = vec![
-        ThreadPriority::Level1,
-        ThreadPriority::Level1,
-        ThreadPriority::Level(2),
-        ThreadPriority::Level(8),
-    ];
-    let mut plan = EvalPlan::new();
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::FrFcfs));
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::Nfq).with_weights(weights.clone()));
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::Stfm).with_weights(weights));
-    plan.push(
-        EvalJob::new(mix, SchedulerKind::ParBs(ParBsConfig::default())).with_priorities(priorities),
-    );
-    plan
+pub fn priority_weighted_plan() -> SweepPlan {
+    priority_plan(
+        MixSpec::from_names("lbm-pri", &["lbm", "lbm", "lbm", "lbm"]),
+        vec![8.0, 8.0, 4.0, 1.0],
+        vec![
+            ThreadPriority::Level1,
+            ThreadPriority::Level1,
+            ThreadPriority::Level(2),
+            ThreadPriority::Level(8),
+        ],
+    )
 }
 
 /// The plan behind Fig. 14 (right): omnetpp is the only important thread;
@@ -349,23 +268,33 @@ pub fn priority_weighted_plan() -> EvalPlan {
 /// (weight 1 vs. 8192 for NFQ/STFM, approximating "opportunistic" as the
 /// paper does).
 #[must_use]
-pub fn priority_opportunistic_plan() -> EvalPlan {
-    let mix = MixSpec::from_names("omnetpp-pri", &["libquantum", "milc", "omnetpp", "astar"]);
-    let weights = vec![1.0, 1.0, 8192.0, 1.0];
-    let priorities = vec![
-        ThreadPriority::Opportunistic,
-        ThreadPriority::Opportunistic,
-        ThreadPriority::Level1,
-        ThreadPriority::Opportunistic,
-    ];
-    let mut plan = EvalPlan::new();
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::FrFcfs));
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::Nfq).with_weights(weights.clone()));
-    plan.push(EvalJob::new(mix.clone(), SchedulerKind::Stfm).with_weights(weights));
-    plan.push(
-        EvalJob::new(mix, SchedulerKind::ParBs(ParBsConfig::default())).with_priorities(priorities),
-    );
-    plan
+pub fn priority_opportunistic_plan() -> SweepPlan {
+    priority_plan(
+        MixSpec::from_names("omnetpp-pri", &["libquantum", "milc", "omnetpp", "astar"]),
+        vec![1.0, 1.0, 8192.0, 1.0],
+        vec![
+            ThreadPriority::Opportunistic,
+            ThreadPriority::Opportunistic,
+            ThreadPriority::Level1,
+            ThreadPriority::Opportunistic,
+        ],
+    )
+}
+
+/// A Fig. 14 comparison of `mix`, one row per scheme in the order FR-FCFS,
+/// NFQ, STFM, PAR-BS, each labeled by its scheduler's name: NFQ and STFM
+/// run with the share `weights`, PAR-BS with the `priorities`.
+fn priority_plan(mix: MixSpec, weights: Vec<f64>, priorities: Vec<ThreadPriority>) -> SweepPlan {
+    let weighted = EvalOverrides { weights, ..EvalOverrides::none() };
+    let prioritized = EvalOverrides { priorities, ..EvalOverrides::none() };
+    let rows = [
+        (SchedulerKind::FrFcfs, EvalOverrides::none()),
+        (SchedulerKind::Nfq, weighted.clone()),
+        (SchedulerKind::Stfm, weighted),
+        (SchedulerKind::ParBs(ParBsConfig::default()), prioritized),
+    ]
+    .map(|(kind, overrides)| (kind.name().to_owned(), kind, overrides));
+    SweepPlan::new(&[mix], &rows)
 }
 
 /// One row of the regenerated Table 3.
@@ -387,27 +316,32 @@ pub struct Table3Row {
     pub measured_category: u8,
 }
 
-/// Regenerates Table 3: every benchmark alone on the baseline system under
-/// FR-FCFS, fanned over up to `jobs` worker threads. `harness` supplies
-/// the base configuration (its core count is replaced by 1).
+/// Measures one benchmark of Table 3: `bench` alone on one core of the
+/// memory system `cfg` describes (its core count is replaced by 1) under
+/// FR-FCFS.
+#[must_use]
+pub fn table3_row(cfg: &SimConfig, bench: &'static BenchmarkProfile) -> Table3Row {
+    let harness = Harness::new(SimConfig { cores: 1, ..cfg.clone() });
+    let mix = MixSpec { name: bench.name.to_owned(), benchmarks: vec![bench] };
+    let result = harness.shared_system(&mix, &SchedulerKind::FrFcfs, &EvalOverrides::none()).run();
+    let t = result.threads[0];
+    Table3Row {
+        bench,
+        mcpi: t.mcpi(),
+        mpki: t.mpki(),
+        rb_hit: result.row_hit_rate,
+        blp: t.blp,
+        ast_per_req: t.ast_per_req(),
+        measured_category: classify(t.mcpi(), result.row_hit_rate, t.blp),
+    }
+}
+
+/// Regenerates Table 3: [`table3_row`] for every benchmark on `harness`'s
+/// base configuration, fanned over up to `jobs` worker threads.
 #[must_use]
 pub fn table3_rows(harness: &Harness, jobs: usize) -> Vec<Table3Row> {
-    let alone = Harness::new(SimConfig { cores: 1, ..harness.config().clone() });
     let benches: Vec<&'static BenchmarkProfile> = all_benchmarks().iter().collect();
-    crate::executor::scope_map(&benches, jobs, |&bench| {
-        let mix = MixSpec { name: bench.name.to_owned(), benchmarks: vec![bench] };
-        let result = alone.run_shared(&mix, &SchedulerKind::FrFcfs, &EvalOverrides::none());
-        let t = result.threads[0];
-        Table3Row {
-            bench,
-            mcpi: t.mcpi(),
-            mpki: t.mpki(),
-            rb_hit: result.row_hit_rate,
-            blp: t.blp,
-            ast_per_req: t.ast_per_req(),
-            measured_category: classify(t.mcpi(), result.row_hit_rate, t.blp),
-        }
-    })
+    crate::executor::scope_map(&benches, jobs, |&bench| table3_row(harness.config(), bench))
 }
 
 /// Micro-experiments behind the motivation figures (Figs. 1 and 2).
@@ -489,9 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn compare_plan_returns_five() {
+    fn paper_five_comparison_returns_five() {
         let h = quick_harness();
-        let evals = h.run_plan(&compare_plan(&case_study_1()), 2);
+        let sweep = SweepPlan::new(&[case_study_1()], &named_rows(SchedulerKind::paper_five()));
+        let evals = h.run_plan(sweep.plan(), 2);
         assert_eq!(evals.len(), 5);
         assert_eq!(evals[0].scheduler, "FR-FCFS");
         assert_eq!(evals[4].scheduler, "PAR-BS");
@@ -510,10 +445,10 @@ mod tests {
         assert!(labels.contains(&"line-noxor/r4/BLISS"));
         assert!(labels.contains(&"row/r1/ATLAS"));
         for (_, _, o) in &rows {
-            assert!(!o.is_none(), "every row pins its geometry and mapping");
+            assert!(o.geometry.is_some() && o.mapping.is_some(), "every row pins its shape");
             o.geometry.unwrap().validate().expect("every swept geometry is valid");
         }
-        let plan = mapping_sweep_plan(&[case_study_1()], base);
+        let plan = SweepPlan::new(&[case_study_1()], &rows);
         assert_eq!(plan.job_count(), 84);
         assert_eq!(plan.labels().len(), 84);
     }
@@ -522,7 +457,7 @@ mod tests {
     fn zoo_sweep_splits_fairness_by_agent_class() {
         let h = quick_harness();
         let mixes = [parbs_workloads::accel_case_study()];
-        let sweep = zoo_sweep_plan(&mixes);
+        let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::zoo_seven()));
         assert_eq!(sweep.job_count(), 7);
         let rows = zoo_rows(sweep.run(&h, 2), &mixes);
         let labels: Vec<&str> = rows.iter().map(|r| r.row.label.as_str()).collect();
@@ -545,7 +480,7 @@ mod tests {
             .filter(|(l, _, _)| l.contains("/r2/") && l.ends_with("PAR-BS"))
             .collect();
         assert_eq!(rows.len(), 4);
-        let sweep = SweepPlan::with_overrides(&mixes, &rows);
+        let sweep = SweepPlan::new(&mixes, &rows);
         let serial = sweep.run(&h, 1);
         let parallel = sweep.run(&h, 4);
         assert_eq!(serial.len(), parallel.len());
@@ -579,10 +514,10 @@ mod tests {
     }
 
     #[test]
-    fn marking_cap_plan_labels() {
+    fn marking_cap_sweep_labels() {
         let h = quick_harness();
         let mixes = [case_study_1()];
-        let sweep = marking_cap_plan(&mixes, &[Some(1), Some(5), None]);
+        let sweep = SweepPlan::new(&mixes, &marking_cap_kinds(&[Some(1), Some(5), None]));
         assert_eq!(sweep.job_count(), 3);
         let rows = sweep.run(&h, 3);
         let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();

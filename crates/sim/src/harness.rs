@@ -19,7 +19,7 @@ use parbs_dram::{Geometry, MappingPolicy, TimingParams};
 use parbs_metrics::{evaluate, MetricsRow, ThreadComparison, ThreadMeasurement};
 use parbs_workloads::{BenchmarkProfile, MixSpec, SyntheticStream};
 
-use crate::{EvalJob, EvalOverrides, RunResult, SchedulerKind, SimConfig, System, ThreadRunStats};
+use crate::{EvalJob, EvalOverrides, SchedulerKind, SimConfig, System, ThreadRunStats};
 
 /// The evaluated result of one (mix, scheduler) pair.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,66 +241,23 @@ impl Harness {
         })
     }
 
-    /// Runs `mix` shared under `kind` with the given per-job overrides
-    /// and returns the full shared-run result.
+    /// Evaluates one [`EvalJob`]: the shared run of its mix, the alone
+    /// baseline of each of its threads, and the paper's metrics over both.
+    /// QoS overrides (NFQ/STFM weights, PAR-BS priorities — the Section 5 /
+    /// Fig. 14 experiments) apply to the shared run only: alone baselines
+    /// are single-thread runs and always clear them. Geometry and mapping
+    /// overrides apply to both, so slowdowns compare against the memory
+    /// system the mix actually ran on.
     ///
     /// # Panics
     ///
     /// Panics if the mix's core count differs from the harness's — alone
     /// baselines and streams must target the same DRAM geometry, so use one
     /// harness per system size.
-    pub fn run_shared(
-        &self,
-        mix: &MixSpec,
-        kind: &SchedulerKind,
-        overrides: &EvalOverrides,
-    ) -> RunResult {
-        self.run_shared_under(mix, kind, self.job_config(overrides))
-    }
-
-    fn run_shared_under(&self, mix: &MixSpec, kind: &SchedulerKind, cfg: SimConfig) -> RunResult {
-        self.build_shared(mix, kind, cfg).run()
-    }
-
-    /// Builds (without running) the shared-run system for one job.
-    fn build_shared(&self, mix: &MixSpec, kind: &SchedulerKind, cfg: SimConfig) -> System {
-        assert_eq!(
-            mix.cores(),
-            self.cfg.cores,
-            "mix '{}' needs a {}-core harness",
-            mix.name,
-            mix.cores()
-        );
-        let streams: Vec<Box<dyn InstructionStream>> = mix
-            .benchmarks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| Self::stream_for(&cfg, b, i as u64))
-            .collect();
-        System::new(cfg, streams, kind)
-    }
-
-    /// Shared run + alone baselines + metrics for one (mix, scheduler)
-    /// under the base configuration.
-    pub fn evaluate_mix(&self, mix: &MixSpec, kind: &SchedulerKind) -> MixEvaluation {
-        self.evaluate_mix_with(mix, kind, &EvalOverrides::none())
-    }
-
-    /// Like [`Harness::evaluate_mix`] but with [`EvalOverrides`]: per-thread
-    /// weights (NFQ, STFM) and priorities (PAR-BS) — the Section 5 /
-    /// Fig. 14 experiments — plus DRAM geometry/mapping replacements.
-    /// QoS overrides apply to the shared run only (alone baselines are
-    /// single-thread runs and always clear them); geometry and mapping
-    /// overrides apply to both, so slowdowns compare against the memory
-    /// system the mix actually ran on.
-    pub fn evaluate_mix_with(
-        &self,
-        mix: &MixSpec,
-        kind: &SchedulerKind,
-        overrides: &EvalOverrides,
-    ) -> MixEvaluation {
+    pub fn evaluate(&self, job: &EvalJob) -> MixEvaluation {
+        let EvalJob { mix, kind, overrides } = job;
+        let shared = self.shared_system(mix, kind, overrides).run();
         let job_cfg = self.job_config(overrides);
-        let shared = self.run_shared_under(mix, kind, job_cfg.clone());
         let comparisons: Vec<ThreadComparison> = mix
             .benchmarks
             .iter()
@@ -321,14 +278,10 @@ impl Harness {
         }
     }
 
-    /// Evaluates one [`EvalJob`].
-    pub fn evaluate(&self, job: &EvalJob) -> MixEvaluation {
-        self.evaluate_mix_with(&job.mix, &job.kind, &job.overrides)
-    }
-
     /// Builds (without running) the shared-run [`System`] for `mix` under
     /// `kind` on this harness's base configuration with `overrides`
-    /// applied — the seam checkpointed single runs are driven through.
+    /// applied — the seam checkpointed single runs are driven through, and
+    /// `.run()` on it gives a job's full shared-run result.
     ///
     /// # Panics
     ///
@@ -340,7 +293,21 @@ impl Harness {
         kind: &SchedulerKind,
         overrides: &EvalOverrides,
     ) -> System {
-        self.build_shared(mix, kind, self.job_config(overrides))
+        assert_eq!(
+            mix.cores(),
+            self.cfg.cores,
+            "mix '{}' needs a {}-core harness",
+            mix.name,
+            mix.cores()
+        );
+        let cfg = self.job_config(overrides);
+        let streams: Vec<Box<dyn InstructionStream>> = mix
+            .benchmarks
+            .iter()
+            .enumerate()
+            .map(|(i, b)| Self::stream_for(&cfg, b, i as u64))
+            .collect();
+        System::new(cfg, streams, kind)
     }
 }
 
@@ -435,9 +402,9 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_mix_produces_full_metrics() {
+    fn evaluate_produces_full_metrics() {
         let h = Harness::new(quick_cfg());
-        let e = h.evaluate_mix(&case_study_1(), &SchedulerKind::FrFcfs);
+        let e = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::FrFcfs));
         assert_eq!(e.metrics.slowdowns.len(), 4);
         assert!(e.metrics.unfairness >= 1.0);
         assert!(e.metrics.weighted_speedup > 0.0 && e.metrics.weighted_speedup <= 4.0 + 1e-9);
@@ -449,17 +416,16 @@ mod tests {
     #[test]
     fn overrides_do_not_touch_the_base_config() {
         let h = Harness::new(quick_cfg());
-        let mix = case_study_1();
-        let _ = h.evaluate_mix_with(
-            &mix,
-            &SchedulerKind::Nfq,
-            &EvalOverrides {
+        let _ = h.evaluate(&EvalJob {
+            mix: case_study_1(),
+            kind: SchedulerKind::Nfq,
+            overrides: EvalOverrides {
                 weights: vec![8.0, 1.0, 1.0, 1.0],
                 priorities: vec![parbs::ThreadPriority::Opportunistic; 4],
                 geometry: Some(Geometry { ranks_per_channel: 2, ..Geometry::table2() }),
                 mapping: Some(MappingPolicy::LineInterleaved { xor_permute: false }),
             },
-        );
+        });
         assert!(h.config().thread_weights.is_empty(), "base config must stay untouched");
         assert!(h.config().thread_priorities.is_empty());
         assert_eq!(h.config().dram.ranks_per_channel(), 1, "geometry must not leak either");
@@ -472,14 +438,17 @@ mod tests {
         // against alone runs on the *same* shape — and those baselines must
         // key separately from the base system's.
         let h = Harness::new(quick_cfg());
-        let mix = case_study_1();
-        let base = h.evaluate_mix(&mix, &SchedulerKind::FrFcfs);
+        let job = EvalJob::new(case_study_1(), SchedulerKind::FrFcfs);
+        let base = h.evaluate(&job);
         let entries_after_base = h.cache_stats().entries;
-        let shaped = EvalOverrides::shaped(
-            Some(Geometry { ranks_per_channel: 2, ..Geometry::table2() }),
-            None,
-        );
-        let two_rank = h.evaluate_mix_with(&mix, &SchedulerKind::FrFcfs, &shaped);
+        let shaped = EvalJob {
+            overrides: EvalOverrides {
+                geometry: Some(Geometry { ranks_per_channel: 2, ..Geometry::table2() }),
+                ..EvalOverrides::none()
+            },
+            ..job
+        };
+        let two_rank = h.evaluate(&shaped);
         assert!(
             h.cache_stats().entries > entries_after_base,
             "the 2-rank system must get its own alone baselines"
@@ -487,14 +456,41 @@ mod tests {
         assert_ne!(base.shared, two_rank.shared, "adding a rank must change the shared run");
         // Re-running the same overridden job hits the memo.
         let misses = h.cache_stats().misses;
-        let _ = h.evaluate_mix_with(&mix, &SchedulerKind::FrFcfs, &shaped);
+        let _ = h.evaluate(&shaped);
         assert_eq!(h.cache_stats().misses, misses, "second overridden run reuses its baselines");
+    }
+
+    #[test]
+    fn a_mapping_override_reaches_its_evaluation() {
+        // The override must change the shared run and rebase the alone
+        // baselines exactly as the same mapping in the base config would,
+        // and `EvalOverrides::none()` afterwards must reproduce the base
+        // evaluation bit for bit.
+        let h = Harness::new(quick_cfg());
+        let job = EvalJob::new(case_study_1(), SchedulerKind::FrFcfs);
+        let base = h.evaluate(&job);
+        let entries_after_base = h.cache_stats().entries;
+        let line = MappingPolicy::LineInterleaved { xor_permute: false };
+        let remapped = h.evaluate(&EvalJob {
+            overrides: EvalOverrides { mapping: Some(line), ..EvalOverrides::none() },
+            ..job.clone()
+        });
+        assert_ne!(base.shared, remapped.shared, "the mapping must change the shared run");
+        assert_eq!(
+            h.cache_stats().entries,
+            entries_after_base + job.mix.benchmarks.len(),
+            "each thread gets an alone baseline on the remapped system"
+        );
+        let mut line_cfg = quick_cfg();
+        line_cfg.dram.mapping = line;
+        assert_eq!(Harness::new(line_cfg).evaluate(&job), remapped, "override == base config");
+        assert_eq!(h.evaluate(&job), base, "no override reproduces the base evaluation");
     }
 
     #[test]
     fn identical_threads_have_similar_slowdowns() {
         let h = Harness::new(quick_cfg());
-        let e = h.evaluate_mix(&case_study_3(), &SchedulerKind::FrFcfs);
+        let e = h.evaluate(&EvalJob::new(case_study_3(), SchedulerKind::FrFcfs));
         // 4 copies of lbm: unfairness should be near 1 (Fig. 7).
         assert!(
             e.metrics.unfairness < 1.5,

@@ -6,40 +6,44 @@
 //! XOR-permuted address mapping, and feeds per-thread stall cycles back to
 //! stall-time-aware schedulers (STFM).
 //!
-//! Measurement is **plan-based**: an [`EvalPlan`] is an immutable list of
-//! [`EvalJob`]s (mix × scheduler × [`EvalOverrides`]), and a `Send + Sync`
-//! [`Harness`] executes plans — serially or fanned across worker threads
-//! with [`Harness::run_plan`] — measuring each thread both **shared** (in a
-//! multiprogrammed mix) and **alone** on the same memory system. The two
-//! measurements yield the paper's memory slowdown, unfairness,
-//! weighted/hmean speedup and AST/req metrics; alone baselines are memoized
-//! in a concurrent single-flight cache keyed by [`AloneKey`], so results
-//! are identical at every `jobs` level.
+//! Measurement has one shape. A comparison is a list of labeled rows — a
+//! label, a [`SchedulerKind`] and the [`EvalOverrides`] it runs with —
+//! crossed with workload mixes. [`experiments::SweepPlan::new`] builds it
+//! over a flat [`EvalPlan`] of [`EvalJob`]s; a `Send + Sync` [`Harness`]
+//! runs that plan with [`Harness::run_plan`], serially or fanned across
+//! worker threads, calling [`Harness::evaluate`] once per job; and
+//! [`experiments::SweepPlan::run`] collates the results into one labeled
+//! row per plan row. Each evaluation measures every thread both **shared**
+//! (in the multiprogrammed mix) and **alone** on the same memory system.
+//! The two measurements yield the paper's memory slowdown, unfairness,
+//! weighted/hmean speedup and AST/req metrics. Alone baselines are
+//! memoized in a concurrent single-flight cache keyed by [`AloneKey`], so
+//! results are identical at every `jobs` level.
 //!
 //! The [`analyze`] module holds the static analysis: the differential
 //! timing model checker, the key-contract and liveness checks of every
 //! scheduler in [`SchedulerKind::all`], and the refresh-deadline check.
 //!
-//! The [`experiments`] module encodes the parameter sweeps of Section 8
-//! (scheduler comparisons, Marking-Cap sweep, batching-mode sweep,
-//! within-batch ranking sweep, thread priorities) as plan builders.
+//! The [`experiments`] module holds the comparisons of Section 8 in that
+//! shape: scheduler comparisons and case studies, the Marking-Cap,
+//! batching-mode, within-batch ranking and geometry/mapping sweeps, and
+//! the thread-priority plans.
 //!
 //! # Examples
 //!
 //! ```
-//! use parbs_sim::{EvalJob, EvalPlan, Harness, SchedulerKind, SimConfig};
+//! use parbs_sim::experiments::{named_rows, SweepPlan};
+//! use parbs_sim::{Harness, SchedulerKind, SimConfig};
 //! use parbs_workloads::case_study_3;
 //!
 //! // A fast, scaled-down run of Case Study III (4 copies of lbm) under
 //! // two schedulers, executed on two worker threads.
 //! let cfg = SimConfig { target_instructions: 2_000, ..SimConfig::for_cores(4) };
 //! let harness = Harness::new(cfg);
-//! let mut plan = EvalPlan::new();
-//! plan.push(EvalJob::new(case_study_3(), SchedulerKind::FrFcfs));
-//! plan.push(EvalJob::new(case_study_3(), SchedulerKind::ParBs(Default::default())));
-//! let rows = harness.run_plan(&plan, 2);
-//! assert_eq!(rows.len(), 2);
-//! assert_eq!(rows[0].metrics.slowdowns.len(), 4);
+//! let kinds = [SchedulerKind::FrFcfs, SchedulerKind::ParBs(Default::default())];
+//! let rows = SweepPlan::new(&[case_study_3()], &named_rows(kinds)).run(&harness, 2);
+//! assert_eq!(rows[1].label, "PAR-BS");
+//! assert_eq!(rows[0].evaluations[0].metrics.slowdowns.len(), 4);
 //! ```
 
 pub mod analyze;

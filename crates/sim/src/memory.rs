@@ -246,9 +246,10 @@ impl<T> MemorySide<T> {
         }))
     }
 
-    /// Average bank-level parallelism of `thread`: the mean over the
-    /// channels that saw it (sample counts are not kept per channel, and
-    /// with at most four channels a plain mean is adequate).
+    /// Average bank-level parallelism of `thread`: the unweighted mean of
+    /// the per-channel means over the channels that saw it. Each channel's
+    /// tracker keeps its own sum and sample count, but the channels are not
+    /// weighted by their sample counts.
     pub(crate) fn blp_of(&self, thread: ThreadId) -> f64 {
         let seen: Vec<f64> = self
             .controllers

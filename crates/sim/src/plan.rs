@@ -5,7 +5,9 @@
 //! [`EvalPlan`] is an ordered list of jobs. Plans carry no simulator state,
 //! so they can be built up-front, inspected, and fanned across worker
 //! threads by [`crate::Harness::run_plan`] — results always come back in
-//! plan order, independent of execution order.
+//! plan order, independent of execution order. A comparison is built as a
+//! [`crate::experiments::SweepPlan`]: labeled rows crossed with mixes, over
+//! one flat `EvalPlan`.
 
 use parbs::ThreadPriority;
 use parbs_dram::{Geometry, MappingPolicy};
@@ -42,45 +44,18 @@ impl EvalOverrides {
     pub fn none() -> Self {
         EvalOverrides::default()
     }
-
-    /// Overrides only the NFQ/STFM share weights.
-    #[must_use]
-    pub fn weighted(weights: Vec<f64>) -> Self {
-        EvalOverrides { weights, ..EvalOverrides::default() }
-    }
-
-    /// Overrides only the PAR-BS priority levels.
-    #[must_use]
-    pub fn prioritized(priorities: Vec<ThreadPriority>) -> Self {
-        EvalOverrides { priorities, ..EvalOverrides::default() }
-    }
-
-    /// Overrides only the DRAM shape: geometry and/or mapping policy.
-    #[must_use]
-    pub fn shaped(geometry: Option<Geometry>, mapping: Option<MappingPolicy>) -> Self {
-        EvalOverrides { geometry, mapping, ..EvalOverrides::default() }
-    }
-
-    /// True if the job inherits the base configuration unchanged.
-    #[must_use]
-    pub fn is_none(&self) -> bool {
-        self.weights.is_empty()
-            && self.priorities.is_empty()
-            && self.geometry.is_none()
-            && self.mapping.is_none()
-    }
 }
 
-/// One evaluation to perform: a mix, a scheduler, and the per-thread QoS
-/// overrides. Jobs are plain data — cheap to clone, [`Send`], and
-/// independent of any harness.
+/// One evaluation to perform: a mix, a scheduler, and the
+/// [`EvalOverrides`] it runs with. Jobs are plain data — cheap to clone,
+/// [`Send`], and independent of any harness.
 #[derive(Debug, Clone)]
 pub struct EvalJob {
     /// The multiprogrammed workload to run shared.
     pub mix: MixSpec,
     /// The memory scheduler to run it under.
     pub kind: SchedulerKind,
-    /// Per-thread weight/priority replacements for this job.
+    /// Replacements for the harness base configuration in this job.
     pub overrides: EvalOverrides,
 }
 
@@ -89,41 +64,6 @@ impl EvalJob {
     #[must_use]
     pub fn new(mix: MixSpec, kind: SchedulerKind) -> Self {
         EvalJob { mix, kind, overrides: EvalOverrides::none() }
-    }
-
-    /// Replaces this job's NFQ/STFM weights.
-    #[must_use]
-    pub fn with_weights(mut self, weights: Vec<f64>) -> Self {
-        self.overrides.weights = weights;
-        self
-    }
-
-    /// Replaces this job's PAR-BS priorities.
-    #[must_use]
-    pub fn with_priorities(mut self, priorities: Vec<ThreadPriority>) -> Self {
-        self.overrides.priorities = priorities;
-        self
-    }
-
-    /// Replaces this job's DRAM geometry.
-    #[must_use]
-    pub fn with_geometry(mut self, geometry: Geometry) -> Self {
-        self.overrides.geometry = Some(geometry);
-        self
-    }
-
-    /// Replaces this job's address-mapping policy.
-    #[must_use]
-    pub fn with_mapping(mut self, mapping: MappingPolicy) -> Self {
-        self.overrides.mapping = Some(mapping);
-        self
-    }
-
-    /// Replaces this job's full override set.
-    #[must_use]
-    pub fn with_overrides(mut self, overrides: EvalOverrides) -> Self {
-        self.overrides = overrides;
-        self
     }
 }
 
@@ -147,23 +87,15 @@ impl EvalPlan {
         self.jobs.push(job);
     }
 
-    /// Appends a (mix, scheduler) job with no overrides.
-    pub fn add(&mut self, mix: MixSpec, kind: SchedulerKind) {
-        self.push(EvalJob::new(mix, kind));
-    }
-
     /// The full cross product: every mix under every kind, kind-major (all
     /// mixes of the first kind, then all mixes of the second, ...) — the
     /// same order as the serial sweeps of Section 8.
     #[must_use]
     pub fn product(mixes: &[MixSpec], kinds: &[SchedulerKind]) -> Self {
-        let mut plan = EvalPlan::new();
-        for kind in kinds {
-            for mix in mixes {
-                plan.add(mix.clone(), kind.clone());
-            }
-        }
-        plan
+        kinds
+            .iter()
+            .flat_map(|kind| mixes.iter().map(|mix| EvalJob::new(mix.clone(), kind.clone())))
+            .collect()
     }
 
     /// The jobs, in plan order.
@@ -213,29 +145,6 @@ mod tests {
         assert_eq!(plan.len(), 4);
         let order: Vec<&str> = plan.jobs().iter().map(|j| j.kind.name()).collect();
         assert_eq!(order, ["FR-FCFS", "FR-FCFS", "FCFS", "FCFS"]);
-    }
-
-    #[test]
-    fn override_builders_compose() {
-        let job =
-            EvalJob::new(case_study_1(), SchedulerKind::Nfq).with_weights(vec![8.0, 1.0, 1.0, 1.0]);
-        assert!(!job.overrides.is_none());
-        assert!(job.overrides.priorities.is_empty());
-        assert_eq!(job.overrides, EvalOverrides::weighted(vec![8.0, 1.0, 1.0, 1.0]));
-    }
-
-    #[test]
-    fn shape_overrides_mark_the_job_as_overridden() {
-        let geo = Geometry { ranks_per_channel: 2, ..Geometry::table2() };
-        let job = EvalJob::new(case_study_1(), SchedulerKind::FrFcfs)
-            .with_geometry(geo)
-            .with_mapping(MappingPolicy::LineInterleaved { xor_permute: false });
-        assert!(!job.overrides.is_none());
-        assert_eq!(job.overrides.geometry.unwrap().ranks_per_channel, 2);
-        assert_eq!(
-            job.overrides,
-            EvalOverrides::shaped(job.overrides.geometry, job.overrides.mapping)
-        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! binaries rely on.
 
 use parbs_sim::experiments::{
-    batching_plan, marking_cap_plan, paper_five_labeled, ranking_kinds, sweep_plan, table3_rows,
+    batching_kinds, marking_cap_kinds, named_rows, ranking_kinds, table3_rows, SweepPlan,
 };
-use parbs_sim::{Harness, SimConfig};
+use parbs_sim::{Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{all_benchmarks, random_mixes};
 
 fn quick_harness() -> Harness {
@@ -16,12 +16,12 @@ fn quick_harness() -> Harness {
 fn sweep_rows_align_with_mixes_and_kinds() {
     let h = quick_harness();
     let mixes = random_mixes(4, 3, 5);
-    let kinds = paper_five_labeled();
-    let sweep = sweep_plan(&mixes, &kinds);
+    let kinds = named_rows(SchedulerKind::paper_five());
+    let sweep = SweepPlan::new(&mixes, &kinds);
     assert_eq!(sweep.job_count(), mixes.len() * kinds.len());
     let rows = sweep.run(&h, 4);
     assert_eq!(rows.len(), kinds.len());
-    for (row, (label, _)) in rows.iter().zip(&kinds) {
+    for (row, (label, _, _)) in rows.iter().zip(&kinds) {
         assert_eq!(&row.label, label);
         assert_eq!(row.evaluations.len(), mixes.len());
         for (eval, mix) in row.evaluations.iter().zip(&mixes) {
@@ -35,7 +35,7 @@ fn sweep_rows_align_with_mixes_and_kinds() {
 fn marking_cap_sweep_labels_follow_paper() {
     let h = quick_harness();
     let mixes = random_mixes(4, 1, 5);
-    let rows = marking_cap_plan(&mixes, &[Some(1), Some(20), None]).run(&h, 2);
+    let rows = SweepPlan::new(&mixes, &marking_cap_kinds(&[Some(1), Some(20), None])).run(&h, 2);
     let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(labels, ["c=1", "c=20", "no-c"]);
 }
@@ -44,7 +44,7 @@ fn marking_cap_sweep_labels_follow_paper() {
 fn batching_sweep_has_nine_variants() {
     let h = quick_harness();
     let mixes = random_mixes(4, 1, 5);
-    let rows = batching_plan(&mixes).run(&h, 4);
+    let rows = SweepPlan::new(&mixes, &batching_kinds()).run(&h, 4);
     let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
     assert_eq!(
         labels,
@@ -57,7 +57,7 @@ fn batching_sweep_has_nine_variants() {
 
 #[test]
 fn ranking_kinds_cover_figure13() {
-    let labels: Vec<String> = ranking_kinds().into_iter().map(|(l, _)| l).collect();
+    let labels: Vec<String> = ranking_kinds().into_iter().map(|(l, _, _)| l).collect();
     assert_eq!(labels.len(), 7);
     assert!(labels.contains(&"max-total(PAR-BS)".to_owned()));
     assert!(labels.contains(&"no-rank(FCFS)".to_owned()));
@@ -85,7 +85,7 @@ fn table3_covers_all_28_benchmarks_in_order() {
 fn summaries_aggregate_consistently() {
     let h = quick_harness();
     let mixes = random_mixes(4, 2, 5);
-    let rows = sweep_plan(&mixes, &paper_five_labeled()).run(&h, 4);
+    let rows = SweepPlan::new(&mixes, &named_rows(SchedulerKind::paper_five())).run(&h, 4);
     for row in &rows {
         let summary = row.summary();
         assert_eq!(summary.name, row.label);

@@ -6,15 +6,12 @@
 //! request batching (PAR-BS) contain the damage.
 
 use parbs_metrics::{class_fairness, ClassFairness};
-use parbs_sim::{EvalJob, EvalPlan, Harness, MixEvaluation, SchedulerKind, SimConfig};
+use parbs_sim::{EvalJob, Harness, MixEvaluation, SchedulerKind, SimConfig};
 use parbs_workloads::{accel_case_study, MixSpec};
 
 fn evaluate(mix: &MixSpec, kind: SchedulerKind) -> MixEvaluation {
     let cfg = SimConfig { target_instructions: 10_000, ..SimConfig::for_cores(mix.cores()) };
-    let harness = Harness::new(cfg);
-    let mut plan = EvalPlan::new();
-    plan.push(EvalJob::new(mix.clone(), kind));
-    harness.run_plan(&plan, 1).remove(0)
+    Harness::new(cfg).evaluate(&EvalJob::new(mix.clone(), kind))
 }
 
 fn class_split(mix: &MixSpec, eval: &MixEvaluation) -> ClassFairness {

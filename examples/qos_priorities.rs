@@ -9,19 +9,18 @@
 //! Run with: `cargo run --release --example qos_priorities`
 
 use parbs::ThreadPriority;
-use parbs_sim::{default_jobs, experiments, Harness, SimConfig};
+use parbs_sim::experiments::{self, SweepRow};
+use parbs_sim::{default_jobs, Harness, SimConfig};
 
 fn main() {
     let harness =
         Harness::new(SimConfig { target_instructions: 10_000, ..SimConfig::for_cores(4) });
 
     println!("four lbm copies with decreasing importance (priorities 1-1-2-8):\n");
-    let left = harness.run_plan(&experiments::priority_weighted_plan(), default_jobs());
-    print_rows(&left);
+    print_rows(&experiments::priority_weighted_plan().run(&harness, default_jobs()));
 
     println!("\nomnetpp important, the rest opportunistic:\n");
-    let right = harness.run_plan(&experiments::priority_opportunistic_plan(), default_jobs());
-    print_rows(&right);
+    print_rows(&experiments::priority_opportunistic_plan().run(&harness, default_jobs()));
 
     println!(
         "\nUnder PAR-BS the high-priority thread is marked every batch and ranked first; \
@@ -36,17 +35,17 @@ fn main() {
     );
 }
 
-fn print_rows(evals: &[parbs_sim::MixEvaluation]) {
-    if let Some(first) = evals.first() {
+fn print_rows(rows: &[SweepRow]) {
+    if let Some(first) = rows.first() {
         print!("{:10}", "scheduler");
-        for n in &first.thread_names {
+        for n in &first.evaluations[0].thread_names {
             print!(" {n:>12}");
         }
         println!();
     }
-    for e in evals {
-        print!("{:10}", e.scheduler);
-        for s in &e.metrics.slowdowns {
+    for row in rows {
+        print!("{:10}", row.label);
+        for s in &row.evaluations[0].metrics.slowdowns {
             print!(" {s:>12.2}");
         }
         println!();

@@ -5,7 +5,8 @@
 
 use parbs::{ParBsConfig, ParBsScheduler};
 use parbs_dram::{Controller, DramConfig, LineAddr, Request, RequestKind, ThreadId};
-use parbs_sim::{experiments, Harness, SimConfig};
+use parbs_sim::experiments::{named_rows, SweepPlan};
+use parbs_sim::{Harness, SchedulerKind, SimConfig};
 use parbs_workloads::case_study_1;
 
 fn main() {
@@ -45,11 +46,12 @@ fn main() {
         "{:10} {:>10} {:>16} {:>14}",
         "scheduler", "unfairness", "weighted-speedup", "avg-stall/req"
     );
-    let plan = experiments::compare_plan(&case_study_1());
-    for eval in harness.run_plan(&plan, parbs_sim::default_jobs()) {
+    let sweep = SweepPlan::new(&[case_study_1()], &named_rows(SchedulerKind::paper_five()));
+    for row in sweep.run(&harness, parbs_sim::default_jobs()) {
+        let eval = &row.evaluations[0];
         println!(
             "{:10} {:>10.2} {:>16.3} {:>14.1}",
-            eval.scheduler,
+            row.label,
             eval.metrics.unfairness,
             eval.metrics.weighted_speedup,
             eval.metrics.ast_per_req

@@ -228,7 +228,7 @@ fn parbs_keyed_path_matches_comparator() {
 }
 
 #[test]
-fn parbs_eslot_with_priorities_keyed_path_matches_comparator() {
+fn parbs_eslot_priority_levels_keyed_path_matches_comparator() {
     // Empty-slot batching re-marks every slot and the priority levels give
     // threads different marking cadences — the hardest key-staleness case.
     assert_paths_agree("PAR-BS/eslot", &|| {

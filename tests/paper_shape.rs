@@ -3,7 +3,8 @@
 //! these orderings are the claims the reproduction stands on.
 
 use parbs::{AbstractBatch, AbstractPolicy};
-use parbs_sim::{experiments, Harness, SchedulerKind, SimConfig};
+use parbs_sim::experiments::{self, named_rows, SweepPlan};
+use parbs_sim::{EvalJob, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::case_study_1;
 
 fn harness(target: u64) -> Harness {
@@ -26,7 +27,8 @@ fn table1_hardware_cost_is_exact() {
 #[test]
 fn parbs_beats_frfcfs_on_throughput_and_fairness_in_cs1() {
     let h = harness(8_000);
-    let evals = h.run_plan(&experiments::compare_plan(&case_study_1()), 2);
+    let sweep = SweepPlan::new(&[case_study_1()], &named_rows(SchedulerKind::paper_five()));
+    let evals = h.run_plan(sweep.plan(), 2);
     let by = |name: &str| evals.iter().find(|e| e.scheduler == name).unwrap();
     let frfcfs = by("FR-FCFS");
     let parbs = by("PAR-BS");
@@ -50,7 +52,7 @@ fn frfcfs_favors_the_high_locality_intensive_thread() {
     // Fig. 5: libquantum (98% row-buffer locality, intensive) is the least
     // slowed thread under FR-FCFS.
     let h = harness(8_000);
-    let eval = h.evaluate_mix(&case_study_1(), &SchedulerKind::FrFcfs);
+    let eval = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::FrFcfs));
     let lib = eval.metrics.slowdowns[0];
     for (i, sl) in eval.metrics.slowdowns.iter().enumerate().skip(1) {
         assert!(lib < *sl, "libquantum ({lib:.2}) should be least slowed; thread {i} = {sl:.2}");
@@ -62,8 +64,8 @@ fn parbs_preserves_mcf_bank_parallelism_better_than_stfm() {
     // §8.1.1: STFM is parallelism-unaware and serializes mcf's concurrent
     // accesses; PAR-BS keeps mcf's AST/req lower.
     let h = harness(8_000);
-    let stfm = h.evaluate_mix(&case_study_1(), &SchedulerKind::Stfm);
-    let parbs = h.evaluate_mix(&case_study_1(), &SchedulerKind::ParBs(Default::default()));
+    let stfm = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::Stfm));
+    let parbs = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::ParBs(Default::default())));
     let mcf = 1; // thread index in CS1
     assert!(
         parbs.shared[mcf].ast_per_req() < stfm.shared[mcf].ast_per_req(),
@@ -78,8 +80,8 @@ fn batching_bounds_worst_case_latency_vs_stfm() {
     // Table 4: STFM can delay individual requests for a long time to enforce
     // fairness; PAR-BS's batch bound keeps worst-case latency lower.
     let h = harness(8_000);
-    let stfm = h.evaluate_mix(&case_study_1(), &SchedulerKind::Stfm);
-    let parbs = h.evaluate_mix(&case_study_1(), &SchedulerKind::ParBs(Default::default()));
+    let stfm = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::Stfm));
+    let parbs = h.evaluate(&EvalJob::new(case_study_1(), SchedulerKind::ParBs(Default::default())));
     assert!(
         parbs.worst_case_latency < stfm.worst_case_latency,
         "PAR-BS wc {} vs STFM wc {}",
@@ -94,7 +96,7 @@ fn shortest_job_first_ranking_beats_random_within_batch() {
     // random ranking over a handful of mixes.
     let h = harness(4_000);
     let mixes = parbs_workloads::random_mixes(4, 6, 9);
-    let rows = experiments::ranking_plan(&mixes).run(&h, 2);
+    let rows = SweepPlan::new(&mixes, &experiments::ranking_kinds()).run(&h, 2);
     let ws =
         |label: &str| rows.iter().find(|r| r.label == label).unwrap().summary().weighted_speedup;
     assert!(
@@ -113,7 +115,7 @@ fn marking_cap_controls_unfairness() {
     // sweeps here.
     let h = harness(6_000);
     let mixes = parbs_workloads::random_mixes(4, 8, 9);
-    let rows = experiments::marking_cap_plan(&mixes, &[Some(1), None]).run(&h, 2);
+    let rows = SweepPlan::new(&mixes, &experiments::marking_cap_kinds(&[Some(1), None])).run(&h, 2);
     let unf = |label: &str| rows.iter().find(|r| r.label == label).unwrap().summary().unfairness;
     assert!(
         unf("c=1") < unf("no-c"),

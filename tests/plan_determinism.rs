@@ -6,9 +6,7 @@
 use parbs::{ParBsConfig, ParBsScheduler};
 use parbs_dram::{Controller, DramConfig, LineAddr, Request, RequestKind, ThreadId};
 use parbs_obs::{downcast_sink, ChromeTraceSink};
-use parbs_sim::experiments::{
-    paper_five_labeled, priority_weighted_plan, sweep_plan, zoo_sweep_plan,
-};
+use parbs_sim::experiments::{named_rows, priority_weighted_plan, SweepPlan};
 use parbs_sim::{EvalJob, EvalPlan, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{accel_case_study, case_study_1, cpu_accel_mixes, random_mixes};
 
@@ -21,7 +19,7 @@ fn two_mix_five_scheduler_plan_is_identical_at_jobs_1_and_4() {
     // The ISSUE-mandated grid: 2 mixes x 5 schedulers = 10 jobs. Fresh
     // harness per run so neither path starts with a warm alone cache.
     let mixes = random_mixes(4, 2, 7);
-    let sweep = sweep_plan(&mixes, &paper_five_labeled());
+    let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::paper_five()));
     assert_eq!(sweep.job_count(), 10);
 
     let serial = Harness::new(quick_cfg()).run_plan(sweep.plan(), 1);
@@ -46,7 +44,7 @@ fn zoo_sweep_is_identical_at_jobs_1_and_4() {
     // worker count.
     let mut mixes = vec![accel_case_study()];
     mixes.extend(cpu_accel_mixes(4, 1, 7));
-    let sweep = zoo_sweep_plan(&mixes);
+    let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::zoo_seven()));
     assert_eq!(sweep.job_count(), 14);
 
     let serial = Harness::new(quick_cfg()).run_plan(sweep.plan(), 1);
@@ -59,9 +57,9 @@ fn zoo_sweep_is_identical_at_jobs_1_and_4() {
 fn override_jobs_are_deterministic_across_jobs_levels() {
     // Weight/priority overrides travel inside the job, not via config
     // mutation, so they cannot leak between concurrently running jobs.
-    let plan = priority_weighted_plan();
-    let serial = Harness::new(quick_cfg()).run_plan(&plan, 1);
-    let parallel = Harness::new(quick_cfg()).run_plan(&plan, 4);
+    let sweep = priority_weighted_plan();
+    let serial = Harness::new(quick_cfg()).run_plan(sweep.plan(), 1);
+    let parallel = Harness::new(quick_cfg()).run_plan(sweep.plan(), 4);
     assert_eq!(serial, parallel);
 }
 
@@ -111,7 +109,7 @@ fn chrome_trace_of_fig3_micro_example_is_byte_identical_across_jobs_levels() {
     // next to a jobs=4 run of the same plan: neither parallel plan
     // execution nor harness state may perturb a traced run's bytes.
     let mixes = random_mixes(4, 1, 7);
-    let sweep = sweep_plan(&mixes, &paper_five_labeled());
+    let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::paper_five()));
     let golden = {
         let _rows = Harness::new(quick_cfg()).run_plan(sweep.plan(), 1);
         fig3_chrome_trace()

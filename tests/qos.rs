@@ -2,7 +2,7 @@
 //! NFQ/STFM weights (Section 5 / Fig. 14 behaviours).
 
 use parbs::{ParBsConfig, ThreadPriority};
-use parbs_sim::{experiments, EvalOverrides, Harness, SchedulerKind, SimConfig};
+use parbs_sim::{experiments, EvalJob, EvalOverrides, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::MixSpec;
 
 fn harness(target: u64) -> Harness {
@@ -12,7 +12,7 @@ fn harness(target: u64) -> Harness {
 #[test]
 fn opportunistic_threads_yield_to_the_important_one() {
     let h = harness(6_000);
-    let evals = h.run_plan(&experiments::priority_opportunistic_plan(), 2);
+    let evals = h.run_plan(experiments::priority_opportunistic_plan().plan(), 2);
     let parbs = evals.iter().find(|e| e.scheduler == "PAR-BS").unwrap();
     // Thread 2 (omnetpp) is the important one.
     let omnetpp = parbs.metrics.slowdowns[2];
@@ -33,7 +33,7 @@ fn parbs_priority_levels_order_service() {
     // Four identical lbm copies with priorities 1, 1, 2, 8: the level-8
     // thread must be the most slowed, the level-1 threads the least.
     let h = harness(6_000);
-    let evals = h.run_plan(&experiments::priority_weighted_plan(), 2);
+    let evals = h.run_plan(experiments::priority_weighted_plan().plan(), 2);
     let parbs = evals.iter().find(|e| e.scheduler == "PAR-BS").unwrap();
     let sl = &parbs.metrics.slowdowns;
     assert!(sl[3] > sl[0], "level-8 thread ({}) vs level-1 ({})", sl[3], sl[0]);
@@ -47,8 +47,8 @@ fn nfq_weights_shift_bandwidth() {
     // the weight-1 copies.
     let h = harness(6_000);
     let mix = MixSpec::from_names("lbm4", &["lbm", "lbm", "lbm", "lbm"]);
-    let shares = EvalOverrides::weighted(vec![8.0, 1.0, 1.0, 1.0]);
-    let e = h.evaluate_mix_with(&mix, &SchedulerKind::Nfq, &shares);
+    let shares = EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() };
+    let e = h.evaluate(&EvalJob { mix, kind: SchedulerKind::Nfq, overrides: shares });
     let sl = &e.metrics.slowdowns;
     assert!(
         sl[0] < sl[1] && sl[0] < sl[2] && sl[0] < sl[3],
@@ -60,8 +60,8 @@ fn nfq_weights_shift_bandwidth() {
 fn stfm_weights_shift_priority() {
     let h = harness(6_000);
     let mix = MixSpec::from_names("lbm4", &["lbm", "lbm", "lbm", "lbm"]);
-    let shares = EvalOverrides::weighted(vec![8.0, 1.0, 1.0, 1.0]);
-    let e = h.evaluate_mix_with(&mix, &SchedulerKind::Stfm, &shares);
+    let shares = EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() };
+    let e = h.evaluate(&EvalJob { mix, kind: SchedulerKind::Stfm, overrides: shares });
     let sl = &e.metrics.slowdowns;
     assert!(
         sl[0] < sl[1] && sl[0] < sl[2] && sl[0] < sl[3],
@@ -86,8 +86,8 @@ fn priority_levels_do_not_break_starvation_freedom() {
     };
     let h = Harness::new(cfg);
     let mix = MixSpec::from_names("lbm4", &["lbm", "lbm", "lbm", "lbm"]);
-    let r =
-        h.run_shared(&mix, &SchedulerKind::ParBs(ParBsConfig::default()), &EvalOverrides::none());
+    let parbs = SchedulerKind::ParBs(ParBsConfig::default());
+    let r = h.shared_system(&mix, &parbs, &EvalOverrides::none()).run();
     assert!(!r.timed_out, "every thread must finish");
     for t in &r.threads {
         assert!(t.instructions >= 3_000);
