@@ -839,7 +839,7 @@ mod tests {
         s.pre_schedule(&mut q, &view(&ch, 0));
         let mut events = Vec::new();
         s.drain_events(&mut events);
-        let names: Vec<&str> = events.iter().map(Event::name).collect();
+        let names: Vec<&str> = events.iter().map(|e| e.kind().name()).collect();
         assert_eq!(names, ["batch_formed", "marked", "marked", "rank_computed"]);
         let Event::BatchFormed { id, marked, exclusive, ref per_thread, .. } = events[0] else {
             panic!("first event is the batch announcement");
@@ -862,7 +862,7 @@ mod tests {
         s.pre_schedule(&mut q, &view(&ch, 500));
         events.clear();
         s.drain_events(&mut events);
-        assert_eq!(events[0].name(), "batch_drained");
+        assert_eq!(events[0].kind().name(), "batch_drained");
         let Event::BatchDrained { at, id, formed_at } = events[0] else { unreachable!() };
         assert_eq!((at, id, formed_at), (500, 1, 0));
 

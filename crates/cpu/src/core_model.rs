@@ -67,16 +67,6 @@ impl CoreStats {
             self.committed as f64 / self.cycles as f64
         }
     }
-
-    /// Memory stall cycles per instruction so far (the paper's MCPI).
-    #[must_use]
-    pub fn mcpi(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.mem_stall_cycles as f64 / self.committed as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

@@ -1097,7 +1097,7 @@ mod tests {
             panic!("sink is the CollectSink we attached");
         };
         let events = collect.into_events();
-        let count = |name: &str| events.iter().filter(|e| e.name() == name).count();
+        let count = |name: &str| events.iter().filter(|e| e.kind().name() == name).count();
         assert_eq!(count("enqueued"), 2);
         assert_eq!(count("completed"), 2);
         // Req 0 closed-bank (ACT+RD), req 1 conflict (PRE+ACT+RD).

@@ -67,12 +67,6 @@ impl Request {
             priority_level: Some(1),
         }
     }
-
-    /// True if this is a read (load) request.
-    #[must_use]
-    pub fn is_read(&self) -> bool {
-        self.kind == RequestKind::Read
-    }
 }
 
 impl parbs_snap::Snap for ThreadId {
@@ -152,7 +146,7 @@ mod tests {
         let r = Request::new(3, ThreadId(1), LineAddr::default(), RequestKind::Read, 10);
         assert!(!r.marked);
         assert_eq!(r.priority_level, Some(1));
-        assert!(r.is_read());
+        assert_eq!(r.kind, RequestKind::Read);
         assert_eq!(r.arrival, 10);
     }
 

@@ -10,8 +10,10 @@
 use std::collections::HashMap;
 use std::collections::HashSet;
 
+use parbs_obs::EventKind;
+
 use crate::ast::{ADecl, AExpr, AInit, BinOp, Sp, UnOp};
-use crate::fields::{self, EventKind, Ty, ALL_KINDS};
+use crate::fields::{self, Ty};
 use crate::ir::{
     Action, Expr, InputDef, Part, Removal, SpecIr, StateDef, StateKind, Step, TriggerDef,
 };
@@ -88,14 +90,13 @@ impl Checker {
                 ADecl::Input { name, kind, .. } => {
                     self.fresh(name)?;
                     let Some(kind_id) = EventKind::parse(&kind.node) else {
-                        let known: Vec<&str> = ALL_KINDS.iter().map(|k| k.name()).collect();
                         return Err(err(
                             kind.line,
                             kind.col,
                             format!(
                                 "unknown event kind '{}' (expected one of {})",
                                 kind.node,
-                                known.join(", ")
+                                EventKind::ALL.map(EventKind::name).join(", ")
                             ),
                         ));
                     };
@@ -370,8 +371,8 @@ impl Checker {
             AExpr::Int(n) => Ok((Expr::Int(*n), Ty::Int)),
             AExpr::Bool(b) => Ok((Expr::Bool(*b), Ty::Bool)),
             AExpr::Name(n) => {
-                if let Some((f, ty)) = fields::lookup(kind, n) {
-                    return Ok((Expr::Field(f), ty));
+                if let Some(field) = fields::lookup(kind, n) {
+                    return Ok((Expr::Field(field.get), field.ty));
                 }
                 if let Some(&si) = self.state_names.get(n) {
                     let (arity, ty) = (self.states[si].arity, self.states[si].ty);

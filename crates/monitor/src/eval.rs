@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use parbs_obs::{Event, EventSink};
 
 use crate::ast::{BinOp, Severity, UnOp};
-use crate::fields::{self, EventKind, Ty};
+use crate::fields::{self, Ty};
 use crate::ir::{Action, Expr, Part, Removal, StateDef, StateKind};
 use crate::Spec;
 
@@ -108,7 +108,7 @@ fn eval(e: &Expr, event: &Event, at: u64, cells: &mut [Cell]) -> i64 {
     match e {
         Expr::Int(n) => *n,
         Expr::Bool(b) => i64::from(*b),
-        Expr::Field(f) => fields::value(event, *f),
+        Expr::Field(get) => get(event),
         Expr::Read { state, keys } => {
             let k = eval_keys(keys, event, at, cells);
             read_cell(&mut cells[*state], &k, at)
@@ -241,52 +241,54 @@ impl Monitor {
 
 impl EventSink for Monitor {
     fn record(&mut self, event: &Event) {
-        self.events += 1;
-        let spec = self.spec.clone();
+        // A split borrow: the compiled IR stays borrowed from `spec` while
+        // the evaluation state is updated.
+        let Monitor { spec, cells, matched, alarms, counts, events } = self;
+        *events += 1;
         let ir = spec.ir();
-        let kind = EventKind::of(event);
+        let kind = event.kind();
         let at = event.at();
 
-        for (slot, input) in self.matched.iter_mut().zip(&ir.inputs) {
+        for (slot, input) in matched.iter_mut().zip(&ir.inputs) {
             *slot = input.kind == kind;
         }
         // Guards see pre-update state; evaluated after the kind screen so
         // off-kind events never touch guard expressions.
         for (i, input) in ir.inputs.iter().enumerate() {
-            if self.matched[i] {
+            if matched[i] {
                 if let Some(guard) = &input.guard {
-                    self.matched[i] = eval(guard, event, at, &mut self.cells) != 0;
+                    matched[i] = eval(guard, event, at, cells) != 0;
                 }
             }
         }
 
         for step in &ir.steps {
-            if !self.matched[step.input] {
+            if !matched[step.input] {
                 continue;
             }
             match &step.action {
                 Action::Set { state, keys, value } => {
-                    let v = eval(value, event, at, &mut self.cells);
-                    let k = eval_keys(keys, event, at, &mut self.cells);
-                    if let Cell::Table { map, .. } = &mut self.cells[*state] {
+                    let v = eval(value, event, at, cells);
+                    let k = eval_keys(keys, event, at, cells);
+                    if let Cell::Table { map, .. } = &mut cells[*state] {
                         map.insert(k, v);
                     }
                 }
                 Action::Add { state, keys, value, neg } => {
-                    let mut v = eval(value, event, at, &mut self.cells);
+                    let mut v = eval(value, event, at, cells);
                     if *neg {
                         v = v.wrapping_neg();
                     }
-                    let k = eval_keys(keys, event, at, &mut self.cells);
-                    if let Cell::Table { map, .. } = &mut self.cells[*state] {
+                    let k = eval_keys(keys, event, at, cells);
+                    if let Cell::Table { map, .. } = &mut cells[*state] {
                         let slot = map.entry(k).or_insert(0);
                         *slot = slot.wrapping_add(v);
                     }
                 }
                 Action::Push { state, keys, value } => {
-                    let v = eval(value, event, at, &mut self.cells);
-                    let k = eval_keys(keys, event, at, &mut self.cells);
-                    match &mut self.cells[*state] {
+                    let v = eval(value, event, at, cells);
+                    let k = eval_keys(keys, event, at, cells);
+                    match &mut cells[*state] {
                         Cell::Sliding { len, per_key } => {
                             let s = per_key.entry(k).or_default();
                             prune(s, *len, at);
@@ -306,7 +308,7 @@ impl EventSink for Monitor {
                 }
                 Action::Fire { trigger } => {
                     let def = &ir.triggers[*trigger];
-                    if eval(&def.cond, event, at, &mut self.cells) == 0 {
+                    if eval(&def.cond, event, at, cells) == 0 {
                         continue;
                     }
                     let mut message = String::new();
@@ -314,7 +316,7 @@ impl EventSink for Monitor {
                         match part {
                             Part::Lit(s) => message.push_str(s),
                             Part::Expr(e, ty) => {
-                                let v = eval(e, event, at, &mut self.cells);
+                                let v = eval(e, event, at, cells);
                                 match ty {
                                     Ty::Bool => {
                                         message.push_str(if v != 0 { "true" } else { "false" });
@@ -324,8 +326,8 @@ impl EventSink for Monitor {
                             }
                         }
                     }
-                    self.counts[*trigger] += 1;
-                    self.alarms.push(Alarm {
+                    counts[*trigger] += 1;
+                    alarms.push(Alarm {
                         severity: def.severity,
                         name: def.name.clone(),
                         at,
@@ -339,16 +341,16 @@ impl EventSink for Monitor {
         for removal in &ir.removals {
             match removal {
                 Removal::Entry { input, state, keys } => {
-                    if self.matched[*input] {
-                        let k = eval_keys(keys, event, at, &mut self.cells);
-                        if let Cell::Table { map, .. } = &mut self.cells[*state] {
+                    if matched[*input] {
+                        let k = eval_keys(keys, event, at, cells);
+                        if let Cell::Table { map, .. } = &mut cells[*state] {
                             map.remove(&k);
                         }
                     }
                 }
                 Removal::Clear { input, state } => {
-                    if self.matched[*input] {
-                        if let Cell::Table { map, .. } = &mut self.cells[*state] {
+                    if matched[*input] {
+                        if let Cell::Table { map, .. } = &mut cells[*state] {
                             map.clear();
                         }
                     }

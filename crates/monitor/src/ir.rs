@@ -12,8 +12,10 @@
 //!    keyed through a map the event also removes from) still see the
 //!    entry.
 
+use parbs_obs::{Event, EventKind};
+
 use crate::ast::{BinOp, Severity, UnOp};
-use crate::fields::{EventKind, Field, Ty};
+use crate::fields::Ty;
 
 /// A resolved, typed expression.
 #[derive(Debug, Clone)]
@@ -22,8 +24,8 @@ pub(crate) enum Expr {
     Int(i64),
     /// Boolean literal.
     Bool(bool),
-    /// Event field projection.
-    Field(Field),
+    /// Event field projection, from the field's catalog entry.
+    Field(fn(&Event) -> i64),
     /// Read of state `state` at the evaluated keys (empty for scalars).
     Read { state: usize, keys: Vec<Expr> },
     /// Number of live entries of a keyed map or counter.

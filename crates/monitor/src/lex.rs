@@ -1,8 +1,8 @@
 //! Tokenizer for the monitor spec language.
 //!
 //! Line-and-column spans are tracked per token (1-based) so every parse and
-//! type error can point at the offending spot; the golden tests in
-//! `tests/spec_errors.rs` pin the exact rendered positions down.
+//! type error can point at the offending spot; the workspace's golden
+//! tests in `tests/spec_errors.rs` pin the exact rendered positions down.
 
 use crate::SpecError;
 

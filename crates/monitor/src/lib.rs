@@ -38,6 +38,16 @@
 //! `remove`/`reset` arms run last — the exact semantics the
 //! [`prelude::INVARIANTS`] spec's four PAR-BS batching checks rely on.
 //!
+//! ## One vocabulary
+//!
+//! Spec inputs name the kinds of `parbs_obs::EventKind`, the same list the
+//! JSONL writer tags records with and the reader dispatches on. Each
+//! readable field is one catalog entry holding its name, type and
+//! projection; the checker resolves names to the entry, the compiled
+//! expression holds its projection, and an alarm's thread is the kind's
+//! `thread` entry. A replayed record that repeats a key is a parse error,
+//! never a silently chosen value.
+//!
 //! ## Entry points
 //!
 //! - [`Spec::compile`] — parse + typecheck; errors carry `line:col`.

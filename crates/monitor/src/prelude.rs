@@ -2,8 +2,8 @@
 //!
 //! [`INVARIANTS`] expresses the four PAR-BS batching invariants in the
 //! spec language; it is the checker behind `parbs-sim --check-invariants`.
-//! `tests/invariants_prelude.rs` feeds it hand-built event sequences, and
-//! the workspace test `tests/monitor_identity.rs` holds its online and
+//! The workspace test `tests/invariants_prelude.rs` feeds it hand-built
+//! event sequences, and `tests/monitor_identity.rs` holds its online and
 //! JSONL replay verdicts equal across the scheduler zoo and against
 //! recorded `(rule, cycle, thread)` triples of a broken scheduler. [`QOS`] goes
 //! beyond the batching rules: windowed attained-service share, BLISS

@@ -30,6 +30,14 @@ impl CmdKind {
         }
     }
 
+    /// Inverse of [`CmdKind::short`].
+    #[must_use]
+    pub fn parse_short(s: &str) -> Option<CmdKind> {
+        [CmdKind::Activate, CmdKind::Read, CmdKind::Write, CmdKind::Precharge]
+            .into_iter()
+            .find(|k| k.short() == s)
+    }
+
     /// One-character glyph used by ASCII timelines (`A`/`R`/`W`/`P`).
     #[must_use]
     pub fn glyph(self) -> u8 {
@@ -64,6 +72,14 @@ impl ServiceClass {
             ServiceClass::Conflict => "conflict",
         }
     }
+
+    /// Inverse of [`ServiceClass::name`].
+    #[must_use]
+    pub fn parse_name(s: &str) -> Option<ServiceClass> {
+        [ServiceClass::Hit, ServiceClass::Closed, ServiceClass::Conflict]
+            .into_iter()
+            .find(|c| c.name() == s)
+    }
 }
 
 /// One thread's position in a computed batch ranking, with the Rule 3 load
@@ -78,6 +94,86 @@ pub struct RankEntry {
     pub max_bank_load: u32,
     /// The thread's total marked-request count.
     pub total_load: u32,
+}
+
+/// The kind of an [`Event`]: its variant without the payload.
+///
+/// This is the one list of kinds. Its [`name`](EventKind::name) is both
+/// the JSONL `type` tag and the kind a monitor spec names after
+/// `input name :=`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum EventKind {
+    /// [`Event::Enqueued`].
+    Enqueued,
+    /// [`Event::Marked`].
+    Marked,
+    /// [`Event::BatchFormed`].
+    BatchFormed,
+    /// [`Event::BatchDrained`].
+    BatchDrained,
+    /// [`Event::RankComputed`].
+    RankComputed,
+    /// [`Event::CommandIssued`].
+    CommandIssued,
+    /// [`Event::Completed`].
+    Completed,
+    /// [`Event::WriteDrain`].
+    WriteDrain,
+    /// [`Event::Refresh`].
+    Refresh,
+    /// [`Event::BusSample`].
+    BusSample,
+    /// [`Event::BlacklistSet`].
+    BlacklistSet,
+    /// [`Event::BlacklistCleared`].
+    BlacklistCleared,
+    /// [`Event::QuantumRolled`].
+    QuantumRolled,
+}
+
+impl EventKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [EventKind; 13] = [
+        EventKind::Enqueued,
+        EventKind::Marked,
+        EventKind::BatchFormed,
+        EventKind::BatchDrained,
+        EventKind::RankComputed,
+        EventKind::CommandIssued,
+        EventKind::Completed,
+        EventKind::WriteDrain,
+        EventKind::Refresh,
+        EventKind::BusSample,
+        EventKind::BlacklistSet,
+        EventKind::BlacklistCleared,
+        EventKind::QuantumRolled,
+    ];
+
+    /// The kind's name: the JSONL `type` tag and the spec-language kind.
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            EventKind::Enqueued => "enqueued",
+            EventKind::Marked => "marked",
+            EventKind::BatchFormed => "batch_formed",
+            EventKind::BatchDrained => "batch_drained",
+            EventKind::RankComputed => "rank_computed",
+            EventKind::CommandIssued => "command_issued",
+            EventKind::Completed => "completed",
+            EventKind::WriteDrain => "write_drain",
+            EventKind::Refresh => "refresh",
+            EventKind::BusSample => "bus_sample",
+            EventKind::BlacklistSet => "blacklist_set",
+            EventKind::BlacklistCleared => "blacklist_cleared",
+            EventKind::QuantumRolled => "quantum_rolled",
+        }
+    }
+
+    /// Inverse of [`EventKind::name`].
+    #[must_use]
+    pub fn parse(name: &str) -> Option<EventKind> {
+        EventKind::ALL.into_iter().find(|k| k.name() == name)
+    }
 }
 
 /// One observable occurrence in the memory system.
@@ -275,23 +371,23 @@ impl Event {
         }
     }
 
-    /// The event's variant name, as used in JSON output.
+    /// The event's kind: its variant without the payload.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub fn kind(&self) -> EventKind {
         match self {
-            Event::Enqueued { .. } => "enqueued",
-            Event::Marked { .. } => "marked",
-            Event::BatchFormed { .. } => "batch_formed",
-            Event::BatchDrained { .. } => "batch_drained",
-            Event::RankComputed { .. } => "rank_computed",
-            Event::CommandIssued { .. } => "command_issued",
-            Event::Completed { .. } => "completed",
-            Event::WriteDrain { .. } => "write_drain",
-            Event::Refresh { .. } => "refresh",
-            Event::BusSample { .. } => "bus_sample",
-            Event::BlacklistSet { .. } => "blacklist_set",
-            Event::BlacklistCleared { .. } => "blacklist_cleared",
-            Event::QuantumRolled { .. } => "quantum_rolled",
+            Event::Enqueued { .. } => EventKind::Enqueued,
+            Event::Marked { .. } => EventKind::Marked,
+            Event::BatchFormed { .. } => EventKind::BatchFormed,
+            Event::BatchDrained { .. } => EventKind::BatchDrained,
+            Event::RankComputed { .. } => EventKind::RankComputed,
+            Event::CommandIssued { .. } => EventKind::CommandIssued,
+            Event::Completed { .. } => EventKind::Completed,
+            Event::WriteDrain { .. } => EventKind::WriteDrain,
+            Event::Refresh { .. } => EventKind::Refresh,
+            Event::BusSample { .. } => EventKind::BusSample,
+            Event::BlacklistSet { .. } => EventKind::BlacklistSet,
+            Event::BlacklistCleared { .. } => EventKind::BlacklistCleared,
+            Event::QuantumRolled { .. } => EventKind::QuantumRolled,
         }
     }
 
@@ -302,7 +398,7 @@ impl Event {
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::with_capacity(96);
-        let _ = write!(s, "{{\"type\":\"{}\",\"at\":{}", self.name(), self.at());
+        let _ = write!(s, "{{\"type\":\"{}\",\"at\":{}", self.kind().name(), self.at());
         match self {
             Event::Enqueued { request, thread, write, rank, bank, row, .. } => {
                 let _ = write!(
@@ -421,7 +517,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn at_and_name_cover_every_variant() {
+    fn at_and_kind_cover_every_variant() {
         let events = vec![
             Event::Enqueued {
                 at: 1,
@@ -471,10 +567,10 @@ mod tests {
         ];
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.at(), (i + 1) as u64);
-            assert!(!e.name().is_empty());
+            assert_eq!(e.kind(), EventKind::ALL[i]);
             let json = e.to_json();
             assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-            assert!(json.contains(&format!("\"type\":\"{}\"", e.name())));
+            assert!(json.contains(&format!("\"type\":\"{}\"", e.kind().name())));
             assert!(!json.contains('\n'), "JSONL records are single-line");
         }
     }
@@ -490,6 +586,14 @@ mod tests {
             per_thread: vec![],
         };
         assert!(e.to_json().contains("\"cap\":null"));
+    }
+
+    #[test]
+    fn every_kind_name_round_trips() {
+        for kind in EventKind::ALL {
+            assert_eq!(EventKind::parse(kind.name()), Some(kind));
+        }
+        assert_eq!(EventKind::parse("enqueue"), None);
     }
 
     #[test]

@@ -4,14 +4,19 @@
 //!
 //! The grammar accepted here is ordinary JSON (the parser is a small
 //! hand-rolled recursive-descent over a value enum; no serializer/
-//! deserializer dependency, matching the writer side). Round-trip
-//! losslessness over the *full* event enum is property-tested in
-//! `tests/event_roundtrip.rs`: for every variant,
-//! `Event::from_json(&e.to_json()) == e`.
+//! deserializer dependency, matching the writer side), except that an
+//! object may not repeat a key: a repeated key fails with its name and
+//! byte offset instead of letting the last value win. The record's `type`
+//! tag resolves through [`EventKind::parse`], and every integer field goes
+//! through one typed getter that rejects values its field cannot hold.
+//! The workspace test `tests/event_roundtrip.rs` property-tests both
+//! directions: for every variant `Event::from_json(&e.to_json()) == e`,
+//! and a randomly edited record either fails or parses to an event that
+//! round-trips.
 
 use std::collections::BTreeMap;
 
-use crate::{CmdKind, Event, RankEntry, ServiceClass};
+use crate::{CmdKind, Event, EventKind, RankEntry, ServiceClass};
 
 /// Why a JSONL line failed to parse back into an [`Event`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +232,11 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let key_at = self.pos;
             let key = self.string()?;
+            if map.contains_key(&key) {
+                return err(format!("repeated key '{key}' at byte {key_at}"));
+            }
             self.skip_ws();
             self.expect(b':')?;
             let val = self.value()?;
@@ -250,103 +259,74 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Field accessors over the parsed record object.
+/// Field accessors over one parsed object: a whole record, or one entry
+/// of a record's `ranking` list.
 struct Record<'a> {
+    /// The record's `type` tag.
     ty: &'a str,
+    /// What the object is within the record: `record` or `ranking entry`.
+    part: &'static str,
     fields: &'a BTreeMap<String, Value>,
 }
 
-impl Record<'_> {
-    fn get(&self, key: &str) -> Result<&Value, ParseEventError> {
+impl<'a> Record<'a> {
+    fn get(&self, key: &str) -> Result<&'a Value, ParseEventError> {
         self.fields.get(key).ok_or_else(|| ParseEventError {
-            message: format!("'{}' record is missing field '{key}'", self.ty),
+            message: format!("'{}' {} is missing field '{key}'", self.ty, self.part),
         })
     }
 
-    fn num(&self, key: &str) -> Result<u64, ParseEventError> {
-        match self.get(key)? {
-            Value::Num(n) => Ok(*n),
-            other => err(format!("field '{key}' of '{}' must be a number, got {other:?}", self.ty)),
-        }
-    }
-
-    fn idx(&self, key: &str) -> Result<usize, ParseEventError> {
-        usize::try_from(self.num(key)?)
-            .map_err(|_| ParseEventError { message: format!("field '{key}' exceeds usize") })
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, ParseEventError> {
-        u32::try_from(self.num(key)?)
-            .map_err(|_| ParseEventError { message: format!("field '{key}' exceeds u32") })
+    fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, ParseEventError> {
+        int(self.get(key)?, format_args!("field '{key}' of '{}' {}", self.ty, self.part))
     }
 
     fn boolean(&self, key: &str) -> Result<bool, ParseEventError> {
         match self.get(key)? {
             Value::Bool(b) => Ok(*b),
-            other => err(format!("field '{key}' of '{}' must be a bool, got {other:?}", self.ty)),
+            other => self.mistyped(key, "a bool", other),
         }
     }
 
-    fn str(&self, key: &str) -> Result<&str, ParseEventError> {
+    fn str(&self, key: &str) -> Result<&'a str, ParseEventError> {
         match self.get(key)? {
             Value::Str(s) => Ok(s),
-            other => err(format!("field '{key}' of '{}' must be a string, got {other:?}", self.ty)),
+            other => self.mistyped(key, "a string", other),
         }
     }
 
-    fn arr(&self, key: &str) -> Result<&[Value], ParseEventError> {
+    fn arr(&self, key: &str) -> Result<&'a [Value], ParseEventError> {
         match self.get(key)? {
             Value::Arr(items) => Ok(items),
-            other => err(format!("field '{key}' of '{}' must be an array, got {other:?}", self.ty)),
+            other => self.mistyped(key, "an array", other),
         }
+    }
+
+    fn mistyped<T>(&self, key: &str, want: &str, got: &Value) -> Result<T, ParseEventError> {
+        err(format!("field '{key}' of '{}' {} must be {want}, got {got:?}", self.ty, self.part))
+    }
+
+    /// The entries of the `ranking` list, each an object.
+    fn ranking(&self) -> Result<Vec<Record<'a>>, ParseEventError> {
+        let ty = self.ty;
+        self.arr("ranking")?
+            .iter()
+            .map(|v| match v {
+                Value::Obj(fields) => Ok(Record { ty, part: "ranking entry", fields }),
+                other => err(format!("ranking entries must be objects, got {other:?}")),
+            })
+            .collect()
     }
 }
 
-fn obj_num(v: &Value, key: &str, ctx: &str) -> Result<u64, ParseEventError> {
-    let Value::Obj(map) = v else {
-        return err(format!("{ctx} entries must be objects, got {v:?}"));
+/// The reader's one integer getter: `v` as a `T`, failing when `v` is not
+/// a number or does not fit. `what` names the value in the error.
+fn int<T: TryFrom<u64>>(v: &Value, what: std::fmt::Arguments<'_>) -> Result<T, ParseEventError> {
+    let Value::Num(n) = v else {
+        return err(format!("{what} must be a number, got {v:?}"));
     };
-    match map.get(key) {
-        Some(Value::Num(n)) => Ok(*n),
-        other => err(format!("{ctx} entry field '{key}' must be a number, got {other:?}")),
-    }
-}
-
-fn pair(v: &Value, ctx: &str) -> Result<(u64, u64), ParseEventError> {
-    let Value::Arr(items) = v else {
-        return err(format!("{ctx} entries must be two-element arrays, got {v:?}"));
-    };
-    match items.as_slice() {
-        [Value::Num(a), Value::Num(b)] => Ok((*a, *b)),
-        _ => err(format!("{ctx} entries must be two-element number arrays, got {items:?}")),
-    }
-}
-
-impl CmdKind {
-    /// Inverse of [`CmdKind::short`].
-    #[must_use]
-    pub fn parse_short(s: &str) -> Option<CmdKind> {
-        match s {
-            "ACT" => Some(CmdKind::Activate),
-            "RD" => Some(CmdKind::Read),
-            "WR" => Some(CmdKind::Write),
-            "PRE" => Some(CmdKind::Precharge),
-            _ => None,
-        }
-    }
-}
-
-impl ServiceClass {
-    /// Inverse of [`ServiceClass::name`].
-    #[must_use]
-    pub fn parse_name(s: &str) -> Option<ServiceClass> {
-        match s {
-            "hit" => Some(ServiceClass::Hit),
-            "closed" => Some(ServiceClass::Closed),
-            "conflict" => Some(ServiceClass::Conflict),
-            _ => None,
-        }
-    }
+    T::try_from(*n).map_err(|_| ParseEventError {
+        message: format!("{what} exceeds {}", std::any::type_name::<T>()),
+    })
 }
 
 impl Event {
@@ -356,8 +336,8 @@ impl Event {
     /// # Errors
     ///
     /// Returns a [`ParseEventError`] naming the offending field when the
-    /// line is not valid JSON, is missing a field, or types a field wrongly
-    /// — replay must never silently drop or zero a field.
+    /// line is not valid JSON, repeats a key, is missing a field, or types
+    /// a field wrongly — replay must never silently drop or zero a field.
     pub fn from_json(line: &str) -> Result<Event, ParseEventError> {
         let mut p = Parser::new(line);
         let value = p.value()?;
@@ -368,174 +348,142 @@ impl Event {
         let Value::Obj(fields) = &value else {
             return err("a JSONL record must be a JSON object");
         };
-        let ty = match fields.get("type") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return err("record has no string 'type' field"),
+        let Some(Value::Str(ty)) = fields.get("type") else {
+            return err("record has no string 'type' field");
         };
-        let r = Record { ty, fields };
-        let at = r.num("at")?;
-        match ty {
-            "enqueued" => Ok(Event::Enqueued {
+        let r = Record { ty, part: "record", fields };
+        let at = r.int("at")?;
+        let Some(kind) = EventKind::parse(ty) else {
+            return err(format!("unknown event type '{ty}'"));
+        };
+        Ok(match kind {
+            EventKind::Enqueued => Event::Enqueued {
                 at,
-                request: r.num("req")?,
-                thread: r.idx("thread")?,
+                request: r.int("req")?,
+                thread: r.int("thread")?,
                 write: r.boolean("write")?,
-                rank: r.idx("rank")?,
-                bank: r.idx("bank")?,
-                row: r.num("row")?,
-            }),
-            "marked" => Ok(Event::Marked {
+                rank: r.int("rank")?,
+                bank: r.int("bank")?,
+                row: r.int("row")?,
+            },
+            EventKind::Marked => Event::Marked {
                 at,
-                request: r.num("req")?,
-                thread: r.idx("thread")?,
-                rank: r.idx("rank")?,
-                bank: r.idx("bank")?,
-            }),
-            "batch_formed" => {
-                let cap = match r.get("cap")? {
+                request: r.int("req")?,
+                thread: r.int("thread")?,
+                rank: r.int("rank")?,
+                bank: r.int("bank")?,
+            },
+            EventKind::BatchFormed => Event::BatchFormed {
+                at,
+                id: r.int("id")?,
+                marked: r.int("marked")?,
+                cap: match r.get("cap")? {
                     Value::Null => None,
-                    Value::Num(n) => Some(u32::try_from(*n).map_err(|_| ParseEventError {
-                        message: "field 'cap' exceeds u32".into(),
-                    })?),
-                    other => {
-                        return err(format!("field 'cap' must be a number or null, got {other:?}"))
-                    }
-                };
-                let per_thread = r
+                    _ => Some(r.int("cap")?),
+                },
+                exclusive: r.boolean("exclusive")?,
+                per_thread: r
                     .arr("per_thread")?
                     .iter()
-                    .map(|v| {
-                        let (t, n) = pair(v, "per_thread")?;
-                        Ok((
-                            usize::try_from(t).map_err(|_| ParseEventError {
-                                message: "per_thread thread exceeds usize".into(),
-                            })?,
-                            u32::try_from(n).map_err(|_| ParseEventError {
-                                message: "per_thread count exceeds u32".into(),
-                            })?,
-                        ))
+                    .map(|v| match v {
+                        Value::Arr(pair) if pair.len() == 2 => Ok((
+                            int(&pair[0], format_args!("per_thread thread"))?,
+                            int(&pair[1], format_args!("per_thread count"))?,
+                        )),
+                        _ => {
+                            err(format!("per_thread entries must be two-element arrays, got {v:?}"))
+                        }
                     })
-                    .collect::<Result<Vec<_>, ParseEventError>>()?;
-                Ok(Event::BatchFormed {
-                    at,
-                    id: r.num("id")?,
-                    marked: r.u32("marked")?,
-                    cap,
-                    exclusive: r.boolean("exclusive")?,
-                    per_thread,
-                })
+                    .collect::<Result<_, _>>()?,
+            },
+            EventKind::BatchDrained => {
+                Event::BatchDrained { at, id: r.int("id")?, formed_at: r.int("formed_at")? }
             }
-            "batch_drained" => {
-                Ok(Event::BatchDrained { at, id: r.num("id")?, formed_at: r.num("formed_at")? })
-            }
-            "rank_computed" => {
-                let entries = r
-                    .arr("ranking")?
+            EventKind::RankComputed => Event::RankComputed {
+                at,
+                batch: r.int("batch")?,
+                max_total: r.boolean("max_total")?,
+                entries: r
+                    .ranking()?
                     .iter()
-                    .map(|v| {
+                    .map(|e| {
                         Ok(RankEntry {
-                            thread: usize::try_from(obj_num(v, "thread", "ranking")?).map_err(
-                                |_| ParseEventError {
-                                    message: "ranking thread exceeds usize".into(),
-                                },
-                            )?,
-                            rank: u32::try_from(obj_num(v, "rank", "ranking")?).map_err(|_| {
-                                ParseEventError { message: "ranking rank exceeds u32".into() }
-                            })?,
-                            max_bank_load: u32::try_from(obj_num(v, "max", "ranking")?).map_err(
-                                |_| ParseEventError { message: "ranking max exceeds u32".into() },
-                            )?,
-                            total_load: u32::try_from(obj_num(v, "total", "ranking")?).map_err(
-                                |_| ParseEventError { message: "ranking total exceeds u32".into() },
-                            )?,
+                            thread: e.int("thread")?,
+                            rank: e.int("rank")?,
+                            max_bank_load: e.int("max")?,
+                            total_load: e.int("total")?,
                         })
                     })
-                    .collect::<Result<Vec<_>, ParseEventError>>()?;
-                Ok(Event::RankComputed {
-                    at,
-                    batch: r.num("batch")?,
-                    max_total: r.boolean("max_total")?,
-                    entries,
-                })
-            }
-            "command_issued" => {
-                let kind = CmdKind::parse_short(r.str("cmd")?).ok_or_else(|| ParseEventError {
-                    message: format!("unknown command kind '{}'", r.str("cmd").unwrap_or("?")),
-                })?;
-                let service = match r.fields.get("class") {
-                    None => None,
-                    Some(Value::Str(s)) => Some(ServiceClass::parse_name(s).ok_or_else(|| {
-                        ParseEventError { message: format!("unknown service class '{s}'") }
-                    })?),
-                    Some(other) => {
-                        return err(format!("field 'class' must be a string, got {other:?}"))
-                    }
+                    .collect::<Result<_, ParseEventError>>()?,
+            },
+            EventKind::CommandIssued => {
+                let cmd = r.str("cmd")?;
+                let Some(kind) = CmdKind::parse_short(cmd) else {
+                    return err(format!("unknown command kind '{cmd}'"));
                 };
-                let data_end = match r.fields.get("data_end") {
-                    None => None,
-                    Some(Value::Num(n)) => Some(*n),
-                    Some(other) => {
-                        return err(format!("field 'data_end' must be a number, got {other:?}"))
-                    }
+                let service = if fields.contains_key("class") {
+                    let class = r.str("class")?;
+                    let Some(service) = ServiceClass::parse_name(class) else {
+                        return err(format!("unknown service class '{class}'"));
+                    };
+                    Some(service)
+                } else {
+                    None
                 };
-                Ok(Event::CommandIssued {
+                Event::CommandIssued {
                     at,
-                    request: r.num("req")?,
-                    thread: r.idx("thread")?,
+                    request: r.int("req")?,
+                    thread: r.int("thread")?,
                     kind,
-                    rank: r.idx("rank")?,
-                    bank: r.idx("bank")?,
-                    row: r.num("row")?,
-                    col: r.num("col")?,
+                    rank: r.int("rank")?,
+                    bank: r.int("bank")?,
+                    row: r.int("row")?,
+                    col: r.int("col")?,
                     marked: r.boolean("marked")?,
                     service,
-                    data_end,
-                })
+                    data_end: if fields.contains_key("data_end") {
+                        Some(r.int("data_end")?)
+                    } else {
+                        None
+                    },
+                }
             }
-            "completed" => Ok(Event::Completed {
+            EventKind::Completed => Event::Completed {
                 at,
-                request: r.num("req")?,
-                thread: r.idx("thread")?,
+                request: r.int("req")?,
+                thread: r.int("thread")?,
                 write: r.boolean("write")?,
-                arrival: r.num("arrival")?,
-                finish: r.num("finish")?,
-            }),
-            "write_drain" => {
-                Ok(Event::WriteDrain { at, start: r.boolean("start")?, queued: r.u32("queued")? })
+                arrival: r.int("arrival")?,
+                finish: r.int("finish")?,
+            },
+            EventKind::WriteDrain => {
+                Event::WriteDrain { at, start: r.boolean("start")?, queued: r.int("queued")? }
             }
-            "refresh" => Ok(Event::Refresh { at, rank: r.idx("rank")? }),
-            "bus_sample" => Ok(Event::BusSample {
+            EventKind::Refresh => Event::Refresh { at, rank: r.int("rank")? },
+            EventKind::BusSample => Event::BusSample {
                 at,
-                busy_banks: r.u32("busy_banks")?,
-                queued_reads: r.u32("queued_reads")?,
-                queued_writes: r.u32("queued_writes")?,
-            }),
-            "blacklist_set" => Ok(Event::BlacklistSet {
+                busy_banks: r.int("busy_banks")?,
+                queued_reads: r.int("queued_reads")?,
+                queued_writes: r.int("queued_writes")?,
+            },
+            EventKind::BlacklistSet => Event::BlacklistSet {
                 at,
-                thread: r.idx("thread")?,
-                consecutive: r.u32("consecutive")?,
-            }),
-            "blacklist_cleared" => Ok(Event::BlacklistCleared { at, cleared: r.u32("cleared")? }),
-            "quantum_rolled" => {
-                let ranking = r
-                    .arr("ranking")?
+                thread: r.int("thread")?,
+                consecutive: r.int("consecutive")?,
+            },
+            EventKind::BlacklistCleared => {
+                Event::BlacklistCleared { at, cleared: r.int("cleared")? }
+            }
+            EventKind::QuantumRolled => Event::QuantumRolled {
+                at,
+                quantum: r.int("quantum")?,
+                ranking: r
+                    .ranking()?
                     .iter()
-                    .map(|v| {
-                        Ok((
-                            usize::try_from(obj_num(v, "thread", "ranking")?).map_err(|_| {
-                                ParseEventError { message: "ranking thread exceeds usize".into() }
-                            })?,
-                            u32::try_from(obj_num(v, "rank", "ranking")?).map_err(|_| {
-                                ParseEventError { message: "ranking rank exceeds u32".into() }
-                            })?,
-                            obj_num(v, "attained", "ranking")?,
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, ParseEventError>>()?;
-                Ok(Event::QuantumRolled { at, quantum: r.num("quantum")?, ranking })
-            }
-            other => err(format!("unknown event type '{other}'")),
-        }
+                    .map(|e| Ok((e.int("thread")?, e.int("rank")?, e.int("attained")?)))
+                    .collect::<Result<_, ParseEventError>>()?,
+            },
+        })
     }
 }
 
@@ -634,6 +582,17 @@ mod tests {
         assert!(Event::from_json("not json").is_err());
         let e = Event::from_json("{\"type\":\"refresh\",\"at\":1,\"rank\":0} tail").unwrap_err();
         assert!(e.message.contains("trailing"), "{e}");
+        let e = Event::from_json(
+            "{\"type\":\"enqueued\",\"at\":0,\"req\":1,\"thread\":0,\"write\":false,\
+             \"rank\":0,\"bank\":0,\"row\":5,\"bank\":3}",
+        )
+        .unwrap_err();
+        assert_eq!(e.message, "repeated key 'bank' at byte 85");
+        let e = Event::from_json(
+            "{\"type\":\"write_drain\",\"at\":1,\"start\":true,\"queued\":4294967296}",
+        )
+        .unwrap_err();
+        assert_eq!(e.message, "field 'queued' of 'write_drain' record exceeds u32");
     }
 
     #[test]

@@ -21,13 +21,23 @@
 //! Plus structural helpers: [`CollectSink`] (buffer everything) and
 //! [`FanoutSink`] (broadcast to several sinks).
 //!
+//! ## One vocabulary
+//!
+//! [`EventKind`] is the one list of event kinds. [`Event::kind`] maps an
+//! event to it, the JSONL writer takes each record's `type` tag from
+//! [`EventKind::name`], [`Event::from_json`] dispatches on
+//! [`EventKind::parse`], and `parbs-monitor` resolves spec input kinds
+//! and indexes its field catalog by it. The JSONL reader rejects a record
+//! that repeats a key instead of letting the last value win.
+//!
 //! ## Cost contract
 //!
 //! Emitters keep the sink behind an `Option`; when no sink is attached the
 //! only cost on the hot path is one branch on `Option::is_some` — no event
-//! is constructed, no allocation happens. This is the
-//! zero-overhead-when-disabled contract the `sched_hotpath` benchmark gate
-//! enforces.
+//! is constructed, no allocation happens. The `sched_hotpath` gate never
+//! builds a controller, so it does not check this. perfbench's untraced
+//! `cs1_zoo` runs attach no sink, and the `BENCHMARK.json` bounds on them
+//! catch a regression end to end.
 //!
 //! This crate is a leaf: events carry plain scalars (request ids, thread
 //! and bank indices, cycles), so the DRAM substrate and schedulers can emit
@@ -42,7 +52,7 @@ mod sink;
 
 pub use chrome::ChromeTraceSink;
 pub use counter::CounterSink;
-pub use event::{CmdKind, Event, RankEntry, ServiceClass};
+pub use event::{CmdKind, Event, EventKind, RankEntry, ServiceClass};
 pub use json::{parse_jsonl, ParseEventError};
 pub use jsonl::JsonlSink;
 pub use sink::{downcast_sink, CollectSink, EventSink, FanoutSink};

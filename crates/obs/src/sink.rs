@@ -15,20 +15,6 @@ pub trait EventSink: Any {
     fn record(&mut self, event: &Event);
 }
 
-impl dyn EventSink {
-    /// Borrows the sink as its concrete type, if it is a `T`.
-    #[must_use]
-    pub fn downcast_ref<T: EventSink>(&self) -> Option<&T> {
-        (self as &dyn Any).downcast_ref::<T>()
-    }
-
-    /// Mutably borrows the sink as its concrete type, if it is a `T`.
-    #[must_use]
-    pub fn downcast_mut<T: EventSink>(&mut self) -> Option<&mut T> {
-        (self as &mut dyn Any).downcast_mut::<T>()
-    }
-}
-
 /// Recovers the concrete sink type from a boxed [`EventSink`], returning the
 /// box unchanged on a type mismatch.
 ///
@@ -163,7 +149,6 @@ mod tests {
     #[test]
     fn downcast_sink_round_trips_and_rejects_mismatches() {
         let boxed: Box<dyn EventSink> = Box::new(CollectSink::new());
-        assert!(boxed.downcast_ref::<CollectSink>().is_some());
         assert!(downcast_sink::<FanoutSink>(boxed).is_err());
         let boxed: Box<dyn EventSink> = Box::new(CollectSink::new());
         assert!(downcast_sink::<CollectSink>(boxed).is_ok());

@@ -59,16 +59,6 @@ impl ThreadRunStats {
             self.mem_stall_cycles as f64 / self.dram_reads as f64
         }
     }
-
-    /// Instructions per cycle.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.instructions as f64 / self.cycles as f64
-        }
-    }
 }
 
 /// The outcome of one simulation run.
