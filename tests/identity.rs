@@ -1,0 +1,245 @@
+//! The identity corpus: one digest per canonical simulation, checked
+//! against the committed `tests/golden/identity.txt`.
+//!
+//! Each case hashes a result's `parbs-snap` encoding (or the raw bytes of
+//! a checkpoint or trace) with [`Fingerprint`], the way perfbench digests
+//! its workloads. A fast path or refactor that moves any output fails here
+//! with the name of the case and both digests. The cases cover every
+//! scheduler on the three case studies (STFM reads the stall reports, so
+//! it is the most sensitive to how stall cycles are counted), a 16-core
+//! mix, a checkpoint and its resumed run, the open-loop flow driver under
+//! every scheduler, and Case Study 1's JSONL event trace.
+//!
+//! `PARBS_RECORD_IDENTITY=1 cargo test --test identity` rewrites the file.
+//! Re-record only when a change is meant to move output, and name every
+//! re-recorded case, with the reason, in CHANGES.md.
+
+use std::collections::BTreeMap;
+
+use parbs_sim::{
+    run_flow, run_observed, EvalJob, FlowRunResult, Harness, MixEvaluation, ObserveOptions,
+    RunResult, SchedulerKind, SimConfig, TraceFormat,
+};
+use parbs_snap::{Fingerprint, SnapWriter};
+use parbs_workloads::{
+    case_study_1, case_study_2, case_study_3, random_mixes, BoundedPareto, FlowConfig, MixSpec,
+};
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/identity.txt");
+
+/// The variable that rewrites [`GOLDEN`] instead of checking it.
+const RECORD: &str = "PARBS_RECORD_IDENTITY";
+
+fn digest_bytes(bytes: &[u8]) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.update(bytes);
+    fp.digest()
+}
+
+fn digest(w: SnapWriter) -> u64 {
+    digest_bytes(&w.into_bytes())
+}
+
+/// A [`Harness::evaluate`] result: the metrics, the shared-run snapshots
+/// and the shared run's worst-case latency and row-hit rate.
+fn evaluation(e: &MixEvaluation) -> u64 {
+    let mut w = SnapWriter::new();
+    let m = &e.metrics;
+    w.put(&m.slowdowns);
+    w.put(&m.speedups);
+    w.f64(m.unfairness);
+    w.f64(m.weighted_speedup);
+    w.f64(m.hmean_speedup);
+    w.f64(m.ast_per_req);
+    w.put(&e.shared);
+    w.u64(e.worst_case_latency);
+    w.f64(e.row_hit_rate);
+    digest(w)
+}
+
+fn run(r: &RunResult) -> u64 {
+    let mut w = SnapWriter::new();
+    w.put(&r.threads);
+    w.u64(r.cycles);
+    w.f64(r.row_hit_rate);
+    w.u64(r.worst_case_latency);
+    w.bool(r.timed_out);
+    w.put(&r.read_latency);
+    digest(w)
+}
+
+/// A flow run: the flow summary and the drive counters.
+fn flow(r: &FlowRunResult) -> u64 {
+    let mut w = SnapWriter::new();
+    w.usize(r.requesters);
+    w.usize(r.completed);
+    let s = &r.summary;
+    w.u64(s.flows);
+    w.u64(s.fct_p50);
+    w.u64(s.fct_p95);
+    w.u64(s.fct_p99);
+    w.f64(s.fct_mean);
+    w.f64(s.slowdown_p50);
+    w.f64(s.slowdown_p99);
+    w.f64(s.slowdown_rate);
+    let d = &r.drive;
+    w.u64(d.cycles);
+    w.bool(d.timed_out);
+    w.u64(d.reads_completed);
+    w.put(&d.read_latency);
+    w.usize(d.peak_backlog);
+    w.usize(d.invariant_violations);
+    w.usize(d.monitor_alarms);
+    digest(w)
+}
+
+fn config(cores: usize, target: u64) -> SimConfig {
+    SimConfig { target_instructions: target, ..SimConfig::for_cores(cores) }
+}
+
+/// The checkpoint cases' system: a 4-core PAR-BS run, cut at a fixed cycle.
+const CHECKPOINT_MIX: [&str; 4] = ["mcf", "libquantum", "lbm", "hmmer"];
+const CHECKPOINT_CYCLE: u64 = 8_000;
+
+/// The checkpoint bytes at [`CHECKPOINT_CYCLE`], and the result of
+/// resuming from them in a fresh system.
+fn checkpoint_cases() -> [(String, u64); 2] {
+    let harness = Harness::new(config(4, 3_000));
+    let mix = MixSpec::from_names("ckpt", &CHECKPOINT_MIX);
+    let kind = SchedulerKind::ParBs(Default::default());
+    let mut sys = harness.shared_system(&mix, &kind, &Default::default());
+    let mut progress = sys.begin_run();
+    for _ in 0..CHECKPOINT_CYCLE {
+        assert!(sys.step_cycle(&mut progress), "the run outlasts the checkpoint cycle");
+    }
+    let blob = sys.save_checkpoint(&progress, "ckpt").expect("checkpointable");
+    let mut fresh = harness.shared_system(&mix, &kind, &Default::default());
+    let mut progress = fresh.resume(&blob, "ckpt").expect("self-resume succeeds");
+    while fresh.step_cycle(&mut progress) {}
+    let resumed = fresh.finish_run(progress);
+    [
+        ("checkpoint/PAR-BS/bytes".to_owned(), digest_bytes(&blob)),
+        ("checkpoint/PAR-BS/resumed".to_owned(), run(&resumed)),
+    ]
+}
+
+/// One unit of work: it computes one or more named digests.
+type Case = Box<dyn Fn() -> Vec<(String, u64)> + Send + Sync>;
+
+fn cases() -> Vec<Case> {
+    let mut cases: Vec<Case> = Vec::new();
+    for mix in [case_study_1(), case_study_2(), case_study_3()] {
+        for kind in SchedulerKind::all() {
+            let mix = mix.clone();
+            cases.push(Box::new(move || {
+                let e = Harness::new(config(4, 3_000))
+                    .evaluate(&EvalJob::new(mix.clone(), kind.clone()));
+                vec![(format!("evaluate/{}/{}", mix.name, kind.name()), evaluation(&e))]
+            }));
+        }
+    }
+    for kind in [SchedulerKind::ParBs(Default::default()), SchedulerKind::FrFcfs] {
+        cases.push(Box::new(move || {
+            let mix = random_mixes(16, 1, 42).remove(0);
+            let harness = Harness::new(config(16, 1_000));
+            let e = harness.evaluate(&EvalJob::new(mix.clone(), kind.clone()));
+            vec![(format!("evaluate/16core-{}/{}", mix.name, kind.name()), evaluation(&e))]
+        }));
+    }
+    cases.push(Box::new(|| checkpoint_cases().into()));
+    for kind in SchedulerKind::all() {
+        cases.push(Box::new(move || {
+            let flows = FlowConfig {
+                requesters: 500,
+                arrival_rate: 0.01,
+                size: BoundedPareto { alpha: 1.2, min: 2, max: 32 },
+                ..FlowConfig::default()
+            };
+            let r = run_flow(&SimConfig::for_cores(4), &kind, &flows, false, None);
+            vec![(format!("flow/500/{}", kind.name()), flow(&r))]
+        }));
+    }
+    cases.push(Box::new(|| {
+        let mix = case_study_1();
+        let opts =
+            ObserveOptions { check_invariants: false, trace: Some(TraceFormat::Jsonl), spec: None };
+        let kind = SchedulerKind::ParBs(Default::default());
+        let obs = run_observed(config(4, 2_000), &mix, &kind, &opts);
+        let trace = obs.trace.expect("a JSONL trace was requested");
+        vec![("trace/CS1/PAR-BS/jsonl".to_owned(), digest_bytes(trace.as_bytes()))]
+    }));
+    cases
+}
+
+/// Every case's digests, computed on two worker threads.
+fn compute() -> BTreeMap<String, u64> {
+    let cases = cases();
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut out = BTreeMap::new();
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut got = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(case) = cases.get(i) else { break };
+                        got.extend(case());
+                    }
+                    got
+                })
+            })
+            .collect();
+        for w in workers {
+            out.extend(w.join().expect("an identity case panicked"));
+        }
+    });
+    out
+}
+
+fn parse(text: &str) -> BTreeMap<String, u64> {
+    text.lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(|l| {
+            let (case, hex) = l.split_once(' ').unwrap_or_else(|| panic!("bad golden line: {l}"));
+            let hex = hex.trim().trim_start_matches("0x");
+            let d = u64::from_str_radix(hex, 16).unwrap_or_else(|e| panic!("{l}: {e}"));
+            (case.to_owned(), d)
+        })
+        .collect()
+}
+
+fn render(digests: &BTreeMap<String, u64>) -> String {
+    let mut text = format!(
+        "# One `case digest` line per identity case (tests/identity.rs).\n\
+         # Rewrite with {RECORD}=1 only when output is meant to change.\n"
+    );
+    for (case, d) in digests {
+        text.push_str(&format!("{case} {d:#018x}\n"));
+    }
+    text
+}
+
+#[test]
+fn identity_corpus_matches_the_golden_file() {
+    let got = compute();
+    if std::env::var_os(RECORD).is_some_and(|v| v == "1") {
+        std::fs::write(GOLDEN, render(&got)).expect("golden file is writable");
+        return;
+    }
+    let text = std::fs::read_to_string(GOLDEN)
+        .unwrap_or_else(|e| panic!("{GOLDEN}: {e}; record it with {RECORD}=1"));
+    let want = parse(&text);
+    let mut mismatches = Vec::new();
+    for (case, &d) in &got {
+        match want.get(case) {
+            Some(&w) if w == d => {}
+            Some(&w) => mismatches.push(format!("{case}: golden {w:#018x}, got {d:#018x}")),
+            None => mismatches.push(format!("{case}: not in the golden file, got {d:#018x}")),
+        }
+    }
+    for case in want.keys().filter(|c| !got.contains_key(*c)) {
+        mismatches.push(format!("{case}: in the golden file but no longer computed"));
+    }
+    assert!(mismatches.is_empty(), "identity corpus moved:\n{}", mismatches.join("\n"));
+}
