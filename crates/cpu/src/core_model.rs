@@ -115,8 +115,9 @@ pub struct Core {
     lookahead: Option<Instr>,
     /// Current dependence-episode counter (bumped by each fence load).
     episode: u64,
-    /// True if the stream is paused (used to let a finished thread idle).
-    halted: bool,
+    /// Set by [`Core::sleep_if_blocked`], cleared by
+    /// [`Core::complete_read`]: derived state, never checkpointed.
+    asleep: bool,
 }
 
 impl std::fmt::Debug for Core {
@@ -149,7 +150,7 @@ impl Core {
             stats: CoreStats::default(),
             lookahead: None,
             episode: 0,
-            halted: false,
+            asleep: false,
         }
     }
 
@@ -165,16 +166,40 @@ impl Core {
         self.misses.len()
     }
 
-    /// Stops fetching new instructions; in-flight work still drains. Used by
-    /// the simulator to freeze a thread that reached its instruction target.
-    pub fn halt(&mut self) {
-        self.halted = true;
+    /// Puts the core to sleep if it is blocked. A core is blocked when four
+    /// things hold: its oldest instruction is an outstanding load, its
+    /// window is full, its store queue is empty, and
+    /// [`Core::pending_read`] has nothing to issue. Then nothing but a
+    /// completed read can change it: every [`Core::tick`] until
+    /// [`Core::complete_read`] only counts a cycle and a memory-stall
+    /// cycle, and the driver need not offer it memory.
+    ///
+    /// Call it after the cycle's issue step: a core whose oldest unissued
+    /// read only lacks room in the memory system stays awake and retries.
+    pub fn sleep_if_blocked(&mut self) {
+        self.asleep = self.window.len() == self.cfg.window_size
+            && matches!(self.window.front(), Some(Slot::Load { done: false, .. }))
+            && self.store_queue.is_empty()
+            && self.pending_read().is_none();
     }
 
-    /// True if the core has been halted via [`Core::halt`].
+    /// True while the core sleeps (see [`Core::sleep_if_blocked`]).
     #[must_use]
-    pub fn is_halted(&self) -> bool {
-        self.halted
+    pub fn is_asleep(&self) -> bool {
+        self.asleep
+    }
+
+    /// Counts `cycles` asleep ticks at once: that many cycles and as many
+    /// memory-stall cycles, exactly what as many [`Core::tick`] calls of a
+    /// sleeping core add.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the core is awake.
+    pub fn sleep_for(&mut self, cycles: u64) {
+        assert!(self.asleep, "sleep_for: the core is awake");
+        self.stats.cycles += cycles;
+        self.stats.mem_stall_cycles += cycles;
     }
 
     /// The oldest un-issued miss, if the MSHR budget and dependence chain
@@ -237,8 +262,10 @@ impl Core {
     }
 
     /// Delivers read data for a previously issued miss, waking every merged
-    /// load. Unknown ids are ignored (the miss may belong to another core).
+    /// load and the core itself. Unknown ids are ignored (the miss may
+    /// belong to another core).
     pub fn complete_read(&mut self, id: MissId) {
+        self.asleep = false;
         let Some(pos) = self.misses.iter().position(|m| m.id == id) else {
             return;
         };
@@ -254,9 +281,15 @@ impl Core {
     }
 
     /// Advances the core by one cycle: commit (in order, up to commit
-    /// width), then fetch (up to fetch width, at most one memory op).
+    /// width), then fetch (up to fetch width, at most one memory op). A
+    /// sleeping core only counts the cycle as a memory stall: its head
+    /// load blocks commit and its full window blocks fetch.
     pub fn tick(&mut self, _now: u64) {
         self.stats.cycles += 1;
+        if self.asleep {
+            self.stats.mem_stall_cycles += 1;
+            return;
+        }
         self.commit();
         self.fetch();
     }
@@ -294,9 +327,6 @@ impl Core {
     }
 
     fn fetch(&mut self) {
-        if self.halted {
-            return;
-        }
         let mut fetched = 0;
         let mut mem_ops = 0;
         while fetched < self.cfg.fetch_width && self.window.len() < self.cfg.window_size {
@@ -443,9 +473,10 @@ impl parbs_snap::Snap for Miss {
 impl Core {
     /// Serializes the core's mutable state: instruction window, miss table,
     /// store queue, statistics, fetch lookahead, dependence-episode counter,
-    /// halt flag, and the instruction stream's own state. The configuration
-    /// is not written — a restored core is rebuilt from the same
-    /// [`CoreConfig`] and stream constructor first.
+    /// and the instruction stream's own state. The configuration is not
+    /// written — a restored core is rebuilt from the same [`CoreConfig`]
+    /// and stream constructor first — and neither is the sleep flag, which
+    /// a restored core derives again on its first cycle.
     pub fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
         w.put(&self.window);
         w.put(&self.misses);
@@ -454,7 +485,6 @@ impl Core {
         w.put(&self.stats);
         w.put(&self.lookahead);
         w.u64(self.episode);
-        w.bool(self.halted);
         self.stream.save_state(w);
     }
 
@@ -494,7 +524,7 @@ impl Core {
         self.stats = r.get()?;
         self.lookahead = r.get()?;
         self.episode = r.u64()?;
-        self.halted = r.bool()?;
+        self.asleep = false;
         self.stream.restore_state(r)
     }
 }
@@ -618,19 +648,119 @@ mod tests {
         }
     }
 
+    /// A core with a 4-slot window, ticked until the window is full behind
+    /// its head load, which has not been issued yet.
+    fn blocked_behind_a_load(trace: Vec<Instr>) -> Core {
+        let cfg = CoreConfig { window_size: 4, ..CoreConfig::table2() };
+        let mut core = Core::new(cfg, Box::new(TraceStream::new(trace)));
+        let mut now = 0;
+        while core.window.len() < 4 {
+            core.tick(now);
+            now += 1;
+        }
+        assert!(matches!(core.window.front(), Some(Slot::Load { done: false, .. })));
+        core
+    }
+
     #[test]
-    fn halted_core_stops_fetching_but_drains() {
-        let trace = vec![Instr::Load(1), Instr::Compute];
-        let mut core = Core::new(CoreConfig::table2(), Box::new(TraceStream::new(trace)));
-        core.tick(0);
-        core.halt();
+    fn a_blocked_core_falls_asleep_after_the_issue_step() {
+        let mut core = blocked_behind_a_load(vec![Instr::Load(1), Instr::Compute]);
+        // Before the issue step its read can still go: it stays awake.
+        let (_, id) = core.pending_read().expect("the head load wants to issue");
+        core.sleep_if_blocked();
+        assert!(!core.is_asleep(), "an issuable read keeps the core awake");
+        core.read_issued(id);
+        core.sleep_if_blocked();
+        assert!(core.is_asleep());
+    }
+
+    #[test]
+    fn an_asleep_tick_adds_one_cycle_and_one_stall_cycle() {
+        let mut core = blocked_behind_a_load(vec![Instr::Load(1), Instr::Compute]);
         let (_, id) = core.pending_read().unwrap();
         core.read_issued(id);
+        core.sleep_if_blocked();
+        assert!(core.is_asleep());
+        let before = *core.stats();
+        let window = core.window.len();
+        core.tick(100);
+        let after = *core.stats();
+        let expected = CoreStats {
+            cycles: before.cycles + 1,
+            mem_stall_cycles: before.mem_stall_cycles + 1,
+            ..before
+        };
+        assert_eq!(after, expected, "one cycle, one stall cycle, nothing else");
+        assert_eq!(core.window.len(), window, "nothing fetched or committed");
+        core.sleep_for(7);
+        assert_eq!(core.stats().cycles, after.cycles + 7);
+        assert_eq!(core.stats().mem_stall_cycles, after.mem_stall_cycles + 7);
+    }
+
+    #[test]
+    fn an_asleep_tick_matches_an_awake_one() {
+        let trace = vec![Instr::Load(1), Instr::Compute, Instr::Load(2), Instr::Compute];
+        let mut asleep = blocked_behind_a_load(trace.clone());
+        let mut awake = blocked_behind_a_load(trace);
+        for core in [&mut asleep, &mut awake] {
+            while let Some((_, id)) = core.pending_read() {
+                core.read_issued(id);
+            }
+        }
+        asleep.sleep_if_blocked();
+        assert!(asleep.is_asleep());
+        for now in 100..110 {
+            asleep.tick(now);
+            awake.tick(now);
+        }
+        assert_eq!(asleep.stats(), awake.stats());
+        assert_eq!(asleep.window.len(), awake.window.len());
+    }
+
+    #[test]
+    fn complete_read_wakes_the_core() {
+        let mut core = blocked_behind_a_load(vec![Instr::Load(1), Instr::Compute]);
+        let (_, id) = core.pending_read().unwrap();
+        core.read_issued(id);
+        core.sleep_if_blocked();
+        assert!(core.is_asleep());
         core.complete_read(id);
-        let window_before = core.window.len();
-        core.tick(1);
-        assert!(core.window.len() < window_before, "drains without fetching");
-        assert!(core.is_halted());
+        assert!(!core.is_asleep());
+        let committed = core.stats().committed;
+        core.tick(100);
+        assert!(core.stats().committed > committed, "the woken core commits its head load");
+    }
+
+    #[test]
+    fn a_queued_store_keeps_the_core_awake() {
+        let mut core = blocked_behind_a_load(vec![Instr::Load(1), Instr::Store(9), Instr::Compute]);
+        let (_, id) = core.pending_read().unwrap();
+        core.read_issued(id);
+        assert_eq!(core.pending_write(), Some(9));
+        core.sleep_if_blocked();
+        assert!(!core.is_asleep(), "a queued writeback keeps the core awake");
+        core.write_issued();
+        core.sleep_if_blocked();
+        assert!(core.is_asleep());
+    }
+
+    #[test]
+    fn a_core_with_window_room_stays_awake() {
+        let cfg = CoreConfig { window_size: 8, ..CoreConfig::table2() };
+        let mut core = Core::new(cfg, Box::new(TraceStream::new(vec![Instr::Load(1)])));
+        core.tick(0);
+        let (_, id) = core.pending_read().unwrap();
+        core.read_issued(id);
+        assert!(core.window.len() < 8);
+        core.sleep_if_blocked();
+        assert!(!core.is_asleep(), "a core that can still fetch stays awake");
+    }
+
+    #[test]
+    #[should_panic(expected = "the core is awake")]
+    fn an_awake_core_cannot_be_credited_sleep() {
+        let mut core = Core::new(CoreConfig::table2(), compute_only());
+        core.sleep_for(1);
     }
 
     #[test]

@@ -17,7 +17,10 @@
 //! The memory system is decoupled: a driver (e.g. `parbs-sim`) pulls pending
 //! memory operations from the core with [`Core::pending_read`] /
 //! [`Core::pending_write`], forwards them to a DRAM controller, and delivers
-//! completions back with [`Core::complete_read`].
+//! completions back with [`Core::complete_read`]. After its issue step a
+//! driver may put a blocked core to sleep ([`Core::sleep_if_blocked`]):
+//! until one of its reads completes, it needs no memory offers, its ticks
+//! only count stall cycles, and [`Core::sleep_for`] counts many at once.
 //!
 //! # Examples
 //!

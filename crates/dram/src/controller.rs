@@ -260,6 +260,14 @@ impl Controller {
         &self.stats
     }
 
+    /// The cycle at which the earliest in-flight request's data arrives,
+    /// if any is in flight. Between DRAM edges it is the only cycle at
+    /// which [`Controller::tick`] does anything.
+    #[must_use]
+    pub fn next_completion(&self) -> Option<u64> {
+        (self.next_finish != u64::MAX).then_some(self.next_finish)
+    }
+
     /// Currently queued read requests (oldest-to-newest arrival order).
     #[must_use]
     pub fn reads(&self) -> &[Request] {

@@ -849,13 +849,15 @@ fn run(args: &Args) {
         println!("checkpoint: wrote {} bytes to {path} at cycle {}", blob.len(), p.cycles());
     };
     let start = Instant::now();
-    let mut last_saved = progress.cycles();
-    while sys.step_cycle(&mut progress) {
+    // A save lands every `every` cycles: step to the next one, then save
+    // unless the run ended first.
+    loop {
+        sys.step_cycles(&mut progress, every);
+        if progress.threads_remaining() == 0 || progress.timed_out() {
+            break;
+        }
         if let Some(path) = ckpt_out {
-            if progress.cycles() - last_saved >= every {
-                save_to(path, &sys, &progress);
-                last_saved = progress.cycles();
-            }
+            save_to(path, &sys, &progress);
         }
     }
     if let Some(path) = ckpt_out {
@@ -1098,6 +1100,17 @@ fn print_available(_: &Args) {
 }
 
 fn main() {
+    // `println!` panics once stdout is a closed pipe (`parbs-sim ... | head`):
+    // that is the reader's choice to stop, so exit quietly. Every other
+    // panic goes to the default hook.
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload_as_str().unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        default_hook(info);
+    }));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = Args::parse(&argv);
     (args.command.run)(&args);

@@ -5,11 +5,13 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PARBSCKP"
-//! 8       4     format version (little-endian u32, currently 3)
+//! 8       4     format version (little-endian u32, currently 4)
 //! 12      8     fingerprint (little-endian u64): FNV-1a over the full
 //!               SimConfig debug rendering, every channel's scheduler
 //!               name, and the workload label
-//! 20      ...   RunProgress state (parbs-snap codec): target, per-thread
+//! 20      8     body digest (little-endian u64): FNV-1a over every byte
+//!               from offset 28 to the end
+//! 28      ...   RunProgress state (parbs-snap codec): target, per-thread
 //!               snapshot options, remaining count, cycle, timed-out flag
 //! ...     ...   System state: per-thread stall feedback, per-thread
 //!               worst-case latency, then every core's state
@@ -18,19 +20,24 @@
 //!               every controller's state
 //! ```
 //!
-//! Version 3 groups the memory side's state after the cores and drops the
-//! completion buffer (empty between cycles) and the controller statistics
-//! nothing read. Version 2 dropped per-thread BLP trackers. Blobs of
-//! earlier versions are rejected with [`CheckpointError::BadVersion`].
+//! Version 4 adds the body digest and drops each core's halt flag.
+//! Version 3 grouped the memory side's state after the cores and dropped
+//! the completion buffer (empty between cycles) and the controller
+//! statistics nothing read. Version 2 dropped per-thread BLP trackers.
+//! Blobs of earlier versions are rejected with
+//! [`CheckpointError::BadVersion`].
 //!
 //! The fingerprint binds the blob to the exact system shape it was saved
 //! from: restoring into a system with a different configuration, scheduler,
 //! or workload is rejected with [`CheckpointError::FingerprintMismatch`]
-//! instead of silently desynchronizing. Restores go *into* a freshly built
-//! [`System`] (same config, streams, scheduler) — the snapshot carries only
-//! mutable state, never code or configuration.
+//! instead of silently desynchronizing. The body digest is checked before
+//! anything is decoded, so a damaged body is rejected as
+//! [`CheckpointError::Corrupt`] instead of resuming to a different result
+//! or panicking. Restores go *into* a freshly built [`System`] (same
+//! config, streams, scheduler) — the snapshot carries only mutable state,
+//! never code or configuration.
 
-use parbs_snap::{SnapError, SnapReader, SnapWriter};
+use parbs_snap::{Fingerprint, SnapError, SnapReader, SnapWriter};
 
 use crate::{RunProgress, System};
 
@@ -38,7 +45,7 @@ use crate::{RunProgress, System};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +68,7 @@ pub enum CheckpointError {
     /// The system cannot be checkpointed in its current state (protocol
     /// checker or observability sink attached).
     Unsupported(&'static str),
-    /// The blob's body failed to decode.
+    /// The blob's body does not match its digest, or failed to decode.
     Corrupt(SnapError),
 }
 
@@ -94,11 +101,19 @@ impl From<SnapError> for CheckpointError {
     }
 }
 
+/// The FNV-1a digest of a checkpoint body.
+fn body_digest(body: &[u8]) -> u64 {
+    let mut fp = Fingerprint::new();
+    fp.update(body);
+    fp.digest()
+}
+
 impl System {
     /// Serializes the run into a checkpoint blob: header (magic, version,
-    /// fingerprint) followed by the full mutable state of `progress` and
-    /// the system. `label` names the workload (the mix) and is folded into
-    /// the fingerprint so a checkpoint can only resume the same run.
+    /// fingerprint, body digest) followed by the full mutable state of
+    /// `progress` and the system. `label` names the workload (the mix) and
+    /// is folded into the fingerprint so a checkpoint can only resume the
+    /// same run.
     ///
     /// # Errors
     ///
@@ -110,12 +125,16 @@ impl System {
         progress: &RunProgress,
         label: &str,
     ) -> Result<Vec<u8>, CheckpointError> {
+        let mut body = SnapWriter::new();
+        progress.save_state(&mut body);
+        self.save_state(&mut body)?;
+        let body = body.into_bytes();
         let mut w = SnapWriter::new();
         w.raw(&CHECKPOINT_MAGIC);
         w.u32(CHECKPOINT_VERSION);
         w.u64(self.state_fingerprint(label));
-        progress.save_state(&mut w);
-        self.save_state(&mut w)?;
+        w.u64(body_digest(&body));
+        w.raw(&body);
         Ok(w.into_bytes())
     }
 
@@ -125,8 +144,9 @@ impl System {
     ///
     /// # Errors
     ///
-    /// Rejects blobs with a wrong magic, version, or fingerprint, and blobs
-    /// whose body fails to decode or does not match this system's shape.
+    /// Rejects blobs with a wrong magic, version, or fingerprint, blobs
+    /// whose body does not match its digest, and blobs whose body fails to
+    /// decode or does not match this system's shape.
     pub fn resume(&mut self, bytes: &[u8], label: &str) -> Result<RunProgress, CheckpointError> {
         let mut r = SnapReader::new(bytes);
         let magic = r.raw(CHECKPOINT_MAGIC.len()).map_err(|_| CheckpointError::BadMagic)?;
@@ -142,6 +162,14 @@ impl System {
         if found != expected {
             return Err(CheckpointError::FingerprintMismatch { expected, found });
         }
+        let found = r.u64()?;
+        let body = r.raw(r.remaining())?;
+        let expected = body_digest(body);
+        if found != expected {
+            let what = "checkpoint body digest";
+            return Err(CheckpointError::Corrupt(SnapError::Mismatch { what, expected, found }));
+        }
+        let mut r = SnapReader::new(body);
         let progress = RunProgress::load_state(&mut r)?;
         self.restore_state(&mut r)?;
         r.expect_end()?;
@@ -227,12 +255,14 @@ mod tests {
     }
 
     #[test]
-    fn version_2_blobs_are_rejected() {
+    fn earlier_versions_are_rejected() {
         let mut sys = build(&SchedulerKind::FrFcfs);
         let progress = sys.begin_run();
         let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
-        blob[8..12].copy_from_slice(&2u32.to_le_bytes());
-        assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found: 2 }));
+        for found in [2u32, 3] {
+            blob[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found }));
+        }
     }
 
     #[test]

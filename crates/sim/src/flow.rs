@@ -55,7 +55,9 @@ pub struct SourceDriveResult {
 
 /// Drives `source` against fresh controllers built from `cfg` until the
 /// source is exhausted and every buffered/in-flight request has completed,
-/// or `cfg.max_cycles` elapses.
+/// or `cfg.max_cycles` elapses. It skips the cycles before the earlier of
+/// the memory side's next DRAM edge or completion and the source's
+/// [`RequestSource::next_event`]: nothing can happen in them.
 ///
 /// With `check_invariants`, every controller runs the DRAM protocol
 /// checker **and** a [`parbs_monitor::prelude::invariants`] monitor
@@ -109,6 +111,14 @@ pub fn drive_source(
         let drained = backlogs.iter().all(VecDeque::is_empty) && !memory.reads_in_flight();
         if source.exhausted() && drained {
             break;
+        }
+        // No cycle before the source's next event or the memory side's can
+        // change anything: a backlogged request finds room only at a DRAM
+        // edge. Jump to the earlier one, but not past the cycle cap. A
+        // source that asks to be polled every cycle costs one call.
+        let source_next = source.next_event(now);
+        if source_next > now {
+            now = now.max(memory.next_event(now).min(source_next).min(cfg.max_cycles));
         }
         if now >= cfg.max_cycles {
             timed_out = true;

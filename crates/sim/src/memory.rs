@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use parbs::ThreadPriority;
 use parbs_dram::{
     AddressMapper, Completion, Controller, LineAddr, MemoryScheduler, Request, RequestKind,
-    ThreadId,
+    ThreadId, DRAM_CYCLE,
 };
 use parbs_metrics::LatencyHistogram;
 use parbs_monitor::{Monitor, Spec};
@@ -197,9 +197,24 @@ impl<T> MemorySide<T> {
         true
     }
 
+    /// The first cycle at or after `from` at which ticking the memory side
+    /// can change anything: the next DRAM edge, where the controllers
+    /// schedule and a full queue can make room, or the earliest pending
+    /// completion, whichever comes first. A cycle loop whose requesters
+    /// have nothing to do before then may jump straight to it.
+    pub(crate) fn next_event(&self, from: u64) -> u64 {
+        let edge = from.next_multiple_of(DRAM_CYCLE);
+        self.controllers.iter().filter_map(Controller::next_completion).fold(edge, u64::min)
+    }
+
     /// True while a read is in flight.
     pub(crate) fn reads_in_flight(&self) -> bool {
         !self.inflight.is_empty()
+    }
+
+    /// What every in-flight read carries, in no particular order.
+    pub(crate) fn carried(&self) -> impl Iterator<Item = &T> {
+        self.inflight.values()
     }
 
     /// Forwards per-thread stall-cycle increments to every channel's

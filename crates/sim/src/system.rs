@@ -80,9 +80,9 @@ pub struct RunResult {
 
 /// Cursor of an in-progress run: which threads have been snapshotted, the
 /// cycle about to execute, and whether the cycle cap fired. Produced by
-/// [`System::begin_run`], advanced by [`System::step_cycle`], and redeemed
-/// by [`System::finish_run`] — the seam that lets checkpointing freeze a
-/// run mid-flight.
+/// [`System::begin_run`], advanced by [`System::step_cycle`] or
+/// [`System::step_cycles`], and redeemed by [`System::finish_run`] — the
+/// seam that lets checkpointing freeze a run mid-flight.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunProgress {
     /// Per-thread instruction target the run was started with.
@@ -241,10 +241,11 @@ impl System {
     ///
     /// Equivalent to [`System::begin_run`] + [`System::step_cycle`] until
     /// exhaustion + [`System::finish_run`] — the decomposition
-    /// checkpointing builds on.
+    /// checkpointing builds on — but steps with [`System::step_cycles`],
+    /// which skips the cycles in which every core sleeps.
     pub fn run(&mut self) -> RunResult {
         let mut progress = self.begin_run();
-        while self.step_cycle(&mut progress) {}
+        self.step_cycles(&mut progress, u64::MAX);
         self.finish_run(progress)
     }
 
@@ -288,6 +289,31 @@ impl System {
         progress.remaining > 0
     }
 
+    /// Advances the run by `budget` cycles, or until it ends, and returns
+    /// the cycles it advanced: fewer than `budget` only when the run ended.
+    /// The result is that of as many [`System::step_cycle`] calls. It
+    /// steps one cycle at a time, except that once every core sleeps (see
+    /// [`parbs_cpu::Core::sleep_if_blocked`]) nothing can change before the
+    /// memory side's next DRAM edge or completion, so it jumps there and
+    /// credits every core the skipped stall cycles in bulk. It never jumps
+    /// past `budget` or `max_cycles`.
+    pub fn step_cycles(&mut self, progress: &mut RunProgress, budget: u64) -> u64 {
+        let start = progress.now;
+        let end = start.saturating_add(budget).min(self.cfg.max_cycles);
+        while progress.now - start < budget && self.step_cycle(progress) {
+            if self.cores.iter().all(Core::is_asleep) {
+                let to = self.memory.next_event(progress.now).min(end);
+                if to > progress.now {
+                    for core in &mut self.cores {
+                        core.sleep_for(to - progress.now);
+                    }
+                    progress.now = to;
+                }
+            }
+        }
+        progress.now - start
+    }
+
     /// Completes a run started with [`System::begin_run`], filling in
     /// snapshots for threads that never reached the target and aggregating
     /// system-wide statistics.
@@ -325,19 +351,26 @@ impl System {
     }
 
     /// One processor cycle: controllers, completion routing, cores, memory
-    /// issue, and (on DRAM-cycle boundaries) stall feedback.
+    /// issue (after which a blocked core falls asleep, and a sleeping one
+    /// is not offered memory until one of its reads completes), and (on
+    /// DRAM-cycle boundaries) stall feedback.
     fn tick(&mut self, now: u64) {
         let System { memory, cores, thread_worst_case, .. } = self;
+        // Core `core` runs thread `core`; `restore_state` rejects any
+        // in-flight read whose core is out of range.
         memory.tick(now, |(core, miss), c| {
             cores[core].complete_read(miss);
-            let wc = &mut thread_worst_case[c.thread.0];
+            let wc = &mut thread_worst_case[core];
             *wc = (*wc).max(c.latency());
         });
         for core in &mut self.cores {
             core.tick(now);
         }
         for t in 0..self.cores.len() {
-            self.issue_memory_ops(t, now);
+            if !self.cores[t].is_asleep() {
+                self.issue_memory_ops(t, now);
+                self.cores[t].sleep_if_blocked();
+            }
         }
         if now.is_multiple_of(DRAM_CYCLE) {
             let System { cores, prev_stall, stalls, memory, .. } = self;
@@ -406,24 +439,39 @@ impl System {
 
     /// Restores state saved by [`System::save_state`] into a freshly built
     /// system of the same shape (same config, streams, and scheduler).
+    /// Rejects per-thread tables whose length is not the core count, and
+    /// in-flight reads of a core this system does not have: both would
+    /// index out of range when a read completes.
     pub(crate) fn restore_state(
         &mut self,
         r: &mut parbs_snap::SnapReader<'_>,
     ) -> Result<(), parbs_snap::SnapError> {
+        let n = self.cores.len();
+        let mismatch = |what, found: usize| parbs_snap::SnapError::Mismatch {
+            what,
+            expected: n as u64,
+            found: found as u64,
+        };
         let prev_stall: Vec<u64> = r.get()?;
-        if prev_stall.len() != self.cores.len() {
-            return Err(parbs_snap::SnapError::Mismatch {
-                what: "system core count",
-                expected: self.cores.len() as u64,
-                found: prev_stall.len() as u64,
-            });
+        if prev_stall.len() != n {
+            return Err(mismatch("system core count", prev_stall.len()));
+        }
+        let thread_worst_case: Vec<u64> = r.get()?;
+        if thread_worst_case.len() != n {
+            return Err(mismatch("per-thread worst-case latency count", thread_worst_case.len()));
         }
         self.prev_stall = prev_stall;
-        self.thread_worst_case = r.get()?;
+        self.thread_worst_case = thread_worst_case;
         for core in &mut self.cores {
             core.restore_state(r)?;
         }
-        self.memory.restore_state(r)
+        self.memory.restore_state(r)?;
+        match self.memory.carried().map(|&(core, _)| core).find(|&core| core >= n) {
+            Some(core) => {
+                Err(mismatch("core count implied by an in-flight read", core.saturating_add(1)))
+            }
+            None => Ok(()),
+        }
     }
 }
 
@@ -547,6 +595,89 @@ mod tests {
             r.row_hit_rate > 0.85,
             "libquantum targets 98% row hits, measured {:.2}",
             r.row_hit_rate
+        );
+    }
+
+    const CS1: [&str; 4] = ["libquantum", "mcf", "GemsFDTD", "xalancbmk"];
+
+    fn parbs(names: &[&str], target: u64) -> System {
+        let cfg = quick_cfg(names.len(), target);
+        let s = streams(names, &cfg);
+        System::new(cfg, s, &SchedulerKind::ParBs(Default::default()))
+    }
+
+    #[test]
+    fn a_checkpoint_inside_an_all_asleep_span_matches_the_one_cycle_loop() {
+        // Step one cycle at a time to a cycle strictly inside a span in
+        // which every core sleeps: neither a DRAM edge nor a completion.
+        let mut stepped = parbs(&CS1, 2_000);
+        let mut progress = stepped.begin_run();
+        while stepped.step_cycle(&mut progress) {
+            let now = progress.cycles();
+            if now > 2_000
+                && stepped.cores.iter().all(Core::is_asleep)
+                && stepped.memory.next_event(now) > now
+            {
+                break;
+            }
+        }
+        let cut = progress.cycles();
+        assert!(progress.threads_remaining() > 0, "CS1 has all-asleep spans");
+        let want = stepped.save_checkpoint(&progress, "cs1").unwrap();
+
+        // `step_cycles` jumps into that span and stops at its budget.
+        let mut jumped = parbs(&CS1, 2_000);
+        let mut progress = jumped.begin_run();
+        assert_eq!(jumped.step_cycles(&mut progress, cut), cut);
+        assert!(jumped.cores.iter().all(Core::is_asleep));
+        let got = jumped.save_checkpoint(&progress, "cs1").unwrap();
+        assert_eq!(got, want, "checkpoint bytes at cycle {cut}");
+
+        let mut resumed = parbs(&CS1, 2_000);
+        let mut progress = resumed.resume(&got, "cs1").unwrap();
+        assert!(resumed.cores.iter().all(|c| !c.is_asleep()), "sleep is not restored");
+        resumed.step_cycles(&mut progress, u64::MAX);
+        assert_eq!(resumed.finish_run(progress), parbs(&CS1, 2_000).run());
+    }
+
+    #[test]
+    fn resume_rejects_an_in_flight_read_of_a_missing_core() {
+        let mut sys = parbs(&CS1, 1_000);
+        let progress = sys.begin_run();
+        let addr = sys.memory.decode(7);
+        let (kind, priority) = (RequestKind::Read, Default::default());
+        assert!(sys.memory.enqueue(ThreadId(0), addr, kind, 0, priority, Some((4, MissId(0)))));
+        // The blob is sealed with a valid digest: only the index check
+        // stands between it and an out-of-range core.
+        let blob = sys.save_checkpoint(&progress, "cs1").unwrap();
+        let err = parbs(&CS1, 1_000).resume(&blob, "cs1").unwrap_err();
+        assert_eq!(
+            err,
+            crate::CheckpointError::Corrupt(parbs_snap::SnapError::Mismatch {
+                what: "core count implied by an in-flight read",
+                expected: 4,
+                found: 5,
+            })
+        );
+    }
+
+    #[test]
+    fn resume_rejects_a_worst_case_table_of_the_wrong_length() {
+        let mut sys = parbs(&CS1, 1_000);
+        let progress = sys.begin_run();
+        sys.thread_worst_case.push(0);
+        let blob = sys.save_checkpoint(&progress, "cs1").unwrap();
+        let err = parbs(&CS1, 1_000).resume(&blob, "cs1").unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::CheckpointError::Corrupt(parbs_snap::SnapError::Mismatch {
+                    what: "per-thread worst-case latency count",
+                    expected: 4,
+                    found: 5,
+                })
+            ),
+            "{err}"
         );
     }
 

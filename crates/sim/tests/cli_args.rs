@@ -345,3 +345,20 @@ fn sweep_count_may_be_omitted_before_flags() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("BLISS") && stdout.contains("ATLAS"), "zoo table lists the zoo");
 }
+
+#[test]
+fn a_closed_stdout_pipe_exits_quietly() {
+    // The reader goes away before `parbs-sim` prints (`parbs-sim --list |
+    // head -0`): the next print fails with a broken pipe, which must end
+    // the run with exit 0 and nothing on stderr, not a panic.
+    let mut child = parbs_sim()
+        .arg("--list")
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("parbs-sim runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("parbs-sim exits");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}

@@ -251,6 +251,13 @@ impl RequestSource for FlowSource {
         }
     }
 
+    /// The earlier of the next flow arrival and the next request issue.
+    fn next_event(&self, now: u64) -> u64 {
+        let arrival = if self.spawned < self.cfg.requesters { self.next_arrival } else { u64::MAX };
+        let issue = self.issue.peek().map_or(u64::MAX, |&Reverse((when, _))| when);
+        arrival.min(issue).max(now)
+    }
+
     fn on_complete(&mut self, token: u64, now: u64) {
         let id = ThreadId(token as usize);
         let done = {

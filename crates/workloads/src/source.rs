@@ -22,6 +22,8 @@
 //! * [`RequestSource::exhausted`] is the driver's stop condition: the
 //!   source will never emit another request (and, for sources that track
 //!   completions, everything it cares about has finished).
+//! * [`RequestSource::next_event`] tells the driver which polls it may
+//!   skip. Its default, `now`, skips none.
 
 use parbs_dram::{RequestKind, ThreadId};
 
@@ -54,10 +56,18 @@ pub trait RequestSource {
     fn requesters(&self) -> usize;
 
     /// Advances internal time to `now` and appends every request issued at
-    /// or before `now` to `out`. Called once per driver cycle with strictly
-    /// increasing `now`; the source must tolerate gaps (a driver may skip
-    /// idle cycles).
+    /// or before `now` to `out`. Called with strictly increasing `now`, once
+    /// per driver cycle except the cycles the driver skips before
+    /// [`RequestSource::next_event`]; the source must tolerate those gaps.
     fn poll(&mut self, now: u64, out: &mut Vec<SourcedRequest>);
+
+    /// The first cycle at or after `now` at which [`RequestSource::poll`]
+    /// can emit a request or change the source, assuming no completion is
+    /// delivered before then. A driver may skip the polls of the cycles
+    /// before it. The default, `now`, means "poll me every cycle".
+    fn next_event(&self, now: u64) -> u64 {
+        now
+    }
 
     /// A read previously emitted with this `token` completed at `now`.
     fn on_complete(&mut self, token: u64, now: u64);

@@ -1,10 +1,12 @@
 //! Property tests for the checkpoint format: save → resume → save is a
 //! byte-level fixed point, a resumed run finishes exactly like the
-//! uninterrupted one, and damaged blobs — truncated at any point, or with
-//! any header byte flipped — are rejected with the *typed*
-//! [`CheckpointError`] for the damaged field, never accepted silently.
+//! uninterrupted one, and damaged blobs — truncated at any point, with any
+//! header byte flipped, or with any body bit flipped — are rejected with
+//! the *typed* [`CheckpointError`] for the damaged field, never accepted
+//! silently and never with a panic.
 
 use parbs_sim::{CheckpointError, Harness, SchedulerKind, SimConfig, System};
+use parbs_snap::SnapError;
 use parbs_workloads::{all_benchmarks, MixSpec};
 use proptest::prelude::*;
 
@@ -26,6 +28,18 @@ fn kind_from(pick: u8) -> SchedulerKind {
     let mut all = SchedulerKind::all();
     let n = all.len();
     all.swap_remove(pick as usize % n)
+}
+
+/// Header layout: magic [0, 8), version [8, 12), fingerprint [12, 20), body
+/// digest [20, 28); the body follows.
+const HEADER: usize = 28;
+
+/// True for the error a body that misses its digest gives.
+fn is_digest_mismatch(err: &CheckpointError) -> bool {
+    matches!(
+        err,
+        CheckpointError::Corrupt(SnapError::Mismatch { what: "checkpoint body digest", .. })
+    )
 }
 
 /// Runs `sys` for up to `cut` cycles and checkpoints it there.
@@ -128,7 +142,7 @@ proptest! {
     #[test]
     fn header_byte_flips_are_rejected_with_the_typed_error(
         seed in any::<u64>(),
-        byte in 0usize..20,
+        byte in 0usize..HEADER,
         flip in any::<u8>(),
     ) {
         let harness = quick_harness(400);
@@ -138,7 +152,6 @@ proptest! {
         let mut blob = checkpoint_at(&mut sys, 1_500, "prop");
         blob[byte] ^= flip.max(1);
 
-        // Header layout: magic [0, 8), version [8, 12), fingerprint [12, 20).
         let mut fresh = harness.shared_system(&mix, &kind, &Default::default());
         let err = fresh.resume(&blob, "prop").expect_err("corrupt header accepted");
         let typed_ok = matches!(
@@ -146,8 +159,27 @@ proptest! {
             (0..=7, CheckpointError::BadMagic)
                 | (8..=11, CheckpointError::BadVersion { .. })
                 | (12..=19, CheckpointError::FingerprintMismatch { .. })
-        );
+        ) || ((20..HEADER).contains(&byte) && is_digest_mismatch(&err));
         prop_assert!(typed_ok, "byte {byte} flip produced the wrong error: {err}");
+    }
+
+    #[test]
+    fn body_bit_flips_are_rejected_before_decoding(
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        let harness = quick_harness(400);
+        let mix = mix_from(seed);
+        let kind = kind_from((seed >> 40) as u8);
+        let mut sys = harness.shared_system(&mix, &kind, &Default::default());
+        let mut blob = checkpoint_at(&mut sys, 1_500, "prop");
+        let i = HEADER + (at as usize) % (blob.len() - HEADER);
+        blob[i] ^= 1 << bit;
+
+        let mut fresh = harness.shared_system(&mix, &kind, &Default::default());
+        let err = fresh.resume(&blob, "prop").expect_err("a damaged body was accepted");
+        prop_assert!(is_digest_mismatch(&err), "body byte {i} bit {bit}: {err}");
     }
 
     #[test]
