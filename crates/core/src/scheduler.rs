@@ -10,9 +10,7 @@ use parbs_obs::{Event, RankEntry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::{
-    compute_ranks, BatchingMode, ParBsConfig, PriorityValue, Ranking, ThreadLoad, ThreadPriority,
-};
+use crate::{compute_ranks, BatchingMode, ParBsConfig, PriorityValue, Ranking, ThreadLoad};
 
 /// Telemetry counters of one PAR-BS instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -55,15 +53,16 @@ impl ParBsStats {
 /// Plug it into a [`parbs_dram::Controller`]; it maintains batches by
 /// mutating the `marked` bit of queued requests in
 /// [`MemoryScheduler::pre_schedule`] and orders requests with the packed
-/// [`PriorityValue`] of Figure 4.
+/// [`PriorityValue`] of Figure 4. A thread's system-software priority
+/// (Section 5) rides on each of its requests, as the paper stores it in
+/// the request buffer: PAR-BS reads [`Request::priority_level`] as it
+/// reads [`Request::marked`], and keeps no per-thread priority table.
 #[derive(Debug)]
 pub struct ParBsScheduler {
     cfg: ParBsConfig,
     /// Rank of each thread in the current batch; unregistered = not in the
     /// current batch (lowest, `u32::MAX`).
     ranks: ThreadTable<u32>,
-    /// System-software priority per thread (unregistered = level 1).
-    priorities: ThreadTable<ThreadPriority>,
     /// Marking budget already granted this batch, per bank. Cleared (entries
     /// retired) at each batch boundary, so only the threads of the current
     /// batch hold state.
@@ -104,7 +103,6 @@ impl ParBsScheduler {
         ParBsScheduler {
             cfg,
             ranks: ThreadTable::new(),
-            priorities: ThreadTable::new(),
             granted: ThreadTable::new(),
             mark_scratch: Vec::new(),
             load_pairs: Vec::new(),
@@ -122,13 +120,6 @@ impl ParBsScheduler {
             banks_per_rank: 1,
             obs_events: Vec::new(),
         }
-    }
-
-    /// Sets a thread's system-software priority (Section 5). Level 1 is the
-    /// default; [`ThreadPriority::Opportunistic`] requests are never marked
-    /// and yield to everything else.
-    pub fn set_thread_priority(&mut self, thread: ThreadId, priority: ThreadPriority) {
-        self.priorities.insert(thread, priority);
     }
 
     /// Telemetry counters.
@@ -149,18 +140,12 @@ impl ParBsScheduler {
         self.ranks.get(thread).copied().unwrap_or(u32::MAX)
     }
 
-    fn priority_of(&self, thread: usize) -> ThreadPriority {
-        self.priorities.get(ThreadId(thread)).copied().unwrap_or_default()
-    }
-
-    /// Marking eligibility of `thread` for the batch the cadence was last
-    /// refreshed for: a level-X thread joins every Xth batch, opportunistic
-    /// threads never join (Section 5).
-    fn is_eligible(&self, thread: usize) -> bool {
-        match self.priority_of(thread).period() {
-            Some(period) => self.eligible_batch_no.is_multiple_of(period),
-            None => false,
-        }
+    /// Marking eligibility of `req` for the batch the cadence was last
+    /// refreshed for: a request of priority level X joins every Xth batch,
+    /// an opportunistic one (no level) never joins (Section 5).
+    fn is_eligible(&self, req: &Request) -> bool {
+        req.priority_level
+            .is_some_and(|x| self.eligible_batch_no.is_multiple_of(u64::from(x.max(1))))
     }
 
     /// The marking budget already spent by `(thread, bank)` this batch,
@@ -184,9 +169,12 @@ impl ParBsScheduler {
         let cap = self.current_cap.unwrap_or(u32::MAX);
         let mut scratch = std::mem::take(&mut self.mark_scratch);
         scratch.clear();
-        scratch.extend(queue.iter().enumerate().filter_map(|(i, r)| {
-            (!r.marked && self.is_eligible(r.thread.0)).then_some((r.id.0, i))
-        }));
+        scratch.extend(
+            queue
+                .iter()
+                .enumerate()
+                .filter_map(|(i, r)| (!r.marked && self.is_eligible(r)).then_some((r.id.0, i))),
+        );
         if scratch.is_empty() {
             self.mark_scratch = scratch;
             return 0;
@@ -372,7 +360,8 @@ impl ParBsScheduler {
     }
 
     fn priority_value(&self, r: &Request, view: &SchedView<'_>) -> PriorityValue {
-        let level_key = self.priority_of(r.thread.0).sort_key();
+        // Smaller = more important; opportunistic requests sort last.
+        let level_key = r.priority_level.map_or(u16::MAX, |x| u16::from(x.max(1)));
         let row_hit = self.cfg.row_hit_first && view.is_row_hit(r);
         let rank = if self.cfg.ranking == Ranking::None { 0 } else { self.rank_of(r.thread) };
         PriorityValue::pack(r.marked, level_key, row_hit, rank, r.id.0)
@@ -484,7 +473,6 @@ impl MemoryScheduler for ParBsScheduler {
 
     fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
         w.put(&self.ranks);
-        w.put(&self.priorities);
         w.put(&self.granted);
         w.u64(self.eligible_batch_no);
         w.u64(self.batch_formed_at);
@@ -501,7 +489,6 @@ impl MemoryScheduler for ParBsScheduler {
         r: &mut parbs_snap::SnapReader<'_>,
     ) -> Result<(), parbs_snap::SnapError> {
         self.ranks = r.get()?;
-        self.priorities = r.get()?;
         self.granted = r.get()?;
         self.eligible_batch_no = r.u64()?;
         self.batch_formed_at = r.u64()?;
@@ -546,6 +533,11 @@ mod tests {
             RequestKind::Read,
             id,
         )
+    }
+
+    /// [`req`] at priority `level` (`None` = opportunistic).
+    fn req_at(level: Option<u8>, id: u64, thread: usize, bank: usize, row: u64) -> Request {
+        Request { priority_level: level, ..req(id, thread, bank, row) }
     }
 
     fn channel() -> Channel {
@@ -651,9 +643,8 @@ mod tests {
     #[test]
     fn opportunistic_threads_are_never_marked_and_always_last() {
         let mut s = ParBsScheduler::new(ParBsConfig::default());
-        s.set_thread_priority(ThreadId(1), ThreadPriority::Opportunistic);
         let ch = channel();
-        let mut q = vec![req(0, 1, 0, 1)];
+        let mut q = vec![req_at(None, 0, 1, 0, 1)];
         s.pre_schedule(&mut q, &view(&ch, 0));
         assert!(!q[0].marked, "opportunistic requests never join a batch");
         // Against any normal thread's unmarked request it still loses.
@@ -664,11 +655,10 @@ mod tests {
     #[test]
     fn priority_levels_mark_every_xth_batch() {
         let mut s = ParBsScheduler::new(ParBsConfig::default());
-        s.set_thread_priority(ThreadId(1), ThreadPriority::Level(2));
         let ch = channel();
         // Batch 1 (batches_formed = 0 at decision time): level-2 thread is
         // eligible (0 % 2 == 0).
-        let mut q = vec![req(0, 0, 0, 1), req(1, 1, 1, 1)];
+        let mut q = vec![req(0, 0, 0, 1), req_at(Some(2), 1, 1, 1, 1)];
         s.pre_schedule(&mut q, &view(&ch, 0));
         let first_batch_marked = q[1].marked;
         // Drain and form the next batch: now 1 % 2 == 1 → not eligible.
@@ -676,7 +666,7 @@ mod tests {
             r.marked = false;
         }
         q[0] = req(2, 0, 0, 2);
-        q[1] = req(3, 1, 1, 2);
+        q[1] = req_at(Some(2), 3, 1, 1, 2);
         s.pre_schedule(&mut q, &view(&ch, 1_000));
         let second_batch_marked = q[1].marked;
         assert!(
@@ -813,9 +803,8 @@ mod tests {
         // anyway, advancing the priority cadence and deflating
         // avg_batch_size with phantom batches.
         let mut s = ParBsScheduler::new(ParBsConfig::default());
-        s.set_thread_priority(ThreadId(0), ThreadPriority::Opportunistic);
         let ch = channel();
-        let mut q = vec![req(0, 0, 0, 1)];
+        let mut q = vec![req_at(None, 0, 0, 0, 1)];
         for now in [0, 100, 200] {
             s.pre_schedule(&mut q, &view(&ch, now));
         }

@@ -494,7 +494,8 @@ impl Core {
     /// # Errors
     ///
     /// [`parbs_snap::SnapError::Mismatch`] when the snapshot exceeds this
-    /// core's window or store-queue capacity; decoding errors propagate.
+    /// core's window or store-queue capacity, or its miss ids are out of
+    /// allocation order; decoding errors propagate.
     pub fn restore_state(
         &mut self,
         r: &mut parbs_snap::SnapReader<'_>,
@@ -509,6 +510,19 @@ impl Core {
         }
         let misses: Vec<Miss> = r.get()?;
         let next_miss = r.u64()?;
+        // Misses are allocated ascending from `next_miss`: a repeated id
+        // would be issued twice.
+        let mut lowest = 0;
+        for m in &misses {
+            if m.id.0 < lowest || m.id.0 >= next_miss {
+                return Err(parbs_snap::SnapError::Mismatch {
+                    what: "core miss id, ascending and below the next miss id",
+                    expected: lowest,
+                    found: m.id.0,
+                });
+            }
+            lowest = m.id.0 + 1;
+        }
         let store_queue: std::collections::VecDeque<u64> = r.get()?;
         if store_queue.len() > self.cfg.store_queue {
             return Err(parbs_snap::SnapError::Mismatch {
@@ -536,6 +550,31 @@ mod tests {
 
     fn compute_only() -> Box<dyn InstructionStream> {
         Box::new(TraceStream::new(vec![Instr::Compute]))
+    }
+
+    #[test]
+    fn restore_rejects_miss_ids_out_of_allocation_order() {
+        let trace = vec![Instr::Load(1), Instr::Load(2), Instr::Compute];
+        let mut core = Core::new(CoreConfig::table2(), Box::new(TraceStream::new(trace.clone())));
+        core.tick(0);
+        core.tick(1);
+        assert_eq!(core.misses.len(), 2);
+        // A repeated id would be issued twice; an id at or past the next
+        // one would be handed out again.
+        for (first, next) in [(1, 2), (0, 1)] {
+            core.misses[0].id = MissId(first);
+            core.next_miss = next;
+            let mut w = parbs_snap::SnapWriter::new();
+            core.save_state(&mut w);
+            let bytes = w.into_bytes();
+            let mut fresh =
+                Core::new(CoreConfig::table2(), Box::new(TraceStream::new(trace.clone())));
+            let err = fresh.restore_state(&mut parbs_snap::SnapReader::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(err, parbs_snap::SnapError::Mismatch { what, .. } if what.starts_with("core miss id")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!    states and request mixes, every packed key must (a) stay inside the
 //!    declared bit positions, (b) extract field values consistent with each
 //!    field's declared semantic where that semantic is externally
-//!    observable (`marked`, row-hit status, the age encoding), and (c)
+//!    observable (`marked`, the priority level, row-hit status, the age
+//!    encoding), and (c)
 //!    order exactly like the scheduler's own pairwise
 //!    [`MemoryScheduler::compare`] — the lexicographic field order the
 //!    layout documents *is* the integer order of the packed key, so any
@@ -79,21 +80,25 @@ fn channel_states() -> Vec<(Channel, u64)> {
     ]
 }
 
-/// A request mix spanning both threads, hit/conflict/closed banks and
-/// distinct ages. Ids are deliberately non-contiguous.
+/// A request mix spanning four threads, hit/conflict/closed banks, three
+/// priority levels (1, 2 and opportunistic) and distinct ages. Ids are
+/// deliberately non-contiguous.
 fn request_mix() -> Vec<Request> {
-    let spec: &[(u64, usize, usize, u64)] = &[
-        // (id, thread, bank, row)
-        (0, 0, 0, 1),
-        (1, 1, 0, 2),
-        (2, 0, 1, 2),
-        (3, 1, 1, 1),
-        (9, 0, 2, 3),
-        (100, 1, 3, 1),
+    let spec: &[(u64, usize, usize, u64, Option<u8>)] = &[
+        // (id, thread, bank, row, priority level)
+        (0, 0, 0, 1, Some(1)),
+        (1, 1, 0, 2, Some(1)),
+        (2, 0, 1, 2, Some(1)),
+        (3, 1, 1, 1, Some(1)),
+        (5, 2, 1, 1, Some(2)),
+        (7, 3, 0, 1, None),
+        (9, 0, 2, 3, Some(1)),
+        (100, 1, 3, 1, Some(1)),
     ];
     spec.iter()
-        .map(|&(id, thread, bank, row)| {
-            Request::new(
+        .map(|&(id, thread, bank, row, priority_level)| Request {
+            priority_level,
+            ..Request::new(
                 id,
                 ThreadId(thread),
                 LineAddr { channel: 0, bank, row, col: 0 },
@@ -114,6 +119,12 @@ fn expected_field_value(
 ) -> Option<u128> {
     match semantic {
         FieldSemantic::Marked => Some(u128::from(req.marked)),
+        // The level inverted over the field's width (level 1 = largest);
+        // an opportunistic request packs 0, below every level.
+        FieldSemantic::PriorityLevel => {
+            let max = (1u128 << width) - 1;
+            Some(req.priority_level.map_or(0, |level| max - u128::from(level)))
+        }
         FieldSemantic::RowHit => Some(u128::from(view.is_row_hit(req))),
         // Age is the inverted id over the field's width (oldest = largest).
         FieldSemantic::Age => {

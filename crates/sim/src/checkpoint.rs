@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PARBSCKP"
-//! 8       4     format version (little-endian u32, currently 4)
+//! 8       4     format version (little-endian u32, currently 5)
 //! 12      8     fingerprint (little-endian u64): FNV-1a over the full
 //!               SimConfig debug rendering, every channel's scheduler
 //!               name, and the workload label
@@ -20,7 +20,10 @@
 //!               every controller's state
 //! ```
 //!
-//! Version 4 adds the body digest and drops each core's halt flag.
+//! Version 5 drops PAR-BS's per-thread priority table: PAR-BS reads each
+//! queued request's priority level, which the request buffer already
+//! carries. Version 4 added the body digest and dropped each core's halt
+//! flag.
 //! Version 3 grouped the memory side's state after the cores and dropped
 //! the completion buffer (empty between cycles) and the controller
 //! statistics nothing read. Version 2 dropped per-thread BLP trackers.
@@ -45,7 +48,7 @@ use crate::{RunProgress, System};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 4;
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +173,7 @@ impl System {
             return Err(CheckpointError::Corrupt(SnapError::Mismatch { what, expected, found }));
         }
         let mut r = SnapReader::new(body);
-        let progress = RunProgress::load_state(&mut r)?;
+        let progress = RunProgress::load_state(&mut r, &self.begin_run())?;
         self.restore_state(&mut r)?;
         r.expect_end()?;
         Ok(progress)
@@ -259,7 +262,7 @@ mod tests {
         let mut sys = build(&SchedulerKind::FrFcfs);
         let progress = sys.begin_run();
         let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
-        for found in [2u32, 3] {
+        for found in [2u32, 3, 4] {
             blob[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found }));
         }

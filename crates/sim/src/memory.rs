@@ -302,13 +302,18 @@ impl<T: Snap + Clone> MemorySide<T> {
     }
 
     /// Restores state saved by [`MemorySide::save_state`] into a memory side
-    /// built from the same configuration and scheduler.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+    /// built from the same configuration and scheduler, whose requesters
+    /// are threads `0..threads` (see [`Controller::restore_state`]).
+    pub(crate) fn restore_state(
+        &mut self,
+        r: &mut SnapReader<'_>,
+        threads: usize,
+    ) -> Result<(), SnapError> {
         self.next_request = r.u64()?;
         let inflight: Vec<(u64, T)> = r.get()?;
         self.inflight = inflight.into_iter().collect();
         for ctrl in &mut self.controllers {
-            ctrl.restore_state(r)?;
+            ctrl.restore_state(r, threads)?;
         }
         Ok(())
     }

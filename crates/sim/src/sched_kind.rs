@@ -88,7 +88,9 @@ impl SchedulerKind {
     }
 
     /// Instantiates a scheduler for one memory controller, applying the
-    /// per-thread weights (NFQ/STFM) or priorities (PAR-BS) in `cfg`.
+    /// per-thread weights (NFQ/STFQ/STFM) in `cfg`. PAR-BS needs no
+    /// per-thread setup: it reads each request's priority level, which the
+    /// memory side sets from `cfg` as the request enters the buffer.
     #[must_use]
     pub fn build(&self, cfg: &SimConfig) -> Box<dyn MemoryScheduler> {
         match self {
@@ -115,13 +117,7 @@ impl SchedulerKind {
                 }
                 Box::new(s)
             }
-            SchedulerKind::ParBs(pc) => {
-                let mut s = ParBsScheduler::new(*pc);
-                for t in 0..cfg.cores {
-                    s.set_thread_priority(ThreadId(t), cfg.priority_of(t));
-                }
-                Box::new(s)
-            }
+            SchedulerKind::ParBs(pc) => Box::new(ParBsScheduler::new(*pc)),
             SchedulerKind::Bliss(bc) => Box::new(BlissScheduler::with_config(*bc)),
             SchedulerKind::Atlas(ac) => Box::new(AtlasScheduler::with_config(*ac)),
         }

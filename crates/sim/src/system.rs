@@ -124,21 +124,32 @@ impl RunProgress {
         w.bool(self.timed_out);
     }
 
+    /// Loads a progress saved by [`RunProgress::save_state`] for a run of
+    /// the same shape as `fresh`. Rejects an instruction target or a
+    /// thread count other than `fresh`'s: a wrong target runs the resumed
+    /// system to a different end, and a wrong count indexes past its cores.
     pub(crate) fn load_state(
         r: &mut parbs_snap::SnapReader<'_>,
+        fresh: &RunProgress,
     ) -> Result<Self, parbs_snap::SnapError> {
+        let mismatch =
+            |what, expected, found| parbs_snap::SnapError::Mismatch { what, expected, found };
         let target = r.u64()?;
+        if target != fresh.target {
+            return Err(mismatch("run progress instruction target", fresh.target, target));
+        }
         let snapshots: Vec<Option<ThreadRunStats>> = r.get()?;
+        if snapshots.len() != fresh.snapshots.len() {
+            let (expected, found) = (fresh.snapshots.len() as u64, snapshots.len() as u64);
+            return Err(mismatch("run progress thread count", expected, found));
+        }
         let remaining = r.usize()?;
         let now = r.u64()?;
         let timed_out = r.bool()?;
         let open = snapshots.iter().filter(|s| s.is_none()).count();
         if remaining != open {
-            return Err(parbs_snap::SnapError::Mismatch {
-                what: "run progress remaining-thread count",
-                expected: open as u64,
-                found: remaining as u64,
-            });
+            let (expected, found) = (open as u64, remaining as u64);
+            return Err(mismatch("run progress remaining-thread count", expected, found));
         }
         Ok(RunProgress { target, snapshots, remaining, now, timed_out })
     }
@@ -439,9 +450,11 @@ impl System {
 
     /// Restores state saved by [`System::save_state`] into a freshly built
     /// system of the same shape (same config, streams, and scheduler).
-    /// Rejects per-thread tables whose length is not the core count, and
-    /// in-flight reads of a core this system does not have: both would
-    /// index out of range when a read completes.
+    /// Rejects per-thread tables whose length is not the core count, stall
+    /// feedback ahead of a core's stall count, in-flight reads of a core
+    /// this system does not have, and queued requests of a thread it does
+    /// not have: each would index out of range or underflow later in the
+    /// run.
     pub(crate) fn restore_state(
         &mut self,
         r: &mut parbs_snap::SnapReader<'_>,
@@ -460,12 +473,20 @@ impl System {
         if thread_worst_case.len() != n {
             return Err(mismatch("per-thread worst-case latency count", thread_worst_case.len()));
         }
-        self.prev_stall = prev_stall;
-        self.thread_worst_case = thread_worst_case;
         for core in &mut self.cores {
             core.restore_state(r)?;
         }
-        self.memory.restore_state(r)?;
+        // Stall feedback reports each core's count since the last report.
+        for (core, &prev) in self.cores.iter().zip(&prev_stall) {
+            let total = core.stats().mem_stall_cycles;
+            if prev > total {
+                let what = "memory stall cycles of a core, at least the last reported";
+                return Err(parbs_snap::SnapError::Mismatch { what, expected: total, found: prev });
+            }
+        }
+        self.prev_stall = prev_stall;
+        self.thread_worst_case = thread_worst_case;
+        self.memory.restore_state(r, n)?;
         match self.memory.carried().map(|&(core, _)| core).find(|&core| core >= n) {
             Some(core) => {
                 Err(mismatch("core count implied by an in-flight read", core.saturating_add(1)))
@@ -659,6 +680,41 @@ mod tests {
                 found: 5,
             })
         );
+    }
+
+    #[test]
+    fn resume_rejects_queued_requests_outside_the_channel_or_the_cores() {
+        let cases = [
+            (ThreadId(4), 0, "thread count implied by a queued request", 4, 5),
+            (ThreadId(0), 8, "channel bank count implied by a queued request", 8, 9),
+        ];
+        for (thread, bank, what, expected, found) in cases {
+            let mut sys = parbs(&CS1, 1_000);
+            let progress = sys.begin_run();
+            let addr = parbs_dram::LineAddr { bank, ..sys.memory.decode(7) };
+            let (kind, priority) = (RequestKind::Write, Default::default());
+            assert!(sys.memory.enqueue(thread, addr, kind, 0, priority, None));
+            let blob = sys.save_checkpoint(&progress, "cs1").unwrap();
+            let err = parbs(&CS1, 1_000).resume(&blob, "cs1").unwrap_err();
+            let want = parbs_snap::SnapError::Mismatch { what, expected, found };
+            assert_eq!(err, crate::CheckpointError::Corrupt(want));
+        }
+    }
+
+    #[test]
+    fn resume_rejects_a_progress_target_other_than_the_configurations() {
+        let mut sys = parbs(&CS1, 1_000);
+        let mut progress = sys.begin_run();
+        sys.step_cycles(&mut progress, 500);
+        progress.target = 999;
+        let blob = sys.save_checkpoint(&progress, "cs1").unwrap();
+        let err = parbs(&CS1, 1_000).resume(&blob, "cs1").unwrap_err();
+        let want = parbs_snap::SnapError::Mismatch {
+            what: "run progress instruction target",
+            expected: 1_000,
+            found: 999,
+        };
+        assert_eq!(err, crate::CheckpointError::Corrupt(want));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! The reference comparators below are written out from the papers' rule
 //! statements (FR-FCFS: row-hit first, then oldest first; PAR-BS Rule 3.2
-//! with ranking disabled: marked first, then row-hit, then oldest first;
+//! with ranking disabled: marked first, then the higher thread priority
+//! (Section 5), then row-hit, then oldest first;
 //! BLISS: non-blacklisted first, then row-hit, then oldest; ATLAS: lower
 //! attained-service rank first, then row-hit, then oldest) — *not* from
 //! the schedulers' own `compare`, so a shared packing bug cannot hide.
@@ -124,9 +125,15 @@ proptest! {
     fn parbs_key_order_matches_documented_comparator(
         opens in proptest::collection::vec(open_spec(), 0..6),
         reqs in proptest::collection::vec(req_spec(), 2..10),
+        // Per thread: 0 = level 1, 1 = level 2, 2 = opportunistic.
+        picks in (0u8..3, 0u8..3, 0u8..3, 0u8..3),
     ) {
         let (ch, mut queue, now) = build_state(&opens, &reqs);
         let view = SchedView { channel: &ch, now };
+        let picks = [picks.0, picks.1, picks.2, picks.3];
+        for req in &mut queue {
+            req.priority_level = [Some(1), Some(2), None][usize::from(picks[req.thread.0])];
+        }
         let cfg = ParBsConfig { ranking: Ranking::None, ..ParBsConfig::default() };
         let row_hit_first = cfg.row_hit_first;
         let mut sched = ParBsScheduler::new(cfg);
@@ -136,12 +143,14 @@ proptest! {
         // Batch formation sets the marked bits Rule 3.2 reads.
         sched.pre_schedule(&mut queue, &view);
         assert_key_order_matches(&sched, &queue, &view, |a, b| {
-            // Rule 3.2 with ranking off and uniform thread priority:
-            // marked-first, then row-hit-first (when configured), then
-            // oldest-first.
+            // Rule 3.2 with ranking off: marked-first, then the PRIORITY
+            // rule (lower level first, opportunistic last), then
+            // row-hit-first (when configured), then oldest-first.
+            let level = |r: &Request| r.priority_level.map_or(u16::MAX, u16::from);
             let hit = |r: &Request| row_hit_first && view.is_row_hit(r);
             b.marked
                 .cmp(&a.marked)
+                .then(level(a).cmp(&level(b)))
                 .then(hit(b).cmp(&hit(a)))
                 .then(a.id.cmp(&b.id))
         });

@@ -3,10 +3,12 @@
 //! uninterrupted one, and damaged blobs — truncated at any point, with any
 //! header byte flipped, or with any body bit flipped — are rejected with
 //! the *typed* [`CheckpointError`] for the damaged field, never accepted
-//! silently and never with a panic.
+//! silently and never with a panic. A body altered and re-sealed with a
+//! valid digest gets past that check; its resume must still end in an
+//! error or a finished run, never a panic or an abort.
 
 use parbs_sim::{CheckpointError, Harness, SchedulerKind, SimConfig, System};
-use parbs_snap::SnapError;
+use parbs_snap::{Fingerprint, SnapError};
 use parbs_workloads::{all_benchmarks, MixSpec};
 use proptest::prelude::*;
 
@@ -198,5 +200,41 @@ proptest! {
             matches!(err, CheckpointError::FingerprintMismatch { .. }),
             "expected a fingerprint mismatch, got: {err}"
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn resealed_body_bit_flips_resume_to_an_error_or_a_finished_run(
+        seed in any::<u64>(),
+        at in any::<u64>(),
+        bit in 0u8..8,
+    ) {
+        // The cut falls mid-run; the cycle cap a few thousand cycles past
+        // it bounds a run that a flipped cycle count or instruction counter
+        // would stretch.
+        const CUT: u64 = 1_500;
+        let cfg = SimConfig {
+            target_instructions: 10_000,
+            max_cycles: CUT + 3_000,
+            ..SimConfig::for_cores(4)
+        };
+        let harness = Harness::new(cfg);
+        let mix = mix_from(seed);
+        let kind = kind_from((seed >> 24) as u8);
+        let mut sys = harness.shared_system(&mix, &kind, &Default::default());
+        let mut blob = checkpoint_at(&mut sys, CUT, "prop");
+        let i = HEADER + (at as usize) % (blob.len() - HEADER);
+        blob[i] ^= 1 << bit;
+        let mut digest = Fingerprint::new();
+        digest.update(&blob[HEADER..]);
+        blob[20..HEADER].copy_from_slice(&digest.digest().to_le_bytes());
+
+        let mut fresh = harness.shared_system(&mix, &kind, &Default::default());
+        if let Ok(mut progress) = fresh.resume(&blob, "prop") {
+            while fresh.step_cycle(&mut progress) {}
+            let _ = fresh.finish_run(progress);
+        }
     }
 }

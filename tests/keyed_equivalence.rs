@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::cmp::Ordering;
 use std::rc::Rc;
 
-use parbs::{BatchingMode, ParBsConfig, ParBsScheduler, ThreadPriority};
+use parbs::{BatchingMode, ParBsConfig, ParBsScheduler};
 use parbs_baselines::{
     AtlasScheduler, BlissScheduler, FrFcfsScheduler, NfqScheduler, StfmScheduler,
 };
@@ -148,17 +148,25 @@ fn run(
     (sink.into_trace(), completed)
 }
 
-/// Runs the same mix through the keyed and comparator paths, under both
-/// stall-report cadences, and asserts the traces are identical.
+/// [`assert_paths_agree_on`] the default mix.
 fn assert_paths_agree(name: &str, make: &dyn Fn() -> Box<dyn MemoryScheduler>) {
-    let arrivals = mix(0xC0FFEE, 600);
+    assert_paths_agree_on(name, &mix(0xC0FFEE, 600), make);
+}
+
+/// Runs `arrivals` through the keyed and comparator paths, under both
+/// stall-report cadences, and asserts the traces are identical.
+fn assert_paths_agree_on(
+    name: &str,
+    arrivals: &[Arrival],
+    make: &dyn Fn() -> Box<dyn MemoryScheduler>,
+) {
     let cfg = DramConfig::default();
     for reports in [StallReports::Sparse, StallReports::EveryDramCycle] {
         let keyed = Controller::with_checker(cfg.clone(), make());
         let mut comparator = Controller::with_checker(cfg.clone(), make());
         comparator.set_comparator_path(true);
-        let (trace_k, done_k) = run(keyed, &arrivals, reports);
-        let (trace_c, done_c) = run(comparator, &arrivals, reports);
+        let (trace_k, done_k) = run(keyed, arrivals, reports);
+        let (trace_c, done_c) = run(comparator, arrivals, reports);
         let name = format!("{name} ({reports:?} stall reports)");
         assert_eq!(done_k, arrivals.len(), "{name}: keyed path must drain the whole mix");
         assert_eq!(done_c, arrivals.len(), "{name}: comparator path must drain the whole mix");
@@ -231,16 +239,23 @@ fn parbs_keyed_path_matches_comparator() {
 fn parbs_eslot_priority_levels_keyed_path_matches_comparator() {
     // Empty-slot batching re-marks every slot and the priority levels give
     // threads different marking cadences — the hardest key-staleness case.
-    assert_paths_agree("PAR-BS/eslot", &|| {
+    // The levels ride on the requests: thread 2 at level 2, thread 3
+    // opportunistic.
+    let mut arrivals = mix(0xC0FFEE, 600);
+    for a in &mut arrivals {
+        a.req.priority_level = match a.req.thread.0 {
+            2 => Some(2),
+            3 => None,
+            _ => Some(1),
+        };
+    }
+    assert_paths_agree_on("PAR-BS/eslot", &arrivals, &|| {
         let cfg = ParBsConfig {
             batching: BatchingMode::EmptySlot,
             marking_cap: Some(3),
             ..ParBsConfig::default()
         };
-        let mut s = ParBsScheduler::new(cfg);
-        s.set_thread_priority(ThreadId(2), ThreadPriority::Level(2));
-        s.set_thread_priority(ThreadId(3), ThreadPriority::Opportunistic);
-        Box::new(s)
+        Box::new(ParBsScheduler::new(cfg))
     });
 }
 
