@@ -19,7 +19,9 @@
 //! System-software thread priorities are supported via priority-based
 //! marking (a priority-X thread joins every Xth batch) and an extra
 //! within-batch rule; a special lowest level gives **purely opportunistic**
-//! service ([`ThreadPriority::Opportunistic`]).
+//! service ([`ThreadPriority::Opportunistic`]). The scheduler reads each
+//! request's level from [`parbs_dram::Request::priority_level`], where the
+//! code that enqueues it puts [`ThreadPriority::period`].
 //!
 //! The crate also provides the paper's hardware-cost model (Table 1 — 1412
 //! extra bits for an 8-core, 128-entry, 8-bank configuration) and the

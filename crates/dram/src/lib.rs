@@ -18,14 +18,17 @@
 //!
 //! The scheduling policy is pluggable through the [`MemoryScheduler`] trait:
 //! per decision slot the controller walks the queued read requests in
-//! descending order of their cached [`MemoryScheduler::priority_key`] (keys
-//! are recomputed only when an event can change them, and re-sorted only
-//! then or when a read leaves) and issues the next required DRAM command
-//! (precharge / activate / read) of the first request in that order whose
-//! command is *ready* — the "first-ready" discipline of FR-FCFS
-//! generalized to arbitrary priority orders. The scheduler's pairwise
-//! `compare` is the reference order the keys must reproduce; the
-//! controller's comparator-sort path is kept only to cross-check them.
+//! descending order of their cached [`MemoryScheduler::priority_key`] and
+//! issues the next required DRAM command (precharge / activate / read) of
+//! the first request in that order whose command is *ready* — the
+//! "first-ready" discipline of FR-FCFS generalized to arbitrary priority
+//! orders. Reads and writes live in one request-buffer type whose keys are
+//! recomputed only when an event can change them, and re-sorted only then
+//! or when a request leaves; writes are keyed FR-FCFS. The scheduler's
+//! pairwise `compare` is the reference order the read keys must reproduce;
+//! the controller's comparator-sort path is kept only to cross-check them.
+//! Per-request state the paper keeps in the request buffer — the marked
+//! bit and the thread's priority level — rides on each [`Request`].
 //!
 //! A [`ProtocolChecker`] can observe every issued command and verify that no
 //! DRAM timing constraint is ever violated; the property-based tests use it

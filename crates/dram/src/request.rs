@@ -50,6 +50,10 @@ pub struct Request {
     pub marked: bool,
     /// System-software priority level of the issuing thread (1 = highest).
     /// `None` encodes the paper's lowest, purely-opportunistic level *L*.
+    /// PAR-BS reads it as it reads `marked`: a level-X request joins every
+    /// Xth batch and the within-batch PRIORITY rule orders by it. It lives
+    /// on the request because the paper packs it into each request's
+    /// priority in the request buffer (Figure 4).
     pub priority_level: Option<u8>,
 }
 
