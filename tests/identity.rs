@@ -7,15 +7,17 @@
 //! with the name of the case and both digests. The cases cover every
 //! scheduler on the three case studies (STFM reads the stall reports, so
 //! it is the most sensitive to how stall cycles are counted), a 16-core
-//! mix, a checkpoint and its resumed run, the open-loop flow driver under
-//! every scheduler, and Case Study 1's event traces. Unequal priorities
+//! mix, every scheduler's checkpoint and its resumed run, the open-loop
+//! flow driver under every scheduler, and Case Study 1's event traces. Unequal priorities
 //! and shares are covered by the rows of Fig. 14 (PAR-BS levels 1-1-2-8,
 //! opportunistic threads, NFQ/STFM weights) and by NFQ and STFQ at shares
 //! 8-1-1-1, where the two schedule differently. The traces are Chrome
 //! under PAR-BS and JSONL under PAR-BS, BLISS and ATLAS, which together
 //! emit every event kind; the `prelude:invariants` and `prelude:qos`
 //! verdicts on Case Study 1 are digested online and on replay of its
-//! JSONL trace.
+//! JSONL trace. The static analyses are digested too: every scheduler's
+//! `check-keys` report, and its `check-liveness` report and witness on the
+//! tiny geometry.
 //!
 //! `PARBS_RECORD_IDENTITY=1 cargo test --test identity` rewrites the file.
 //! Re-record only when a change is meant to move output, and name every
@@ -24,6 +26,7 @@
 use std::collections::BTreeMap;
 
 use parbs_monitor::{prelude, replay_jsonl, Spec};
+use parbs_sim::analyze::{check_scheduler_keys, check_scheduler_liveness, LivenessConfig};
 use parbs_sim::experiments::{priority_opportunistic_plan, priority_weighted_plan};
 use parbs_sim::{
     run_flow, run_observed, EvalJob, EvalOverrides, FlowRunResult, Harness, MixEvaluation,
@@ -106,29 +109,49 @@ fn config(cores: usize, target: u64) -> SimConfig {
     SimConfig { target_instructions: target, ..SimConfig::for_cores(cores) }
 }
 
-/// The checkpoint cases' system: a 4-core PAR-BS run, cut at a fixed cycle.
+/// The checkpoint cases' system: a 4-core run, cut at a fixed cycle.
 const CHECKPOINT_MIX: [&str; 4] = ["mcf", "libquantum", "lbm", "hmmer"];
 const CHECKPOINT_CYCLE: u64 = 8_000;
 
-/// The checkpoint bytes at [`CHECKPOINT_CYCLE`], and the result of
-/// resuming from them in a fresh system.
-fn checkpoint_cases() -> [(String, u64); 2] {
+/// The checkpoint bytes of a run under `kind` at [`CHECKPOINT_CYCLE`], and
+/// the result of resuming from them in a fresh system.
+fn checkpoint_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
     let harness = Harness::new(config(4, 3_000));
     let mix = MixSpec::from_names("ckpt", &CHECKPOINT_MIX);
-    let kind = SchedulerKind::ParBs(Default::default());
-    let mut sys = harness.shared_system(&mix, &kind, &Default::default());
+    let mut sys = harness.shared_system(&mix, kind, &Default::default());
     let mut progress = sys.begin_run();
     for _ in 0..CHECKPOINT_CYCLE {
         assert!(sys.step_cycle(&mut progress), "the run outlasts the checkpoint cycle");
     }
     let blob = sys.save_checkpoint(&progress, "ckpt").expect("checkpointable");
-    let mut fresh = harness.shared_system(&mix, &kind, &Default::default());
+    let mut fresh = harness.shared_system(&mix, kind, &Default::default());
     let mut progress = fresh.resume(&blob, "ckpt").expect("self-resume succeeds");
     while fresh.step_cycle(&mut progress) {}
     let resumed = fresh.finish_run(progress);
-    [
-        ("checkpoint/PAR-BS/bytes".to_owned(), digest_bytes(&blob)),
-        ("checkpoint/PAR-BS/resumed".to_owned(), run(&resumed)),
+    vec![
+        (format!("checkpoint/{}/bytes", kind.name()), digest_bytes(&blob)),
+        (format!("checkpoint/{}/resumed", kind.name()), run(&resumed)),
+    ]
+}
+
+/// `kind`'s `check-keys` report line and its `check-liveness` report, with
+/// any witness, on the tiny geometry, as `parbs-sim` builds the scheduler.
+fn analysis_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
+    let build = || kind.build(&SimConfig::for_cores(4));
+    let keys = check_scheduler_keys(&build).expect("the key contract holds");
+    let keys = format!(
+        "{}: {} field(s) verified over {} state(s), {} key(s), {} pair(s)\n",
+        keys.scheduler, keys.fields, keys.states, keys.keys, keys.pairs
+    );
+    let liveness =
+        check_scheduler_liveness(&*build(), &LivenessConfig::tiny()).expect("a contract");
+    let mut text = format!("{liveness}\n");
+    if let Some(w) = &liveness.witness {
+        text.push_str(&w.describe());
+    }
+    vec![
+        (format!("check-keys/{}", kind.name()), digest_bytes(keys.as_bytes())),
+        (format!("check-liveness/tiny/{}", kind.name()), digest_bytes(text.as_bytes())),
     ]
 }
 
@@ -228,7 +251,12 @@ fn cases() -> Vec<Case> {
             vec![(format!("evaluate/16core-{}/{}", mix.name, kind.name()), evaluation(&e))]
         }));
     }
-    cases.push(Box::new(|| checkpoint_cases().into()));
+    for kind in SchedulerKind::all() {
+        cases.push(Box::new(move || checkpoint_cases(&kind)));
+    }
+    for kind in SchedulerKind::all() {
+        cases.push(Box::new(move || analysis_cases(&kind)));
+    }
     for kind in SchedulerKind::all() {
         cases.push(Box::new(move || {
             let flows = FlowConfig {
