@@ -13,10 +13,11 @@
 //! first.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use parbs_dram::{
     Command, CommandKind, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy,
-    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, ThreadTable, TimingParams,
+    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, TimingParams,
 };
 use parbs_obs::Event;
 
@@ -74,7 +75,9 @@ pub struct AtlasScheduler {
     /// Per-thread service state, sparse: only threads that have actually
     /// appeared (arrival, queue presence, or command) hold an entry, so the
     /// per-slot cost is O(active threads) however large the id space.
-    threads: ThreadTable<ThreadService>,
+    /// Its hash order reaches no output: ranking sorts `(total, id)`, and
+    /// the quantum report and the summary sort by rank or thread.
+    threads: HashMap<ThreadId, ThreadService>,
     /// Scratch: sorted thread ids of the current queue, for the
     /// retire-on-idle sweep at quantum boundaries.
     queued_scratch: Vec<usize>,
@@ -100,7 +103,7 @@ impl AtlasScheduler {
         AtlasScheduler {
             cfg,
             timing: TimingParams::ddr2_800(),
-            threads: ThreadTable::new(),
+            threads: HashMap::new(),
             queued_scratch: Vec::new(),
             quantum_start: 0,
             quanta_rolled: 0,
@@ -113,17 +116,17 @@ impl AtlasScheduler {
     /// threads never seen rank below any seen thread only by id order).
     #[must_use]
     pub fn rank_of(&self, t: ThreadId) -> u64 {
-        self.threads.get(t).map_or_else(|| (t.0 as u64).min(RANK_MAX), |s| s.rank)
+        self.threads.get(&t).map_or_else(|| (t.0 as u64).min(RANK_MAX), |s| s.rank)
     }
 
     /// The long-term attained-service total of a thread (for tests).
     #[must_use]
     pub fn attained_service(&self, t: ThreadId) -> u64 {
-        self.threads.get(t).map_or(0, |s| s.total)
+        self.threads.get(&t).map_or(0, |s| s.total)
     }
 
     fn ensure_thread(&mut self, t: ThreadId) -> bool {
-        if self.threads.contains(t) {
+        if self.threads.contains_key(&t) {
             return false;
         }
         self.threads.insert(t, ThreadService::default());
@@ -144,12 +147,12 @@ impl AtlasScheduler {
     /// only at quantum boundaries and registrations — never per decision.
     fn recompute_ranks(&mut self) -> bool {
         let mut order: Vec<(u64, usize)> =
-            self.threads.iter_active().map(|(t, s)| (s.total, t.0)).collect();
+            self.threads.iter().map(|(t, s)| (s.total, t.0)).collect();
         order.sort_unstable();
         let mut changed = false;
         for (rank, &(_, id)) in order.iter().enumerate() {
             let rank = (rank as u64).min(RANK_MAX);
-            let s = self.threads.get_mut(ThreadId(id)).expect("just iterated");
+            let s = self.threads.get_mut(&ThreadId(id)).expect("just iterated");
             if s.rank != rank {
                 s.rank = rank;
                 changed = true;
@@ -183,10 +186,10 @@ impl MemoryScheduler for AtlasScheduler {
         if view.now.saturating_sub(self.quantum_start) >= self.cfg.quantum {
             self.quantum_start = view.now;
             self.quanta_rolled += 1;
-            self.threads.for_each_mut(|_, t| {
+            for t in self.threads.values_mut() {
                 // α = 0.875 EWMA in integer arithmetic.
                 t.total = t.total - t.total / 8 + std::mem::take(&mut t.in_quantum);
-            });
+            }
             // Retire-on-idle: a thread with no long-term service, nothing
             // accrued this quantum, and no queued request holds exactly the
             // default state, so dropping it is unobservable — it re-registers
@@ -204,10 +207,10 @@ impl MemoryScheduler for AtlasScheduler {
             if self.observing {
                 let mut ranking: Vec<(usize, u32, u64)> = self
                     .threads
-                    .iter_active()
+                    .iter()
                     .map(|(t, s)| (t.0, u32::try_from(s.rank).unwrap_or(u32::MAX), s.total))
                     .collect();
-                ranking.sort_by_key(|&(_, rank, _)| rank);
+                ranking.sort_unstable_by_key(|&(thread, rank, _)| (rank, thread));
                 self.obs_events.push(Event::QuantumRolled {
                     at: view.now,
                     quantum: self.quanta_rolled,
@@ -224,7 +227,7 @@ impl MemoryScheduler for AtlasScheduler {
 
     fn on_command(&mut self, cmd: &Command, req: &Request, _now: u64) {
         let latency = self.command_latency(cmd.kind);
-        self.threads.get_or_default(req.thread).in_quantum += latency;
+        self.threads.entry(req.thread).or_default().in_quantum += latency;
     }
 
     fn priority_key(&self, req: &Request, view: &SchedView<'_>) -> u128 {
@@ -284,11 +287,10 @@ impl MemoryScheduler for AtlasScheduler {
     }
 
     fn debug_summary(&self) -> String {
-        let ranks: Vec<String> = self
-            .threads
-            .iter_active()
-            .map(|(t, s)| format!("t{}:r{} as={}", t.0, s.rank, s.total))
-            .collect();
+        let mut threads: Vec<(&ThreadId, &ThreadService)> = self.threads.iter().collect();
+        threads.sort_unstable_by_key(|&(t, _)| t);
+        let ranks: Vec<String> =
+            threads.iter().map(|(t, s)| format!("t{}:r{} as={}", t.0, s.rank, s.total)).collect();
         format!("ATLAS: quantum {} [{}]", self.quanta_rolled, ranks.join(" "))
     }
 }

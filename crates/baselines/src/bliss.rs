@@ -11,10 +11,11 @@
 //! per-thread ranking, no slowdown estimation.
 
 use std::cmp::Ordering;
+use std::collections::HashSet;
 
 use parbs_dram::{
     Command, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy, MemoryScheduler,
-    Request, SchedView, StarvationClaim, ThreadId, ThreadTable,
+    Request, SchedView, StarvationClaim, ThreadId,
 };
 use parbs_obs::Event;
 
@@ -62,11 +63,10 @@ impl Default for BlissConfig {
 #[derive(Debug, Clone)]
 pub struct BlissScheduler {
     cfg: BlissConfig,
-    /// Blacklist membership as a sparse presence set: a registered thread is
-    /// blacklisted. The periodic clear retires every entry at once, so the
-    /// table never outlives one clearing interval's offenders — O(active
-    /// blacklisted threads), independent of the id space.
-    blacklisted: ThreadTable<()>,
+    /// The blacklisted threads. The periodic clear drops every entry at
+    /// once, so the set never outlives one clearing interval's offenders —
+    /// O(active blacklisted threads), independent of the id space.
+    blacklisted: HashSet<ThreadId>,
     /// Thread whose request was serviced by the most recent column command.
     last_serviced: Option<ThreadId>,
     /// Length of the current consecutive-service streak.
@@ -93,7 +93,7 @@ impl BlissScheduler {
     pub fn with_config(cfg: BlissConfig) -> Self {
         BlissScheduler {
             cfg,
-            blacklisted: ThreadTable::new(),
+            blacklisted: HashSet::new(),
             last_serviced: None,
             streak: 0,
             last_clear: 0,
@@ -106,7 +106,7 @@ impl BlissScheduler {
     /// Whether a thread is currently blacklisted (for tests/telemetry).
     #[must_use]
     pub fn is_blacklisted(&self, t: ThreadId) -> bool {
-        self.blacklisted.contains(t)
+        self.blacklisted.contains(&t)
     }
 
     /// Number of currently blacklisted threads.
@@ -155,9 +155,7 @@ impl MemoryScheduler for BlissScheduler {
             self.last_serviced = Some(req.thread);
             self.streak = 1;
         }
-        if self.streak >= self.cfg.blacklist_threshold
-            && self.blacklisted.insert(req.thread, ()).is_none()
-        {
+        if self.streak >= self.cfg.blacklist_threshold && self.blacklisted.insert(req.thread) {
             // Column commands don't invalidate the controller's key
             // cache; flag the change for the next pre_schedule.
             self.dirty = true;

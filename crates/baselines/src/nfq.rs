@@ -7,8 +7,7 @@ use std::collections::HashMap;
 
 use parbs_dram::{
     f64_total_order_bits, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy,
-    MemoryScheduler, Request, RequestId, SchedView, StarvationClaim, ThreadId, ThreadTable,
-    TimingParams,
+    MemoryScheduler, Request, RequestId, SchedView, StarvationClaim, ThreadId, TimingParams,
 };
 
 /// Which virtual timestamp orders requests.
@@ -73,9 +72,9 @@ pub struct NfqScheduler {
     clocks: HashMap<(ThreadId, usize), f64>,
     /// Virtual finish time assigned to each queued request.
     deadlines: HashMap<RequestId, f64>,
-    /// Per-thread share weights; unregistered threads get the default 1.0,
-    /// so only explicitly weighted threads occupy state.
-    weights: ThreadTable<f64>,
+    /// Per-thread share weights; absent threads get the default 1.0, so
+    /// only explicitly weighted threads occupy state.
+    weights: HashMap<ThreadId, f64>,
     /// Bitmask of banks whose open row is still inside its capture window
     /// (`now - last_activate < tras_threshold`), as of the last
     /// `pre_schedule`. A capture window *expiring* changes priorities with
@@ -107,7 +106,7 @@ impl NfqScheduler {
             cfg,
             clocks: HashMap::new(),
             deadlines: HashMap::new(),
-            weights: ThreadTable::new(),
+            weights: HashMap::new(),
             recent_banks: 0,
         }
     }
@@ -123,7 +122,7 @@ impl NfqScheduler {
     /// The share weight of a thread (1.0 unless overridden).
     #[must_use]
     pub fn thread_weight(&self, thread: ThreadId) -> f64 {
-        self.weights.get(thread).copied().unwrap_or(1.0)
+        self.weights.get(&thread).copied().unwrap_or(1.0)
     }
 
     fn weight(&self, thread: ThreadId) -> f64 {
@@ -251,25 +250,8 @@ impl MemoryScheduler for NfqScheduler {
     }
 
     fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        // HashMap iteration order is nondeterministic; write both maps in
-        // ascending key order so the byte stream is canonical.
-        let mut clocks: Vec<((ThreadId, usize), f64)> =
-            self.clocks.iter().map(|(&k, &v)| (k, v)).collect();
-        clocks.sort_by_key(|&(k, _)| k);
-        w.seq(clocks.len());
-        for ((thread, bank), clock) in clocks {
-            w.usize(thread.0);
-            w.usize(bank);
-            w.f64(clock);
-        }
-        let mut deadlines: Vec<(RequestId, f64)> =
-            self.deadlines.iter().map(|(&k, &v)| (k, v)).collect();
-        deadlines.sort_by_key(|&(k, _)| k);
-        w.seq(deadlines.len());
-        for (id, dl) in deadlines {
-            w.u64(id.0);
-            w.f64(dl);
-        }
+        w.put(&self.clocks);
+        w.put(&self.deadlines);
         w.put(&self.weights);
         w.u64(self.recent_banks);
     }
@@ -278,21 +260,8 @@ impl MemoryScheduler for NfqScheduler {
         &mut self,
         r: &mut parbs_snap::SnapReader<'_>,
     ) -> Result<(), parbs_snap::SnapError> {
-        let n = r.seq()?;
-        let mut clocks = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let thread = ThreadId(r.usize()?);
-            let bank = r.usize()?;
-            clocks.insert((thread, bank), r.f64()?);
-        }
-        let n = r.seq()?;
-        let mut deadlines = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = RequestId(r.u64()?);
-            deadlines.insert(id, r.f64()?);
-        }
-        self.clocks = clocks;
-        self.deadlines = deadlines;
+        self.clocks = r.get()?;
+        self.deadlines = r.get()?;
         self.weights = r.get()?;
         self.recent_banks = r.u64()?;
         Ok(())

@@ -2,10 +2,11 @@
 //! (MICRO 2007) — the strongest prior baseline in the PAR-BS evaluation.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use parbs_dram::{
     Command, CommandKind, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy,
-    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, ThreadTable, TimingParams,
+    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, TimingParams,
 };
 
 /// STFM's key: the fairness-mode ("boosted") thread first, then row hits,
@@ -84,7 +85,7 @@ pub struct StfmScheduler {
     /// Sparse per-thread stall/interference state; a thread occupies an
     /// entry only once it stalls, accrues interference, is weighted, or
     /// queues a request.
-    threads: ThreadTable<ThreadState>,
+    threads: HashMap<ThreadId, ThreadState>,
     /// Thread estimated most slowed in the current slot (fairness mode).
     prioritized: Option<ThreadId>,
     /// Threads with a queued request per bank, rebuilt each slot.
@@ -110,7 +111,7 @@ impl StfmScheduler {
         StfmScheduler {
             cfg,
             timing: TimingParams::ddr2_800(),
-            threads: ThreadTable::new(),
+            threads: HashMap::new(),
             prioritized: None,
             bank_threads: Vec::new(),
             active_threads: Vec::new(),
@@ -119,13 +120,13 @@ impl StfmScheduler {
     }
 
     fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        self.threads.get_or_default(t)
+        self.threads.entry(t).or_default()
     }
 
     /// The current slowdown estimate for a thread (for tests/telemetry).
     #[must_use]
     pub fn slowdown_estimate(&self, t: ThreadId) -> f64 {
-        self.threads.get(t).map_or(1.0, ThreadState::slowdown)
+        self.threads.get(&t).map_or(1.0, ThreadState::slowdown)
     }
 
     /// The thread being prioritized by fairness mode, if any.
@@ -162,7 +163,7 @@ impl StfmScheduler {
         // `active_threads` is ascending by id, so ties on the maximum resolve
         // to the lowest thread id — the same winner a dense 0..n scan picks.
         for &i in &self.active_threads {
-            let Some(t) = self.threads.get(i) else { continue };
+            let Some(t) = self.threads.get(&i) else { continue };
             if !t.active || t.t_shared <= 0.0 {
                 continue;
             }
@@ -231,10 +232,10 @@ impl MemoryScheduler for StfmScheduler {
         let now = view.now;
         if now.saturating_sub(self.last_aging) >= self.cfg.interval_length {
             self.last_aging = now;
-            self.threads.for_each_mut(|_, t| {
+            for t in self.threads.values_mut() {
                 t.t_shared *= 0.5;
                 t.t_interference *= 0.5;
-            });
+            }
             self.threads.retain(|_, t| {
                 t.active || t.t_shared != 0.0 || t.t_interference != 0.0 || t.weight != 0.0
             });
@@ -245,7 +246,7 @@ impl MemoryScheduler for StfmScheduler {
         self.bank_threads.clear();
         self.bank_threads.resize(banks, Vec::new());
         for &t in &self.active_threads {
-            if let Some(st) = self.threads.get_mut(t) {
+            if let Some(st) = self.threads.get_mut(&t) {
                 st.active = false;
                 st.bank_parallelism = 0;
             }
@@ -291,7 +292,7 @@ impl MemoryScheduler for StfmScheduler {
             .active_threads
             .iter()
             .filter(|&&t| t != req.thread)
-            .filter_map(|&t| self.threads.get(t).map(|s| (t, s.bank_parallelism.max(1))))
+            .filter_map(|&t| self.threads.get(&t).map(|s| (t, s.bank_parallelism.max(1))))
             .collect();
         let same_bank = self.bank_threads.get(cmd.bank).cloned().unwrap_or_default();
         for (t, gamma) in victims {
@@ -449,8 +450,7 @@ mod tests {
             request: q[0].id,
         };
         s.on_command(&cmd, &q[0], 0);
-        let interference =
-            |s: &StfmScheduler, t: usize| s.threads.get(ThreadId(t)).unwrap().t_interference;
+        let interference = |s: &StfmScheduler, t: usize| s.threads[&ThreadId(t)].t_interference;
         assert!(interference(&s, 1) > 0.0, "thread 1 waits on bank 3");
         assert_eq!(interference(&s, 0), 0.0, "no self-interference");
     }
@@ -478,8 +478,7 @@ mod tests {
             request: q[0].id,
         };
         s.on_command(&cmd, &q[0], 0);
-        let interference =
-            |s: &StfmScheduler, t: usize| s.threads.get(ThreadId(t)).unwrap().t_interference;
+        let interference = |s: &StfmScheduler, t: usize| s.threads[&ThreadId(t)].t_interference;
         assert!(
             interference(&s, 1) < interference(&s, 2),
             "gamma scaling: high-BLP thread is charged less per event"
@@ -495,7 +494,7 @@ mod tests {
         let mut q = vec![req(0, 0, 0, 1)];
         let v = SchedView { channel: &ch, now: 1 << 24 };
         s.pre_schedule(&mut q, &v);
-        let t0 = s.threads.get(ThreadId(0)).unwrap();
+        let t0 = &s.threads[&ThreadId(0)];
         assert!((t0.t_shared - 4_000.0).abs() < 1e-9);
         assert!((t0.t_interference - 2_000.0).abs() < 1e-9);
     }

@@ -51,10 +51,3 @@ pub use hw_cost::{parbs_extra_state_bits, HwCostBreakdown};
 pub use priority::PriorityValue;
 pub use ranking::{compute_ranks, ThreadLoad};
 pub use scheduler::{ParBsScheduler, ParBsStats};
-
-/// Sparse per-thread state map (re-exported from [`parbs_dram`]): the
-/// storage every scheduler in this workspace uses for per-thread policy
-/// state, keeping per-cycle cost O(active threads) rather than O(max
-/// thread id) when the request stream comes from an open-loop flow
-/// frontend with tens of thousands of requesters.
-pub use parbs_dram::ThreadTable;

@@ -1,10 +1,11 @@
 //! The PAR-BS memory scheduler.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use parbs_dram::{
     FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy, MemoryScheduler, Request,
-    SchedView, StarvationClaim, ThreadId, ThreadTable,
+    SchedView, StarvationClaim, ThreadId,
 };
 use parbs_obs::{Event, RankEntry};
 use rand::rngs::StdRng;
@@ -60,13 +61,12 @@ impl ParBsStats {
 #[derive(Debug)]
 pub struct ParBsScheduler {
     cfg: ParBsConfig,
-    /// Rank of each thread in the current batch; unregistered = not in the
+    /// Rank of each thread in the current batch; absent = not in the
     /// current batch (lowest, `u32::MAX`).
-    ranks: ThreadTable<u32>,
-    /// Marking budget already granted this batch, per bank. Cleared (entries
-    /// retired) at each batch boundary, so only the threads of the current
-    /// batch hold state.
-    granted: ThreadTable<Vec<u32>>,
+    ranks: HashMap<ThreadId, u32>,
+    /// Marking budget already granted this batch, per bank. Cleared at each
+    /// batch boundary, so only the threads of the current batch hold state.
+    granted: HashMap<ThreadId, Vec<u32>>,
     /// Scratch for [`ParBsScheduler::mark`]: `(id, queue index)` of unmarked
     /// eligible requests. Reused so the per-slot eslot/static re-mark checks
     /// allocate nothing.
@@ -102,8 +102,8 @@ impl ParBsScheduler {
     pub fn new(cfg: ParBsConfig) -> Self {
         ParBsScheduler {
             cfg,
-            ranks: ThreadTable::new(),
-            granted: ThreadTable::new(),
+            ranks: HashMap::new(),
+            granted: HashMap::new(),
             mark_scratch: Vec::new(),
             load_pairs: Vec::new(),
             eligible_batch_no: 0,
@@ -137,7 +137,7 @@ impl ParBsScheduler {
     /// Current rank of a thread (0 = highest; `u32::MAX` = unranked).
     #[must_use]
     pub fn rank_of(&self, thread: ThreadId) -> u32 {
-        self.ranks.get(thread).copied().unwrap_or(u32::MAX)
+        self.ranks.get(&thread).copied().unwrap_or(u32::MAX)
     }
 
     /// Marking eligibility of `req` for the batch the cadence was last
@@ -151,7 +151,7 @@ impl ParBsScheduler {
     /// The marking budget already spent by `(thread, bank)` this batch,
     /// registering the thread on demand.
     fn granted_slot(&mut self, thread: usize, bank: usize) -> &mut u32 {
-        let row = self.granted.get_or_default(ThreadId(thread));
+        let row = self.granted.entry(ThreadId(thread)).or_default();
         if row.len() <= bank {
             row.resize(bank + 1, 0);
         }
@@ -241,9 +241,7 @@ impl ParBsScheduler {
         let ranked =
             compute_ranks(self.cfg.ranking, &loads, self.stats.batches_formed, &mut self.rng);
         self.ranks.clear();
-        for &(thread, rank) in &ranked {
-            self.ranks.insert(ThreadId(thread), rank);
-        }
+        self.ranks.extend(ranked.iter().map(|&(thread, rank)| (ThreadId(thread), rank)));
         if self.observing && !ranked.is_empty() {
             // `loads` is sorted by thread id; join each ranked thread with
             // its Rule 3 load figures and report in rank order.

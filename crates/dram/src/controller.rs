@@ -739,10 +739,7 @@ impl Controller {
         w.put(&self.writes.requests);
         w.put(&self.pending);
         w.put(&self.stats);
-        // HashSet iteration order is nondeterministic; canonicalize.
-        let mut touched: Vec<RequestId> = self.touched.iter().copied().collect();
-        touched.sort_unstable();
-        w.put(&touched);
+        w.put(&self.touched);
         w.bool(self.draining);
         w.put(&self.last_refresh);
         self.channel.save_state(w);
@@ -789,8 +786,7 @@ impl Controller {
         self.pending = r.get()?;
         self.next_finish = self.pending.iter().map(|c| c.finish).min().unwrap_or(u64::MAX);
         self.stats = r.get()?;
-        let touched: Vec<RequestId> = r.get()?;
-        self.touched = touched.into_iter().collect();
+        self.touched = r.get()?;
         self.draining = r.bool()?;
         let last_refresh: Vec<u64> = r.get()?;
         if last_refresh.len() != self.last_refresh.len() {

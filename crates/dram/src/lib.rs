@@ -75,7 +75,6 @@ mod request;
 mod rules;
 mod scheduler;
 mod stats;
-mod thread_table;
 mod timeline;
 mod timing;
 mod trace_sink;
@@ -97,7 +96,6 @@ pub use rules::{
 };
 pub use scheduler::{FcfsScheduler, MemoryScheduler, SchedView};
 pub use stats::{BlpTracker, ControllerStats};
-pub use thread_table::ThreadTable;
 pub use timeline::render_timeline;
 pub use timing::{TimingParams, DRAM_CYCLE};
 pub use trace_sink::{obs_cmd_kind, CommandTraceSink};

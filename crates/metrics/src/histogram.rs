@@ -146,13 +146,26 @@ impl parbs_snap::Snap for LatencyHistogram {
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
         let occupied: Vec<(usize, u64)> = r.get()?;
         let mut h = LatencyHistogram::new();
-        for (i, c) in occupied {
+        let mut next = 0;
+        for (at, (i, c)) in occupied.into_iter().enumerate() {
             if i >= h.buckets.len() {
                 return Err(parbs_snap::SnapError::BadTag {
                     what: "histogram bucket index",
                     value: i as u64,
                 });
             }
+            // The save writes each occupied bucket once, ascending, so a
+            // histogram has one encoding.
+            if i < next {
+                return Err(parbs_snap::SnapError::KeyOrder { index: at });
+            }
+            if c == 0 {
+                return Err(parbs_snap::SnapError::BadTag {
+                    what: "histogram bucket count",
+                    value: 0,
+                });
+            }
+            next = i + 1;
             h.buckets[i] = c;
         }
         h.count = r.u64()?;
@@ -248,6 +261,25 @@ mod tests {
     #[should_panic(expected = "within [0, 1]")]
     fn percentile_rejects_out_of_range() {
         let _ = LatencyHistogram::new().percentile(1.5);
+    }
+
+    #[test]
+    fn a_snapshot_names_each_occupied_bucket_once_in_order() {
+        use parbs_snap::{SnapError, SnapReader, SnapWriter};
+        let decode = |buckets: &[(usize, u64)]| {
+            let mut w = SnapWriter::new();
+            w.put(&buckets.to_vec());
+            for v in [2, 600, 500, 100] {
+                w.u64(v);
+            }
+            let bytes = w.into_bytes();
+            SnapReader::new(&bytes).get::<LatencyHistogram>()
+        };
+        assert!(decode(&[(6, 1), (8, 1)]).is_ok());
+        assert_eq!(decode(&[(8, 1), (6, 1)]), Err(SnapError::KeyOrder { index: 1 }));
+        assert_eq!(decode(&[(6, 1), (6, 1)]), Err(SnapError::KeyOrder { index: 1 }));
+        assert!(matches!(decode(&[(6, 0)]), Err(SnapError::BadTag { .. })));
+        assert!(matches!(decode(&[(64, 1)]), Err(SnapError::BadTag { .. })));
     }
 
     #[test]

@@ -286,15 +286,12 @@ impl<T> MemorySide<T> {
     }
 }
 
-impl<T: Snap + Clone> MemorySide<T> {
-    /// Serializes the next request id, the in-flight reads (sorted by
-    /// request id) and every controller's state.
+impl<T: Snap> MemorySide<T> {
+    /// Serializes the next request id, the in-flight reads (in request-id
+    /// order) and every controller's state.
     pub(crate) fn save_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.u64(self.next_request);
-        let mut inflight: Vec<(u64, T)> =
-            self.inflight.iter().map(|(&id, carry)| (id, carry.clone())).collect();
-        inflight.sort_unstable_by_key(|&(id, _)| id);
-        w.put(&inflight);
+        w.put(&self.inflight);
         for ctrl in &self.controllers {
             ctrl.save_state(w)?;
         }
@@ -310,8 +307,7 @@ impl<T: Snap + Clone> MemorySide<T> {
         threads: usize,
     ) -> Result<(), SnapError> {
         self.next_request = r.u64()?;
-        let inflight: Vec<(u64, T)> = r.get()?;
-        self.inflight = inflight.into_iter().collect();
+        self.inflight = r.get()?;
         for ctrl in &mut self.controllers {
             ctrl.restore_state(r, threads)?;
         }

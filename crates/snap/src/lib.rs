@@ -4,10 +4,10 @@
 //! crate provides a small, explicit little-endian codec: a [`SnapWriter`]
 //! appends primitive values to a byte buffer, a [`SnapReader`] consumes them
 //! back in the same order, and the [`Snap`] trait ties the two together for
-//! composite values (`Option`, `Vec`, tuples, fixed arrays). Every decode
-//! error is a typed [`SnapError`] — truncated input, an impossible tag, an
-//! unsupported state — never a panic, so malformed checkpoint files are
-//! rejected cleanly at the CLI layer.
+//! composite values (`Option`, `Vec`, tuples, fixed arrays, hash maps and
+//! sets). Every decode error is a typed [`SnapError`] — truncated input, an
+//! impossible tag, keys out of order, an unsupported state — never a panic,
+//! so malformed checkpoint files are rejected cleanly at the CLI layer.
 //!
 //! Layout rules (the "wire format"):
 //!
@@ -17,12 +17,17 @@
 //! * `bool` is one byte, `0` or `1` (anything else is a [`SnapError::BadTag`]);
 //! * `Option<T>` is a one-byte presence tag followed by the payload;
 //! * sequences are a `u64` length followed by the elements;
-//! * maps are serialized by the *caller* in ascending key order, so the byte
-//!   stream is deterministic regardless of hash-map iteration order.
+//! * a `HashMap` is written as the `Vec<(K, V)>` of its entries sorted by
+//!   key, and a `HashSet` as the sorted `Vec<T>` of its elements, so the
+//!   byte stream does not depend on the hasher or on insertion order; a
+//!   load rejects keys that do not strictly ascend
+//!   ([`SnapError::KeyOrder`]), so every map has exactly one encoding.
 
 #![forbid(unsafe_code)]
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasher, Hash};
 
 /// Decoding (and occasionally encoding) failure, with enough context to
 /// produce an actionable CLI error message.
@@ -53,6 +58,12 @@ pub enum SnapError {
         /// The value found in the snapshot.
         found: u64,
     },
+    /// The keys of an encoded map, or the elements of an encoded set, do
+    /// not strictly ascend: an entry repeats or is out of order.
+    KeyOrder {
+        /// Position of the first entry not above its predecessor.
+        index: usize,
+    },
     /// The state cannot be snapshotted or restored in its current
     /// configuration (e.g. an observability sink is attached).
     Unsupported(&'static str),
@@ -69,6 +80,9 @@ impl fmt::Display for SnapError {
             }
             SnapError::Mismatch { what, expected, found } => {
                 write!(f, "snapshot mismatch: {what} expected {expected}, found {found}")
+            }
+            SnapError::KeyOrder { index } => {
+                write!(f, "snapshot corrupt: map or set entry {index} does not ascend")
             }
             SnapError::Unsupported(what) => write!(f, "snapshot unsupported: {what}"),
         }
@@ -386,6 +400,65 @@ impl<T: Snap + Default + Copy, const N: usize> Snap for [T; N] {
     }
 }
 
+/// Fails with [`SnapError::KeyOrder`] unless `keys` strictly ascend.
+fn check_ascending<'a, K: Ord + 'a>(keys: impl Iterator<Item = &'a K>) -> Result<(), SnapError> {
+    let mut prev = None;
+    for (index, key) in keys.enumerate() {
+        if prev.is_some_and(|p| p >= key) {
+            return Err(SnapError::KeyOrder { index });
+        }
+        prev = Some(key);
+    }
+    Ok(())
+}
+
+/// The sorted `Vec<(K, V)>` of the entries: the encoding does not depend on
+/// the hasher or on insertion order.
+impl<K, V, S> Snap for HashMap<K, V, S>
+where
+    K: Snap + Ord + Hash,
+    V: Snap,
+    S: BuildHasher + Default,
+{
+    fn save(&self, w: &mut SnapWriter) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        w.seq(entries.len());
+        for (k, v) in entries {
+            k.save(w);
+            v.save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let entries: Vec<(K, V)> = r.get()?;
+        check_ascending(entries.iter().map(|(k, _)| k))?;
+        Ok(entries.into_iter().collect())
+    }
+}
+
+/// The sorted `Vec<T>` of the elements.
+impl<T, S> Snap for HashSet<T, S>
+where
+    T: Snap + Ord + Hash,
+    S: BuildHasher + Default,
+{
+    fn save(&self, w: &mut SnapWriter) {
+        let mut items: Vec<&T> = self.iter().collect();
+        items.sort_unstable();
+        w.seq(items.len());
+        for item in items {
+            item.save(w);
+        }
+    }
+
+    fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let items: Vec<T> = r.get()?;
+        check_ascending(items.iter())?;
+        Ok(items.into_iter().collect())
+    }
+}
+
 impl Snap for () {
     fn save(&self, _w: &mut SnapWriter) {}
     fn load(_r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -509,6 +582,66 @@ mod tests {
         let mut r = SnapReader::new(&bytes);
         let _ = r.u8().unwrap();
         assert!(matches!(r.expect_end(), Err(SnapError::Mismatch { .. })));
+    }
+
+    fn encode<T: Snap>(v: &T) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.put(v);
+        w.into_bytes()
+    }
+
+    fn decode<T: Snap>(bytes: &[u8]) -> Result<T, SnapError> {
+        let mut r = SnapReader::new(bytes);
+        let v = r.get()?;
+        r.expect_end()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn maps_and_sets_round_trip() {
+        let map: HashMap<(u64, usize), f64> =
+            (0..50).map(|i| ((i % 7, i as usize), i as f64 / 3.0)).collect();
+        assert_eq!(decode::<HashMap<(u64, usize), f64>>(&encode(&map)).unwrap(), map);
+        let set: HashSet<u64> = [900, 3, 40_000, 0, 17].into();
+        assert_eq!(decode::<HashSet<u64>>(&encode(&set)).unwrap(), set);
+        let empty: HashMap<u64, Vec<u32>> = HashMap::new();
+        assert_eq!(decode::<HashMap<u64, Vec<u32>>>(&encode(&empty)).unwrap(), empty);
+    }
+
+    #[test]
+    fn maps_and_sets_encode_as_their_sorted_vec() {
+        // Insertion order differs from key order, and the per-process hasher
+        // seed moves the iteration order; neither reaches the bytes.
+        let pairs = [(40_000u64, 3u32), (7, 1), (900, 9), (0, 5)];
+        let map: HashMap<u64, u32> = pairs.into_iter().collect();
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(encode(&map), encode(&sorted));
+        let set: HashSet<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        let keys: Vec<u64> = sorted.iter().map(|&(k, _)| k).collect();
+        assert_eq!(encode(&set), encode(&keys));
+    }
+
+    #[test]
+    fn maps_and_sets_reject_descending_and_repeated_keys() {
+        let descending: Vec<(u64, u8)> = vec![(1, 0), (5, 0), (4, 0)];
+        let repeated: Vec<(u64, u8)> = vec![(1, 0), (1, 2)];
+        assert_eq!(
+            decode::<HashMap<u64, u8>>(&encode(&descending)),
+            Err(SnapError::KeyOrder { index: 2 })
+        );
+        assert_eq!(
+            decode::<HashMap<u64, u8>>(&encode(&repeated)),
+            Err(SnapError::KeyOrder { index: 1 })
+        );
+        assert_eq!(
+            decode::<HashSet<u64>>(&encode(&vec![3u64, 2])),
+            Err(SnapError::KeyOrder { index: 1 })
+        );
+        assert_eq!(
+            decode::<HashSet<u64>>(&encode(&vec![0u64, 8, 8])),
+            Err(SnapError::KeyOrder { index: 2 })
+        );
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! on poll cadence, memory latency, or worker-thread count.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
-use parbs_dram::{RequestKind, ThreadId, ThreadTable};
+use parbs_dram::{RequestKind, ThreadId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,9 +112,9 @@ impl CompletedFlow {
     }
 }
 
-/// Per-flow live state. Retired from the table the moment the flow's last
-/// read completes, so the table size tracks *concurrent* flows — the whole
-/// point of the sparse [`ThreadTable`] representation.
+/// Per-flow live state. Removed from [`FlowSource`]'s map the moment the
+/// flow's last read completes, so the map tracks *concurrent* flows, not
+/// every flow that ever ran.
 #[derive(Debug, Clone, Copy)]
 struct FlowState {
     /// Requests not yet emitted.
@@ -134,9 +134,10 @@ struct FlowState {
 pub struct FlowSource {
     cfg: FlowConfig,
     rng: StdRng,
-    /// Live flows, keyed by thread id — dogfoods the sparse-state API the
-    /// schedulers use for the same population.
-    flows: ThreadTable<FlowState>,
+    /// Live flows, keyed by thread id: the same sparse per-thread map the
+    /// schedulers keep for this population. Only point lookups reach it;
+    /// the issue heap orders the work.
+    flows: HashMap<ThreadId, FlowState>,
     /// Pending request-issue events: `(cycle, flow id)`, min-first. One
     /// entry per live flow that still has requests to emit, so each emit is
     /// `O(log concurrent-flows)` regardless of `requesters`.
@@ -161,7 +162,7 @@ impl FlowSource {
         FlowSource {
             cfg,
             rng,
-            flows: ThreadTable::new(),
+            flows: HashMap::new(),
             issue: BinaryHeap::new(),
             next_arrival: first,
             spawned: 0,
@@ -234,7 +235,7 @@ impl RequestSource for FlowSource {
             }
             self.issue.pop();
             let cfg_gap = self.cfg.request_gap;
-            let Some(flow) = self.flows.get_mut(ThreadId(id)) else { continue };
+            let Some(flow) = self.flows.get_mut(&ThreadId(id)) else { continue };
             debug_assert!(flow.remaining > 0, "issue events exist only while requests remain");
             out.push(SourcedRequest {
                 thread: ThreadId(id),
@@ -261,12 +262,12 @@ impl RequestSource for FlowSource {
     fn on_complete(&mut self, token: u64, now: u64) {
         let id = ThreadId(token as usize);
         let done = {
-            let Some(flow) = self.flows.get_mut(id) else { return };
+            let Some(flow) = self.flows.get_mut(&id) else { return };
             flow.outstanding = flow.outstanding.saturating_sub(1);
             flow.outstanding == 0 && flow.remaining == 0
         };
         if done {
-            if let Some(flow) = self.flows.retire(id) {
+            if let Some(flow) = self.flows.remove(&id) {
                 self.completed.push(CompletedFlow {
                     thread: id,
                     arrival: flow.arrival,

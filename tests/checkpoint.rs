@@ -5,10 +5,20 @@
 //! the *typed* [`CheckpointError`] for the damaged field, never accepted
 //! silently and never with a panic. A body altered and re-sealed with a
 //! valid digest gets past that check; its resume must still end in an
-//! error or a finished run, never a panic or an abort.
+//! error or a finished run, never a panic or an abort. Below the checkpoint
+//! format, the `parbs-snap` decoders of the composite types a body holds
+//! take random bytes and single-byte mutations of valid encodings, and
+//! give a value or a typed [`SnapError`].
 
+use std::collections::{HashMap, HashSet, VecDeque};
+
+use parbs_cpu::{CoreStats, MissId};
+use parbs_dram::{
+    Completion, ControllerStats, LineAddr, Request, RequestId, RequestKind, ThreadId,
+};
+use parbs_metrics::LatencyHistogram;
 use parbs_sim::{CheckpointError, Harness, SchedulerKind, SimConfig, System};
-use parbs_snap::{Fingerprint, SnapError};
+use parbs_snap::{Fingerprint, Snap, SnapError, SnapReader, SnapWriter};
 use parbs_workloads::{all_benchmarks, MixSpec};
 use proptest::prelude::*;
 
@@ -236,5 +246,165 @@ proptest! {
             while fresh.step_cycle(&mut progress) {}
             let _ = fresh.finish_run(progress);
         }
+    }
+}
+
+/// Decodes `bytes` as a `T`, as a checkpoint body decodes one field. The
+/// decode gives a value or a typed [`SnapError`]; a panic fails the test.
+/// A value holds no more elements (`len`) than `bytes` has bytes, because
+/// a decoder sizes nothing by an encoded length before checking it against
+/// the bytes left. It also re-encodes to exactly the bytes it consumed:
+/// every value has one encoding, so a map or set whose keys repeat or are
+/// out of order is refused rather than read. Gives the bytes a decoded
+/// value consumed.
+fn decode_as<T: Snap>(bytes: &[u8], len: fn(&T) -> usize) -> Decoded {
+    let mut r = SnapReader::new(bytes);
+    let value = match r.get::<T>() {
+        Ok(value) => value,
+        Err(e) => {
+            prop_assert!(!e.to_string().is_empty());
+            return Ok(None);
+        }
+    };
+    let name = std::any::type_name::<T>();
+    prop_assert!(
+        len(&value) <= bytes.len(),
+        "{name}: {} elements from {} bytes",
+        len(&value),
+        bytes.len()
+    );
+    let used = bytes.len() - r.remaining();
+    let mut w = SnapWriter::new();
+    w.put(&value);
+    prop_assert!(w.into_bytes() == bytes[..used], "{name}: a decoded value re-encodes differently");
+    Ok(Some(used))
+}
+
+/// The bytes a decode consumed, `None` when it gave a [`SnapError`].
+type Decoded = Result<Option<usize>, TestCaseError>;
+
+/// A decoder of one composite checkpoint type, and a valid encoding of a
+/// value of that type.
+struct Field {
+    decode: fn(&[u8]) -> Decoded,
+    sample: Vec<u8>,
+}
+
+fn field<T: Snap>(decode: fn(&[u8]) -> Decoded, value: &T) -> Field {
+    let mut w = SnapWriter::new();
+    w.put(value);
+    Field { decode, sample: w.into_bytes() }
+}
+
+fn request(id: u64, thread: usize, bank: usize, kind: RequestKind) -> Request {
+    let addr = LineAddr { channel: 0, bank, row: 7 * id, col: id % 3 };
+    let mut r = Request::new(id, ThreadId(thread), addr, kind, 40 * id);
+    r.marked = id.is_multiple_of(2);
+    r.priority_level = if thread == 3 { None } else { Some(1 + thread as u8) };
+    r
+}
+
+/// The composite types a checkpoint body decodes: the controller's queues,
+/// completions and statistics, a core's statistics and a latency
+/// histogram, and every hashed map and set (PAR-BS's ranks and granted
+/// budgets, NFQ's clocks, deadlines and weights, BLISS's blacklist, the
+/// controller's touched requests and the memory side's in-flight reads).
+fn fields() -> Vec<Field> {
+    let threads = [0usize, 2, 3, 40_000];
+    let requests: Vec<Request> = (0..4)
+        .map(|i| request(i, threads[i as usize], i as usize * 2, RequestKind::Read))
+        .chain([request(9, 1, 5, RequestKind::Write)])
+        .collect();
+    let completions: Vec<Completion> = requests
+        .iter()
+        .map(|r| Completion {
+            request: r.id,
+            thread: r.thread,
+            kind: r.kind,
+            arrival: r.arrival,
+            finish: r.arrival + 90,
+        })
+        .collect();
+    let ranks: HashMap<ThreadId, u32> =
+        threads.iter().enumerate().map(|(rank, &t)| (ThreadId(t), rank as u32)).collect();
+    let granted: HashMap<ThreadId, Vec<u32>> =
+        threads.iter().map(|&t| (ThreadId(t), vec![1, 0, (t % 5) as u32])).collect();
+    let clocks: HashMap<(ThreadId, usize), f64> = threads
+        .iter()
+        .flat_map(|&t| (0..3).map(move |b| ((ThreadId(t), b), (t + b) as f64 * 12.5)))
+        .collect();
+    let deadlines: HashMap<RequestId, f64> =
+        requests.iter().map(|r| (r.id, r.arrival as f64 + 0.25)).collect();
+    let weights: HashMap<ThreadId, f64> =
+        threads.iter().map(|&t| (ThreadId(t), 1.0 + t as f64)).collect();
+    let blacklist: HashSet<ThreadId> = threads.iter().map(|&t| ThreadId(t)).collect();
+    let touched: HashSet<RequestId> = requests.iter().map(|r| r.id).collect();
+    let inflight: HashMap<u64, (usize, MissId)> =
+        (0..5).map(|i| (3 * i + 1, (i as usize % 4, MissId(100 + i)))).collect();
+    let mut histogram = LatencyHistogram::default();
+    for latency in [90, 400, 7_406] {
+        histogram.record(latency);
+    }
+    let misc: (Option<u64>, VecDeque<bool>) = (Some(5), [true, false, true].into());
+    vec![
+        field(|b| decode_as(b, Vec::<Request>::len), &requests),
+        field(|b| decode_as(b, Vec::<Completion>::len), &completions),
+        field(|b| decode_as(b, |_: &ControllerStats| 0), &ControllerStats::default()),
+        field(|b| decode_as(b, |_: &CoreStats| 0), &CoreStats::default()),
+        field(|b| decode_as(b, |_: &LatencyHistogram| 0), &histogram),
+        field(|b| decode_as(b, HashMap::<ThreadId, u32>::len), &ranks),
+        field(
+            |b| decode_as(b, |m: &HashMap<ThreadId, Vec<u32>>| m.values().map(Vec::len).sum()),
+            &granted,
+        ),
+        field(|b| decode_as(b, HashMap::<(ThreadId, usize), f64>::len), &clocks),
+        field(|b| decode_as(b, HashMap::<RequestId, f64>::len), &deadlines),
+        field(|b| decode_as(b, HashMap::<ThreadId, f64>::len), &weights),
+        field(|b| decode_as(b, HashSet::<ThreadId>::len), &blacklist),
+        field(|b| decode_as(b, HashSet::<RequestId>::len), &touched),
+        field(|b| decode_as(b, HashMap::<u64, (usize, MissId)>::len), &inflight),
+        field(|b| decode_as(b, |(_, q): &(Option<u64>, VecDeque<bool>)| q.len()), &misc),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn snap_decoders_give_a_value_or_a_typed_error_on_random_bytes(
+        len in 0u8..6,
+        body in proptest::collection::vec(any::<u8>(), 0..80),
+    ) {
+        // Raw random bytes almost always start with a huge length; a small
+        // length prefix also drives the element decoders.
+        let mut prefixed = u64::from(len).to_le_bytes().to_vec();
+        prefixed.extend_from_slice(&body);
+        for f in fields() {
+            (f.decode)(&body)?;
+            (f.decode)(&prefixed)?;
+        }
+    }
+
+    #[test]
+    fn snap_decoders_give_a_value_or_a_typed_error_on_mutated_encodings(
+        at in any::<usize>(),
+        xor in 1u8..=255,
+    ) {
+        let fields = fields();
+        for f in &fields {
+            let mut bytes = f.sample.clone();
+            let i = at % bytes.len();
+            bytes[i] ^= xor;
+            for g in &fields {
+                (g.decode)(&bytes)?;
+            }
+        }
+    }
+}
+
+#[test]
+fn the_snap_decoders_read_every_sample_whole() {
+    for f in fields() {
+        let used = (f.decode)(&f.sample).unwrap_or_else(|e| panic!("{e:?}"));
+        assert_eq!(used, Some(f.sample.len()), "a valid encoding decodes to its end");
     }
 }
