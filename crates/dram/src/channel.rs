@@ -238,14 +238,6 @@ impl Channel {
         self.earliest_activate[rank] = self.earliest_activate[rank].max(now + t.t_rfc);
     }
 
-    /// Refreshes every rank at `now` (identical to [`Channel::refresh_rank`]
-    /// on single-rank channels — the legacy all-channel refresh).
-    pub fn refresh(&mut self, now: u64) {
-        for rank in 0..self.rank_count() {
-            self.refresh_rank(rank, now);
-        }
-    }
-
     /// Cycle until which `rank` is blocked by an in-progress refresh.
     ///
     /// # Panics
@@ -254,12 +246,6 @@ impl Channel {
     #[must_use]
     pub fn refresh_until_rank(&self, rank: usize) -> u64 {
         self.refresh_until[rank]
-    }
-
-    /// Latest refresh blackout over all ranks (the channel-wide view).
-    #[must_use]
-    pub fn refresh_until(&self) -> u64 {
-        self.refresh_until.iter().copied().max().unwrap_or(0)
     }
 
     /// Number of banks with an in-flight data transfer at `now` — the
@@ -513,9 +499,9 @@ mod tests {
         let mut ch = Channel::new(8, t);
         ch.issue(&cmd(CommandKind::Activate, 0, 5), ThreadId(0), 0);
         assert_eq!(ch.bank(0).open_row(), Some(5));
-        ch.refresh(1_000);
+        ch.refresh_rank(0, 1_000);
         assert_eq!(ch.bank(0).open_row(), None);
-        assert!(ch.refresh_until() >= 1_000 + t.t_rfc);
+        assert!(ch.refresh_until_rank(0) >= 1_000 + t.t_rfc);
         // Nothing can issue during the refresh.
         assert!(!ch.can_issue(&cmd(CommandKind::Activate, 0, 5), 1_000 + t.t_rfc - 10));
         assert!(ch.can_issue(&cmd(CommandKind::Activate, 0, 5), 1_000 + t.t_rfc));

@@ -45,9 +45,9 @@ fn refresh_closes_open_rows() {
     let mut ch = Channel::new(8, t);
     ch.issue(&act(0, 5), ThreadId(0), 0);
     assert_eq!(ch.bank(0).open_row(), Some(5));
-    ch.refresh(1_000);
+    ch.refresh_rank(0, 1_000);
     assert_eq!(ch.bank(0).open_row(), None);
-    assert!(ch.refresh_until() >= 1_000 + t.t_rfc);
+    assert!(ch.refresh_until_rank(0) >= 1_000 + t.t_rfc);
     // Nothing can issue during the refresh.
     assert!(!ch.can_issue(&act(0, 5), 1_000 + t.t_rfc - 10));
     assert!(ch.can_issue(&act(0, 5), 1_000 + t.t_rfc));
