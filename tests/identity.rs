@@ -10,8 +10,9 @@
 //! mix, every scheduler's checkpoint and its resumed run, the open-loop
 //! flow driver under every scheduler, and Case Study 1's event traces. Unequal priorities
 //! and shares are covered by the rows of Fig. 14 (PAR-BS levels 1-1-2-8,
-//! opportunistic threads, NFQ/STFM weights) and by NFQ and STFQ at shares
-//! 8-1-1-1, where the two schedule differently. The traces are Chrome
+//! opportunistic threads, NFQ/STFM weights), by NFQ and STFQ at shares
+//! 8-1-1-1, where the two schedule differently, and by the checkpoints of
+//! NFQ, STFQ and STFM at those shares, whose bytes encode the weights. The traces are Chrome
 //! under PAR-BS and JSONL under PAR-BS, BLISS and ATLAS, which together
 //! emit every event kind; the `prelude:invariants` and `prelude:qos`
 //! verdicts on Case Study 1 are digested online and on replay of its
@@ -113,24 +114,35 @@ fn config(cores: usize, target: u64) -> SimConfig {
 const CHECKPOINT_MIX: [&str; 4] = ["mcf", "libquantum", "lbm", "hmmer"];
 const CHECKPOINT_CYCLE: u64 = 8_000;
 
-/// The checkpoint bytes of a run under `kind` at [`CHECKPOINT_CYCLE`], and
-/// the result of resuming from them in a fresh system.
-fn checkpoint_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
+/// Shares 8-1-1-1: the weights under which NFQ, STFQ and STFM schedule
+/// differently from their equal-share runs and from each other.
+fn shares_8111() -> EvalOverrides {
+    EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() }
+}
+
+/// The checkpoint bytes of a run under `kind` with `overrides` at
+/// [`CHECKPOINT_CYCLE`], and the result of resuming from them in a fresh
+/// system, named `checkpoint/<prefix><SCHED>/…`.
+fn checkpoint_cases(
+    prefix: &str,
+    kind: &SchedulerKind,
+    overrides: &EvalOverrides,
+) -> Vec<(String, u64)> {
     let harness = Harness::new(config(4, 3_000));
     let mix = MixSpec::from_names("ckpt", &CHECKPOINT_MIX);
-    let mut sys = harness.shared_system(&mix, kind, &Default::default());
+    let mut sys = harness.shared_system(&mix, kind, overrides);
     let mut progress = sys.begin_run();
     for _ in 0..CHECKPOINT_CYCLE {
         assert!(sys.step_cycle(&mut progress), "the run outlasts the checkpoint cycle");
     }
     let blob = sys.save_checkpoint(&progress, "ckpt").expect("checkpointable");
-    let mut fresh = harness.shared_system(&mix, kind, &Default::default());
+    let mut fresh = harness.shared_system(&mix, kind, overrides);
     let mut progress = fresh.resume(&blob, "ckpt").expect("self-resume succeeds");
     while fresh.step_cycle(&mut progress) {}
     let resumed = fresh.finish_run(progress);
     vec![
-        (format!("checkpoint/{}/bytes", kind.name()), digest_bytes(&blob)),
-        (format!("checkpoint/{}/resumed", kind.name()), run(&resumed)),
+        (format!("checkpoint/{prefix}{}/bytes", kind.name()), digest_bytes(&blob)),
+        (format!("checkpoint/{prefix}{}/resumed", kind.name()), run(&resumed)),
     ]
 }
 
@@ -236,9 +248,7 @@ fn cases() -> Vec<Case> {
     }
     for kind in [SchedulerKind::Nfq, SchedulerKind::Stfq] {
         cases.push(Box::new(move || {
-            let overrides =
-                EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() };
-            let job = EvalJob { mix: case_study_3(), kind: kind.clone(), overrides };
+            let job = EvalJob { mix: case_study_3(), kind: kind.clone(), overrides: shares_8111() };
             let e = Harness::new(config(4, 3_000)).evaluate(&job);
             vec![(format!("evaluate/CS3-shares-8111/{}", kind.name()), evaluation(&e))]
         }));
@@ -252,7 +262,10 @@ fn cases() -> Vec<Case> {
         }));
     }
     for kind in SchedulerKind::all() {
-        cases.push(Box::new(move || checkpoint_cases(&kind)));
+        cases.push(Box::new(move || checkpoint_cases("", &kind, &EvalOverrides::none())));
+    }
+    for kind in [SchedulerKind::Nfq, SchedulerKind::Stfq, SchedulerKind::Stfm] {
+        cases.push(Box::new(move || checkpoint_cases("shares-8111/", &kind, &shares_8111())));
     }
     for kind in SchedulerKind::all() {
         cases.push(Box::new(move || analysis_cases(&kind)));
