@@ -285,14 +285,6 @@ impl MemoryScheduler for AtlasScheduler {
     fn drain_events(&mut self, out: &mut Vec<Event>) {
         out.append(&mut self.obs_events);
     }
-
-    fn debug_summary(&self) -> String {
-        let mut threads: Vec<(&ThreadId, &ThreadService)> = self.threads.iter().collect();
-        threads.sort_unstable_by_key(|&(t, _)| t);
-        let ranks: Vec<String> =
-            threads.iter().map(|(t, s)| format!("t{}:r{} as={}", t.0, s.rank, s.total)).collect();
-        format!("ATLAS: quantum {} [{}]", self.quanta_rolled, ranks.join(" "))
-    }
 }
 
 impl parbs_snap::Snap for ThreadService {

@@ -228,15 +228,6 @@ impl MemoryScheduler for BlissScheduler {
     fn drain_events(&mut self, out: &mut Vec<Event>) {
         out.append(&mut self.obs_events);
     }
-
-    fn debug_summary(&self) -> String {
-        format!(
-            "BLISS: {} blacklisted, streak {} (thread {:?})",
-            self.blacklist_len(),
-            self.streak,
-            self.last_serviced
-        )
-    }
 }
 
 #[cfg(test)]

@@ -88,7 +88,8 @@ pub struct StfmScheduler {
     threads: HashMap<ThreadId, ThreadState>,
     /// Thread estimated most slowed in the current slot (fairness mode).
     prioritized: Option<ThreadId>,
-    /// Threads with a queued request per bank, rebuilt each slot.
+    /// Threads with a queued request per bank, rebuilt each slot by
+    /// `pre_schedule` before `on_command` reads it, so never checkpointed.
     bank_threads: Vec<Vec<ThreadId>>,
     /// Distinct queued threads as of the last slot, ascending by id — the
     /// fairness scan and the interference charge walk this instead of the
@@ -345,7 +346,6 @@ impl MemoryScheduler for StfmScheduler {
     fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
         w.put(&self.threads);
         w.put(&self.prioritized);
-        w.put(&self.bank_threads);
         w.put(&self.active_threads);
         w.u64(self.last_aging);
     }
@@ -356,7 +356,6 @@ impl MemoryScheduler for StfmScheduler {
     ) -> Result<(), parbs_snap::SnapError> {
         self.threads = r.get()?;
         self.prioritized = r.get()?;
-        self.bank_threads = r.get()?;
         self.active_threads = r.get()?;
         self.last_aging = r.u64()?;
         Ok(())

@@ -13,39 +13,15 @@ use rand::SeedableRng;
 
 use crate::{compute_ranks, BatchingMode, ParBsConfig, PriorityValue, Ranking, ThreadLoad};
 
-/// Telemetry counters of one PAR-BS instance.
+/// The batch count of one PAR-BS instance. The Section 5 priority cadence
+/// (a level-X request joins every Xth batch), round-robin ranking and the
+/// batch ids of the `BatchFormed`, `RankComputed` and `BatchDrained` events
+/// read it. Batch sizes and durations are not counted here: those events
+/// report them, and a [`parbs_obs::CounterSink`] sums them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ParBsStats {
     /// Batches formed so far.
     pub batches_formed: u64,
-    /// Requests marked over all batches.
-    pub requests_marked: u64,
-    /// Sum of batch durations (formation → drain), for averaging.
-    pub total_batch_cycles: u64,
-    /// Completed batches (those whose drain has been observed).
-    pub batches_completed: u64,
-}
-
-impl ParBsStats {
-    /// Mean requests per batch.
-    #[must_use]
-    pub fn avg_batch_size(&self) -> f64 {
-        if self.batches_formed == 0 {
-            0.0
-        } else {
-            self.requests_marked as f64 / self.batches_formed as f64
-        }
-    }
-
-    /// Mean cycles from batch formation to batch drain.
-    #[must_use]
-    pub fn avg_batch_cycles(&self) -> f64 {
-        if self.batches_completed == 0 {
-            0.0
-        } else {
-            self.total_batch_cycles as f64 / self.batches_completed as f64
-        }
-    }
 }
 
 /// Parallelism-Aware Batch Scheduler (Rules 1-3 of the paper plus the
@@ -87,10 +63,6 @@ pub struct ParBsScheduler {
     /// Whether an event sink is attached downstream (controller-driven via
     /// [`MemoryScheduler::set_observing`]). When false, no events are built.
     observing: bool,
-    /// Banks per rank of the channel being scheduled, learned from the
-    /// [`SchedView`] each `pre_schedule` so emitted `Marked` events can
-    /// carry the rank coordinate.
-    banks_per_rank: usize,
     /// Buffered scheduler events; the controller drains these once per
     /// decision slot with [`MemoryScheduler::drain_events`].
     obs_events: Vec<Event>,
@@ -117,7 +89,6 @@ impl ParBsScheduler {
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: ParBsStats::default(),
             observing: false,
-            banks_per_rank: 1,
             obs_events: Vec::new(),
         }
     }
@@ -165,7 +136,7 @@ impl ParBsScheduler {
     /// Runs in O(k log k) over the k unmarked requests using reusable
     /// scratch — this is called once per scheduling slot in the eslot and
     /// static batching modes, where k is almost always 0.
-    fn mark(&mut self, queue: &mut [Request], now: u64) -> u64 {
+    fn mark(&mut self, queue: &mut [Request], view: &SchedView<'_>) -> u64 {
         let cap = self.current_cap.unwrap_or(u32::MAX);
         let mut scratch = std::mem::take(&mut self.mark_scratch);
         scratch.clear();
@@ -193,10 +164,10 @@ impl ParBsScheduler {
                 marked += 1;
                 if self.observing {
                     self.obs_events.push(Event::Marked {
-                        at: now,
+                        at: view.now,
                         request: r.id.0,
                         thread: r.thread.0,
-                        rank: r.addr.bank / self.banks_per_rank.max(1),
+                        rank: view.channel.rank_of(r.addr.bank),
                         bank: r.addr.bank,
                     });
                 }
@@ -204,7 +175,6 @@ impl ParBsScheduler {
         }
         scratch.clear();
         self.mark_scratch = scratch;
-        self.stats.requests_marked += marked;
         marked
     }
 
@@ -267,11 +237,10 @@ impl ParBsScheduler {
         }
     }
 
-    fn form_batch(&mut self, queue: &mut [Request], now: u64) {
+    fn form_batch(&mut self, queue: &mut [Request], view: &SchedView<'_>) {
+        let now = view.now;
         if self.batch_open {
             let duration = now.saturating_sub(self.batch_formed_at);
-            self.stats.total_batch_cycles += duration;
-            self.stats.batches_completed += 1;
             if self.observing {
                 self.obs_events.push(Event::BatchDrained {
                     at: now,
@@ -286,11 +255,10 @@ impl ParBsScheduler {
         self.granted.clear();
         self.eligible_batch_no = self.stats.batches_formed;
         let pre_mark_idx = self.obs_events.len();
-        let marked = self.mark(queue, now);
+        let marked = self.mark(queue, view);
         // Only batches that actually open count: a formation attempt that
         // marks nothing (e.g. a queue of only opportunistic requests) must
-        // not advance the priority-cadence / ranking batch index or skew
-        // avg_batch_size.
+        // not advance the priority-cadence / ranking batch index.
         if marked > 0 {
             self.stats.batches_formed += 1;
             if self.observing {
@@ -386,24 +354,23 @@ impl MemoryScheduler for ParBsScheduler {
     }
 
     fn pre_schedule(&mut self, queue: &mut [Request], view: &SchedView<'_>) -> bool {
-        self.banks_per_rank = view.channel.banks_per_rank();
         match self.cfg.batching {
             BatchingMode::Full => {
                 if !queue.is_empty() && !queue.iter().any(|r| r.marked) {
                     // Batch formation rewrites marks and ranks even when it
                     // marks nothing (stale ranks are cleared).
-                    self.form_batch(queue, view.now);
+                    self.form_batch(queue, view);
                     return true;
                 }
                 false
             }
             BatchingMode::EmptySlot => {
                 if !queue.is_empty() && !queue.iter().any(|r| r.marked) {
-                    self.form_batch(queue, view.now);
+                    self.form_batch(queue, view);
                     true
                 } else if self.batch_open {
                     // Late arrivals may fill unused (thread, bank) slots.
-                    self.mark(queue, view.now) > 0
+                    self.mark(queue, view) > 0
                 } else {
                     false
                 }
@@ -417,7 +384,7 @@ impl MemoryScheduler for ParBsScheduler {
                     self.last_static_marking = Some(view.now);
                     // Static batching renews the marking budget each period;
                     // already-marked requests stay marked.
-                    self.form_batch(queue, view.now);
+                    self.form_batch(queue, view);
                 }
                 due
             }
@@ -449,15 +416,6 @@ impl MemoryScheduler for ParBsScheduler {
         })
     }
 
-    fn debug_summary(&self) -> String {
-        format!(
-            "batches={} avg_size={:.1} avg_cycles={:.0}",
-            self.stats.batches_formed,
-            self.stats.avg_batch_size(),
-            self.stats.avg_batch_cycles()
-        )
-    }
-
     fn set_observing(&mut self, enabled: bool) {
         self.observing = enabled;
         if !enabled {
@@ -479,7 +437,6 @@ impl MemoryScheduler for ParBsScheduler {
         w.put(&self.last_static_marking);
         w.put(&self.rng.state());
         w.put(&self.stats);
-        w.usize(self.banks_per_rank);
     }
 
     fn restore_state(
@@ -495,7 +452,6 @@ impl MemoryScheduler for ParBsScheduler {
         self.last_static_marking = r.get()?;
         self.rng = StdRng::from_state(r.get()?);
         self.stats = r.get()?;
-        self.banks_per_rank = r.usize()?;
         Ok(())
     }
 }
@@ -503,18 +459,10 @@ impl MemoryScheduler for ParBsScheduler {
 impl parbs_snap::Snap for ParBsStats {
     fn save(&self, w: &mut parbs_snap::SnapWriter) {
         w.u64(self.batches_formed);
-        w.u64(self.requests_marked);
-        w.u64(self.total_batch_cycles);
-        w.u64(self.batches_completed);
     }
 
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ParBsStats {
-            batches_formed: r.u64()?,
-            requests_marked: r.u64()?,
-            total_batch_cycles: r.u64()?,
-            batches_completed: r.u64()?,
-        })
+        Ok(ParBsStats { batches_formed: r.u64()? })
     }
 }
 
@@ -798,8 +746,7 @@ mod tests {
     fn empty_batches_are_not_counted() {
         // Regression: a formation attempt that marks nothing (here: only an
         // opportunistic thread is queued) used to increment batches_formed
-        // anyway, advancing the priority cadence and deflating
-        // avg_batch_size with phantom batches.
+        // anyway, advancing the priority cadence with phantom batches.
         let mut s = ParBsScheduler::new(ParBsConfig::default());
         let ch = channel();
         let mut q = vec![req_at(None, 0, 0, 0, 1)];
@@ -814,7 +761,7 @@ mod tests {
         s.pre_schedule(&mut q, &view(&ch, 300));
         assert!(q[1].marked);
         assert_eq!(s.stats().batches_formed, 1);
-        assert!((s.stats().avg_batch_size() - 1.0).abs() < 1e-9);
+        assert_eq!(q.iter().filter(|r| r.marked).count(), 1, "the batch holds one request");
     }
 
     #[test]
@@ -896,6 +843,7 @@ mod tests {
     #[test]
     fn batch_stats_accumulate() {
         let mut s = ParBsScheduler::new(ParBsConfig::default());
+        s.set_observing(true);
         let ch = channel();
         let mut q = vec![req(0, 0, 0, 1)];
         s.pre_schedule(&mut q, &view(&ch, 0));
@@ -904,8 +852,16 @@ mod tests {
         q[0] = req(1, 0, 0, 2);
         s.pre_schedule(&mut q, &view(&ch, 2_000));
         assert_eq!(s.stats().batches_formed, 2);
-        assert_eq!(s.stats().batches_completed, 1);
-        assert!((s.stats().avg_batch_cycles() - 2_000.0).abs() < 1e-9);
-        assert!(s.stats().avg_batch_size() >= 1.0);
+        let mut events = Vec::new();
+        s.drain_events(&mut events);
+        let drained: Vec<_> = events
+            .iter()
+            .filter_map(|e| match *e {
+                Event::BatchDrained { at, id, formed_at } => Some((id, at - formed_at)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(drained, [(1, 2_000)], "batch 1 drained after 2000 cycles");
+        assert!(q[0].marked, "batch 2 holds the new request");
     }
 }

@@ -53,8 +53,6 @@ pub struct CoreStats {
     pub dram_reads: u64,
     /// DRAM write requests generated.
     pub dram_writes: u64,
-    /// Loads merged into an existing outstanding miss.
-    pub merged_loads: u64,
 }
 
 impl CoreStats {
@@ -81,16 +79,15 @@ enum Slot {
     Store,
 }
 
+/// An outstanding miss: a later load to its line merges into it until it
+/// completes and leaves the table.
 #[derive(Debug, Clone)]
 struct Miss {
     id: MissId,
     line: u64,
     issued: bool,
-    completed: bool,
     /// Dependence episode this miss belongs to (incremented at each fence).
     episode: u64,
-    /// How many window slots wait on this miss (MSHR merging).
-    waiters: u32,
 }
 
 /// One processor core: fetches from its [`InstructionStream`], tracks the
@@ -269,7 +266,6 @@ impl Core {
         let Some(pos) = self.misses.iter().position(|m| m.id == id) else {
             return;
         };
-        self.misses[pos].completed = true;
         for slot in &mut self.window {
             if let Slot::Load { miss, done } = slot {
                 if *miss == id {
@@ -373,21 +369,12 @@ impl Core {
         if fence {
             self.episode += 1;
         }
-        if let Some(m) = self.misses.iter_mut().find(|m| m.line == line && !m.completed) {
-            m.waiters += 1;
-            self.stats.merged_loads += 1;
+        if let Some(m) = self.misses.iter().find(|m| m.line == line) {
             return m.id;
         }
         let id = MissId(self.next_miss);
         self.next_miss += 1;
-        self.misses.push(Miss {
-            id,
-            line,
-            issued: false,
-            completed: false,
-            episode: self.episode,
-            waiters: 1,
-        });
+        self.misses.push(Miss { id, line, issued: false, episode: self.episode });
         self.stats.dram_reads += 1;
         id
     }
@@ -410,7 +397,6 @@ impl parbs_snap::Snap for CoreStats {
         w.u64(self.mem_stall_cycles);
         w.u64(self.dram_reads);
         w.u64(self.dram_writes);
-        w.u64(self.merged_loads);
     }
 
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
@@ -420,7 +406,6 @@ impl parbs_snap::Snap for CoreStats {
             mem_stall_cycles: r.u64()?,
             dram_reads: r.u64()?,
             dram_writes: r.u64()?,
-            merged_loads: r.u64()?,
         })
     }
 }
@@ -453,20 +438,11 @@ impl parbs_snap::Snap for Miss {
         w.put(&self.id);
         w.u64(self.line);
         w.bool(self.issued);
-        w.bool(self.completed);
         w.u64(self.episode);
-        w.u32(self.waiters);
     }
 
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(Miss {
-            id: r.get()?,
-            line: r.u64()?,
-            issued: r.bool()?,
-            completed: r.bool()?,
-            episode: r.u64()?,
-            waiters: r.u32()?,
-        })
+        Ok(Miss { id: r.get()?, line: r.u64()?, issued: r.bool()?, episode: r.u64()? })
     }
 }
 
@@ -636,7 +612,7 @@ mod tests {
             core.tick(now);
         }
         assert_eq!(core.outstanding_misses(), 1, "same line must merge");
-        assert!(core.stats().merged_loads >= 1);
+        assert_eq!(core.stats().dram_reads, 1, "merged loads make one DRAM read");
         let (_, id) = core.pending_read().unwrap();
         core.read_issued(id);
         core.complete_read(id);

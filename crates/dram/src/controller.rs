@@ -72,9 +72,6 @@ pub struct Controller {
     next_finish: u64,
     stats: ControllerStats,
     checker: Option<ProtocolChecker>,
-    /// Requests whose first command has been issued (used to classify each
-    /// request as row hit / closed / conflict exactly once).
-    touched: std::collections::HashSet<RequestId>,
     /// Write-drain hysteresis: set when the write buffer crosses the high
     /// watermark, cleared when it drains to the low watermark.
     draining: bool,
@@ -136,7 +133,6 @@ impl Controller {
             next_finish: u64::MAX,
             stats: ControllerStats::default(),
             checker: None,
-            touched: std::collections::HashSet::new(),
             draining: false,
             last_refresh: vec![0; config.ranks_per_channel()],
             sink: None,
@@ -281,7 +277,6 @@ impl Controller {
                     return Err(EnqueueError { kind: RequestKind::Read });
                 }
                 self.scheduler.on_arrival(&req, req.arrival);
-                self.stats.reads_received += 1;
                 if self.observing() {
                     self.emit(&Event::Enqueued {
                         at: req.arrival,
@@ -299,7 +294,6 @@ impl Controller {
                 if !self.can_accept_write() {
                     return Err(EnqueueError { kind: RequestKind::Write });
                 }
-                self.stats.writes_received += 1;
                 if self.observing() {
                     self.emit(&Event::Enqueued {
                         at: req.arrival,
@@ -607,9 +601,12 @@ impl Controller {
         if let Some(checker) = &mut self.checker {
             checker.observe(&cmd, now).unwrap_or_else(|v| panic!("DRAM protocol violation: {v}"));
         }
-        let req = if is_write { self.writes[i].clone() } else { self.reads[i].clone() };
+        let buffer = if is_write { &mut self.writes } else { &mut self.reads };
+        let queued = &mut buffer.requests[i];
+        let first = !std::mem::replace(&mut queued.started, true);
+        let req = queued.clone();
         let mut service = None;
-        if self.touched.insert(req.id) {
+        if first {
             match cmd.kind {
                 CommandKind::Read | CommandKind::Write => self.stats.row_hits += 1,
                 CommandKind::Activate => self.stats.row_closed += 1,
@@ -654,7 +651,6 @@ impl Controller {
         }
         if let Some((_, end)) = data {
             let finish = end + self.config.timing.front_latency;
-            self.touched.remove(&req.id);
             if self.observing() {
                 self.emit(&Event::Completed {
                     at: now,
@@ -676,7 +672,6 @@ impl Controller {
             self.next_finish = self.next_finish.min(finish);
             if is_write {
                 self.writes.swap_remove(i);
-                self.stats.writes_completed += 1;
             } else {
                 self.scheduler.on_complete(&req, now);
                 self.reads.swap_remove(i);
@@ -739,7 +734,6 @@ impl Controller {
         w.put(&self.writes.requests);
         w.put(&self.pending);
         w.put(&self.stats);
-        w.put(&self.touched);
         w.bool(self.draining);
         w.put(&self.last_refresh);
         self.channel.save_state(w);
@@ -786,7 +780,6 @@ impl Controller {
         self.pending = r.get()?;
         self.next_finish = self.pending.iter().map(|c| c.finish).min().unwrap_or(u64::MAX);
         self.stats = r.get()?;
-        self.touched = r.get()?;
         self.draining = r.bool()?;
         let last_refresh: Vec<u64> = r.get()?;
         if last_refresh.len() != self.last_refresh.len() {

@@ -55,6 +55,11 @@ pub struct Request {
     /// on the request because the paper packs it into each request's
     /// priority in the request buffer (Figure 4).
     pub priority_level: Option<u8>,
+    /// Whether the controller has issued the request's first command. That
+    /// command classifies the request, once, as a row hit (a column
+    /// command), row closed (an activate) or row conflict (a precharge);
+    /// the controller sets the bit then. Schedulers ignore it.
+    pub started: bool,
 }
 
 impl Request {
@@ -69,6 +74,7 @@ impl Request {
             arrival,
             marked: false,
             priority_level: Some(1),
+            started: false,
         }
     }
 }
@@ -119,6 +125,7 @@ impl parbs_snap::Snap for Request {
         w.u64(self.arrival);
         w.bool(self.marked);
         w.put(&self.priority_level);
+        w.bool(self.started);
     }
 
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
@@ -130,6 +137,7 @@ impl parbs_snap::Snap for Request {
             arrival: r.u64()?,
             marked: r.bool()?,
             priority_level: r.get()?,
+            started: r.bool()?,
         })
     }
 }
@@ -148,7 +156,7 @@ mod tests {
     #[test]
     fn new_request_is_unmarked_equal_priority() {
         let r = Request::new(3, ThreadId(1), LineAddr::default(), RequestKind::Read, 10);
-        assert!(!r.marked);
+        assert!(!r.marked && !r.started);
         assert_eq!(r.priority_level, Some(1));
         assert_eq!(r.kind, RequestKind::Read);
         assert_eq!(r.arrival, 10);

@@ -166,8 +166,10 @@ pub trait MemoryScheduler {
         let _ = (thread, weight);
     }
 
-    /// One-line, human-readable internal state summary for diagnostics
-    /// (e.g. PAR-BS batch statistics). Default: empty.
+    /// One-line, human-readable internal state summary for diagnostics.
+    /// Default: empty. No scheduler in this workspace overrides it: batch,
+    /// blacklist and quantum transitions are reported as
+    /// [`parbs_obs::Event`]s.
     fn debug_summary(&self) -> String {
         String::new()
     }

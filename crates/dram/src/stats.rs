@@ -43,14 +43,8 @@ impl BlpTracker {
 /// Aggregate statistics for one controller (one channel).
 #[derive(Debug, Clone, Default)]
 pub struct ControllerStats {
-    /// Read requests accepted into the buffer.
-    pub reads_received: u64,
-    /// Write requests accepted into the buffer.
-    pub writes_received: u64,
     /// Read requests fully serviced.
     pub reads_completed: u64,
-    /// Write requests fully serviced.
-    pub writes_completed: u64,
     /// Requests whose first command was a column command (row hit).
     pub row_hits: u64,
     /// Requests whose first command was an activate (row closed).
@@ -134,10 +128,7 @@ impl parbs_snap::Snap for BlpTracker {
 
 impl parbs_snap::Snap for ControllerStats {
     fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.reads_received);
-        w.u64(self.writes_received);
         w.u64(self.reads_completed);
-        w.u64(self.writes_completed);
         w.u64(self.row_hits);
         w.u64(self.row_closed);
         w.u64(self.row_conflicts);
@@ -150,10 +141,7 @@ impl parbs_snap::Snap for ControllerStats {
 
     fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
         Ok(ControllerStats {
-            reads_received: r.u64()?,
-            writes_received: r.u64()?,
             reads_completed: r.u64()?,
-            writes_completed: r.u64()?,
             row_hits: r.u64()?,
             row_closed: r.u64()?,
             row_conflicts: r.u64()?,

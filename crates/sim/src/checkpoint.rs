@@ -5,14 +5,14 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  b"PARBSCKP"
-//! 8       4     format version (little-endian u32, currently 5)
+//! 8       4     format version (little-endian u32, currently 6)
 //! 12      8     fingerprint (little-endian u64): FNV-1a over the full
 //!               SimConfig debug rendering, every channel's scheduler
 //!               name, and the workload label
 //! 20      8     body digest (little-endian u64): FNV-1a over every byte
 //!               from offset 28 to the end
-//! 28      ...   RunProgress state (parbs-snap codec): target, per-thread
-//!               snapshot options, remaining count, cycle, timed-out flag
+//! 28      ...   RunProgress state (parbs-snap codec): per-thread snapshot
+//!               options, cycle, timed-out flag
 //! ...     ...   System state: per-thread stall feedback, per-thread
 //!               worst-case latency, then every core's state
 //! ...     ...   Memory-side state: next request id, in-flight reads
@@ -20,10 +20,20 @@
 //!               every controller's state
 //! ```
 //!
-//! Version 5 drops PAR-BS's per-thread priority table: PAR-BS reads each
-//! queued request's priority level, which the request buffer already
-//! carries. Version 4 added the body digest and dropped each core's halt
-//! flag.
+//! Version 6 encodes only state a later decision or report reads and the
+//! restoring system cannot rebuild. It drops the write-only counters and
+//! fields (the cores' merged-load count and their misses' completed flag
+//! and waiter count, the controllers' received and write-completed counts,
+//! PAR-BS's marked-request and batch-duration totals), values the restorer
+//! already has (the run's instruction target, which the configuration
+//! gives; its remaining-thread count, the open snapshot slots; PAR-BS's
+//! banks per rank, which the channel gives; STFM's per-bank thread lists,
+//! which its next `pre_schedule` rebuilds) and the controller's set of
+//! requests whose first command has issued, a bit that now rides on each
+//! queued request. Version 5 dropped PAR-BS's per-thread priority table:
+//! PAR-BS reads each queued request's priority level, which the request
+//! buffer already carries. Version 4 added the body digest and dropped
+//! each core's halt flag.
 //! Version 3 grouped the memory side's state after the cores and dropped
 //! the completion buffer (empty between cycles) and the controller
 //! statistics nothing read. Version 2 dropped per-thread BLP trackers.
@@ -48,7 +58,7 @@ use crate::{RunProgress, System};
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"PARBSCKP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 5;
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Why a checkpoint could not be saved or restored.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -262,7 +272,7 @@ mod tests {
         let mut sys = build(&SchedulerKind::FrFcfs);
         let progress = sys.begin_run();
         let mut blob = sys.save_checkpoint(&progress, "m").unwrap();
-        for found in [2u32, 3, 4] {
+        for found in [2u32, 3, 4, 5] {
             blob[8..12].copy_from_slice(&found.to_le_bytes());
             assert_eq!(sys.resume(&blob, "m"), Err(CheckpointError::BadVersion { found }));
         }

@@ -82,14 +82,13 @@ pub struct RunResult {
 /// cycle about to execute, and whether the cycle cap fired. Produced by
 /// [`System::begin_run`], advanced by [`System::step_cycle`] or
 /// [`System::step_cycles`], and redeemed by [`System::finish_run`] — the
-/// seam that lets checkpointing freeze a run mid-flight.
+/// seam that lets checkpointing freeze a run mid-flight. The instruction
+/// target is the system's configuration's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunProgress {
-    /// Per-thread instruction target the run was started with.
-    target: u64,
     /// Per-thread snapshot, filled the cycle the thread hits the target.
     snapshots: Vec<Option<ThreadRunStats>>,
-    /// Threads still short of the target.
+    /// Threads still short of the target: the open snapshot slots.
     remaining: usize,
     /// The next cycle to execute.
     now: u64,
@@ -116,42 +115,31 @@ impl RunProgress {
         self.timed_out
     }
 
+    /// Writes the snapshots, the cycle and the timed-out flag; the
+    /// remaining-thread count is the open snapshot slots.
     pub(crate) fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.target);
         w.put(&self.snapshots);
-        w.usize(self.remaining);
         w.u64(self.now);
         w.bool(self.timed_out);
     }
 
     /// Loads a progress saved by [`RunProgress::save_state`] for a run of
-    /// the same shape as `fresh`. Rejects an instruction target or a
-    /// thread count other than `fresh`'s: a wrong target runs the resumed
-    /// system to a different end, and a wrong count indexes past its cores.
+    /// the same shape as `fresh`. Rejects a thread count other than
+    /// `fresh`'s, which would index past the system's cores.
     pub(crate) fn load_state(
         r: &mut parbs_snap::SnapReader<'_>,
         fresh: &RunProgress,
     ) -> Result<Self, parbs_snap::SnapError> {
-        let mismatch =
-            |what, expected, found| parbs_snap::SnapError::Mismatch { what, expected, found };
-        let target = r.u64()?;
-        if target != fresh.target {
-            return Err(mismatch("run progress instruction target", fresh.target, target));
-        }
         let snapshots: Vec<Option<ThreadRunStats>> = r.get()?;
         if snapshots.len() != fresh.snapshots.len() {
-            let (expected, found) = (fresh.snapshots.len() as u64, snapshots.len() as u64);
-            return Err(mismatch("run progress thread count", expected, found));
+            return Err(parbs_snap::SnapError::Mismatch {
+                what: "run progress thread count",
+                expected: fresh.snapshots.len() as u64,
+                found: snapshots.len() as u64,
+            });
         }
-        let remaining = r.usize()?;
-        let now = r.u64()?;
-        let timed_out = r.bool()?;
-        let open = snapshots.iter().filter(|s| s.is_none()).count();
-        if remaining != open {
-            let (expected, found) = (open as u64, remaining as u64);
-            return Err(mismatch("run progress remaining-thread count", expected, found));
-        }
-        Ok(RunProgress { target, snapshots, remaining, now, timed_out })
+        let remaining = snapshots.iter().filter(|s| s.is_none()).count();
+        Ok(RunProgress { snapshots, remaining, now: r.u64()?, timed_out: r.bool()? })
     }
 }
 
@@ -266,13 +254,7 @@ impl System {
     #[must_use]
     pub fn begin_run(&self) -> RunProgress {
         let n = self.cores.len();
-        RunProgress {
-            target: self.cfg.target_instructions,
-            snapshots: vec![None; n],
-            remaining: n,
-            now: 0,
-            timed_out: false,
-        }
+        RunProgress { snapshots: vec![None; n], remaining: n, now: 0, timed_out: false }
     }
 
     /// Advances the system by exactly one processor cycle, snapshotting any
@@ -291,7 +273,7 @@ impl System {
         }
         self.tick(progress.now);
         for (t, slot) in progress.snapshots.iter_mut().enumerate() {
-            if slot.is_none() && self.cores[t].stats().committed >= progress.target {
+            if slot.is_none() && self.cores[t].stats().committed >= self.cfg.target_instructions {
                 *slot = Some(self.snapshot_at(t, progress.now + 1));
                 progress.remaining -= 1;
             }
@@ -699,22 +681,6 @@ mod tests {
             let want = parbs_snap::SnapError::Mismatch { what, expected, found };
             assert_eq!(err, crate::CheckpointError::Corrupt(want));
         }
-    }
-
-    #[test]
-    fn resume_rejects_a_progress_target_other_than_the_configurations() {
-        let mut sys = parbs(&CS1, 1_000);
-        let mut progress = sys.begin_run();
-        sys.step_cycles(&mut progress, 500);
-        progress.target = 999;
-        let blob = sys.save_checkpoint(&progress, "cs1").unwrap();
-        let err = parbs(&CS1, 1_000).resume(&blob, "cs1").unwrap_err();
-        let want = parbs_snap::SnapError::Mismatch {
-            what: "run progress instruction target",
-            expected: 1_000,
-            found: 999,
-        };
-        assert_eq!(err, crate::CheckpointError::Corrupt(want));
     }
 
     #[test]

@@ -300,6 +300,7 @@ fn request(id: u64, thread: usize, bank: usize, kind: RequestKind) -> Request {
     let addr = LineAddr { channel: 0, bank, row: 7 * id, col: id % 3 };
     let mut r = Request::new(id, ThreadId(thread), addr, kind, 40 * id);
     r.marked = id.is_multiple_of(2);
+    r.started = id.is_multiple_of(3);
     r.priority_level = if thread == 3 { None } else { Some(1 + thread as u8) };
     r
 }
@@ -307,8 +308,8 @@ fn request(id: u64, thread: usize, bank: usize, kind: RequestKind) -> Request {
 /// The composite types a checkpoint body decodes: the controller's queues,
 /// completions and statistics, a core's statistics and a latency
 /// histogram, and every hashed map and set (PAR-BS's ranks and granted
-/// budgets, NFQ's clocks, deadlines and weights, BLISS's blacklist, the
-/// controller's touched requests and the memory side's in-flight reads).
+/// budgets, NFQ's clocks, deadlines and weights, BLISS's blacklist and the
+/// memory side's in-flight reads).
 fn fields() -> Vec<Field> {
     let threads = [0usize, 2, 3, 40_000];
     let requests: Vec<Request> = (0..4)
@@ -338,7 +339,6 @@ fn fields() -> Vec<Field> {
     let weights: HashMap<ThreadId, f64> =
         threads.iter().map(|&t| (ThreadId(t), 1.0 + t as f64)).collect();
     let blacklist: HashSet<ThreadId> = threads.iter().map(|&t| ThreadId(t)).collect();
-    let touched: HashSet<RequestId> = requests.iter().map(|r| r.id).collect();
     let inflight: HashMap<u64, (usize, MissId)> =
         (0..5).map(|i| (3 * i + 1, (i as usize % 4, MissId(100 + i)))).collect();
     let mut histogram = LatencyHistogram::default();
@@ -361,7 +361,6 @@ fn fields() -> Vec<Field> {
         field(|b| decode_as(b, HashMap::<RequestId, f64>::len), &deadlines),
         field(|b| decode_as(b, HashMap::<ThreadId, f64>::len), &weights),
         field(|b| decode_as(b, HashSet::<ThreadId>::len), &blacklist),
-        field(|b| decode_as(b, HashSet::<RequestId>::len), &touched),
         field(|b| decode_as(b, HashMap::<u64, (usize, MissId)>::len), &inflight),
         field(|b| decode_as(b, |(_, q): &(Option<u64>, VecDeque<bool>)| q.len()), &misc),
     ]
