@@ -50,4 +50,4 @@ pub use profiles::{
 };
 pub use source::{RequestSource, SourcedRequest};
 pub use synth::{StreamGeometry, SyntheticStream};
-pub use trace::{format_trace, load_trace, parse_trace, ParseTraceError};
+pub use trace::{format_trace, load_trace, parse_trace, ParseTraceError, MAX_TRACE_INSTRUCTIONS};

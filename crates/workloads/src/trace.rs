@@ -14,11 +14,17 @@
 //!
 //! Line addresses may be hexadecimal (`0x…`) or decimal. The trace loops
 //! when the simulator runs longer than its length, matching the behaviour
-//! of the synthetic streams.
+//! of the synthetic streams. A trace expands to at most
+//! [`MAX_TRACE_INSTRUCTIONS`] instructions.
 
 use std::path::Path;
 
 use parbs_cpu::{Instr, TraceStream};
+
+/// The most instructions a parsed trace may expand to: 4 Mi, 64 MiB of
+/// [`Instr`]. A longer trace, however short its text (one `C` line can ask
+/// for any count), is a [`ParseTraceError`].
+pub const MAX_TRACE_INSTRUCTIONS: usize = 1 << 22;
 
 /// A malformed trace line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,8 +57,9 @@ fn parse_addr(token: &str, line: usize) -> Result<u64, ParseTraceError> {
 /// # Errors
 ///
 /// Returns the first malformed line (unknown opcode, missing or invalid
-/// operand). An entirely empty trace is an error — instruction streams must
-/// be non-empty.
+/// operand), or the line that takes the trace past
+/// [`MAX_TRACE_INSTRUCTIONS`]. An entirely empty trace is an error —
+/// instruction streams must be non-empty.
 pub fn parse_trace(text: &str) -> Result<Vec<Instr>, ParseTraceError> {
     let mut out = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -73,24 +80,31 @@ pub fn parse_trace(text: &str) -> Result<Vec<Instr>, ParseTraceError> {
                 message: "trailing tokens after operand".into(),
             });
         }
-        match op {
+        let (instr, count) = match op {
             "C" | "c" => {
                 let n: u64 = operand.parse().map_err(|_| ParseTraceError {
                     line: line_no,
                     message: format!("invalid compute count '{operand}'"),
                 })?;
-                out.extend(std::iter::repeat_n(Instr::Compute, n as usize));
+                (Instr::Compute, n)
             }
-            "L" | "l" => out.push(Instr::Load(parse_addr(operand, line_no)?)),
-            "D" | "d" => out.push(Instr::DependentLoad(parse_addr(operand, line_no)?)),
-            "S" | "s" => out.push(Instr::Store(parse_addr(operand, line_no)?)),
+            "L" | "l" => (Instr::Load(parse_addr(operand, line_no)?), 1),
+            "D" | "d" => (Instr::DependentLoad(parse_addr(operand, line_no)?), 1),
+            "S" | "s" => (Instr::Store(parse_addr(operand, line_no)?), 1),
             other => {
                 return Err(ParseTraceError {
                     line: line_no,
                     message: format!("unknown opcode '{other}' (expected C, L, D or S)"),
                 })
             }
-        }
+        };
+        let room = MAX_TRACE_INSTRUCTIONS - out.len();
+        let count =
+            usize::try_from(count).ok().filter(|&n| n <= room).ok_or_else(|| ParseTraceError {
+                line: line_no,
+                message: format!("trace expands past {MAX_TRACE_INSTRUCTIONS} instructions"),
+            })?;
+        out.extend(std::iter::repeat_n(instr, count));
     }
     if out.is_empty() {
         return Err(ParseTraceError { line: 0, message: "trace contains no instructions".into() });
@@ -188,6 +202,16 @@ mod tests {
     fn rejects_trailing_tokens() {
         let e = parse_trace("L 0x10 0x20\n").unwrap_err();
         assert!(e.message.contains("trailing"));
+    }
+
+    #[test]
+    fn rejects_a_compute_count_past_the_cap_before_allocating() {
+        let e = parse_trace("L 0x10\nC 18446744073709551615\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("expands past"), "{e}");
+        // The cap counts every line: one instruction plus the cap is over.
+        let e = parse_trace(&format!("L 0x10\nC {MAX_TRACE_INSTRUCTIONS}\n")).unwrap_err();
+        assert_eq!(e.line, 2);
     }
 
     #[test]
