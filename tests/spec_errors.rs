@@ -1,9 +1,13 @@
 //! Golden tests for spec compile errors: each malformed spec is pinned to
 //! the *exact* rendered diagnostic (`line:col: message`), so error position,
 //! offending stream name, and expected type stay stable for tooling that
-//! parses them (editors, `parbs-sim check-spec`, CI logs).
+//! parses them (editors, `parbs-sim check-spec`, CI logs). A never-panic
+//! property closes the file: random text, random token sequences and
+//! single-byte mutations of the preludes each compile to a spec or to an
+//! error positioned inside the source.
 
-use parbs_monitor::Spec;
+use parbs_monitor::{prelude, Spec};
+use proptest::prelude::*;
 
 /// Compiles `src` and asserts the rendered error equals `expected` exactly.
 fn assert_error(src: &str, expected: &str) {
@@ -149,4 +153,63 @@ fn checker_pins_untyped_hold_reads() {
         "2:11: hold 'h' is read before its type is known (declare it earlier or give \
          it an 'init')",
     );
+}
+
+/// Compiles `src`, which must give a spec or an error at a 1-based position
+/// inside it (one line past the last for an error at the end of the spec).
+fn compiles_or_errs_in_place(src: &str) -> Result<(), TestCaseError> {
+    if let Err(e) = Spec::compile(src) {
+        let lines = src.split('\n').count() as u32;
+        prop_assert!(e.line() >= 1 && e.line() <= lines && e.col() >= 1, "{e} in {src:?}");
+    }
+    Ok(())
+}
+
+/// The bytes spec text is made of.
+const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz_0123456789 \n\t:=[](){},\"#!&|<>+-*/%.";
+
+/// Tokens of the spec language and names it resolves, separated by single
+/// spaces (one token is a line break).
+const TOKENS: &str = "input map counter hold window trigger warn error := when on over in \
+    init add sub reset remove message count sum max enqueued marked completed batch_formed \
+    command_issued bus_sample x y thread bank row request at cap true false 0 1 7 \
+    99999999999999999999 - + * / % == != < > <= >= && || ! ( ) [ ] , \"t\" \"{thread}\" \"{\" \n #";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn random_text_compiles_or_errs_in_place(
+        picks in proptest::collection::vec(any::<u8>(), 0..160),
+        raw in any::<bool>(),
+    ) {
+        let bytes: Vec<u8> = if raw {
+            picks
+        } else {
+            picks.iter().map(|&b| ALPHABET[usize::from(b) % ALPHABET.len()]).collect()
+        };
+        compiles_or_errs_in_place(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn random_token_sequences_compile_or_err_in_place(
+        picks in proptest::collection::vec(any::<u16>(), 0..60),
+    ) {
+        let tokens: Vec<&str> = TOKENS.split(' ').collect();
+        let src: Vec<&str> = picks.iter().map(|&i| tokens[usize::from(i) % tokens.len()]).collect();
+        compiles_or_errs_in_place(&src.join(" "))?;
+    }
+
+    #[test]
+    fn mutated_preludes_compile_or_err_in_place(
+        at in any::<usize>(),
+        xor in 1u8..=255,
+    ) {
+        for src in [prelude::INVARIANTS, prelude::QOS] {
+            let mut bytes = src.as_bytes().to_vec();
+            let i = at % bytes.len();
+            bytes[i] ^= xor;
+            compiles_or_errs_in_place(&String::from_utf8_lossy(&bytes))?;
+        }
+    }
 }
