@@ -12,13 +12,16 @@
 //! and shares are covered by the rows of Fig. 14 (PAR-BS levels 1-1-2-8,
 //! opportunistic threads, NFQ/STFM weights), by NFQ and STFQ at shares
 //! 8-1-1-1, where the two schedule differently, and by the checkpoints of
-//! NFQ, STFQ and STFM at those shares, whose bytes encode the weights. The traces are Chrome
+//! NFQ, STFQ and STFM at those shares, whose bytes encode the weights: on
+//! the checkpoint mix and on Case Study 3, whose four intensive threads make
+//! STFQ's resumed run depend on the weights too. The traces are Chrome
 //! under PAR-BS and JSONL under PAR-BS, BLISS and ATLAS, which together
 //! emit every event kind; the `prelude:invariants` and `prelude:qos`
 //! verdicts on Case Study 1 are digested online and on replay of its
 //! JSONL trace. The static analyses are digested too: every scheduler's
-//! `check-keys` report, and its `check-liveness` report and witness on the
-//! tiny geometry.
+//! `check-keys` report, its `check-liveness` report and witness on the
+//! tiny geometry, and the states and commands of `check-timing`'s
+//! depth-4 differential check on the 1- and 2-rank tiny geometries.
 //!
 //! `PARBS_RECORD_IDENTITY=1 cargo test --test identity` rewrites the file.
 //! Re-record only when a change is meant to move output, and name every
@@ -27,7 +30,9 @@
 use std::collections::BTreeMap;
 
 use parbs_monitor::{prelude, replay_jsonl, Spec};
-use parbs_sim::analyze::{check_scheduler_keys, check_scheduler_liveness, LivenessConfig};
+use parbs_sim::analyze::{
+    check_scheduler_keys, check_scheduler_liveness, run_differential, LivenessConfig, McConfig,
+};
 use parbs_sim::experiments::{priority_opportunistic_plan, priority_weighted_plan};
 use parbs_sim::{
     run_flow, run_observed, EvalJob, EvalOverrides, FlowRunResult, Harness, MixEvaluation,
@@ -114,29 +119,33 @@ fn config(cores: usize, target: u64) -> SimConfig {
 const CHECKPOINT_MIX: [&str; 4] = ["mcf", "libquantum", "lbm", "hmmer"];
 const CHECKPOINT_CYCLE: u64 = 8_000;
 
+fn checkpoint_mix() -> MixSpec {
+    MixSpec::from_names("ckpt", &CHECKPOINT_MIX)
+}
+
 /// Shares 8-1-1-1: the weights under which NFQ, STFQ and STFM schedule
 /// differently from their equal-share runs and from each other.
 fn shares_8111() -> EvalOverrides {
     EvalOverrides { weights: vec![8.0, 1.0, 1.0, 1.0], ..EvalOverrides::none() }
 }
 
-/// The checkpoint bytes of a run under `kind` with `overrides` at
+/// The checkpoint bytes of a run of `mix` under `kind` with `overrides` at
 /// [`CHECKPOINT_CYCLE`], and the result of resuming from them in a fresh
 /// system, named `checkpoint/<prefix><SCHED>/…`.
 fn checkpoint_cases(
     prefix: &str,
+    mix: &MixSpec,
     kind: &SchedulerKind,
     overrides: &EvalOverrides,
 ) -> Vec<(String, u64)> {
     let harness = Harness::new(config(4, 3_000));
-    let mix = MixSpec::from_names("ckpt", &CHECKPOINT_MIX);
-    let mut sys = harness.shared_system(&mix, kind, overrides);
+    let mut sys = harness.shared_system(mix, kind, overrides);
     let mut progress = sys.begin_run();
     for _ in 0..CHECKPOINT_CYCLE {
         assert!(sys.step_cycle(&mut progress), "the run outlasts the checkpoint cycle");
     }
     let blob = sys.save_checkpoint(&progress, "ckpt").expect("checkpointable");
-    let mut fresh = harness.shared_system(&mix, kind, overrides);
+    let mut fresh = harness.shared_system(mix, kind, overrides);
     let mut progress = fresh.resume(&blob, "ckpt").expect("self-resume succeeds");
     while fresh.step_cycle(&mut progress) {}
     let resumed = fresh.finish_run(progress);
@@ -165,6 +174,17 @@ fn analysis_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
         (format!("check-keys/{}", kind.name()), digest_bytes(keys.as_bytes())),
         (format!("check-liveness/tiny/{}", kind.name()), digest_bytes(text.as_bytes())),
     ]
+}
+
+/// `check-timing`'s differential model check at depth 4 on the tiny
+/// `ranks`-rank geometry: the states and commands it compared.
+fn differential_case(ranks: usize) -> (String, u64) {
+    let stats = run_differential(&McConfig::tiny(ranks, 4))
+        .unwrap_or_else(|d| panic!("the differential check diverged:\n{d}"));
+    let mut w = SnapWriter::new();
+    w.u64(stats.states);
+    w.u64(stats.commands);
+    (format!("check-timing/depth4/{ranks}-rank"), digest(w))
 }
 
 /// Case Study 1's channel-0 event trace in `format` under `kind`.
@@ -262,10 +282,21 @@ fn cases() -> Vec<Case> {
         }));
     }
     for kind in SchedulerKind::all() {
-        cases.push(Box::new(move || checkpoint_cases("", &kind, &EvalOverrides::none())));
+        cases.push(Box::new(move || {
+            checkpoint_cases("", &checkpoint_mix(), &kind, &EvalOverrides::none())
+        }));
     }
     for kind in [SchedulerKind::Nfq, SchedulerKind::Stfq, SchedulerKind::Stfm] {
-        cases.push(Box::new(move || checkpoint_cases("shares-8111/", &kind, &shares_8111())));
+        let cs3 = kind.clone();
+        cases.push(Box::new(move || {
+            checkpoint_cases("shares-8111/", &checkpoint_mix(), &kind, &shares_8111())
+        }));
+        cases.push(Box::new(move || {
+            checkpoint_cases("CS3-shares-8111/", &case_study_3(), &cs3, &shares_8111())
+        }));
+    }
+    for ranks in [1, 2] {
+        cases.push(Box::new(move || vec![differential_case(ranks)]));
     }
     for kind in SchedulerKind::all() {
         cases.push(Box::new(move || analysis_cases(&kind)));
