@@ -457,8 +457,8 @@ mod tests {
     fn twtr_gates_all_columns_after_write_data() {
         // The model applies the write turnaround conservatively to every
         // following column command channel-wide — the same semantics the
-        // rule table's `tWTR` rule declares, so gating, checker and oracle
-        // agree by construction.
+        // rule table's `tWTR` rule declares, so gating and checker agree by
+        // construction.
         let t = TimingParams::ddr2_800();
         let mut ch = Channel::new(8, t);
         ch.issue(&cmd(CommandKind::Activate, 0, 1), ThreadId(0), 0);

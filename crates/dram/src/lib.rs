@@ -33,6 +33,9 @@
 //! A [`ProtocolChecker`] can observe every issued command and verify that no
 //! DRAM timing constraint is ever violated; the property-based tests use it
 //! to validate the controller under random schedulers and request streams.
+//! It is the one interpreter of the declarative [`TIMING_RULES`] table, and
+//! its earliest-issue answer is what `parbs_sim::analyze`'s differential
+//! model checker compares [`Channel::can_issue`] with.
 //!
 //! For observability, attach any [`parbs_obs::EventSink`] with
 //! [`Controller::set_event_sink`]: the controller then emits the full
@@ -91,8 +94,8 @@ pub use geometry::{Geometry, GeometryError};
 pub use keys::{f64_total_order_bits, FieldSemantic, KeyField, KeyLayout};
 pub use request::{Request, RequestId, RequestKind, ThreadId};
 pub use rules::{
-    data_interval, CmdClass, EventClass, FromTime, RuleEngine, RuleKind, RuleScope, TimingParam,
-    TimingRule, ToTime, TIMING_RULES,
+    data_interval, CmdClass, EventClass, FromTime, RuleKind, RuleScope, TimingParam, TimingRule,
+    ToTime, TIMING_RULES,
 };
 pub use scheduler::{FcfsScheduler, MemoryScheduler, SchedView};
 pub use stats::{BlpTracker, ControllerStats};

@@ -6,13 +6,12 @@
 //! as data: a [`TimingRule`] names the constraint, its scope (same bank /
 //! same rank / cross rank / whole channel), the command-stream event it
 //! measures from, and the minimum separation as a sum of named
-//! [`TimingParam`]s. The imperative issue gating in [`crate::Channel`] and
-//! the post-hoc [`crate::ProtocolChecker`] are both validated against this
-//! table: the checker's timing validation is *evaluated from it* (via
-//! [`RuleEngine`]), and `parbs_sim::analyze`'s differential bounded model checker
-//! cross-checks `Channel::can_issue`, an independent earliest-time oracle
-//! built from the same table, and the checker on exhaustively enumerated
-//! command sequences.
+//! [`TimingParam`]s. One piece of code interprets the table: the
+//! [`crate::ProtocolChecker`], whose timing validation and earliest-issue
+//! answer are *evaluated from it*. The imperative issue gating in
+//! [`crate::Channel`] is written by hand, and `parbs_sim::analyze`'s
+//! differential bounded model checker cross-checks it against the checker
+//! on exhaustively enumerated command sequences.
 //!
 //! A rule reads: *command `to` may not reach its `to_time` anchor earlier
 //! than `min_sep` cycles after the `nth`-most-recent `from` event's
@@ -32,8 +31,7 @@
 //!
 //! Bank-state legality (no `ACT` on an open bank, column row match, no
 //! `PRE` on a closed bank) is not a timing rule; it is a property of the
-//! bank state machine and is checked separately by both the checker and the
-//! model-checking oracle.
+//! bank state machine, which the checker tracks beside the table.
 //!
 //! Rules come in two polarities ([`RuleKind`]): ordinary min-separation
 //! rules gate command issue, while *deadline* rules (tREFI) put a ceiling
@@ -143,6 +141,22 @@ pub enum EventClass {
     Any,
 }
 
+impl EventClass {
+    /// True if a command of `kind` is an event of this class.
+    #[must_use]
+    pub fn matches(self, kind: CommandKind) -> bool {
+        match self {
+            EventClass::Act => kind == CommandKind::Activate,
+            EventClass::Rd => kind == CommandKind::Read,
+            EventClass::Wr => kind == CommandKind::Write,
+            EventClass::Col => kind.is_column(),
+            EventClass::Pre => kind == CommandKind::Precharge,
+            EventClass::Ref => kind == CommandKind::Refresh,
+            EventClass::Any => true,
+        }
+    }
+}
+
 /// The class of candidate commands a rule constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmdClass {
@@ -205,7 +219,7 @@ pub enum ToTime {
 /// later than `min_sep` (read: *max_sep*) cycles after the anchor — so no
 /// candidate command can ever violate one by issuing. They constrain the
 /// **absence** of commands, which only a liveness check can observe:
-/// [`RuleEngine::first_violation`] skips them, and `parbs_sim::analyze`'s
+/// [`crate::ProtocolChecker`] skips them, and `parbs_sim::analyze`'s
 /// refresh model checker (`check-timing --refresh`) enforces them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleKind {
@@ -355,8 +369,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
     // Write turnaround: a column command waits tWTR after the last write's
     // final data beat. DDR2 defines tWTR as write→read only; the model
     // applies it conservatively to *all* column commands channel-wide, and
-    // this rule states the modeled semantics so gating, checker and the
-    // analyze oracle agree by construction.
+    // this rule states the modeled semantics so gating and checker agree.
     TimingRule {
         id: "tWTR",
         kind: RuleKind::MinSeparation,
@@ -472,186 +485,6 @@ pub fn data_interval(kind: CommandKind, at: u64, t: &TimingParams) -> Option<(u6
     Some((at + cas, at + cas + t.t_burst))
 }
 
-/// A recorded command-stream event: issue cycle plus, for column commands,
-/// the end of the data transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct EventTimes {
-    at: u64,
-    data_end: u64,
-}
-
-/// Per-bank event history (most recent event of each class).
-#[derive(Debug, Clone, Copy, Default)]
-struct BankEvents {
-    act: Option<u64>,
-    rd: Option<u64>,
-    wr: Option<EventTimes>,
-    pre: Option<u64>,
-}
-
-/// Evaluates the [`TIMING_RULES`] table over an observed command stream.
-///
-/// The engine records the event history each rule can reference (per bank,
-/// per rank, channel-wide) and answers, for a candidate command at a
-/// candidate cycle, which rule — if any — it would violate. It checks
-/// *timing* only; bank-state legality and index validity are the caller's
-/// concern ([`crate::ProtocolChecker`] layers them on top).
-#[derive(Debug, Clone)]
-pub struct RuleEngine {
-    timing: TimingParams,
-    banks_per_rank: usize,
-    banks: Vec<BankEvents>,
-    /// Up to the four most recent activate issues per rank, newest last.
-    rank_acts: Vec<Vec<u64>>,
-    rank_ref: Vec<Option<u64>>,
-    last_cmd: Option<u64>,
-    last_col: Option<EventTimes>,
-    /// Rank that drove the most recent data transfer.
-    last_col_rank: Option<usize>,
-    last_wr: Option<EventTimes>,
-}
-
-impl RuleEngine {
-    /// Creates an engine for `ranks` × `banks_per_rank` banks.
-    #[must_use]
-    pub fn new(ranks: usize, banks_per_rank: usize, timing: TimingParams) -> Self {
-        RuleEngine {
-            timing,
-            banks_per_rank,
-            banks: vec![BankEvents::default(); ranks * banks_per_rank],
-            rank_acts: vec![Vec::with_capacity(4); ranks],
-            rank_ref: vec![None; ranks],
-            last_cmd: None,
-            last_col: None,
-            last_col_rank: None,
-            last_wr: None,
-        }
-    }
-
-    /// The timing parameters the engine evaluates rules under.
-    #[must_use]
-    pub fn timing(&self) -> &TimingParams {
-        &self.timing
-    }
-
-    fn rank_of(&self, kind: CommandKind, rank: usize, bank: usize) -> usize {
-        if kind == CommandKind::Refresh {
-            rank
-        } else {
-            bank / self.banks_per_rank
-        }
-    }
-
-    /// The anchor time of the `nth`-most-recent event of `rule.from` within
-    /// `rule.scope` relative to the candidate, or `None` if no such event.
-    fn anchor_of(&self, rule: &TimingRule, rank: usize, bank: usize) -> Option<u64> {
-        let pick = |at: u64, data_end: u64| match rule.from_time {
-            FromTime::Issue => at,
-            FromTime::DataEnd => data_end,
-        };
-        match rule.scope {
-            RuleScope::SameBank => {
-                let b = self.banks.get(bank)?;
-                match rule.from {
-                    EventClass::Act => b.act,
-                    EventClass::Rd => b.rd,
-                    EventClass::Wr => b.wr.map(|e| pick(e.at, e.data_end)),
-                    EventClass::Pre => b.pre,
-                    _ => None,
-                }
-            }
-            RuleScope::SameRank => match rule.from {
-                EventClass::Act => {
-                    let acts = self.rank_acts.get(rank)?;
-                    acts.len().checked_sub(rule.nth as usize).map(|i| acts[i])
-                }
-                EventClass::Ref => *self.rank_ref.get(rank)?,
-                _ => None,
-            },
-            RuleScope::CrossRank => match rule.from {
-                EventClass::Col if self.last_col_rank.is_some_and(|r| r != rank) => {
-                    self.last_col.map(|e| pick(e.at, e.data_end))
-                }
-                _ => None,
-            },
-            RuleScope::Channel => match rule.from {
-                EventClass::Any => self.last_cmd,
-                EventClass::Col => self.last_col.map(|e| pick(e.at, e.data_end)),
-                EventClass::Wr => self.last_wr.map(|e| pick(e.at, e.data_end)),
-                _ => None,
-            },
-        }
-    }
-
-    /// The first rule of [`TIMING_RULES`] that `kind` targeting
-    /// (`rank`, `bank`) at cycle `at` would violate, if any.
-    #[must_use]
-    pub fn first_violation(
-        &self,
-        kind: CommandKind,
-        rank: usize,
-        bank: usize,
-        at: u64,
-    ) -> Option<&'static str> {
-        let rank = self.rank_of(kind, rank, bank);
-        for rule in TIMING_RULES {
-            // Deadline rules bound the *absence* of a command; no candidate
-            // issue can violate one (see [`RuleKind::Deadline`]).
-            if rule.kind != RuleKind::MinSeparation {
-                continue;
-            }
-            if !rule.to.matches(kind) {
-                continue;
-            }
-            let Some(anchor) = self.anchor_of(rule, rank, bank) else { continue };
-            let to_anchor = match rule.to_time {
-                ToTime::Issue => at,
-                ToTime::DataStart => match data_interval(kind, at, &self.timing) {
-                    Some((start, _)) => start,
-                    None => continue,
-                },
-            };
-            if to_anchor < anchor + rule.min_sep_cycles(&self.timing) {
-                return Some(rule.id);
-            }
-        }
-        None
-    }
-
-    /// Records `kind` targeting (`rank`, `bank`) issued at `at`.
-    pub fn record(&mut self, kind: CommandKind, rank: usize, bank: usize, at: u64) {
-        let rank = self.rank_of(kind, rank, bank);
-        self.last_cmd = Some(at);
-        match kind {
-            CommandKind::Activate => {
-                self.banks[bank].act = Some(at);
-                let acts = &mut self.rank_acts[rank];
-                if acts.len() == 4 {
-                    acts.remove(0);
-                }
-                acts.push(at);
-            }
-            CommandKind::Read | CommandKind::Write => {
-                let (_, end) = data_interval(kind, at, &self.timing).expect("column command");
-                // Fold the maximum data end so bus rules see the true
-                // bus-free time even if transfer ends are not monotone.
-                let folded = self.last_col.map_or(end, |e| e.data_end.max(end));
-                self.last_col = Some(EventTimes { at, data_end: folded });
-                self.last_col_rank = Some(rank);
-                if kind == CommandKind::Write {
-                    let e = EventTimes { at, data_end: end };
-                    self.banks[bank].wr = Some(e);
-                    self.last_wr = Some(e);
-                } else {
-                    self.banks[bank].rd = Some(at);
-                }
-            }
-            CommandKind::Precharge => self.banks[bank].pre = Some(at),
-            CommandKind::Refresh => self.rank_ref[rank] = Some(at),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,65 +528,11 @@ mod tests {
     }
 
     #[test]
-    fn deadline_rules_never_gate_issue() {
-        // tREFI is a ceiling on refresh *absence*; back-to-back refreshes
-        // are gated by tRFC only, never by the deadline rule. A refresh at
-        // t_rfc after the previous one must be legal even though it is far
-        // inside the tREFI window.
-        let t = TimingParams::ddr2_800();
-        let mut e = RuleEngine::new(2, 8, t);
-        e.record(CommandKind::Refresh, 0, 0, 0);
-        assert!(t.t_rfc < t.t_refi);
-        assert_eq!(e.first_violation(CommandKind::Refresh, 0, 0, t.t_rfc), None);
-        // Exactly one deadline rule, and it covers tREFI.
-        let deadlines: Vec<&TimingRule> =
-            TIMING_RULES.iter().filter(|r| r.kind == RuleKind::Deadline).collect();
-        assert_eq!(deadlines.len(), 1);
-        assert_eq!(deadlines[0].id, "tREFI");
-        assert_eq!(deadlines[0].min_sep_cycles(&t), t.t_refi);
-    }
-
-    #[test]
     fn rule_separation_sums_parameters() {
         let t = TimingParams::ddr2_800();
         let twr = TIMING_RULES.iter().find(|r| r.id == "tWR").unwrap();
         // tWR measures from the data end directly (anchored, not summed).
         assert_eq!(twr.min_sep_cycles(&t), t.t_wr);
         assert_eq!(twr.from_time, FromTime::DataEnd);
-    }
-
-    #[test]
-    fn engine_enforces_faw_as_fourth_previous_activate() {
-        let t = TimingParams::ddr2_800();
-        let mut e = RuleEngine::new(1, 8, t);
-        for (i, at) in (0..4u64).map(|i| (i, i * t.t_rrd)) {
-            assert_eq!(e.first_violation(CommandKind::Activate, 0, i as usize, at), None);
-            e.record(CommandKind::Activate, 0, i as usize, at);
-        }
-        let after = 4 * t.t_rrd;
-        assert_eq!(e.first_violation(CommandKind::Activate, 0, 4, after), Some("tFAW"));
-        assert_eq!(e.first_violation(CommandKind::Activate, 0, 4, t.t_faw), None);
-    }
-
-    #[test]
-    fn engine_data_end_fold_is_monotone() {
-        // A read's data can end later than a following write's; the folded
-        // Col event must keep the max so bus rules match Channel's
-        // `data_bus_free_at` semantics.
-        let mut t = TimingParams::ddr2_800();
-        t.t_cl = 100;
-        t.t_cwl = 10;
-        t.t_ccd = 10;
-        t.t_wtr = 10;
-        let mut e = RuleEngine::new(1, 8, t);
-        e.record(CommandKind::Activate, 0, 0, 0);
-        e.record(CommandKind::Activate, 0, 1, 30);
-        e.record(CommandKind::Read, 0, 0, 60); // data [160, 200)
-        e.record(CommandKind::Write, 0, 1, 80); // data [90, 130) — ends earlier
-                                                // At 140 the write clears tWTR (130 + 10) and tCCD, but its data
-                                                // would start at 150 < 200: still a bus conflict, even though the
-                                                // most recent transfer ended at 130.
-        assert_eq!(e.first_violation(CommandKind::Write, 0, 0, 140), Some("data bus conflict"));
-        assert_eq!(e.first_violation(CommandKind::Write, 0, 0, 190), None);
     }
 }

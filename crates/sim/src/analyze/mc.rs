@@ -1,38 +1,57 @@
 //! Differential bounded model checking of the DRAM timing model.
 //!
-//! Three implementations of DDR2 legality coexist in the workspace:
+//! Two implementations of DDR2 legality coexist in the workspace:
 //!
-//! 1. [`Channel::can_issue`] — the imperative, incrementally-maintained
+//! 1. [`Channel::can_issue`]: the imperative, incrementally-maintained
 //!    gating the simulator schedules against;
-//! 2. [`ProtocolChecker`] — the post-hoc validator, whose timing checks are
-//!    evaluated from the declarative [`parbs_dram::TIMING_RULES`] table via
-//!    `RuleEngine`;
-//! 3. [`TimingOracle`] — this crate's log-scanning earliest-time evaluator
-//!    over the same table (or a mutated copy).
+//! 2. [`ProtocolChecker`]: the one interpreter of the declarative
+//!    [`parbs_dram::TIMING_RULES`] table, which scans a log of recent
+//!    commands per query and answers both "is this command legal at this
+//!    cycle" ([`ProtocolChecker::check`]) and "from which cycle on"
+//!    ([`ProtocolChecker::earliest_issue`]).
 //!
 //! The model checker exhaustively enumerates legal command sequences on a
 //! tiny geometry up to a bounded depth and, at every reached state, compares
-//! the three on the **full command alphabet**. Legality of a fixed command
-//! is monotone in time for all three (once legal, it stays legal until
-//! another command issues), so agreement reduces to agreement of the
-//! *earliest-legal threshold*: the oracle computes its threshold
-//! analytically, and the other two are probed at exactly two cycles — one
-//! DRAM cycle below the claimed threshold (must be illegal) and at the
-//! threshold itself (must be legal). A command the oracle rules out
-//! entirely is probed once at a generous horizon: monotonicity makes
-//! "illegal at the horizon" equivalent to "illegal everywhere below it".
+//! the two on the **full command alphabet**. Legality of a fixed command is
+//! monotone in time for both (once legal, it stays legal until another
+//! command issues), so agreement reduces to agreement of the
+//! *earliest-legal threshold*: the checker's `earliest_issue` gives it
+//! analytically, and `Channel::can_issue` and the checker's own `check` are
+//! probed at exactly two cycles, one DRAM cycle below the threshold (must
+//! be illegal) and at the threshold itself (must be legal). A command the
+//! checker rules out entirely is probed once at a generous horizon:
+//! monotonicity makes "illegal at the horizon" equivalent to "illegal
+//! everywhere below it".
 //!
 //! Enumeration is iterative-deepening DFS over *canonical* schedules (every
 //! issued command issues at its earliest legal cycle), so the first
-//! disagreement found carries a **minimal-length command prefix** — the
-//! shortest witness, which is what makes a report debuggable.
+//! disagreement found carries a **minimal-length command prefix**: the
+//! shortest witness, which is what makes a report debuggable. A seeded rule
+//! mutation ([`run_differential_with_rules`]) goes into the checker, so the
+//! hand-written gating is what catches it.
 
 use parbs_dram::{
     Channel, Command, CommandKind, ProtocolChecker, RequestId, ThreadId, TimingParams, TimingRule,
     DRAM_CYCLE, TIMING_RULES,
 };
 
-use crate::analyze::oracle::{TimingOracle, Verdict};
+/// An implementation's earliest-legal threshold for a candidate command.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The command is illegal at every future cycle (bank-state legality).
+    Never,
+    /// The command first becomes legal at this cycle.
+    At(u64),
+}
+
+impl std::fmt::Display for Verdict {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Verdict::Never => write!(f, "never"),
+            Verdict::At(t) => write!(f, "at {t}"),
+        }
+    }
+}
 
 /// Geometry, depth and timing for one differential run.
 #[derive(Debug, Clone)]
@@ -65,8 +84,8 @@ impl McConfig {
     }
 }
 
-/// A three-way disagreement: the shortest command prefix, the candidate
-/// command and each implementation's earliest-legal threshold for it.
+/// A disagreement: the shortest command prefix, the candidate command and
+/// each side's earliest-legal threshold for it.
 #[derive(Debug, Clone)]
 pub struct Disagreement {
     /// The commands issued before the disputed candidate, with their cycles.
@@ -76,11 +95,12 @@ pub struct Disagreement {
     pub candidate: Command,
     /// `Channel::can_issue`'s threshold.
     pub channel: Verdict,
-    /// The rule-table oracle's threshold.
-    pub oracle: Verdict,
-    /// The protocol checker's threshold.
+    /// The checker's threshold, from `earliest_issue`.
     pub checker: Verdict,
-    /// The rule the checker cites at the last cycle it still rejects.
+    /// The first cycle the checker's `check` accepts; it differs from
+    /// `checker` only when the checker contradicts itself.
+    pub check: Verdict,
+    /// The rule `check` cites at the last cycle it still rejects.
     pub checker_rule: Option<String>,
 }
 
@@ -103,12 +123,11 @@ impl std::fmt::Display for Disagreement {
             )?;
         }
         writeln!(f, "  channel: {}", self.channel)?;
-        writeln!(f, "  oracle:  {}", self.oracle)?;
-        write!(f, "  checker: {}", self.checker)?;
+        write!(f, "  checker: {} (check accepts {}", self.checker, self.check)?;
         if let Some(rule) = &self.checker_rule {
-            write!(f, " (last cited rule: {rule})")?;
+            write!(f, "; last cited rule: {rule}")?;
         }
-        Ok(())
+        write!(f, ")")
     }
 }
 
@@ -123,13 +142,12 @@ pub struct McStats {
     pub depth: u32,
 }
 
-/// One enumerated state: the three implementations plus the path that
+/// One enumerated state: both implementations plus the path that
 /// produced it.
 #[derive(Clone)]
 struct State {
     channel: Channel,
     checker: ProtocolChecker,
-    oracle: TimingOracle,
     last_issue: Option<u64>,
     prefix: Vec<(Command, u64)>,
 }
@@ -138,8 +156,7 @@ impl State {
     fn initial(cfg: &McConfig, rules: &[TimingRule]) -> Self {
         State {
             channel: Channel::with_ranks(cfg.ranks, cfg.banks_per_rank, cfg.timing),
-            checker: ProtocolChecker::with_ranks(cfg.ranks, cfg.banks_per_rank, cfg.timing),
-            oracle: TimingOracle::with_rules(cfg.ranks, cfg.banks_per_rank, cfg.timing, rules),
+            checker: ProtocolChecker::with_rules(cfg.ranks, cfg.banks_per_rank, cfg.timing, rules),
             last_issue: None,
             prefix: Vec::new(),
         }
@@ -149,6 +166,18 @@ impl State {
     /// the previous issue (the controller's one-command-per-cycle rule).
     fn base(&self) -> u64 {
         self.last_issue.map_or(0, |t| t + DRAM_CYCLE)
+    }
+
+    /// The checker's threshold for `cmd`, no earlier than [`State::base`].
+    fn threshold(&self, cmd: &Command) -> Verdict {
+        self.checker.earliest_issue(cmd).map_or(Verdict::Never, |e| Verdict::At(e.max(self.base())))
+    }
+
+    /// True when both the channel and the checker's `check` accept `cmd` at
+    /// `at`; false when both reject it; `None` when they differ.
+    fn legal(&self, cmd: &Command, at: u64) -> Option<bool> {
+        let channel = self.channel.can_issue(cmd, at);
+        (channel == self.checker.check(cmd, at).is_ok()).then_some(channel)
     }
 }
 
@@ -180,7 +209,7 @@ fn alphabet(cfg: &McConfig) -> Vec<Command> {
 }
 
 /// A horizon past every single-step wait the timing admits: any command the
-/// oracle deems reachable becomes legal within this margin of `base`.
+/// checker deems reachable becomes legal within this margin of `base`.
 fn horizon_slack(t: &TimingParams) -> u64 {
     let raw = t.t_rfc
         + t.t_rc
@@ -193,11 +222,6 @@ fn horizon_slack(t: &TimingParams) -> u64 {
         + t.t_rtrs
         + DRAM_CYCLE;
     raw.div_ceil(DRAM_CYCLE) * DRAM_CYCLE
-}
-
-/// The checker's view of `cmd` at `at`: `Ok` or the cited rule.
-fn checker_probe(checker: &ProtocolChecker, cmd: &Command, at: u64) -> Result<(), String> {
-    checker.check(cmd, at).map_err(|v| v.rule)
 }
 
 /// Scans for an implementation's true threshold in `[base, horizon]`;
@@ -213,52 +237,42 @@ fn scan_threshold(base: u64, horizon: u64, mut legal: impl FnMut(u64) -> bool) -
     Verdict::Never
 }
 
-/// Compares the three implementations on `cmd` at the state. Returns the
+/// Compares the channel with the checker on `cmd` at the state. Returns the
 /// agreed verdict, or the fully-scanned disagreement report.
 fn compare_one(state: &State, cmd: &Command, horizon: u64) -> Result<Verdict, Box<Disagreement>> {
     let base = state.base();
-    let oracle_says = match state.oracle.earliest_issue(cmd.kind, cmd.rank, cmd.bank, cmd.row) {
-        Verdict::Never => Verdict::Never,
-        Verdict::At(e) => Verdict::At(e.max(base)),
-    };
+    let checker = state.threshold(cmd);
     // Spot checks: monotone legality means two probes pin the threshold.
-    let agreed = match oracle_says {
-        Verdict::Never => {
-            !state.channel.can_issue(cmd, horizon)
-                && checker_probe(&state.checker, cmd, horizon).is_err()
-        }
+    let agreed = match checker {
+        Verdict::Never => state.legal(cmd, horizon) == Some(false),
         Verdict::At(t) => {
-            let below_ok = t == base
-                || (!state.channel.can_issue(cmd, t - DRAM_CYCLE)
-                    && checker_probe(&state.checker, cmd, t - DRAM_CYCLE).is_err());
-            below_ok
-                && state.channel.can_issue(cmd, t)
-                && checker_probe(&state.checker, cmd, t).is_ok()
+            (t == base || state.legal(cmd, t - DRAM_CYCLE) == Some(false))
+                && state.legal(cmd, t) == Some(true)
         }
     };
     if agreed {
-        return Ok(oracle_says);
+        return Ok(checker);
     }
     // Disagreement: reconstruct every threshold for the report.
     let channel = scan_threshold(base, horizon, |t| state.channel.can_issue(cmd, t));
-    let checker = scan_threshold(base, horizon, |t| checker_probe(&state.checker, cmd, t).is_ok());
-    let last_reject = match checker {
+    let check = scan_threshold(base, horizon, |t| state.checker.check(cmd, t).is_ok());
+    let last_reject = match check {
         Verdict::At(t) if t > base => Some(t - DRAM_CYCLE),
         Verdict::At(_) => None,
         Verdict::Never => Some(horizon),
     };
-    let checker_rule = last_reject.and_then(|t| checker_probe(&state.checker, cmd, t).err());
+    let checker_rule = last_reject.and_then(|t| state.checker.check(cmd, t).err()).map(|v| v.rule);
     Err(Box::new(Disagreement {
         prefix: state.prefix.clone(),
         candidate: *cmd,
         channel,
-        oracle: oracle_says,
         checker,
+        check,
         checker_rule,
     }))
 }
 
-/// Issues `cmd` at `at` on a clone of `state`, advancing all three
+/// Issues `cmd` at `at` on a clone of `state`, advancing both
 /// implementations.
 fn step(state: &State, cmd: &Command, at: u64) -> State {
     let mut next = state.clone();
@@ -266,7 +280,6 @@ fn step(state: &State, cmd: &Command, at: u64) -> State {
     next.checker
         .observe(cmd, at)
         .expect("checker accepted this command when its threshold was compared");
-    next.oracle.record(cmd.kind, cmd.rank, cmd.bank, cmd.row, at);
     next.last_issue = Some(at);
     next.prefix.push((*cmd, at));
     next
@@ -292,11 +305,10 @@ fn dfs(
         return Ok(());
     }
     for cmd in alpha {
-        // Expansion trusts the oracle's threshold: this state's alphabet was
+        // Expansion trusts the checker's threshold: this state's alphabet was
         // already compared (and agreed) at an earlier, shallower iteration,
-        // and `step` re-asserts legality in channel and checker.
-        if let Verdict::At(e) = state.oracle.earliest_issue(cmd.kind, cmd.rank, cmd.bank, cmd.row) {
-            let at = e.max(state.base());
+        // and `step` re-asserts legality in the checker.
+        if let Verdict::At(at) = state.threshold(cmd) {
             let next = step(state, cmd, at);
             dfs(&next, remaining - 1, alpha, horizon_slack, stats)?;
         }
@@ -315,8 +327,8 @@ pub fn run_differential(cfg: &McConfig) -> Result<McStats, Box<Disagreement>> {
     run_differential_with_rules(cfg, TIMING_RULES)
 }
 
-/// Runs the differential bounded model check with an explicit oracle rule
-/// table (channel and checker always use the shipped rules — seeding a
+/// Runs the differential bounded model check with an explicit rule table
+/// for the checker (the channel's gating is hand-written, so seeding a
 /// mutation here is how tests prove divergences are caught).
 ///
 /// # Errors

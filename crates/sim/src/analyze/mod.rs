@@ -2,19 +2,16 @@
 //!
 //! Simulation results are only as trustworthy as the DRAM model and the
 //! scheduler priority encodings underneath them, and both are implemented
-//! more than once in this workspace (an imperative hot path plus a
-//! declarative specification). This module closes the loop between the
-//! copies:
+//! twice in this workspace (an imperative hot path plus a declarative
+//! specification). This module closes the loop between the copies:
 //!
-//! * [`TimingOracle`] — an independent earliest-legal-time evaluator built
-//!   from the declarative [`parbs_dram::TIMING_RULES`] table by log
-//!   scanning (no incremental state to get wrong);
 //! * [`run_differential`] — a differential bounded model checker that
 //!   exhaustively enumerates command sequences on tiny geometries and
-//!   requires [`parbs_dram::Channel::can_issue`], the oracle and
-//!   [`parbs_dram::ProtocolChecker`] to agree on the earliest-legal cycle
-//!   of **every** command of the alphabet at **every** reached state,
-//!   reporting any divergence with a minimal command prefix;
+//!   requires [`parbs_dram::Channel::can_issue`] and
+//!   [`parbs_dram::ProtocolChecker`], the one interpreter of the
+//!   declarative [`parbs_dram::TIMING_RULES`] table, to agree on the
+//!   earliest-legal cycle of **every** command of the alphabet at **every**
+//!   reached state, reporting any divergence with a minimal command prefix;
 //! * [`check_scheduler_keys`] — a key-contract analyzer that validates each
 //!   scheduler's declared [`parbs_dram::KeyLayout`] structurally and
 //!   cross-checks the packed `priority_key` bits, field semantics and
@@ -40,7 +37,6 @@
 mod keycheck;
 mod liveness;
 mod mc;
-mod oracle;
 mod refresh;
 mod symmetry;
 
@@ -48,8 +44,9 @@ pub use keycheck::{check_scheduler_keys, KeyReport};
 pub use liveness::{
     check_scheduler_liveness, LivenessConfig, LivenessReport, LivenessVerdict, Move, Witness,
 };
-pub use mc::{run_differential, run_differential_with_rules, Disagreement, McConfig, McStats};
-pub use oracle::{TimingOracle, Verdict};
+pub use mc::{
+    run_differential, run_differential_with_rules, Disagreement, McConfig, McStats, Verdict,
+};
 pub use refresh::{
     check_refresh, check_refresh_with_rules, RefreshConfig, RefreshReport, RefreshVerdict,
 };

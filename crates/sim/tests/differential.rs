@@ -1,6 +1,6 @@
-//! Differential model-checker tests: agreement on the shipped rule table
-//! and guaranteed detection of seeded rule mutations with minimal-length
-//! witness prefixes.
+//! Differential model-checker tests: `Channel::can_issue` and the protocol
+//! checker agree on the shipped rule table, and a rule mutation seeded into
+//! the checker is caught with a minimal-length witness prefix.
 
 use parbs_dram::{CommandKind, TimingParams, TIMING_RULES};
 use parbs_sim::analyze::{run_differential, run_differential_with_rules, McConfig, Verdict};
@@ -55,10 +55,10 @@ fn faw_stress_timing() -> TimingParams {
 
 #[test]
 fn dropped_tfaw_rule_is_caught_with_minimal_prefix() {
-    // Oracle runs without the tFAW rule; channel and checker keep it. The
-    // shortest possible witness is four activates (filling the window)
-    // followed by a fifth-activate candidate — iterative deepening must
-    // find exactly that shape.
+    // The checker runs without the tFAW rule; the channel's gating keeps
+    // it. The shortest possible witness is four activates (filling the
+    // window) followed by a fifth-activate candidate — iterative deepening
+    // must find exactly that shape.
     let mutated: Vec<_> = TIMING_RULES.iter().filter(|r| r.id != "tFAW").copied().collect();
     let cfg =
         McConfig { ranks: 1, banks_per_rank: 5, rows: 1, depth: 4, timing: faw_stress_timing() };
@@ -70,18 +70,13 @@ fn dropped_tfaw_rule_is_caught_with_minimal_prefix() {
         "witness prefix must be pure activates:\n{d}"
     );
     assert_eq!(d.candidate.kind, CommandKind::Activate, "disputed command is the fifth activate");
-    // Channel and checker (full table) still agree with each other and
-    // enforce the window; only the mutated oracle is early.
-    assert_eq!(d.channel, d.checker, "the two full-table implementations must still agree:\n{d}");
-    let (Verdict::At(full), Verdict::At(early)) = (d.channel, d.oracle) else {
+    // The mutated checker is still self-consistent; only the channel
+    // enforces the window.
+    assert_eq!(d.checker, d.check, "earliest_issue and check read one table:\n{d}");
+    let (Verdict::At(full), Verdict::At(early)) = (d.channel, d.checker) else {
         panic!("fifth activate is eventually legal on both sides:\n{d}")
     };
-    assert!(early < full, "the mutated oracle must claim an earlier cycle:\n{d}");
-    assert_eq!(
-        d.checker_rule.as_deref(),
-        Some("tFAW"),
-        "checker must cite the enforced rule:\n{d}"
-    );
+    assert!(early < full, "the mutated checker must claim an earlier cycle:\n{d}");
 }
 
 #[test]
@@ -97,13 +92,14 @@ fn dropped_twtr_rule_is_caught_with_minimal_prefix() {
     let d = *run_differential_with_rules(&cfg, &mutated)
         .expect_err("a dropped tWTR rule must produce a divergence");
     assert_eq!(d.prefix.len(), 2, "minimal witness is activate + write:\n{d}");
+    assert_eq!(d.prefix[0].0.kind, CommandKind::Activate, "the activate opens the row:\n{d}");
     assert_eq!(d.prefix[1].0.kind, CommandKind::Write, "the write arms the turnaround:\n{d}");
     assert!(d.candidate.kind.is_column(), "disputed command is the following column:\n{d}");
-    assert_eq!(
-        d.checker_rule.as_deref(),
-        Some("tWTR"),
-        "checker must cite the enforced rule:\n{d}"
-    );
+    assert_eq!(d.checker, d.check, "earliest_issue and check read one table:\n{d}");
+    let (Verdict::At(full), Verdict::At(early)) = (d.channel, d.checker) else {
+        panic!("the column is eventually legal on both sides:\n{d}")
+    };
+    assert!(early < full, "the mutated checker must claim an earlier cycle:\n{d}");
 }
 
 #[test]
