@@ -53,25 +53,33 @@ pub fn check_timing(args: &Args) {
     if args.has("--refresh") {
         check_refresh_deadline(args);
     } else {
-        differential(args, 6);
+        differential(&differential_configs(args, 6));
     }
 }
 
-/// The differential model check, at `--depth` (default `depth`) on a 1- and
-/// a 2-rank channel, or on the `--ranks` one.
-fn differential(args: &Args, depth: u32) {
+/// The differential model checks to run: at `--depth` (default `depth`) on
+/// a 1- and a 2-rank channel, or on the `--ranks` one. The enumerated
+/// alphabet grows with ranks, banks and rows, so each has a small range.
+fn differential_configs(args: &Args, depth: u32) -> Vec<McConfig> {
     let depth = num_u32(args, "--depth").unwrap_or(depth);
-    let rows = args.num("--rows").unwrap_or(4);
-    let ranks = args.num("--ranks").map_or_else(|| vec![1, 2], |r| vec![r as usize]);
-    for r in ranks {
-        let mut cfg = McConfig { rows, ..McConfig::tiny(r, depth) };
-        if let Some(b) = args.num("--banks") {
-            cfg.banks_per_rank = b as usize;
-        }
-        let banks = cfg.banks_per_rank;
-        match run_differential(&cfg) {
+    let rows = args.num_in("--rows", 1..=8).unwrap_or(4);
+    let banks = args.num_in("--banks", 1..=8);
+    let ranks = args.num_in("--ranks", 1..=4).map_or_else(|| vec![1, 2], |r| vec![r as usize]);
+    ranks
+        .into_iter()
+        .map(|r| {
+            let tiny = McConfig { rows, ..McConfig::tiny(r, depth) };
+            McConfig { banks_per_rank: banks.map_or(tiny.banks_per_rank, |b| b as usize), ..tiny }
+        })
+        .collect()
+}
+
+fn differential(cfgs: &[McConfig]) {
+    for cfg in cfgs {
+        let (r, b, rows, depth) = (cfg.ranks, cfg.banks_per_rank, cfg.rows, cfg.depth);
+        match run_differential(cfg) {
             Ok(stats) => println!(
-                "check-timing: {r} rank(s) x {banks} bank(s) x {rows} row(s), depth {depth}: \
+                "check-timing: {r} rank(s) x {b} bank(s) x {rows} row(s), depth {depth}: \
                  agree on {} command(s) over {} state(s)",
                 stats.commands, stats.states
             ),
@@ -105,8 +113,13 @@ fn check_refresh_deadline(args: &Args) {
 }
 
 pub fn check_keys(args: &Args) {
-    for kind in schedulers(args) {
-        let report = check_scheduler_keys(&|| build(&kind))
+    keys(&schedulers(args));
+}
+
+/// The key-contract check of each of `kinds`.
+fn keys(kinds: &[SchedulerKind]) {
+    for kind in kinds {
+        let report = check_scheduler_keys(&|| build(kind))
             .unwrap_or_else(|e| failed(format!("check-keys: {e}")));
         println!(
             "check-keys: {}: {} field(s) verified over {} state(s), {} key(s), {} pair(s)",
@@ -173,6 +186,7 @@ pub fn check_spec(args: &Args) {
 }
 
 pub fn report(args: &Args) {
+    let (timing, kinds) = (differential_configs(args, 4), schedulers(args));
     println!("timing-rule table: {} rules", TIMING_RULES.len());
     for rule in TIMING_RULES {
         println!(
@@ -190,6 +204,6 @@ pub fn report(args: &Args) {
         }
     }
     println!();
-    differential(args, 4);
-    check_keys(args);
+    differential(&timing);
+    keys(&kinds);
 }

@@ -93,6 +93,18 @@ const QUEUE: Flag = value("--queue", "N");
 const THREADS: Flag = value("--threads", "N");
 const WITNESS: Flag = switch("--witness");
 
+/// The largest mix count: `[n]` of `sweep`, `mapping-sweep` and `zoo-sweep`,
+/// and `--mixes`; 100 times the 100 mixes of a paper-scale regeneration.
+const MAX_MIXES: u64 = 10_000;
+
+/// The largest requester scale, `[n]` of `flow-sweep`; 100 times the
+/// 10,000-requester runs of EXPERIMENTS.md.
+const MAX_REQUESTERS: u64 = 1_000_000;
+
+/// The largest `--jobs`: each job is a worker thread, and a thread the OS
+/// refuses would end the run in a panic.
+const MAX_JOBS: u64 = 256;
+
 /// The flags of `case-study` and `mix`: a five-scheduler comparison, or one
 /// observed run when a flag of [`OBSERVED`] is given.
 const COMPARE_FLAGS: &[Flag] = &[
@@ -260,9 +272,10 @@ static COMMANDS: [Command; 20] = [
         "check-timing",
         "",
         &[DEPTH, RANKS, BANKS, ROWS, REFRESH, TREFI_DC, NO_GATING],
-        "model-check Channel gating vs the TIMING_RULES oracle vs the protocol checker on \
-         tiny geometries (default depth 6, 1 and 2 ranks); --refresh model-checks the tREFI \
-         deadline instead (--no-gating seeds the dropped-refresh bug, which must be caught)",
+        "model-check Channel gating against the protocol checker, the one interpreter of the \
+         TIMING_RULES table, on tiny geometries (default depth 6, 1 and 2 ranks; --ranks \
+         1-4, --banks 1-8, --rows 1-8); --refresh model-checks the tREFI deadline instead \
+         (--no-gating seeds the dropped-refresh bug, which must be caught)",
         analysis::check_timing,
     )
     .needs(&[("--trefi-dc", &["--refresh"]), ("--no-gating", &["--refresh"])]),
@@ -440,13 +453,13 @@ impl Args {
         if let Some(t) = args.num_in("--target", 1..=u64::MAX) {
             args.target = t;
         }
-        if let Some(m) = args.num("--mixes") {
+        if let Some(m) = args.num_in("--mixes", 0..=MAX_MIXES) {
             args.mixes4 = m as usize;
         }
         if let Some(s) = args.num("--seed") {
             args.seed = s;
         }
-        if let Some(j) = args.num("--jobs") {
+        if let Some(j) = args.num_in("--jobs", 0..=MAX_JOBS) {
             args.jobs = (j as usize).max(1);
         }
         args
@@ -482,16 +495,21 @@ impl Args {
         Some(n)
     }
 
-    /// The optional positional count of the sweeps (`sweep [n]`).
-    fn count(&self, default: usize) -> usize {
-        self.positional.first().map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                fail(format!(
-                    "invalid count '{v}' for `parbs-sim {} [n]`: expected an integer",
-                    self.command.name
-                ))
-            })
-        })
+    /// The optional positional count of the sweeps (`sweep [n]`), at most
+    /// `max`; a malformed or larger one exits 2.
+    fn count(&self, default: usize, max: u64) -> usize {
+        let Some(v) = self.positional.first() else { return default };
+        let bad = |expected: String| -> ! {
+            fail(format!(
+                "invalid count '{v}' for `parbs-sim {} [n]`: expected {expected}",
+                self.command.name
+            ))
+        };
+        let n: u64 = v.parse().unwrap_or_else(|_| bad("an integer".to_owned()));
+        if n > max {
+            bad(format!("at most {max}"));
+        }
+        n as usize
     }
 
     /// The scheduler of a single-scheduler run, if `--sched` names one.
@@ -889,7 +907,7 @@ fn run(args: &Args) {
 }
 
 fn sweep(args: &Args) {
-    let n = args.count(10);
+    let n = args.count(10, MAX_MIXES);
     let harness = args.harness(4);
     let mixes = random_mixes(4, n, args.seed);
     let sweep = figures::paper_five(&mixes);
@@ -903,7 +921,7 @@ fn sweep(args: &Args) {
 }
 
 fn mapping_sweep(args: &Args) {
-    let n = args.count(1);
+    let n = args.count(1, MAX_MIXES);
     let harness = args.harness(4);
     let mixes = random_mixes(4, n, args.seed);
     let sweep =
@@ -924,7 +942,7 @@ fn mapping_sweep(args: &Args) {
 
 fn zoo_sweep(args: &Args) {
     let harness = args.harness(4);
-    let mixes = figures::zoo_mixes(args.count(4), args.seed);
+    let mixes = figures::zoo_mixes(args.count(4, MAX_MIXES), args.seed);
     let sweep = SweepPlan::new(&mixes, &experiments::named_rows(SchedulerKind::zoo_seven()));
     let start = Instant::now();
     let rows = experiments::zoo_rows(sweep.run(&harness, args.jobs), &mixes);
@@ -943,7 +961,7 @@ fn zoo_sweep(args: &Args) {
 }
 
 fn flow_sweep(args: &Args) {
-    let n = args.count(4096);
+    let n = args.count(4096, MAX_REQUESTERS);
     let mut cfg = SimConfig { seed: args.seed, ..SimConfig::for_cores(4) };
     args.shape(&mut cfg);
     let rate_per_kcycle = args.num_in("--flow-rate", 1..=u64::MAX).unwrap_or(2);

@@ -163,6 +163,44 @@ fn analysis_flags_are_checked() {
     run_expecting_usage_error(&["check-timing", "6"], "unexpected argument '6'");
     run_expecting_usage_error(&["check-timing", "--no-gating"], "--refresh");
     run_expecting_usage_error(&["check-keys", "--sched", "LRU"], "unknown scheduler 'LRU'");
+    // A degenerate geometry used to panic (exit 101), a zero rank count to
+    // divide by zero, a huge bank or rank count to abort on its allocation
+    // (exit 134), and 100 000 rows to run for minutes.
+    run_expecting_usage_error(&["check-timing", "--banks", "0"], "invalid value '0' for --banks");
+    run_expecting_usage_error(&["check-timing", "--rows", "0"], "invalid value '0' for --rows");
+    run_expecting_usage_error(
+        &["report", "--depth", "1", "--banks", "0"],
+        "invalid value '0' for --banks",
+    );
+    run_expecting_usage_error(&["check-timing", "--ranks", "0"], "invalid value '0' for --ranks");
+    run_expecting_usage_error(&["check-timing", "--banks", HUGE], "for --banks");
+    run_expecting_usage_error(&["check-timing", "--ranks", HUGE], "for --ranks");
+    run_expecting_usage_error(
+        &["check-timing", "--rows", "100000", "--depth", "1"],
+        "invalid value '100000' for --rows",
+    );
+}
+
+/// `u64::MAX`, as a command-line count.
+const HUGE: &str = "18446744073709551615";
+
+#[test]
+fn huge_counts_are_hard_errors() {
+    // Each used to panic with "capacity overflow" (exit 101), except the
+    // flow sweep, which ran on and on.
+    for sweep in ["sweep", "mapping-sweep", "zoo-sweep"] {
+        run_expecting_usage_error(
+            &[sweep, HUGE],
+            &format!("invalid count '{HUGE}' for `parbs-sim {sweep} [n]`"),
+        );
+    }
+    run_expecting_usage_error(
+        &["flow-sweep", HUGE, "--sched", "FCFS", "--jobs", "1"],
+        "for `parbs-sim flow-sweep [n]`",
+    );
+    run_expecting_usage_error(&["fig08_4core_avg", "--mixes", HUGE], "for --mixes");
+    // Rejected before any worker thread starts.
+    run_expecting_usage_error(&["sweep", "1", "--jobs", HUGE], "for --jobs");
 }
 
 #[test]
