@@ -7,11 +7,11 @@
 //! a scaled-down simulator — but the *shape* (ordering of schedulers,
 //! direction of gaps, sweet spots) is; see `EXPERIMENTS.md`.
 
-use parbs::{AbstractBatch, AbstractPolicy, AdaptiveCap, ParBsConfig};
+use parbs::{AbstractBatch, AbstractPolicy, ParBsConfig};
 use parbs_sim::experiments::{
-    batching_kinds, marking_cap_kinds, named_rows, priority_opportunistic_plan,
-    priority_weighted_plan, ranking_kinds, table3_rows, zoo_rows, PlanRow, SweepPlan, SweepRow,
-    ZooRow,
+    batching_kinds, ext_scheduler_kinds, fig11_caps, marking_cap_kinds, named_rows,
+    priority_opportunistic_plan, priority_weighted_plan, ranking_kinds, table3_rows, zoo_rows,
+    PlanRow, SweepPlan, SweepRow, ZooRow,
 };
 use parbs_sim::{EvalOverrides, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{
@@ -391,8 +391,7 @@ fn variant_figure(args: &Args, figure: u32, left: &str, rows: &[PlanRow]) {
 }
 
 fn fig11_marking_cap(args: &Args) {
-    let caps: Vec<Option<u32>> = (1..=10).map(Some).chain([Some(20), None]).collect();
-    variant_figure(args, 11, "Marking-Cap sweep", &marking_cap_kinds(&caps));
+    variant_figure(args, 11, "Marking-Cap sweep", &marking_cap_kinds(&fig11_caps()));
 }
 
 fn fig12_batching_choice(args: &Args) {
@@ -517,23 +516,12 @@ fn table4_summary(args: &Args) {
     }
 }
 
-/// The paper's five schedulers plus STFQ (start-time fair queueing,
-/// Rafique et al. — §9 related work) and PAR-BS with the adaptive
-/// Marking-Cap the paper proposes as future work (§8.3.1).
+/// The rows of [`ext_scheduler_kinds`] over random 4-core mixes, then NFQ
+/// and STFQ under unequal shares.
 fn ext_schedulers(args: &Args) {
     let harness = args.harness(4);
     let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
-    let mut kinds = SchedulerKind::paper_five();
-    kinds.insert(3, SchedulerKind::Stfq);
-    let mut rows = named_rows(kinds);
-    let adaptive =
-        ParBsConfig { adaptive_cap: Some(AdaptiveCap::default()), ..ParBsConfig::default() };
-    rows.push((
-        "PAR-BS(adaptive)".to_owned(),
-        SchedulerKind::ParBs(adaptive),
-        EvalOverrides::none(),
-    ));
-    let rows = SweepPlan::new(&mixes, &rows).run(&harness, args.jobs);
+    let rows = SweepPlan::new(&mixes, &ext_scheduler_kinds()).run(&harness, args.jobs);
     print_summaries("Extension — seven schedulers, 4-core averages", &rows);
     println!(
         "note: with equal shares STFQ's start tags are NFQ's finish tags shifted by one\n\
