@@ -16,8 +16,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use parbs_dram::{
-    Command, CommandKind, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy,
-    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, TimingParams,
+    Command, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy, MemoryScheduler,
+    Request, SchedView, StarvationClaim, ThreadId, TimingParams,
 };
 use parbs_obs::Event;
 
@@ -35,20 +35,10 @@ pub(crate) const ATLAS_KEY_LAYOUT: KeyLayout = KeyLayout {
 /// inversion.
 const RANK_MAX: u64 = (1 << 16) - 1;
 
-/// ATLAS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AtlasConfig {
-    /// Quantum length in cycles. The paper uses very long quanta (10M
-    /// cycles); the default here is scaled down to this simulator's run
-    /// lengths so rankings actually roll over within a run.
-    pub quantum: u64,
-}
-
-impl Default for AtlasConfig {
-    fn default() -> Self {
-        AtlasConfig { quantum: 10_000 }
-    }
-}
+/// Quantum length in cycles. The paper uses very long quanta (10M cycles);
+/// this one is scaled down to this simulator's run lengths so rankings
+/// actually roll over within a run.
+const QUANTUM: u64 = 10_000;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ThreadService {
@@ -70,13 +60,13 @@ struct ThreadService {
 /// time-based, so the controller cannot see it through arrival/bank events).
 #[derive(Debug, Clone)]
 pub struct AtlasScheduler {
-    cfg: AtlasConfig,
+    /// The DRAM timing that prices each command's attained service.
     timing: TimingParams,
     /// Per-thread service state, sparse: only threads that have actually
     /// appeared (arrival, queue presence, or command) hold an entry, so the
     /// per-slot cost is O(active threads) however large the id space.
     /// Its hash order reaches no output: ranking sorts `(total, id)`, and
-    /// the quantum report and the summary sort by rank or thread.
+    /// the quantum report sorts by rank.
     threads: HashMap<ThreadId, ThreadService>,
     /// Scratch: sorted thread ids of the current queue, for the
     /// retire-on-idle sweep at quantum boundaries.
@@ -90,19 +80,12 @@ pub struct AtlasScheduler {
 }
 
 impl AtlasScheduler {
-    /// Creates an ATLAS scheduler with the default (simulator-scaled)
-    /// quantum.
+    /// Creates an ATLAS scheduler that charges each command its latency
+    /// under `timing`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(AtlasConfig::default())
-    }
-
-    /// Creates an ATLAS scheduler with an explicit quantum length.
-    #[must_use]
-    pub fn with_config(cfg: AtlasConfig) -> Self {
+    pub fn new(timing: &TimingParams) -> Self {
         AtlasScheduler {
-            cfg,
-            timing: TimingParams::ddr2_800(),
+            timing: *timing,
             threads: HashMap::new(),
             queued_scratch: Vec::new(),
             quantum_start: 0,
@@ -133,15 +116,6 @@ impl AtlasScheduler {
         true
     }
 
-    fn command_latency(&self, kind: CommandKind) -> u64 {
-        match kind {
-            CommandKind::Activate => self.timing.t_rcd,
-            CommandKind::Precharge => self.timing.t_rp,
-            CommandKind::Read | CommandKind::Write => self.timing.t_cl + self.timing.t_burst,
-            CommandKind::Refresh => self.timing.t_rfc,
-        }
-    }
-
     /// Re-ranks all registered threads ascending by `(total, thread id)`;
     /// returns whether any rank changed. O(registered log registered), run
     /// only at quantum boundaries and registrations — never per decision.
@@ -162,12 +136,6 @@ impl AtlasScheduler {
     }
 }
 
-impl Default for AtlasScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MemoryScheduler for AtlasScheduler {
     fn name(&self) -> &str {
         "ATLAS"
@@ -183,7 +151,7 @@ impl MemoryScheduler for AtlasScheduler {
             grew |= self.ensure_thread(r.thread);
         }
         let mut changed = false;
-        if view.now.saturating_sub(self.quantum_start) >= self.cfg.quantum {
+        if view.now.saturating_sub(self.quantum_start) >= QUANTUM {
             self.quantum_start = view.now;
             self.quanta_rolled += 1;
             for t in self.threads.values_mut() {
@@ -226,7 +194,7 @@ impl MemoryScheduler for AtlasScheduler {
     }
 
     fn on_command(&mut self, cmd: &Command, req: &Request, _now: u64) {
-        let latency = self.command_latency(cmd.kind);
+        let latency = self.timing.command_latency(cmd.kind);
         self.threads.entry(req.thread).or_default().in_quantum += latency;
     }
 
@@ -302,7 +270,7 @@ impl parbs_snap::Snap for ThreadService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parbs_dram::{Channel, LineAddr, RequestKind};
+    use parbs_dram::{Channel, CommandKind, LineAddr, RequestKind};
 
     fn req(id: u64, thread: usize, bank: usize, row: u64) -> Request {
         Request::new(
@@ -327,7 +295,7 @@ mod tests {
 
     #[test]
     fn fresh_threads_rank_by_id() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 1, 0, 1), req(1, 0, 1, 1)];
         assert!(s.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 }));
@@ -337,7 +305,7 @@ mod tests {
 
     #[test]
     fn served_thread_sinks_in_rank_at_the_quantum_boundary() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1), req(1, 1, 1, 1)];
         s.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 });
@@ -356,7 +324,7 @@ mod tests {
 
     #[test]
     fn ewma_ages_old_service() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1)];
         s.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 });
@@ -376,7 +344,7 @@ mod tests {
 
     #[test]
     fn rank_dominates_row_hits_and_age() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1), req(5, 1, 1, 1)];
         s.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 });
@@ -397,7 +365,7 @@ mod tests {
 
     #[test]
     fn stable_ranks_do_not_report_changes() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1), req(1, 1, 1, 1)];
         s.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 });
@@ -413,7 +381,7 @@ mod tests {
 
     #[test]
     fn quantum_rollover_emits_a_ranking_event_when_observing() {
-        let mut s = AtlasScheduler::new();
+        let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
         s.set_observing(true);
         let ch = Channel::new(4, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1), req(1, 1, 1, 1)];

@@ -34,23 +34,14 @@ pub(crate) const BLISS_KEY_LAYOUT: KeyLayout = KeyLayout {
     ],
 };
 
-/// BLISS parameters (the paper's defaults, scaled to this simulator's
-/// cycle counts).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlissConfig {
-    /// Blacklisting threshold: a thread is blacklisted once this many of its
-    /// requests are serviced consecutively (the paper's N = 4).
-    pub blacklist_threshold: u32,
-    /// Clearing interval in cycles: the whole blacklist is emptied every
-    /// interval, giving blacklisted threads a fresh start.
-    pub clear_interval: u64,
-}
+/// Blacklisting threshold: a thread is blacklisted once this many of its
+/// requests are serviced consecutively (the paper's N = 4).
+const BLACKLIST_THRESHOLD: u32 = 4;
 
-impl Default for BlissConfig {
-    fn default() -> Self {
-        BlissConfig { blacklist_threshold: 4, clear_interval: 10_000 }
-    }
-}
+/// Clearing interval in cycles: the whole blacklist is emptied every
+/// interval, giving blacklisted threads a fresh start (the paper's 10,000
+/// cycles).
+const CLEAR_INTERVAL: u64 = 10_000;
 
 /// The Blacklisting scheduler.
 ///
@@ -62,7 +53,6 @@ impl Default for BlissConfig {
 /// likewise detected — and reported — in `pre_schedule`.
 #[derive(Debug, Clone)]
 pub struct BlissScheduler {
-    cfg: BlissConfig,
     /// The blacklisted threads. The periodic clear drops every entry at
     /// once, so the set never outlives one clearing interval's offenders —
     /// O(active blacklisted threads), independent of the id space.
@@ -85,14 +75,7 @@ impl BlissScheduler {
     /// (threshold 4, clearing interval 10 000 cycles).
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(BlissConfig::default())
-    }
-
-    /// Creates a BLISS scheduler with explicit parameters.
-    #[must_use]
-    pub fn with_config(cfg: BlissConfig) -> Self {
         BlissScheduler {
-            cfg,
             blacklisted: HashSet::new(),
             last_serviced: None,
             streak: 0,
@@ -129,7 +112,7 @@ impl MemoryScheduler for BlissScheduler {
 
     fn pre_schedule(&mut self, _queue: &mut [Request], view: &SchedView<'_>) -> bool {
         let mut changed = std::mem::take(&mut self.dirty);
-        if view.now.saturating_sub(self.last_clear) >= self.cfg.clear_interval {
+        if view.now.saturating_sub(self.last_clear) >= CLEAR_INTERVAL {
             self.last_clear = view.now;
             let cleared = u32::try_from(self.blacklist_len()).expect("thread count fits in u32");
             if cleared > 0 {
@@ -155,7 +138,7 @@ impl MemoryScheduler for BlissScheduler {
             self.last_serviced = Some(req.thread);
             self.streak = 1;
         }
-        if self.streak >= self.cfg.blacklist_threshold && self.blacklisted.insert(req.thread) {
+        if self.streak >= BLACKLIST_THRESHOLD && self.blacklisted.insert(req.thread) {
             // Column commands don't invalidate the controller's key
             // cache; flag the change for the next pre_schedule.
             self.dirty = true;
@@ -188,12 +171,12 @@ impl MemoryScheduler for BlissScheduler {
     }
 
     fn liveness_contract(&self) -> Option<LivenessContract> {
-        // A hammering thread is blacklisted after `blacklist_threshold`
+        // A hammering thread is blacklisted after `BLACKLIST_THRESHOLD`
         // consecutive services, at which point any non-blacklisted request
         // outranks its row hits. (The periodic clearing interval is not
         // modeled; see [`LivenessPolicy::Blacklist`].)
         Some(LivenessContract {
-            policy: LivenessPolicy::Blacklist { threshold: self.cfg.blacklist_threshold },
+            policy: LivenessPolicy::Blacklist { threshold: BLACKLIST_THRESHOLD },
             claim: StarvationClaim::Bounded,
         })
     }

@@ -27,6 +27,14 @@
 //! All implement [`parbs_dram::MemoryScheduler`]; none of the four paper
 //! baselines preserve intra-thread bank-level parallelism, which is the gap
 //! PAR-BS fills.
+//!
+//! Each runs at its authors' published settings (STFM's α and aging
+//! interval, BLISS's threshold and clearing interval, ATLAS's quantum,
+//! scaled to this simulator's run lengths), kept as constants beside the
+//! code that reads them. ATLAS, STFM and NFQ are built for the DRAM timing
+//! they schedule: it prices each command's service or interference
+//! ([`parbs_dram::TimingParams::command_latency`]) and gives NFQ its
+//! quantum (the row-closed latency) and capture window (tRAS).
 
 mod atlas;
 mod bliss;
@@ -34,9 +42,9 @@ mod frfcfs;
 mod nfq;
 mod stfm;
 
-pub use atlas::{AtlasConfig, AtlasScheduler};
-pub use bliss::{BlissConfig, BlissScheduler};
+pub use atlas::AtlasScheduler;
+pub use bliss::BlissScheduler;
 pub use frfcfs::FrFcfsScheduler;
-pub use nfq::{NfqConfig, NfqScheduler, VirtualTimePolicy};
+pub use nfq::NfqScheduler;
 pub use parbs_dram::FcfsScheduler;
-pub use stfm::{StfmConfig, StfmScheduler};
+pub use stfm::StfmScheduler;

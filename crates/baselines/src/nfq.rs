@@ -11,11 +11,10 @@ use parbs_dram::{
 };
 
 /// Which virtual timestamp orders requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VirtualTimePolicy {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VirtualTimePolicy {
     /// Earliest virtual **finish** time first — Nesbit et al.'s FQ-VFTF,
     /// the paper's NFQ baseline.
-    #[default]
     FinishTime,
     /// Earliest virtual **start** time first — the STFQ improvement of
     /// Rafique et al. (PACT 2007), referenced in the paper's §9: start-time
@@ -23,32 +22,6 @@ pub enum VirtualTimePolicy {
     /// backlogged thread's pending request carries its (small) start tag
     /// rather than an inflated finish tag.
     StartTime,
-}
-
-/// NFQ parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NfqConfig {
-    /// Virtual cost of servicing one request (the fair-queueing quantum),
-    /// in cycles. The default is the uncontended row-closed access latency.
-    pub service_quantum: f64,
-    /// Priority-inversion prevention threshold: a row-hit request is allowed
-    /// to jump ahead of an earlier virtual deadline only while its bank's
-    /// row has been open for less than this many cycles (the paper's "tRAS
-    /// threshold").
-    pub tras_threshold: u64,
-    /// Start-time vs. finish-time ordering.
-    pub policy: VirtualTimePolicy,
-}
-
-impl Default for NfqConfig {
-    fn default() -> Self {
-        let t = TimingParams::ddr2_800();
-        NfqConfig {
-            service_quantum: t.row_closed_latency() as f64,
-            tras_threshold: t.t_ras,
-            policy: VirtualTimePolicy::default(),
-        }
-    }
 }
 
 /// Fair-queueing scheduler: each thread owns a share of the memory system;
@@ -67,7 +40,16 @@ impl Default for NfqConfig {
 /// Both effects emerge naturally from this implementation.
 #[derive(Debug, Clone)]
 pub struct NfqScheduler {
-    cfg: NfqConfig,
+    /// Start-time vs. finish-time ordering.
+    policy: VirtualTimePolicy,
+    /// Virtual cost of servicing one request (the fair-queueing quantum):
+    /// the uncontended row-closed access latency, in cycles.
+    service_quantum: f64,
+    /// Priority-inversion prevention threshold, tRAS: a row-hit request may
+    /// jump ahead of an earlier virtual deadline only while its bank's row
+    /// has been open for less than this many cycles (the paper's "tRAS
+    /// threshold").
+    capture_window: u64,
     /// Virtual clock per (thread, bank).
     clocks: HashMap<(ThreadId, usize), f64>,
     /// Virtual finish time assigned to each queued request.
@@ -76,7 +58,7 @@ pub struct NfqScheduler {
     /// only explicitly weighted threads occupy state.
     weights: HashMap<ThreadId, f64>,
     /// Bitmask of banks whose open row is still inside its capture window
-    /// (`now - last_activate < tras_threshold`), as of the last
+    /// (`now - last_activate < capture_window`), as of the last
     /// `pre_schedule`. A capture window *expiring* changes priorities with
     /// no command being issued, so `pre_schedule` recomputes this mask and
     /// reports the change to the controller's key cache.
@@ -84,26 +66,23 @@ pub struct NfqScheduler {
 }
 
 impl NfqScheduler {
-    /// Creates an NFQ scheduler with default parameters and equal shares.
+    /// Creates an NFQ scheduler with equal shares for DRAM with `timing`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(NfqConfig::default())
+    pub fn new(timing: &TimingParams) -> Self {
+        Self::with_policy(VirtualTimePolicy::FinishTime, timing)
     }
 
     /// Creates the start-time fair queueing variant (Rafique et al.).
     #[must_use]
-    pub fn stfq() -> Self {
-        Self::with_config(NfqConfig {
-            policy: VirtualTimePolicy::StartTime,
-            ..NfqConfig::default()
-        })
+    pub fn stfq(timing: &TimingParams) -> Self {
+        Self::with_policy(VirtualTimePolicy::StartTime, timing)
     }
 
-    /// Creates an NFQ scheduler with explicit parameters.
-    #[must_use]
-    pub fn with_config(cfg: NfqConfig) -> Self {
+    fn with_policy(policy: VirtualTimePolicy, timing: &TimingParams) -> Self {
         NfqScheduler {
-            cfg,
+            policy,
+            service_quantum: timing.row_closed_latency() as f64,
+            capture_window: timing.t_ras,
             clocks: HashMap::new(),
             deadlines: HashMap::new(),
             weights: HashMap::new(),
@@ -116,7 +95,7 @@ impl NfqScheduler {
     fn recent_hit(&self, r: &Request, view: &SchedView<'_>) -> bool {
         view.is_row_hit(r)
             && view.now.saturating_sub(view.channel.bank(r.addr.bank).last_activate_at())
-                < self.cfg.tras_threshold
+                < self.capture_window
     }
 
     /// The share weight of a thread (1.0 unless overridden).
@@ -144,12 +123,6 @@ impl NfqScheduler {
     }
 }
 
-impl Default for NfqScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// NFQ's key: capture-window row hit, then the inverted total-order
 /// embedding of the virtual deadline (earlier deadlines pack larger), then
 /// inverted request id. Request ids are bounded by the 63-bit age field
@@ -164,7 +137,7 @@ pub(crate) const NFQ_KEY_LAYOUT: KeyLayout = KeyLayout {
 
 impl MemoryScheduler for NfqScheduler {
     fn name(&self) -> &str {
-        match self.cfg.policy {
+        match self.policy {
             VirtualTimePolicy::FinishTime => "NFQ",
             VirtualTimePolicy::StartTime => "STFQ",
         }
@@ -181,9 +154,9 @@ impl MemoryScheduler for NfqScheduler {
         let key = (req.thread, req.addr.bank);
         let clock = self.clocks.get(&key).copied().unwrap_or(0.0);
         let start = clock.max(now as f64);
-        let finish = start + self.cfg.service_quantum / self.weight(req.thread);
+        let finish = start + self.service_quantum / self.weight(req.thread);
         self.clocks.insert(key, finish);
-        let tag = match self.cfg.policy {
+        let tag = match self.policy {
             VirtualTimePolicy::FinishTime => finish,
             VirtualTimePolicy::StartTime => start,
         };
@@ -204,7 +177,7 @@ impl MemoryScheduler for NfqScheduler {
         for bank in 0..view.channel.bank_count() {
             let b = view.channel.bank(bank);
             if b.open_row().is_some()
-                && view.now.saturating_sub(b.last_activate_at()) < self.cfg.tras_threshold
+                && view.now.saturating_sub(b.last_activate_at()) < self.capture_window
             {
                 mask |= 1 << bank;
             }
@@ -242,7 +215,7 @@ impl MemoryScheduler for NfqScheduler {
 
     fn compare(&self, a: &Request, b: &Request, view: &SchedView<'_>) -> Ordering {
         // Priority-inversion prevention: row hits go first, but a row may
-        // only be "captured" for tras_threshold cycles after its activate.
+        // only be "captured" for capture_window cycles after its activate.
         let hit_a = self.recent_hit(a, view);
         let hit_b = self.recent_hit(b, view);
         let dl = |r: &Request| self.deadlines.get(&r.id).copied().unwrap_or(f64::MAX);
@@ -285,7 +258,7 @@ mod tests {
 
     #[test]
     fn deadlines_accumulate_per_thread_bank() {
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         let r0 = req(0, 0, 0, 1, 0);
         let r1 = req(1, 0, 0, 2, 0);
         s.on_arrival(&r0, 0);
@@ -298,7 +271,7 @@ mod tests {
 
     #[test]
     fn idle_thread_gets_competitive_deadline() {
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         // Thread 0 is intensive: many requests pile up its virtual clock.
         for i in 0..50 {
             s.on_arrival(&req(i, 0, 0, 1, 0), 0);
@@ -316,7 +289,7 @@ mod tests {
 
     #[test]
     fn higher_weight_gets_earlier_deadlines() {
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         s.set_thread_weight(ThreadId(0), 1.0);
         s.set_thread_weight(ThreadId(1), 8.0);
         let a = req(0, 0, 0, 1, 0);
@@ -328,7 +301,7 @@ mod tests {
 
     #[test]
     fn earliest_deadline_wins_without_hits() {
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         let a = req(0, 0, 0, 1, 0);
         s.on_arrival(&a, 0);
@@ -340,8 +313,8 @@ mod tests {
 
     #[test]
     fn stfq_uses_start_tags() {
-        let mut nfq = NfqScheduler::new();
-        let mut stfq = NfqScheduler::stfq();
+        let mut nfq = NfqScheduler::new(&TimingParams::ddr2_800());
+        let mut stfq = NfqScheduler::stfq(&TimingParams::ddr2_800());
         assert_eq!(stfq.name(), "STFQ");
         let r = req(0, 0, 0, 1, 0);
         nfq.on_arrival(&r, 0);
@@ -356,8 +329,8 @@ mod tests {
         // Thread 0 has a deep backlog; thread 1 arrives fresh. Under
         // finish-time tags, thread 0's next request carries k+1 quanta;
         // under start tags it carries k quanta — one quantum friendlier.
-        let mut nfq = NfqScheduler::new();
-        let mut stfq = NfqScheduler::stfq();
+        let mut nfq = NfqScheduler::new(&TimingParams::ddr2_800());
+        let mut stfq = NfqScheduler::stfq(&TimingParams::ddr2_800());
         for i in 0..10 {
             nfq.on_arrival(&req(i, 0, 0, 1, 0), 0);
             stfq.on_arrival(&req(i, 0, 0, 1, 0), 0);
@@ -375,7 +348,7 @@ mod tests {
         // is now replaced by the sign-magnitude total-order embedding).
         let ch = Channel::new(8, TimingParams::ddr2_800());
         let view = SchedView { channel: &ch, now: 0 };
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         let deadlines: &[f64] = &[
             0.0,
             f64::from_bits(1), // smallest positive subnormal
@@ -406,7 +379,7 @@ mod tests {
 
     #[test]
     fn completion_clears_deadline() {
-        let mut s = NfqScheduler::new();
+        let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
         let a = req(0, 0, 0, 1, 0);
         s.on_arrival(&a, 0);
         s.on_complete(&a, 100);

@@ -5,8 +5,8 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use parbs_dram::{
-    Command, CommandKind, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy,
-    MemoryScheduler, Request, SchedView, StarvationClaim, ThreadId, TimingParams,
+    Command, FieldSemantic, KeyField, KeyLayout, LivenessContract, LivenessPolicy, MemoryScheduler,
+    Request, SchedView, StarvationClaim, ThreadId, TimingParams,
 };
 
 /// STFM's key: the fairness-mode ("boosted") thread first, then row hits,
@@ -19,22 +19,15 @@ pub(crate) const STFM_KEY_LAYOUT: KeyLayout = KeyLayout {
     ],
 };
 
-/// STFM parameters (the values used in the PAR-BS paper's §7.2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StfmConfig {
-    /// Fairness threshold α: fairness-oriented scheduling kicks in when the
-    /// estimated `max slowdown / min slowdown` exceeds this (1.10).
-    pub alpha: f64,
-    /// Counter-aging interval in cycles (2²⁴): Tshared/Tinterference are
-    /// halved every interval so the estimate tracks phase changes.
-    pub interval_length: u64,
-}
+/// Fairness threshold α: fairness-oriented scheduling kicks in when the
+/// estimated `max slowdown / min slowdown` exceeds it (1.10, the PAR-BS
+/// paper's §7.2 value).
+const ALPHA: f64 = 1.10;
 
-impl Default for StfmConfig {
-    fn default() -> Self {
-        StfmConfig { alpha: 1.10, interval_length: 1 << 24 }
-    }
-}
+/// Counter-aging interval in cycles (2²⁴, as in §7.2): Tshared and
+/// Tinterference are halved every interval so the estimate tracks phase
+/// changes.
+const AGING_INTERVAL: u64 = 1 << 24;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct ThreadState {
@@ -80,7 +73,7 @@ impl ThreadState {
 /// additionally charge the bus-transfer time to every other active thread.
 #[derive(Debug, Clone)]
 pub struct StfmScheduler {
-    cfg: StfmConfig,
+    /// The DRAM timing that prices each command's interference.
     timing: TimingParams,
     /// Sparse per-thread stall/interference state; a thread occupies an
     /// entry only once it stalls, accrues interference, is weighted, or
@@ -99,19 +92,13 @@ pub struct StfmScheduler {
 }
 
 impl StfmScheduler {
-    /// Creates an STFM scheduler with the paper's parameters
-    /// (α = 1.10, interval 2²⁴).
+    /// Creates an STFM scheduler with the paper's parameters (α = 1.10,
+    /// interval 2²⁴) that charges interference in command latencies under
+    /// `timing`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::with_config(StfmConfig::default())
-    }
-
-    /// Creates an STFM scheduler with explicit parameters.
-    #[must_use]
-    pub fn with_config(cfg: StfmConfig) -> Self {
+    pub fn new(timing: &TimingParams) -> Self {
         StfmScheduler {
-            cfg,
-            timing: TimingParams::ddr2_800(),
+            timing: *timing,
             threads: HashMap::new(),
             prioritized: None,
             bank_threads: Vec::new(),
@@ -134,17 +121,6 @@ impl StfmScheduler {
     #[must_use]
     pub fn fairness_mode_thread(&self) -> Option<ThreadId> {
         self.prioritized
-    }
-
-    fn command_latency(&self, kind: CommandKind) -> f64 {
-        match kind {
-            CommandKind::Activate => self.timing.t_rcd as f64,
-            CommandKind::Precharge => self.timing.t_rp as f64,
-            CommandKind::Read | CommandKind::Write => {
-                (self.timing.t_cl + self.timing.t_burst) as f64
-            }
-            CommandKind::Refresh => self.timing.t_rfc as f64,
-        }
     }
 
     /// Estimated unfairness (`max slowdown / min slowdown`) among active
@@ -197,12 +173,6 @@ impl StfmScheduler {
     }
 }
 
-impl Default for StfmScheduler {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MemoryScheduler for StfmScheduler {
     fn name(&self) -> &str {
         "STFM"
@@ -231,7 +201,7 @@ impl MemoryScheduler for StfmScheduler {
         // skipped by the fairness scan, re-registered on the next touch), so
         // dropping them cannot change any scheduling decision.
         let now = view.now;
-        if now.saturating_sub(self.last_aging) >= self.cfg.interval_length {
+        if now.saturating_sub(self.last_aging) >= AGING_INTERVAL {
             self.last_aging = now;
             for t in self.threads.values_mut() {
                 t.t_shared *= 0.5;
@@ -276,7 +246,7 @@ impl MemoryScheduler for StfmScheduler {
         self.active_threads.sort_unstable_by_key(|t| t.0);
         // Fairness decision: estimated unfairness among active threads.
         let (unfairness, max_thread) = self.fairness_scan();
-        self.prioritized = if unfairness > self.cfg.alpha { max_thread } else { None };
+        self.prioritized = if unfairness > ALPHA { max_thread } else { None };
         // Only the fairness-mode thread feeds request priorities; the
         // slowdown bookkeeping above does not. Report a key-relevant change
         // exactly when the prioritized thread switched.
@@ -287,7 +257,7 @@ impl MemoryScheduler for StfmScheduler {
         // Interference accounting: servicing `req` (thread i) delays every
         // other thread waiting on the same bank; column commands also hold
         // the shared data bus.
-        let latency = self.command_latency(cmd.kind);
+        let latency = self.timing.command_latency(cmd.kind) as f64;
         let bus = if cmd.kind.is_column() { self.timing.t_burst as f64 } else { 0.0 };
         let victims: Vec<(ThreadId, u32)> = self
             .active_threads
@@ -385,7 +355,7 @@ impl parbs_snap::Snap for ThreadState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parbs_dram::{Channel, LineAddr, RequestKind};
+    use parbs_dram::{Channel, CommandKind, LineAddr, RequestKind};
 
     fn req(id: u64, thread: usize, bank: usize, row: u64) -> Request {
         Request::new(
@@ -403,7 +373,7 @@ mod tests {
 
     #[test]
     fn starts_in_frfcfs_mode() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 0, 1), req(1, 1, 1, 1)];
         s.pre_schedule(&mut q, &view(&ch));
@@ -413,7 +383,7 @@ mod tests {
 
     #[test]
     fn unfairness_triggers_fairness_mode() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         // Thread 1 stalls a lot and is heavily interfered with.
         s.on_stall_cycles(&[1_000, 100_000], 0);
@@ -427,7 +397,7 @@ mod tests {
 
     #[test]
     fn slowdown_estimate_grows_with_interference() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         s.on_stall_cycles(&[10_000], 0);
         assert!((s.slowdown_estimate(ThreadId(0)) - 1.0).abs() < 1e-9);
         s.thread_mut(ThreadId(0)).t_interference = 5_000.0;
@@ -436,7 +406,7 @@ mod tests {
 
     #[test]
     fn interference_charged_to_same_bank_victims() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         let mut q = vec![req(0, 0, 3, 1), req(1, 1, 3, 2)];
         s.pre_schedule(&mut q, &view(&ch));
@@ -456,7 +426,7 @@ mod tests {
 
     #[test]
     fn high_blp_threads_accrue_less_interference_per_event() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         // Thread 1 waits on 4 banks (high BLP), thread 2 on one bank.
         let mut q = vec![
@@ -486,7 +456,7 @@ mod tests {
 
     #[test]
     fn aging_halves_counters() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         s.on_stall_cycles(&[8_000], 0);
         s.thread_mut(ThreadId(0)).t_interference = 4_000.0;
@@ -500,7 +470,7 @@ mod tests {
 
     #[test]
     fn zero_active_threads_report_unit_unfairness() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         s.on_stall_cycles(&[50_000, 1_000], 0);
         s.thread_mut(ThreadId(0)).t_interference = 40_000.0;
@@ -513,7 +483,7 @@ mod tests {
 
     #[test]
     fn a_single_active_thread_cannot_trigger_fairness_mode() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         s.on_stall_cycles(&[50_000], 0);
         s.thread_mut(ThreadId(0)).t_interference = 40_000.0; // slowdown 5.0
@@ -525,7 +495,7 @@ mod tests {
 
     #[test]
     fn zero_service_threads_are_skipped_by_the_scan() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         let ch = Channel::new(8, TimingParams::ddr2_800());
         // Thread 0 is genuinely slowed; thread 1 is active but has reported
         // no stall time yet. Its vacuous slowdown of 1.0 must not anchor
@@ -540,7 +510,7 @@ mod tests {
 
     #[test]
     fn weights_scale_slowdown() {
-        let mut s = StfmScheduler::new();
+        let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
         s.set_thread_weight(ThreadId(0), 8.0);
         s.on_stall_cycles(&[10_000], 0);
         s.thread_mut(ThreadId(0)).t_interference = 5_000.0;

@@ -3,7 +3,7 @@
 //! actually active, and per-decision cost/state has to track the *active*
 //! set, not the largest id ever seen.
 
-use parbs_baselines::{AtlasScheduler, BlissConfig, BlissScheduler, NfqScheduler, StfmScheduler};
+use parbs_baselines::{AtlasScheduler, BlissScheduler, NfqScheduler, StfmScheduler};
 use parbs_dram::{
     Channel, Command, CommandKind, LineAddr, MemoryScheduler, Request, RequestKind, SchedView,
     ThreadId, TimingParams,
@@ -35,7 +35,7 @@ fn column_cmd(r: &Request) -> Command {
 
 #[test]
 fn atlas_ranks_sparse_threads_by_attained_service() {
-    let mut s = AtlasScheduler::new();
+    let mut s = AtlasScheduler::new(&TimingParams::ddr2_800());
     let ch = Channel::new(8, TimingParams::ddr2_800());
     let mut q: Vec<Request> =
         SPARSE_THREADS.iter().enumerate().map(|(i, &t)| req(i as u64, t, i, 1)).collect();
@@ -57,8 +57,7 @@ fn atlas_ranks_sparse_threads_by_attained_service() {
 
 #[test]
 fn bliss_blacklists_and_clears_sparse_ids() {
-    let mut s =
-        BlissScheduler::with_config(BlissConfig { blacklist_threshold: 4, clear_interval: 10_000 });
+    let mut s = BlissScheduler::new();
     let ch = Channel::new(8, TimingParams::ddr2_800());
     let r = req(0, 40_000, 0, 1);
     for _ in 0..4 {
@@ -76,7 +75,7 @@ fn bliss_blacklists_and_clears_sparse_ids() {
 
 #[test]
 fn nfq_weights_sparse_ids_without_dense_growth() {
-    let mut s = NfqScheduler::new();
+    let mut s = NfqScheduler::new(&TimingParams::ddr2_800());
     s.set_thread_weight(ThreadId(40_000), 8.0);
     let fast = req(0, 40_000, 0, 1);
     let slow = req(1, 7, 1, 1);
@@ -90,7 +89,7 @@ fn nfq_weights_sparse_ids_without_dense_growth() {
 
 #[test]
 fn stfm_fairness_mode_targets_a_sparse_thread() {
-    let mut s = StfmScheduler::new();
+    let mut s = StfmScheduler::new(&TimingParams::ddr2_800());
     let ch = Channel::new(8, TimingParams::ddr2_800());
     // Stall reports arrive as a dense slice from the cores; the sparse
     // victim's slowdown is injected via interference accounting instead.
@@ -122,7 +121,7 @@ fn stfm_fairness_mode_targets_a_sparse_thread() {
 
 #[test]
 fn per_thread_accessors_reconstruct_dense_views() {
-    let mut atlas = AtlasScheduler::new();
+    let mut atlas = AtlasScheduler::new(&TimingParams::ddr2_800());
     let ch = Channel::new(8, TimingParams::ddr2_800());
     let mut q = vec![req(0, 2, 0, 1)];
     atlas.pre_schedule(&mut q, &SchedView { channel: &ch, now: 0 });
@@ -141,12 +140,12 @@ fn per_thread_accessors_reconstruct_dense_views() {
     let blacklist: Vec<bool> = (0..3).map(|t| bliss.is_blacklisted(ThreadId(t))).collect();
     assert_eq!(blacklist, vec![false, true, false]);
 
-    let mut nfq = NfqScheduler::new();
+    let mut nfq = NfqScheduler::new(&TimingParams::ddr2_800());
     nfq.set_thread_weight(ThreadId(1), 4.0);
     let weights: Vec<f64> = (0..3).map(|t| nfq.thread_weight(ThreadId(t))).collect();
     assert_eq!(weights, vec![1.0, 4.0, 1.0]);
 
-    let stfm = StfmScheduler::new();
+    let stfm = StfmScheduler::new(&TimingParams::ddr2_800());
     let slowdowns: Vec<f64> = (0..2).map(|t| stfm.slowdown_estimate(ThreadId(t))).collect();
     assert_eq!(slowdowns, vec![1.0, 1.0]);
 }

@@ -66,29 +66,6 @@ impl ThreadPriority {
     }
 }
 
-/// Parameters of the adaptive Marking-Cap controller — the extension the
-/// paper sketches in §8.3.1 ("it is possible to improve our mechanism by
-/// making the Marking-Cap adaptive"). The cap is adjusted at every batch
-/// formation so the measured batch duration tracks a target: long batches
-/// (which delay requests that missed the batch) shrink the cap, short ones
-/// (which waste re-ordering opportunity) grow it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AdaptiveCap {
-    /// Smallest cap the controller may select (≥ 1).
-    pub min: u32,
-    /// Largest cap the controller may select.
-    pub max: u32,
-    /// Batch duration to aim for, in processor cycles. The paper reports
-    /// ~1269-cycle batches for its Case Study II sweet spot.
-    pub target_batch_cycles: u64,
-}
-
-impl Default for AdaptiveCap {
-    fn default() -> Self {
-        AdaptiveCap { min: 1, max: 10, target_batch_cycles: 1_200 }
-    }
-}
-
 /// Full PAR-BS configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParBsConfig {
@@ -103,11 +80,12 @@ pub struct ParBsConfig {
     /// Apply the row-hit-first rule within a batch (Rule 2.RH). Disabling
     /// it together with `Ranking::None` yields FCFS-within-batch.
     pub row_hit_first: bool,
-    /// Adapt the Marking-Cap at run time (overrides `marking_cap` as the
-    /// starting point). `None` keeps the paper's fixed cap.
-    pub adaptive_cap: Option<AdaptiveCap>,
-    /// Seed for random tie-breaking in the ranking rules.
-    pub seed: u64,
+    /// Adapt the Marking-Cap at every batch formation, the extension the
+    /// paper sketches in §8.3.1, starting from `marking_cap`: long batches
+    /// (which delay requests that missed the batch) shrink the cap, short
+    /// ones (which waste re-ordering opportunity) grow it. `false` keeps
+    /// the paper's fixed cap.
+    pub adaptive_cap: bool,
 }
 
 impl ParBsConfig {
@@ -120,8 +98,7 @@ impl ParBsConfig {
             batching: BatchingMode::Full,
             ranking: Ranking::MaxTotal,
             row_hit_first: true,
-            adaptive_cap: None,
-            seed: 0,
+            adaptive_cap: false,
         }
     }
 
@@ -155,14 +132,7 @@ mod tests {
         assert_eq!(c.batching, BatchingMode::Full);
         assert_eq!(c.ranking, Ranking::MaxTotal);
         assert!(c.row_hit_first);
-    }
-
-    #[test]
-    fn adaptive_cap_defaults_are_consistent() {
-        let a = AdaptiveCap::default();
-        assert!(a.min >= 1 && a.min <= a.max);
-        assert!(a.target_batch_cycles > 0);
-        assert_eq!(ParBsConfig::default().adaptive_cap, None, "paper default is fixed cap");
+        assert!(!c.adaptive_cap, "paper default is fixed cap");
     }
 
     #[test]

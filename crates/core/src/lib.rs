@@ -16,6 +16,10 @@
 //!    heaviest bank queue is shortest is ranked highest, so its requests are
 //!    serviced in parallel across banks and it leaves the batch quickly.
 //!
+//! [`ParBsConfig`] selects the Marking-Cap, the Section 4.4 batching and
+//! ranking alternatives, and the adaptive Marking-Cap the paper sketches
+//! in §8.3.1, which steers the cap toward a fixed batch duration.
+//!
 //! System-software thread priorities are supported via priority-based
 //! marking (a priority-X thread joins every Xth batch) and an extra
 //! within-batch rule; a special lowest level gives **purely opportunistic**
@@ -46,7 +50,7 @@ mod ranking;
 mod scheduler;
 
 pub use abstract_model::{AbstractBatch, AbstractPolicy, AbstractRequest};
-pub use config::{AdaptiveCap, BatchingMode, ParBsConfig, Ranking, ThreadPriority};
+pub use config::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
 pub use hw_cost::{parbs_extra_state_bits, HwCostBreakdown};
 pub use priority::PriorityValue;
 pub use ranking::{compute_ranks, ThreadLoad};

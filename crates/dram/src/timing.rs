@@ -3,6 +3,8 @@
 //! The defaults correspond to the paper's Table 2: Micron DDR2-800 with
 //! `tCL = tRCD = tRP = 15 ns` and `BL/2 = 10 ns`, scaled by 4 cycles/ns.
 
+use crate::CommandKind;
+
 /// Processor cycles per DRAM (command-clock) cycle: 4 GHz core vs. 400 MHz
 /// DDR2-800 command clock.
 pub const DRAM_CYCLE: u64 = 10;
@@ -135,6 +137,19 @@ impl TimingParams {
     #[must_use]
     pub fn row_conflict_latency(&self) -> u64 {
         self.t_rp + self.row_closed_latency()
+    }
+
+    /// DRAM time one command of `kind` costs: tRCD for an activate, tRP for
+    /// a precharge, CAS latency plus burst for a column command, tRFC for a
+    /// refresh. ATLAS charges it as attained service, STFM as interference.
+    #[must_use]
+    pub fn command_latency(&self, kind: CommandKind) -> u64 {
+        match kind {
+            CommandKind::Activate => self.t_rcd,
+            CommandKind::Precharge => self.t_rp,
+            CommandKind::Read | CommandKind::Write => self.row_hit_latency(),
+            CommandKind::Refresh => self.t_rfc,
+        }
     }
 }
 

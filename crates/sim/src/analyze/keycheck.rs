@@ -71,7 +71,7 @@ fn channel_states() -> Vec<(Channel, u64)> {
     act(&mut two_open, 1, 2, t.t_rrd);
     vec![
         (closed, 0),
-        // Inside NFQ's capture window (now - activate < tras_threshold).
+        // Inside NFQ's capture window (now - activate < tRAS).
         (one_open.clone(), 70),
         (two_open.clone(), 100),
         // Long after: row hits persist, capture windows have expired.

@@ -214,7 +214,7 @@ proptest! {
         services in proptest::collection::vec(0u32..5, 4..5),
     ) {
         let (ch, mut queue, state_now) = build_state(&opens, &reqs);
-        let mut sched = AtlasScheduler::new();
+        let mut sched = AtlasScheduler::new(&TimingParams::ddr2_800());
         for req in &queue {
             sched.on_arrival(req, req.arrival);
         }

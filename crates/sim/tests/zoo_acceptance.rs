@@ -26,7 +26,7 @@ fn accelerator_degrades_cpu_fairness_under_frfcfs_but_not_bliss_or_parbs() {
 
     let baseline = evaluate(&cpus_only, SchedulerKind::FrFcfs);
     let frfcfs = evaluate(&with_accel, SchedulerKind::FrFcfs);
-    let bliss = evaluate(&with_accel, SchedulerKind::Bliss(Default::default()));
+    let bliss = evaluate(&with_accel, SchedulerKind::Bliss);
     let parbs = evaluate(&with_accel, SchedulerKind::ParBs(Default::default()));
 
     // Adding the streamer must blow up FR-FCFS unfairness: the CPUs pay,

@@ -21,7 +21,7 @@ use parbs_baselines::{
 };
 use parbs_dram::{
     Command, CommandTraceSink, Completion, Controller, DramConfig, FcfsScheduler, LineAddr,
-    MemoryScheduler, Request, RequestKind, SchedView, ThreadId, DRAM_CYCLE,
+    MemoryScheduler, Request, RequestKind, SchedView, ThreadId, TimingParams, DRAM_CYCLE,
 };
 use parbs_obs::downcast_sink;
 use rand::rngs::StdRng;
@@ -261,17 +261,17 @@ fn parbs_eslot_priority_levels_keyed_path_matches_comparator() {
 
 #[test]
 fn nfq_keyed_path_matches_comparator() {
-    assert_paths_agree("NFQ", &|| Box::new(NfqScheduler::new()));
+    assert_paths_agree("NFQ", &|| Box::new(NfqScheduler::new(&TimingParams::ddr2_800())));
 }
 
 #[test]
 fn stfq_keyed_path_matches_comparator() {
-    assert_paths_agree("STFQ", &|| Box::new(NfqScheduler::stfq()));
+    assert_paths_agree("STFQ", &|| Box::new(NfqScheduler::stfq(&TimingParams::ddr2_800())));
 }
 
 #[test]
 fn stfm_keyed_path_matches_comparator() {
-    assert_paths_agree("STFM", &|| Box::new(StfmScheduler::new()));
+    assert_paths_agree("STFM", &|| Box::new(StfmScheduler::new(&TimingParams::ddr2_800())));
 }
 
 #[test]
@@ -280,7 +280,10 @@ fn per_cycle_stall_reports_switch_stfms_fairness_mode_often() {
     // priorities: every switch is a key change reported only by
     // `pre_schedule`, never by the stall report that caused it.
     let switches = Rc::new(Cell::new(0));
-    let stfm = CountingStfm { inner: StfmScheduler::new(), switches: Rc::clone(&switches) };
+    let stfm = CountingStfm {
+        inner: StfmScheduler::new(&TimingParams::ddr2_800()),
+        switches: Rc::clone(&switches),
+    };
     let ctrl = Controller::with_checker(DramConfig::default(), Box::new(stfm));
     run(ctrl, &mix(0xC0FFEE, 600), StallReports::EveryDramCycle);
     assert!(switches.get() >= 100, "only {} fairness-mode switches", switches.get());
@@ -297,5 +300,5 @@ fn bliss_keyed_path_matches_comparator() {
 fn atlas_keyed_path_matches_comparator() {
     // Quantum rollovers re-rank all threads mid-run; the keyed path must
     // pick the rank changes up on the same cycle the comparator does.
-    assert_paths_agree("ATLAS", &|| Box::new(AtlasScheduler::new()));
+    assert_paths_agree("ATLAS", &|| Box::new(AtlasScheduler::new(&TimingParams::ddr2_800())));
 }

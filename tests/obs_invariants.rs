@@ -54,12 +54,9 @@ fn baselines_are_trivially_clean() {
     // (blacklist set/clear, quantum rollover) through the same monitor,
     // which must ignore them without tripping.
     let mix = case_study_1();
-    for kind in [
-        SchedulerKind::FrFcfs,
-        SchedulerKind::Stfm,
-        SchedulerKind::Bliss(Default::default()),
-        SchedulerKind::Atlas(Default::default()),
-    ] {
+    for kind in
+        [SchedulerKind::FrFcfs, SchedulerKind::Stfm, SchedulerKind::Bliss, SchedulerKind::Atlas]
+    {
         assert_clean(&mix, &kind, 1_000);
     }
 }
