@@ -88,10 +88,6 @@ pub struct Controller {
     /// Test shim: order reads by the O(n log n) comparator sort instead
     /// of cached keys.
     comparator_path: bool,
-    /// Fault-injection shim: when false, the controller never prioritizes
-    /// (or issues) refreshes — the seeded "dropped tREFI rule" bug that the
-    /// refresh model checker must catch. Always true in production.
-    refresh_gating: bool,
     /// Reusable per-thread bank bitmasks for [`Controller::sample_blp`].
     blp_masks: Vec<u64>,
     /// Threads with a non-zero mask in `blp_masks`, in first-touch order.
@@ -139,7 +135,6 @@ impl Controller {
             sched_buf: Vec::new(),
             last_bus_sample: (0, 0),
             comparator_path: false,
-            refresh_gating: true,
             blp_masks: Vec::new(),
             blp_touched: Vec::new(),
             config,
@@ -191,16 +186,6 @@ impl Controller {
     pub fn set_comparator_path(&mut self, enabled: bool) {
         self.comparator_path = enabled;
         self.reads.invalidate();
-    }
-
-    /// Fault-injection shim for the refresh model checker: when disabled,
-    /// the controller drops refresh scheduling entirely — no rank is ever
-    /// refreshed, so a busy channel violates the tREFI deadline rule. Used
-    /// by `parbs-sim check-timing --refresh` to cross-validate that its
-    /// abstract refresh model and the concrete controller agree on both the
-    /// correct behavior and the seeded bug. Always enabled in production.
-    pub fn set_refresh_gating(&mut self, enabled: bool) {
-        self.refresh_gating = enabled;
     }
 
     /// Refresh bookkeeping exposed to the analysis oracle: the cycle of the
@@ -430,7 +415,7 @@ impl Controller {
         // deferral, guaranteed progress. Other ranks keep their open rows:
         // only the refreshed rank's banks are closed and blacked out.
         let t_refi = self.config.timing.t_refi;
-        if t_refi > 0 && self.refresh_gating {
+        if t_refi > 0 {
             let due = (0..self.channel.rank_count())
                 .filter(|&r| now >= self.last_refresh[r] + t_refi)
                 .min_by_key(|&r| (self.last_refresh[r], r));

@@ -17,7 +17,8 @@
 //! then runs the timing and key checks at a modest depth.
 //!
 //! Without `--sched`, the scheduler checks cover every scheduler of
-//! [`SchedulerKind::all`]. A failed check exits 1.
+//! [`SchedulerKind::all`]. A failed check exits 1; a geometry the checks
+//! reject, like a bad flag, exits 2.
 
 use parbs_dram::{MemoryScheduler, TIMING_RULES};
 use parbs_sim::analyze::{
@@ -96,6 +97,7 @@ fn check_refresh_deadline(args: &Args) {
         gating,
         ..RefreshConfig::default()
     };
+    cfg.validate().unwrap_or_else(|e| crate::fail(format!("check-timing --refresh: {e}")));
     let report =
         check_refresh(&cfg).unwrap_or_else(|e| failed(format!("check-timing --refresh: {e}")));
     println!("check-timing: {report}");
@@ -143,6 +145,7 @@ pub fn check_liveness(args: &Args) {
         cfg.adversary_threads = t as usize;
     }
     cfg.max_depth = num_u32(args, "--depth");
+    cfg.validate().unwrap_or_else(|e| crate::fail(format!("check-liveness: {e}")));
     let show_witness = args.has("--witness");
     let mut failures = Vec::new();
     for kind in schedulers(args) {

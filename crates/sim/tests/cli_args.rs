@@ -179,6 +179,21 @@ fn analysis_flags_are_checked() {
         &["check-timing", "--rows", "100000", "--depth", "1"],
         "invalid value '100000' for --rows",
     );
+    // Out-of-range liveness and refresh geometries are usage errors too,
+    // not failed proofs (exit 1).
+    run_expecting_usage_error(&["check-liveness", "--banks", "0"], "banks must be 1..=8, got 0");
+    run_expecting_usage_error(
+        &["check-liveness", "--queue", "1"],
+        "queue capacity must be 2..=12, got 1",
+    );
+    run_expecting_usage_error(
+        &["check-timing", "--refresh", "--ranks", "0"],
+        "ranks must be 1..=4, got 0",
+    );
+    run_expecting_usage_error(
+        &["check-timing", "--refresh", "--trefi-dc", "1"],
+        "tREFI must be 2..=60000 DRAM cycles, got 1",
+    );
 }
 
 /// `u64::MAX`, as a command-line count.
