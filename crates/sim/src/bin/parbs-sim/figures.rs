@@ -10,8 +10,8 @@
 use parbs::{AbstractBatch, AbstractPolicy, ParBsConfig};
 use parbs_sim::experiments::{
     batching_kinds, ext_scheduler_kinds, fig11_caps, marking_cap_kinds, named_rows,
-    priority_opportunistic_plan, priority_weighted_plan, ranking_kinds, table3_rows, zoo_rows,
-    PlanRow, SweepPlan, SweepRow, ZooRow,
+    param_sweep_axes, priority_opportunistic_plan, priority_weighted_plan, ranking_kinds,
+    table3_rows, zoo_rows, PlanRow, SweepPlan, SweepRow, ZooRow,
 };
 use parbs_sim::{EvalOverrides, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{
@@ -561,35 +561,17 @@ fn param_point(label: &str, cfg: SimConfig, mixes: &[MixSpec], jobs: usize) {
 
 /// System-parameter sensitivity (the paper's extended technical report
 /// varies system parameters) plus an ablation of this model's open-row
-/// grace policy: PAR-BS vs FR-FCFS under each variation.
+/// grace policy: PAR-BS vs FR-FCFS at each point of
+/// [`param_sweep_axes`].
 fn ext_param_sweep(args: &Args) {
     let n = args.mixes4.min(15);
     let mixes = random_mixes(4, n, args.seed);
-    let point = |label: String, vary: &dyn Fn(&mut SimConfig)| {
-        let mut cfg = args.config(4);
-        vary(&mut cfg);
-        param_point(&label, cfg, &mixes, args.jobs);
-    };
     println!("## Extension — system-parameter sensitivity ({n} workloads per point)\n");
-    println!("banks per channel:");
-    for banks in [4usize, 8, 16] {
-        point(format!("  {banks} banks"), &|c| c.dram.geometry.banks_per_rank = banks);
-    }
-    println!("\nchannels (4 cores):");
-    for channels in [1usize, 2, 4] {
-        point(format!("  {channels} channel(s)"), &|c| c.dram.geometry.channels = channels);
-    }
-    println!("\nrow-buffer size (lines per row):");
-    for cols in [16u64, 32, 64] {
-        point(format!("  {} B rows", cols * 64), &|c| c.dram.geometry.cols_per_row = cols);
-    }
-    println!("\nopen-row grace ablation (controller policy of this model):");
-    for grace in [0u64, 100, 200, 400] {
-        point(format!("  grace {grace}"), &|c| c.dram.timing.t_row_grace = grace);
-    }
-    println!("\nrequest-buffer size:");
-    for cap in [32usize, 64, 128] {
-        point(format!("  {cap} entries"), &|c| c.dram.request_buffer_cap = cap);
+    for (i, (heading, points)) in param_sweep_axes(&args.config(4)).into_iter().enumerate() {
+        println!("{}{heading}:", if i == 0 { "" } else { "\n" });
+        for (label, cfg) in points {
+            param_point(&format!("  {label}"), cfg, &mixes, args.jobs);
+        }
     }
 }
 

@@ -156,6 +156,65 @@ pub fn mapping_sweep_rows(base: Geometry) -> Vec<PlanRow> {
     rows
 }
 
+/// One axis of the system-parameter sweep: its heading and its points,
+/// each a label and the varied configuration.
+pub type ParamAxis = (&'static str, Vec<(String, SimConfig)>);
+
+/// The points of the system-parameter sweep (`ext_param_sweep`): `base`
+/// varied in bank count, channel count, row-buffer size, the open-row
+/// grace of this model's controller, and request-buffer size, one axis at
+/// a time. The paper's extended technical report varies system
+/// parameters; the grace axis ablates a policy of this model.
+#[must_use]
+pub fn param_sweep_axes(base: &SimConfig) -> Vec<ParamAxis> {
+    let axis = |heading: &'static str,
+                values: &[u64],
+                label: fn(u64) -> String,
+                vary: fn(&mut SimConfig, u64)| {
+        let points = values
+            .iter()
+            .map(|&v| {
+                let mut cfg = base.clone();
+                vary(&mut cfg, v);
+                (label(v), cfg)
+            })
+            .collect();
+        (heading, points)
+    };
+    vec![
+        axis(
+            "banks per channel",
+            &[4, 8, 16],
+            |b| format!("{b} banks"),
+            |c, b| c.dram.geometry.banks_per_rank = b as usize,
+        ),
+        axis(
+            "channels (4 cores)",
+            &[1, 2, 4],
+            |n| format!("{n} channel(s)"),
+            |c, n| c.dram.geometry.channels = n as usize,
+        ),
+        axis(
+            "row-buffer size (lines per row)",
+            &[16, 32, 64],
+            |cols| format!("{} B rows", cols * 64),
+            |c, cols| c.dram.geometry.cols_per_row = cols,
+        ),
+        axis(
+            "open-row grace ablation (controller policy of this model)",
+            &[0, 100, 200, 400],
+            |g| format!("grace {g}"),
+            |c, g| c.dram.timing.t_row_grace = g,
+        ),
+        axis(
+            "request-buffer size",
+            &[32, 64, 128],
+            |n| format!("{n} entries"),
+            |c, n| c.dram.request_buffer_cap = n as usize,
+        ),
+    ]
+}
+
 /// One scheduler's line of the zoo comparison: the overall sweep row plus
 /// the CPU-vs-accelerator fairness split averaged over the sweep's mixes.
 #[derive(Debug, Clone)]

@@ -25,7 +25,11 @@
 //! The PAR-BS variants and extensions are covered row by row: the
 //! Marking-Cap sweep of Fig. 11, the batching and ranking choices of
 //! Figs. 12 and 13 and the `ext_schedulers` rows (STFQ and the adaptive
-//! Marking-Cap), each plan on Case Study 1 through one [`Harness`].
+//! Marking-Cap), each plan on Case Study 1 through one [`Harness`]. So are
+//! the memory systems the sensitivity studies vary: every row of
+//! `mapping-sweep` (mapping, XOR permutation and rank count under the
+//! seven-scheduler zoo) and FR-FCFS and PAR-BS at every point of
+//! `ext_param_sweep`, on Case Study 1.
 //!
 //! `PARBS_RECORD_IDENTITY=1 cargo test --test identity` rewrites the file.
 //! Re-record only when a change is meant to move output, and name every
@@ -38,8 +42,9 @@ use parbs_sim::analyze::{
     check_scheduler_keys, check_scheduler_liveness, run_differential, LivenessConfig, McConfig,
 };
 use parbs_sim::experiments::{
-    batching_kinds, ext_scheduler_kinds, fig11_caps, marking_cap_kinds,
-    priority_opportunistic_plan, priority_weighted_plan, ranking_kinds, PlanRow, SweepPlan,
+    batching_kinds, ext_scheduler_kinds, fig11_caps, mapping_sweep_rows, marking_cap_kinds,
+    named_rows, param_sweep_axes, priority_opportunistic_plan, priority_weighted_plan,
+    ranking_kinds, PlanRow, SweepPlan,
 };
 use parbs_sim::{
     run_flow, run_observed, EvalJob, EvalOverrides, FlowRunResult, Harness, MixEvaluation,
@@ -122,10 +127,10 @@ fn config(cores: usize, target: u64) -> SimConfig {
     SimConfig { target_instructions: target, ..SimConfig::for_cores(cores) }
 }
 
-/// Every row of a variant plan on Case Study 1, run through one
-/// [`Harness`] as the regenerations run them, named `plan/<plan>/<row>`.
-fn plan_cases(plan: &str, rows: &[PlanRow]) -> Vec<(String, u64)> {
-    let harness = Harness::new(config(4, 1_000));
+/// Every row of a plan on Case Study 1, run through one [`Harness`] on
+/// `cfg` as the regenerations run them, named `plan/<plan>/<row>`.
+fn plan_cases(plan: &str, cfg: SimConfig, rows: &[PlanRow]) -> Vec<(String, u64)> {
+    let harness = Harness::new(cfg);
     SweepPlan::new(&[case_study_1()], rows)
         .run(&harness, 1)
         .iter()
@@ -265,13 +270,25 @@ type Case = Box<dyn Fn() -> Vec<(String, u64)> + Send + Sync>;
 
 fn cases() -> Vec<Case> {
     let mut cases: Vec<Case> = Vec::new();
+    let base = config(4, 1_000);
     for (plan, rows) in [
         ("fig11", marking_cap_kinds(&fig11_caps())),
         ("fig12", batching_kinds()),
         ("fig13", ranking_kinds()),
         ("ext_schedulers", ext_scheduler_kinds()),
+        ("mapping-sweep", mapping_sweep_rows(base.dram.geometry)),
     ] {
-        cases.push(Box::new(move || plan_cases(plan, &rows)));
+        let cfg = base.clone();
+        cases.push(Box::new(move || plan_cases(plan, cfg.clone(), &rows)));
+    }
+    let param_rows = named_rows([SchedulerKind::FrFcfs, SchedulerKind::ParBs(Default::default())]);
+    for (_, points) in param_sweep_axes(&base) {
+        for (label, cfg) in points {
+            // Golden lines split at the first space.
+            let plan = format!("ext_param_sweep/{}", label.replace(' ', "-"));
+            let rows = param_rows.clone();
+            cases.push(Box::new(move || plan_cases(&plan, cfg.clone(), &rows)));
+        }
     }
     for mix in [case_study_1(), case_study_2(), case_study_3()] {
         for kind in SchedulerKind::all() {
