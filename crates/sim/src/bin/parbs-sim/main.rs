@@ -37,7 +37,9 @@ use std::time::Instant;
 use parbs_dram::MappingPolicy;
 use parbs_monitor::Spec;
 use parbs_sim::experiments::{self, SweepPlan};
-use parbs_sim::{Harness, MonitorReport, ObserveOptions, SchedulerKind, SimConfig, TraceFormat};
+use parbs_sim::{
+    CacheStats, Harness, MonitorReport, ObserveOptions, SchedulerKind, SimConfig, TraceFormat,
+};
 use parbs_workloads::{
     all_benchmarks, by_name, case_study_1, case_study_2, case_study_3, random_mixes, BoundedPareto,
     FlowConfig, MixSpec,
@@ -717,8 +719,7 @@ fn zoo_trigger_table(mixes: &[MixSpec], cfg: &SimConfig, spec: &Spec) {
     }
 }
 
-fn print_run_summary(start: Instant, evaluations: usize, jobs: usize, harness: &Harness) {
-    let stats = harness.cache_stats();
+fn print_run_summary(start: Instant, evaluations: usize, jobs: usize, stats: CacheStats) {
     println!(
         "{} evaluation(s) in {:.2}s (jobs={}, alone-cache: {} hits / {} misses)",
         evaluations,
@@ -752,7 +753,7 @@ fn compare_or_observe(args: &Args, mix: &MixSpec, title: &str) {
     let sweep = figures::paper_five(std::slice::from_ref(mix));
     let start = Instant::now();
     figures::print_case_study(title, &sweep.run(&harness, args.jobs));
-    print_run_summary(start, sweep.job_count(), args.jobs, &harness);
+    print_run_summary(start, sweep.job_count(), args.jobs, harness.cache_stats());
 }
 
 fn case_study(args: &Args) {
@@ -917,27 +918,33 @@ fn sweep(args: &Args) {
         &format!("{n} random 4-core mixes, the paper's five schedulers"),
         &rows,
     );
-    print_run_summary(start, sweep.job_count(), args.jobs, &harness);
+    print_run_summary(start, sweep.job_count(), args.jobs, harness.cache_stats());
 }
 
 fn mapping_sweep(args: &Args) {
     let n = args.count(1, MAX_MIXES);
-    let harness = args.harness(4);
     let mixes = random_mixes(4, n, args.seed);
-    let sweep =
-        SweepPlan::new(&mixes, &experiments::mapping_sweep_rows(harness.config().dram.geometry));
+    let systems = experiments::mapping_sweep_systems(&args.config(4));
+    let sweep = SweepPlan::new(&mixes, &experiments::named_rows(SchedulerKind::zoo_seven()));
     let start = Instant::now();
-    let rows = sweep.run(&harness, args.jobs);
+    let mut rows = Vec::new();
+    let mut cache = CacheStats::default();
+    for (system, cfg) in &systems {
+        let harness = Harness::new(cfg.clone());
+        rows.extend(sweep.run(&harness, args.jobs).into_iter().map(|mut row| {
+            row.label = format!("{system}/{}", row.label);
+            row
+        }));
+        let stats = harness.cache_stats();
+        cache.hits += stats.hits;
+        cache.misses += stats.misses;
+    }
+    let jobs = systems.len() * sweep.job_count();
     figures::print_summaries(
-        &format!(
-            "geometry/mapping ablation: {} rows x {} mix(es) = {} jobs",
-            sweep.labels().len(),
-            n,
-            sweep.job_count()
-        ),
+        &format!("geometry/mapping ablation: {} rows x {} mix(es) = {} jobs", rows.len(), n, jobs),
         &rows,
     );
-    print_run_summary(start, sweep.job_count(), args.jobs, &harness);
+    print_run_summary(start, jobs, args.jobs, cache);
 }
 
 fn zoo_sweep(args: &Args) {
@@ -954,7 +961,7 @@ fn zoo_sweep(args: &Args) {
         ),
         &rows,
     );
-    print_run_summary(start, sweep.job_count(), args.jobs, &harness);
+    print_run_summary(start, sweep.job_count(), args.jobs, harness.cache_stats());
     if let Some(spec) = args.value("--spec") {
         zoo_trigger_table(&mixes, harness.config(), &load_spec(spec));
     }

@@ -7,13 +7,16 @@
 //! identical output at every `jobs` level, and collates the results into
 //! one labeled [`SweepRow`] per row. A case study is a sweep over one mix;
 //! a scheduler comparison labels its kinds by name ([`named_rows`]); the
-//! Marking-Cap, batching, ranking and geometry/mapping sweeps, the
-//! extension comparison and the two Fig. 14 plans are named row lists. The `parbs-sim` regeneration
-//! commands (`fig05_case1`, `table4_summary`, ...) print the rows in the
-//! shape of the paper's tables and figures, reading each row's label.
+//! Marking-Cap, batching and ranking sweeps, the extension comparison and
+//! the two Fig. 14 plans are named row lists. A study that varies the
+//! memory system — the geometry/mapping sweep and the system-parameter
+//! sweep — is a list of labeled [`SimConfig`]s, each run on its own
+//! [`Harness`]. The `parbs-sim` regeneration commands (`fig05_case1`,
+//! `table4_summary`, ...) print the rows in the shape of the paper's
+//! tables and figures, reading each row's label.
 
 use parbs::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
-use parbs_dram::{Geometry, MappingPolicy};
+use parbs_dram::MappingPolicy;
 use parbs_metrics::{class_fairness, ClassFairness, SchedulerSummary};
 use parbs_workloads::{all_benchmarks, classify, BenchmarkProfile, MixSpec};
 
@@ -122,17 +125,18 @@ impl SweepPlan {
     }
 }
 
-/// The labeled rows of the geometry/mapping sensitivity study (paper
+/// The memory systems of the geometry/mapping sensitivity study (paper
 /// Section 6): mapping policy (row/line-interleaved) × XOR bank
-/// permutation on/off × ranks per channel ∈ {1, 2, 4}, each under the
-/// full seven-scheduler zoo. Non-rank geometry fields inherit `base`.
-/// Labels read `row/r2/PAR-BS`, `line-noxor/r4/BLISS`, ... The paper's
-/// Section 6 expectation: turning the XOR permutation off hurts FR-FCFS
-/// most and PAR-BS least, because batch-level parallelism recovery
-/// compensates for the extra row conflicts.
+/// permutation on/off × ranks per channel ∈ {1, 2, 4}, each `base` with
+/// its mapping and rank count replaced, labeled `row/r1`, `row/r2`, …,
+/// `line-noxor/r4`. `mapping-sweep` runs the seven-scheduler zoo on each
+/// system through its own [`Harness`]. The paper's Section 6 expectation:
+/// turning the XOR permutation off hurts FR-FCFS most and PAR-BS least,
+/// because batch-level parallelism recovery compensates for the extra row
+/// conflicts.
 #[must_use]
-pub fn mapping_sweep_rows(base: Geometry) -> Vec<PlanRow> {
-    let mut rows = Vec::new();
+pub fn mapping_sweep_systems(base: &SimConfig) -> Vec<(String, SimConfig)> {
+    let mut systems = Vec::new();
     for policy in [
         MappingPolicy::RowInterleaved { xor_permute: true },
         MappingPolicy::LineInterleaved { xor_permute: true },
@@ -140,20 +144,14 @@ pub fn mapping_sweep_rows(base: Geometry) -> Vec<PlanRow> {
         for xor in [true, false] {
             let mapping = policy.with_xor(xor);
             for ranks in [1usize, 2, 4] {
-                let geometry = Geometry { ranks_per_channel: ranks, ..base };
-                let overrides = EvalOverrides {
-                    geometry: Some(geometry),
-                    mapping: Some(mapping),
-                    ..EvalOverrides::none()
-                };
-                for kind in SchedulerKind::zoo_seven() {
-                    let label = format!("{}/r{}/{}", mapping.label(), ranks, kind.name());
-                    rows.push((label, kind, overrides.clone()));
-                }
+                let mut cfg = base.clone();
+                cfg.dram.mapping = mapping;
+                cfg.dram.geometry.ranks_per_channel = ranks;
+                systems.push((format!("{}/r{ranks}", mapping.label()), cfg));
             }
         }
     }
-    rows
+    systems
 }
 
 /// One axis of the system-parameter sweep: its heading and its points,
@@ -512,24 +510,38 @@ mod tests {
     }
 
     #[test]
-    fn mapping_sweep_covers_the_ablation_grid() {
-        let base = Geometry::table2();
-        let rows = mapping_sweep_rows(base);
-        // 2 policies × XOR on/off × 3 rank counts × 7 schedulers.
-        assert_eq!(rows.len(), 84);
-        let labels: Vec<&str> = rows.iter().map(|(l, _, _)| l.as_str()).collect();
-        assert_eq!(labels[0], "row/r1/FR-FCFS");
-        assert!(labels.contains(&"row-noxor/r2/PAR-BS"));
-        assert!(labels.contains(&"line-noxor/r4/FCFS"));
-        assert!(labels.contains(&"line-noxor/r4/BLISS"));
-        assert!(labels.contains(&"row/r1/ATLAS"));
-        for (_, _, o) in &rows {
-            assert!(o.geometry.is_some() && o.mapping.is_some(), "every row pins its shape");
-            o.geometry.unwrap().validate().expect("every swept geometry is valid");
+    fn mapping_sweep_systems_cover_the_ablation_grid() {
+        let base = SimConfig::for_cores(4);
+        let systems = mapping_sweep_systems(&base);
+        // 2 policies × XOR on/off × 3 rank counts.
+        let labels: Vec<&str> = systems.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "row/r1",
+                "row/r2",
+                "row/r4",
+                "row-noxor/r1",
+                "row-noxor/r2",
+                "row-noxor/r4",
+                "line/r1",
+                "line/r2",
+                "line/r4",
+                "line-noxor/r1",
+                "line-noxor/r2",
+                "line-noxor/r4"
+            ]
+        );
+        let mut shapes = std::collections::HashSet::new();
+        for (label, cfg) in &systems {
+            cfg.dram.validate().expect("every swept system is valid");
+            assert!(shapes.insert((cfg.dram.mapping, cfg.dram.ranks_per_channel())), "{label}");
+            let mut unshaped = cfg.clone();
+            unshaped.dram.mapping = base.dram.mapping;
+            unshaped.dram.geometry.ranks_per_channel = 1;
+            assert_eq!(unshaped.dram, base.dram, "{label} varies only mapping and ranks");
         }
-        let plan = SweepPlan::new(&[case_study_1()], &rows);
-        assert_eq!(plan.job_count(), 84);
-        assert_eq!(plan.labels().len(), 84);
+        assert_eq!(systems[0].1.dram, base.dram, "row/r1 is the baseline system");
     }
 
     #[test]
@@ -549,23 +561,22 @@ mod tests {
     }
 
     #[test]
-    fn shaped_sweep_rows_are_deterministic_at_any_jobs_level() {
-        let h = quick_harness();
-        let mixes = [case_study_1()];
-        // The r2 PAR-BS slice of the ablation: small enough for a unit
-        // test, still exercising geometry+mapping overrides end to end.
-        let rows: Vec<_> = mapping_sweep_rows(h.config().dram.geometry)
-            .into_iter()
-            .filter(|(l, _, _)| l.contains("/r2/") && l.ends_with("PAR-BS"))
-            .collect();
-        assert_eq!(rows.len(), 4);
-        let sweep = SweepPlan::new(&mixes, &rows);
-        let serial = sweep.run(&h, 1);
-        let parallel = sweep.run(&h, 4);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.label, b.label);
-            assert_eq!(a.evaluations, b.evaluations);
+    fn shaped_systems_are_deterministic_at_any_jobs_level() {
+        // The r2 slice of the ablation under FR-FCFS and PAR-BS: small
+        // enough for a unit test, still running every mapping on a 2-rank
+        // system end to end.
+        let kinds = [SchedulerKind::FrFcfs, SchedulerKind::ParBs(Default::default())];
+        let sweep = SweepPlan::new(&[case_study_1()], &named_rows(kinds));
+        let base = quick_harness().config().clone();
+        let systems: Vec<_> =
+            mapping_sweep_systems(&base).into_iter().filter(|(l, _)| l.ends_with("/r2")).collect();
+        assert_eq!(systems.len(), 4);
+        for (label, cfg) in systems {
+            let serial = sweep.run(&Harness::new(cfg.clone()), 1);
+            let parallel = sweep.run(&Harness::new(cfg), 4);
+            for (a, b) in serial.iter().zip(&parallel) {
+                assert_eq!(a.evaluations, b.evaluations, "{label}/{}", a.label);
+            }
         }
     }
 

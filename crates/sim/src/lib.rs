@@ -16,9 +16,10 @@
 //! row per plan row. Each evaluation measures every thread both **shared**
 //! (in the multiprogrammed mix) and **alone** on the same memory system.
 //! The two measurements yield the paper's memory slowdown, unfairness,
-//! weighted/hmean speedup and AST/req metrics. Alone baselines are
-//! memoized in a concurrent single-flight cache keyed by [`AloneKey`], so
-//! results are identical at every `jobs` level.
+//! weighted/hmean speedup and AST/req metrics. A harness is one memory
+//! system, so its alone baselines are memoized in a concurrent
+//! single-flight cache keyed by benchmark and scheduler, and results are
+//! identical at every `jobs` level.
 //!
 //! The [`analyze`] module holds the static analysis: the differential
 //! timing model checker, the key-contract and liveness checks of every
@@ -26,8 +27,9 @@
 //!
 //! The [`experiments`] module holds the comparisons of Section 8 in that
 //! shape: scheduler comparisons and case studies, the Marking-Cap,
-//! batching-mode, within-batch ranking and geometry/mapping sweeps, and
-//! the thread-priority plans.
+//! batching-mode and within-batch ranking sweeps and the thread-priority
+//! plans; and the memory systems of the geometry/mapping and
+//! system-parameter sweeps, each run on its own harness.
 //!
 //! # Examples
 //!
@@ -63,7 +65,7 @@ pub use checkpoint::{CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use config::SimConfig;
 pub use executor::default_jobs;
 pub use flow::{drive_source, run_flow, run_flow_sweep, FlowRunResult, SourceDriveResult};
-pub use harness::{AloneKey, CacheStats, Harness, MixEvaluation};
+pub use harness::{CacheStats, Harness, MixEvaluation};
 pub use observe::{run_observed, MonitorReport, ObserveOptions, ObservedRun, TraceFormat};
 pub use plan::{EvalJob, EvalOverrides, EvalPlan};
 pub use sched_kind::{SchedulerKind, UnknownScheduler};

@@ -10,32 +10,25 @@
 //! one flat `EvalPlan`.
 
 use parbs::ThreadPriority;
-use parbs_dram::{Geometry, MappingPolicy};
 use parbs_workloads::MixSpec;
 
 use crate::SchedulerKind;
 
-/// Per-job replacements for the harness base configuration: the thread QoS
+/// Per-job replacements for the harness configuration: the thread QoS
 /// settings (NFQ/STFM share weights and PAR-BS priority levels — the
-/// Section 5 / Fig. 14 experiments) and the DRAM shape (geometry and
-/// address-mapping policy — the Section 6 sensitivity studies).
+/// Section 5 / Fig. 14 experiments).
 ///
-/// An **empty** vector / `None` means "inherit the harness base
-/// configuration" for that field; a non-empty vector or `Some` replaces it
-/// wholesale for this job only. The base configuration itself is never
-/// mutated. Geometry and mapping overrides apply to the shared run *and*
-/// its alone baselines — slowdowns always compare against the same memory
-/// system the mix ran on.
+/// An **empty** vector means "inherit the harness configuration" for that
+/// field; a non-empty one replaces it wholesale for this job's shared run
+/// only. Alone baselines always clear both, and the harness configuration
+/// itself is never mutated. A study that varies the memory system runs one
+/// [`crate::Harness`] per system instead.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EvalOverrides {
     /// NFQ/STFM share weights per thread (empty = inherit base).
     pub weights: Vec<f64>,
     /// PAR-BS priority levels per thread (empty = inherit base).
     pub priorities: Vec<ThreadPriority>,
-    /// DRAM geometry replacement (`None` = inherit base).
-    pub geometry: Option<Geometry>,
-    /// Address-mapping policy replacement (`None` = inherit base).
-    pub mapping: Option<MappingPolicy>,
 }
 
 impl EvalOverrides {
@@ -55,7 +48,7 @@ pub struct EvalJob {
     pub mix: MixSpec,
     /// The memory scheduler to run it under.
     pub kind: SchedulerKind,
-    /// Replacements for the harness base configuration in this job.
+    /// Replacements for the harness configuration in this job.
     pub overrides: EvalOverrides,
 }
 

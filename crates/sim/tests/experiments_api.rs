@@ -94,19 +94,3 @@ fn summaries_aggregate_consistently() {
         assert_eq!(summary.worst_case_latency, max_wc);
     }
 }
-
-#[test]
-fn mapping_sweep_labels_span_the_grid() {
-    let h = quick_harness();
-    let rows = parbs_sim::experiments::mapping_sweep_rows(h.config().dram.geometry);
-    assert_eq!(rows.len(), 84, "2 policies x 2 xor x 3 rank counts x 7 schedulers");
-    let r1_baseline = rows
-        .iter()
-        .filter(|(l, _, o)| {
-            l.starts_with("row/r1/")
-                && o.geometry.unwrap().ranks_per_channel == 1
-                && o.mapping.unwrap() == parbs_dram::MappingPolicy::baseline()
-        })
-        .count();
-    assert_eq!(r1_baseline, 7, "the baseline shape appears once per scheduler");
-}

@@ -42,7 +42,7 @@ use parbs_sim::analyze::{
     check_scheduler_keys, check_scheduler_liveness, run_differential, LivenessConfig, McConfig,
 };
 use parbs_sim::experiments::{
-    batching_kinds, ext_scheduler_kinds, fig11_caps, mapping_sweep_rows, marking_cap_kinds,
+    batching_kinds, ext_scheduler_kinds, fig11_caps, mapping_sweep_systems, marking_cap_kinds,
     named_rows, param_sweep_axes, priority_opportunistic_plan, priority_weighted_plan,
     ranking_kinds, PlanRow, SweepPlan,
 };
@@ -276,10 +276,14 @@ fn cases() -> Vec<Case> {
         ("fig12", batching_kinds()),
         ("fig13", ranking_kinds()),
         ("ext_schedulers", ext_scheduler_kinds()),
-        ("mapping-sweep", mapping_sweep_rows(base.dram.geometry)),
     ] {
         let cfg = base.clone();
         cases.push(Box::new(move || plan_cases(plan, cfg.clone(), &rows)));
+    }
+    for (system, cfg) in mapping_sweep_systems(&base) {
+        let plan = format!("mapping-sweep/{system}");
+        let rows = named_rows(SchedulerKind::zoo_seven());
+        cases.push(Box::new(move || plan_cases(&plan, cfg.clone(), &rows)));
     }
     let param_rows = named_rows([SchedulerKind::FrFcfs, SchedulerKind::ParBs(Default::default())]);
     for (_, points) in param_sweep_axes(&base) {
