@@ -36,7 +36,7 @@
 use std::sync::Arc;
 
 use crate::{
-    data_interval, Command, CommandKind, EventClass, FromTime, RuleKind, RuleScope, TimingParams,
+    data_interval, CmdClass, Command, CommandKind, FromTime, RuleKind, RuleScope, TimingParams,
     TimingRule, ToTime, DRAM_CYCLE, TIMING_RULES,
 };
 
@@ -166,7 +166,7 @@ impl ProtocolChecker {
         // column command's data end sees the *latest* data end over all
         // transfers, not the most recent command's own (transfer ends need
         // not follow issue order when read and write CAS latencies differ).
-        if rule.from_time == FromTime::DataEnd && rule.from == EventClass::Col {
+        if rule.from_time == FromTime::DataEnd && rule.from == CmdClass::Col {
             let applies = match rule.scope {
                 RuleScope::Channel => true,
                 RuleScope::CrossRank => self

@@ -94,8 +94,8 @@ pub use geometry::{Geometry, GeometryError};
 pub use keys::{f64_total_order_bits, FieldSemantic, KeyField, KeyLayout};
 pub use request::{Request, RequestId, RequestKind, ThreadId};
 pub use rules::{
-    data_interval, CmdClass, EventClass, FromTime, RuleKind, RuleScope, TimingParam, TimingRule,
-    ToTime, TIMING_RULES,
+    data_interval, CmdClass, FromTime, RuleKind, RuleScope, TimingParam, TimingRule, ToTime,
+    TIMING_RULES,
 };
 pub use scheduler::{FcfsScheduler, MemoryScheduler, SchedView};
 pub use stats::{BlpTracker, ControllerStats};

@@ -120,59 +120,26 @@ pub enum RuleScope {
     Channel,
 }
 
-/// The class of past command-stream events a rule measures from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventClass {
-    /// An `ACT` issue.
-    Act,
-    /// A `RD` issue (with its data interval).
-    Rd,
-    /// A `WR` issue (with its data interval).
-    Wr,
-    /// The most recent column command of either kind (its recorded data end
-    /// folds the maximum over all previous transfers — the data bus is a
-    /// single serialized resource).
-    Col,
-    /// A `PRE` issue.
-    Pre,
-    /// A `REF` issue.
-    Ref,
-    /// Any command issue (command-bus rules).
-    Any,
-}
-
-impl EventClass {
-    /// True if a command of `kind` is an event of this class.
-    #[must_use]
-    pub fn matches(self, kind: CommandKind) -> bool {
-        match self {
-            EventClass::Act => kind == CommandKind::Activate,
-            EventClass::Rd => kind == CommandKind::Read,
-            EventClass::Wr => kind == CommandKind::Write,
-            EventClass::Col => kind.is_column(),
-            EventClass::Pre => kind == CommandKind::Precharge,
-            EventClass::Ref => kind == CommandKind::Refresh,
-            EventClass::Any => true,
-        }
-    }
-}
-
-/// The class of candidate commands a rule constrains.
+/// A class of DRAM commands: the past command-stream events a rule
+/// measures from ([`TimingRule::from`]) and the candidate commands it
+/// constrains ([`TimingRule::to`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmdClass {
     /// `ACT`.
     Act,
-    /// `RD`.
+    /// `RD` (as a from-event, with its data interval).
     Rd,
-    /// `WR`.
+    /// `WR` (as a from-event, with its data interval).
     Wr,
-    /// `RD` or `WR`.
+    /// `RD` or `WR`. As a from-event, the most recent column command of
+    /// either kind: its recorded data end folds the maximum over all
+    /// previous transfers — the data bus is a single serialized resource.
     Col,
     /// `PRE`.
     Pre,
     /// `REF`.
     Ref,
-    /// Every command.
+    /// Every command (command-bus rules).
     Any,
 }
 
@@ -241,8 +208,8 @@ pub struct TimingRule {
     pub kind: RuleKind,
     /// Which commands share the constrained state.
     pub scope: RuleScope,
-    /// The event class measured from.
-    pub from: EventClass,
+    /// The command class measured from.
+    pub from: CmdClass,
     /// The from-event anchor.
     pub from_time: FromTime,
     /// Which past event of the class: 1 = most recent, 4 = fourth-most-
@@ -273,7 +240,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "one command per DRAM cycle",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::Channel,
-        from: EventClass::Any,
+        from: CmdClass::Any,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Any,
@@ -286,7 +253,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRFC",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameRank,
-        from: EventClass::Ref,
+        from: CmdClass::Ref,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Any,
@@ -298,7 +265,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRP",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Pre,
+        from: CmdClass::Pre,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Act,
@@ -310,7 +277,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRC",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Act,
+        from: CmdClass::Act,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Act,
@@ -322,7 +289,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRRD",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameRank,
-        from: EventClass::Act,
+        from: CmdClass::Act,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Act,
@@ -335,7 +302,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tFAW",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameRank,
-        from: EventClass::Act,
+        from: CmdClass::Act,
         from_time: FromTime::Issue,
         nth: 4,
         to: CmdClass::Act,
@@ -347,7 +314,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRCD",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Act,
+        from: CmdClass::Act,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Col,
@@ -359,7 +326,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tCCD",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::Channel,
-        from: EventClass::Col,
+        from: CmdClass::Col,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Col,
@@ -374,7 +341,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tWTR",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::Channel,
-        from: EventClass::Wr,
+        from: CmdClass::Wr,
         from_time: FromTime::DataEnd,
         nth: 1,
         to: CmdClass::Col,
@@ -387,7 +354,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "data bus conflict",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::Channel,
-        from: EventClass::Col,
+        from: CmdClass::Col,
         from_time: FromTime::DataEnd,
         nth: 1,
         to: CmdClass::Col,
@@ -400,7 +367,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRTRS",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::CrossRank,
-        from: EventClass::Col,
+        from: CmdClass::Col,
         from_time: FromTime::DataEnd,
         nth: 1,
         to: CmdClass::Col,
@@ -412,7 +379,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRAS",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Act,
+        from: CmdClass::Act,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Pre,
@@ -424,7 +391,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tRTP",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Rd,
+        from: CmdClass::Rd,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Pre,
@@ -436,7 +403,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tWR",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::SameBank,
-        from: EventClass::Wr,
+        from: CmdClass::Wr,
         from_time: FromTime::DataEnd,
         nth: 1,
         to: CmdClass::Pre,
@@ -448,7 +415,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "refresh during data transfer",
         kind: RuleKind::MinSeparation,
         scope: RuleScope::Channel,
-        from: EventClass::Col,
+        from: CmdClass::Col,
         from_time: FromTime::DataEnd,
         nth: 1,
         to: CmdClass::Ref,
@@ -464,7 +431,7 @@ pub const TIMING_RULES: &[TimingRule] = &[
         id: "tREFI",
         kind: RuleKind::Deadline,
         scope: RuleScope::SameRank,
-        from: EventClass::Ref,
+        from: CmdClass::Ref,
         from_time: FromTime::Issue,
         nth: 1,
         to: CmdClass::Ref,
