@@ -259,18 +259,14 @@ impl MemoryScheduler for StfmScheduler {
         // the shared data bus.
         let latency = self.timing.command_latency(cmd.kind) as f64;
         let bus = if cmd.kind.is_column() { self.timing.t_burst as f64 } else { 0.0 };
-        let victims: Vec<(ThreadId, u32)> = self
-            .active_threads
-            .iter()
-            .filter(|&&t| t != req.thread)
-            .filter_map(|&t| self.threads.get(&t).map(|s| (t, s.bank_parallelism.max(1))))
-            .collect();
-        let same_bank = self.bank_threads.get(cmd.bank).cloned().unwrap_or_default();
-        for (t, gamma) in victims {
-            if same_bank.contains(&t) {
-                self.thread_mut(t).t_interference += latency / f64::from(gamma);
+        let same_bank = self.bank_threads.get(cmd.bank).map_or(&[][..], Vec::as_slice);
+        for t in self.active_threads.iter().filter(|&&t| t != req.thread) {
+            let Some(st) = self.threads.get_mut(t) else { continue };
+            let gamma = f64::from(st.bank_parallelism.max(1));
+            if same_bank.contains(t) {
+                st.t_interference += latency / gamma;
             } else if bus > 0.0 {
-                self.thread_mut(t).t_interference += bus / f64::from(gamma);
+                st.t_interference += bus / gamma;
             }
         }
     }
