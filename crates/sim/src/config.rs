@@ -59,12 +59,7 @@ impl SimConfig {
     /// The stream geometry matching this configuration.
     #[must_use]
     pub fn geometry(&self) -> StreamGeometry {
-        StreamGeometry {
-            channels: self.dram.channels(),
-            banks_per_channel: self.dram.banks_per_channel(),
-            cols_per_row: self.dram.cols_per_row(),
-            region_rows: 1024,
-        }
+        StreamGeometry::of(&self.dram)
     }
 
     /// The priority level of `thread` (default level 1).

@@ -25,10 +25,12 @@
 //! ```
 //! use parbs_workloads::{by_name, StreamGeometry, SyntheticStream};
 //! use parbs_cpu::InstructionStream;
+//! use parbs_dram::DramConfig;
 //!
 //! let mcf = by_name("mcf").unwrap();
 //! assert!(mcf.blp > 4.0, "mcf has very high bank-level parallelism");
-//! let mut stream = SyntheticStream::new(mcf, StreamGeometry::default(), 42, 0);
+//! let geometry = StreamGeometry::of(&DramConfig::baseline_4core());
+//! let mut stream = SyntheticStream::new(mcf, geometry, 42, 0);
 //! let _first = stream.next_instr();
 //! ```
 

@@ -10,12 +10,15 @@
 //! random row — giving direct control over row-buffer locality.
 
 use parbs_cpu::{Instr, InstructionStream};
-use parbs_dram::{AddressMapper, LineAddr};
+use parbs_dram::{AddressMapper, DramConfig, LineAddr};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
 use crate::BenchmarkProfile;
+
+/// Rows in each thread's private region of every bank.
+const REGION_ROWS: u64 = 1024;
 
 /// The DRAM geometry a stream generates addresses for, plus the private
 /// row region of each thread.
@@ -32,30 +35,22 @@ pub struct StreamGeometry {
 }
 
 impl StreamGeometry {
-    /// Geometry matching [`parbs_dram::DramConfig::baseline_4core`].
+    /// The geometry of the DRAM system `dram` describes, with private
+    /// regions of 1,024 rows.
     #[must_use]
-    pub fn baseline_4core() -> Self {
-        StreamGeometry { channels: 1, banks_per_channel: 8, cols_per_row: 32, region_rows: 1024 }
-    }
-
-    /// Geometry matching `DramConfig::for_cores(cores)`.
-    #[must_use]
-    pub fn for_cores(cores: usize) -> Self {
-        let mut g = Self::baseline_4core();
-        g.channels = (cores / 4).max(1).next_power_of_two();
-        g
+    pub fn of(dram: &DramConfig) -> Self {
+        StreamGeometry {
+            channels: dram.channels(),
+            banks_per_channel: dram.banks_per_channel(),
+            cols_per_row: dram.cols_per_row(),
+            region_rows: REGION_ROWS,
+        }
     }
 
     /// Total independent bank slots across all channels.
     #[must_use]
     pub fn bank_slots(&self) -> usize {
         self.channels * self.banks_per_channel
-    }
-}
-
-impl Default for StreamGeometry {
-    fn default() -> Self {
-        Self::baseline_4core()
     }
 }
 
@@ -341,8 +336,12 @@ mod tests {
     use crate::by_name;
 
     fn collect(name: &str, seed: u64, salt: u64, n: usize) -> Vec<Instr> {
-        let mut s =
-            SyntheticStream::new(by_name(name).unwrap(), StreamGeometry::default(), seed, salt);
+        let mut s = SyntheticStream::new(
+            by_name(name).unwrap(),
+            StreamGeometry::of(&DramConfig::baseline_4core()),
+            seed,
+            salt,
+        );
         (0..n).map(|_| s.next_instr()).collect()
     }
 
@@ -388,7 +387,7 @@ mod tests {
     fn high_blp_benchmark_bursts_across_banks() {
         // Count distinct banks touched within each burst window for mcf
         // (BLP target 4.75) vs matlab (BLP target 1.08).
-        let geometry = StreamGeometry::default();
+        let geometry = StreamGeometry::of(&DramConfig::baseline_4core());
         let mapper = AddressMapper::canonical(1, 8, 32).unwrap();
         let burst_banks = |name: &str| {
             let mut s = SyntheticStream::new(by_name(name).unwrap(), geometry, 3, 0);
@@ -465,7 +464,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_slots_cursors_and_carries_outside_the_geometry() {
-        let geometry = StreamGeometry::default();
+        let geometry = StreamGeometry::of(&DramConfig::baseline_4core());
         let fresh = || SyntheticStream::new(by_name("mcf").unwrap(), geometry, 5, 0);
         type Corrupt = fn(&mut SyntheticStream);
         let corruptions: [(&str, Corrupt); 4] = [
@@ -497,7 +496,7 @@ mod tests {
 
     #[test]
     fn addresses_stay_in_thread_region() {
-        let geometry = StreamGeometry::default();
+        let geometry = StreamGeometry::of(&DramConfig::baseline_4core());
         let mapper = AddressMapper::canonical(1, 8, 32).unwrap();
         for salt in [0u64, 3] {
             let mut s = SyntheticStream::new(by_name("mcf").unwrap(), geometry, 5, salt);

@@ -2,12 +2,17 @@
 //! at any seed, produces streams with the promised structural properties.
 
 use parbs_cpu::{Instr, InstructionStream};
-use parbs_dram::AddressMapper;
+use parbs_dram::{AddressMapper, DramConfig};
 use parbs_workloads::{all_benchmarks, StreamGeometry, SyntheticStream};
 use proptest::prelude::*;
 
 fn is_load(i: &Instr) -> bool {
     matches!(i, Instr::Load(_) | Instr::DependentLoad(_))
+}
+
+/// The stream geometry of Table 2's 4-core DRAM system.
+fn baseline() -> StreamGeometry {
+    StreamGeometry::of(&DramConfig::baseline_4core())
 }
 
 fn line_of(i: &Instr) -> Option<u64> {
@@ -27,7 +32,7 @@ proptest! {
         salt in 0u64..16,
     ) {
         let bench = &all_benchmarks()[bench_idx];
-        let geometry = StreamGeometry::baseline_4core();
+        let geometry = baseline();
         let mapper = AddressMapper::canonical(1, 8, 32).unwrap();
         let mut s = SyntheticStream::new(bench, geometry, seed, salt);
         let base = salt * geometry.region_rows;
@@ -51,7 +56,7 @@ proptest! {
         let bench = &all_benchmarks()[bench_idx];
         // Only check profiles intense enough for tight statistics.
         prop_assume!(bench.mpki >= 5.0);
-        let mut s = SyntheticStream::new(bench, StreamGeometry::baseline_4core(), seed, 0);
+        let mut s = SyntheticStream::new(bench, baseline(), seed, 0);
         let n = 300_000usize;
         let loads = (0..n).filter(|_| is_load(&s.next_instr())).count();
         let measured = loads as f64 * 1000.0 / n as f64;
@@ -64,7 +69,7 @@ proptest! {
 
     #[test]
     fn multi_channel_geometry_covers_all_channels(seed in any::<u64>()) {
-        let geometry = StreamGeometry::for_cores(16);
+        let geometry = StreamGeometry::of(&DramConfig::for_cores(16));
         let mapper = AddressMapper::canonical(geometry.channels, geometry.banks_per_channel, 32).unwrap();
         let bench = parbs_workloads::by_name("mcf").unwrap();
         let mut s = SyntheticStream::new(bench, geometry, seed, 0);
@@ -82,7 +87,7 @@ proptest! {
         // mcf has stream depth 1: every burst's first load is dependent.
         let bench = parbs_workloads::by_name("mcf").unwrap();
         prop_assume!(bench.stream_depth() == 1);
-        let mut s = SyntheticStream::new(bench, StreamGeometry::baseline_4core(), seed, 0);
+        let mut s = SyntheticStream::new(bench, baseline(), seed, 0);
         let mut saw_fence = false;
         let mut independent_run = 0usize;
         let mut max_run = 0usize;
@@ -110,7 +115,7 @@ fn streaming_profiles_keep_multiple_episodes_in_flight() {
     // libquantum (depth 12): fences are rare relative to loads.
     let bench = parbs_workloads::by_name("libquantum").unwrap();
     assert!(bench.stream_depth() > 1);
-    let mut s = SyntheticStream::new(bench, StreamGeometry::baseline_4core(), 3, 0);
+    let mut s = SyntheticStream::new(bench, baseline(), 3, 0);
     let (mut fences, mut loads) = (0u32, 0u32);
     for _ in 0..200_000 {
         match s.next_instr() {
