@@ -20,8 +20,9 @@
 //! verdicts on Case Study 1 are digested online and on replay of its
 //! JSONL trace. The static analyses are digested too: every scheduler's
 //! `check-keys` report, its `check-liveness` report and witness on the
-//! tiny geometry, and the states and commands of `check-timing`'s
-//! depth-4 differential check on the 1- and 2-rank tiny geometries.
+//! tiny geometry and on a one-adversary geometry, and the states and
+//! commands of `check-timing`'s depth-4 differential check on the 1- and
+//! 2-rank tiny geometries.
 //! The PAR-BS variants and extensions are covered row by row: the
 //! Marking-Cap sweep of Fig. 11, the batching and ranking choices of
 //! Figs. 12 and 13 and the `ext_schedulers` rows (STFQ and the adaptive
@@ -178,8 +179,21 @@ fn checkpoint_cases(
     ]
 }
 
+/// 2 banks × 2 rows, queue 4 and one adversary: a geometry on which every
+/// scheduler but FR-FCFS proves a bound, PAR-BS's being 6 services.
+fn one_adversary() -> LivenessConfig {
+    LivenessConfig {
+        banks: 2,
+        rows: 2,
+        queue_capacity: 4,
+        adversary_threads: 1,
+        ..LivenessConfig::tiny()
+    }
+}
+
 /// `kind`'s `check-keys` report line and its `check-liveness` report, with
-/// any witness, on the tiny geometry, as `parbs-sim` builds the scheduler.
+/// any witness, on the tiny geometry and on [`one_adversary`], as
+/// `parbs-sim` builds the scheduler.
 fn analysis_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
     let build = || kind.build(&SimConfig::for_cores(4));
     let keys = check_scheduler_keys(&build).expect("the key contract holds");
@@ -187,15 +201,18 @@ fn analysis_cases(kind: &SchedulerKind) -> Vec<(String, u64)> {
         "{}: {} field(s) verified over {} state(s), {} key(s), {} pair(s)\n",
         keys.scheduler, keys.fields, keys.states, keys.keys, keys.pairs
     );
-    let liveness =
-        check_scheduler_liveness(&*build(), &LivenessConfig::tiny()).expect("a contract");
-    let mut text = format!("{liveness}\n");
-    if let Some(w) = &liveness.witness {
-        text.push_str(&w.describe());
-    }
+    let liveness = |geometry: &str, cfg: &LivenessConfig| {
+        let report = check_scheduler_liveness(&*build(), cfg).expect("a contract");
+        let mut text = format!("{report}\n");
+        if let Some(w) = &report.witness {
+            text.push_str(&w.describe());
+        }
+        (format!("check-liveness/{geometry}/{}", kind.name()), digest_bytes(text.as_bytes()))
+    };
     vec![
         (format!("check-keys/{}", kind.name()), digest_bytes(keys.as_bytes())),
-        (format!("check-liveness/tiny/{}", kind.name()), digest_bytes(text.as_bytes())),
+        liveness("tiny", &LivenessConfig::tiny()),
+        liveness("one-adversary", &one_adversary()),
     ]
 }
 
