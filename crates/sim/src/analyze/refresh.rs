@@ -37,7 +37,11 @@ use std::fmt;
 
 use parbs_dram::{RuleKind, TimingParams, TimingRule, DRAM_CYCLE, TIMING_RULES};
 
-/// Geometry and mode for the refresh model checker.
+/// Hard cap on explored states.
+const MAX_STATES: usize = 4_000_000;
+
+/// Geometry and mode for the refresh model checker. CAS, burst, tRFC and
+/// the derived refresh interval are DDR2-800's.
 #[derive(Debug, Clone)]
 pub struct RefreshConfig {
     /// Ranks sharing the channel (1..=4).
@@ -50,22 +54,11 @@ pub struct RefreshConfig {
     /// Refresh gating: `true` models the production controller, `false`
     /// a model with the seeded dropped-refresh bug.
     pub gating: bool,
-    /// Timing parameters (CAS, burst, tRFC and the derived refresh
-    /// interval come from here).
-    pub timing: TimingParams,
-    /// Hard cap on explored states.
-    pub max_states: usize,
 }
 
 impl Default for RefreshConfig {
     fn default() -> Self {
-        RefreshConfig {
-            ranks: 2,
-            t_refi_dc: Some(32),
-            gating: true,
-            timing: TimingParams::ddr2_800(),
-            max_states: 4_000_000,
-        }
+        RefreshConfig { ranks: 2, t_refi_dc: Some(32), gating: true }
     }
 }
 
@@ -181,7 +174,7 @@ pub fn check_refresh_with_rules(
         .iter()
         .find(|r| r.kind == RuleKind::Deadline)
         .ok_or("no tREFI deadline rule in the timing-rule table — refresh compliance cannot be model-checked")?;
-    let t = &cfg.timing;
+    let t = &TimingParams::ddr2_800();
     let derived_dc = rule.min_sep_cycles(t) / DRAM_CYCLE;
     let t_refi_dc = interval_in_range(cfg.t_refi_dc.unwrap_or(derived_dc))?;
     let cas_dc = (t.t_cl / DRAM_CYCLE) as u16;
@@ -238,10 +231,9 @@ pub fn check_refresh_with_rules(
                     verdict: RefreshVerdict::Violated { depth: d },
                 });
             }
-            if seen.len() >= cfg.max_states {
+            if seen.len() >= MAX_STATES {
                 return Err(format!(
-                    "state cap {} exceeded — shrink ranks or the tREFI override",
-                    cfg.max_states
+                    "state cap {MAX_STATES} exceeded — shrink ranks or the tREFI override"
                 ));
             }
             seen.insert(n.clone(), d);
@@ -291,7 +283,7 @@ mod tests {
     fn derived_trefi_matches_the_rule_table() {
         // With no override the interval comes from the tREFI rule itself:
         // 31_200 processor cycles = 3120 DRAM cycles for DDR2-800.
-        let cfg = RefreshConfig { ranks: 1, t_refi_dc: None, gating: false, ..Default::default() };
+        let cfg = RefreshConfig { ranks: 1, t_refi_dc: None, gating: false };
         let r = check_refresh(&cfg).unwrap();
         assert_eq!(r.t_refi_dc, 3120);
         let RefreshVerdict::Violated { depth } = r.verdict else { panic!("{r}") };

@@ -223,7 +223,7 @@ mod tests {
             rows: 2,
             queue_capacity: 8,
             adversary_threads: 1,
-            ..Default::default()
+            ..LivenessConfig::tiny()
         }
     }
 

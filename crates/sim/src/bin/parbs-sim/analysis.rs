@@ -95,7 +95,6 @@ fn check_refresh_deadline(args: &Args) {
         ranks: args.num("--ranks").unwrap_or(2) as usize,
         t_refi_dc: Some(args.num("--trefi-dc").unwrap_or(32)),
         gating,
-        ..RefreshConfig::default()
     };
     cfg.validate().unwrap_or_else(|e| crate::fail(format!("check-timing --refresh: {e}")));
     let report =
