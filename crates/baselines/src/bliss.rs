@@ -171,13 +171,16 @@ impl MemoryScheduler for BlissScheduler {
     }
 
     fn liveness_contract(&self) -> Option<LivenessContract> {
-        // A hammering thread is blacklisted after `BLACKLIST_THRESHOLD`
-        // consecutive services, at which point any non-blacklisted request
-        // outranks its row hits. (The periodic clearing interval is not
-        // modeled; see [`LivenessPolicy::Blacklist`].)
+        // A lone hammering thread is blacklisted after
+        // `BLACKLIST_THRESHOLD` consecutive services, but the streak counts
+        // only the last-serviced thread: two threads that take turns
+        // hammering an open row reset each other's streak, are never
+        // blacklisted, and starve an older row conflict forever. BLISS as
+        // published behaves this way. (The periodic clearing interval is
+        // not modeled; see [`LivenessPolicy::Blacklist`].)
         Some(LivenessContract {
             policy: LivenessPolicy::Blacklist { threshold: BLACKLIST_THRESHOLD },
-            claim: StarvationClaim::Bounded,
+            claim: StarvationClaim::Unbounded,
         })
     }
 

@@ -44,9 +44,12 @@ pub enum LivenessPolicy {
     },
     /// Consecutive-service blacklisting (BLISS): a thread serviced
     /// `threshold` times in a row is blacklisted; non-blacklisted requests
-    /// outrank blacklisted ones, then row hits, then age. The model omits
-    /// BLISS's periodic clearing — clearing only lengthens the bound by a
-    /// constant per interval, it cannot turn a bounded policy unbounded.
+    /// outrank blacklisted ones, then row hits, then age. The count is of
+    /// *consecutive* services, so threads that alternate evade it: two
+    /// adversaries taking turns on an open row are never blacklisted and
+    /// starve a row conflict forever. The model omits BLISS's periodic
+    /// clearing, which only un-blacklists threads and so cannot break such
+    /// a loop.
     Blacklist {
         /// Consecutive services before a thread is blacklisted.
         threshold: u32,
