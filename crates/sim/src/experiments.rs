@@ -206,7 +206,7 @@ pub fn param_sweep_axes(base: &SimConfig) -> Vec<ParamAxis> {
         ),
         axis(
             "request-buffer size",
-            &[32, 64, 128],
+            &[8, 16, 128],
             |n| format!("{n} entries"),
             |c, n| c.dram.request_buffer_cap = n as usize,
         ),
