@@ -3,6 +3,8 @@
 //! Every node carries the 1-based line/column of its first token so the
 //! checker can report resolution and type errors at the exact source spot.
 
+use crate::fields::Ty;
+
 /// A node plus the position of its first token.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sp<T> {
@@ -30,56 +32,81 @@ pub enum UnOp {
     Not,
 }
 
-/// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/` (division by zero yields 0)
-    Div,
-    /// `%` (modulo by zero yields 0)
-    Mod,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `&&` (short-circuit)
-    And,
-    /// `||` (short-circuit)
-    Or,
+/// Declares [`BinOp`] from one `Variant "text" binding-power operand ->
+/// result` line per operator: its text (lexer and error messages), how
+/// tightly it binds (parser), and the type both operands must have and the
+/// type it yields (checker). An operand type of `_` means the operands need
+/// only agree.
+macro_rules! bin_ops {
+    ($($(#[$doc:meta])* $op:ident $text:literal $bp:literal $operand:tt -> $result:ident,)*) => {
+        /// Binary operators.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum BinOp {
+            $(#[doc = concat!("`", $text, "`")] $(#[$doc])* $op,)*
+        }
+
+        impl BinOp {
+            /// The operator spelled `text`.
+            pub(crate) fn parse(text: &str) -> Option<BinOp> {
+                Some(match text {
+                    $($text => BinOp::$op,)*
+                    _ => return None,
+                })
+            }
+
+            /// The operator's text.
+            pub(crate) fn glyph(self) -> &'static str {
+                match self {
+                    $(BinOp::$op => $text,)*
+                }
+            }
+
+            /// How tightly the operator binds; higher binds tighter.
+            pub(crate) fn binding_power(self) -> u8 {
+                match self {
+                    $(BinOp::$op => $bp,)*
+                }
+            }
+
+            /// The type both operands must have; `None` when they need only
+            /// agree.
+            pub(crate) fn operands(self) -> Option<Ty> {
+                match self {
+                    $(BinOp::$op => bin_ops!(@ty $operand),)*
+                }
+            }
+
+            /// The type of the result.
+            pub(crate) fn result(self) -> Ty {
+                match self {
+                    $(BinOp::$op => Ty::$result,)*
+                }
+            }
+        }
+    };
+    (@ty _) => { None };
+    (@ty $ty:ident) => { Some(Ty::$ty) };
 }
 
-impl BinOp {
-    /// Operator glyph for error messages.
-    pub fn glyph(self) -> &'static str {
-        match self {
-            BinOp::Add => "+",
-            BinOp::Sub => "-",
-            BinOp::Mul => "*",
-            BinOp::Div => "/",
-            BinOp::Mod => "%",
-            BinOp::Lt => "<",
-            BinOp::Le => "<=",
-            BinOp::Gt => ">",
-            BinOp::Ge => ">=",
-            BinOp::Eq => "==",
-            BinOp::Ne => "!=",
-            BinOp::And => "&&",
-            BinOp::Or => "||",
-        }
-    }
+bin_ops! {
+    Add "+" 4 Int -> Int,
+    /// In prefix position, unary minus.
+    Sub "-" 4 Int -> Int,
+    Mul "*" 5 Int -> Int,
+    /// Division by zero yields 0.
+    Div "/" 5 Int -> Int,
+    /// Modulo by zero yields 0.
+    Mod "%" 5 Int -> Int,
+    Lt "<" 3 Int -> Bool,
+    Le "<=" 3 Int -> Bool,
+    Gt ">" 3 Int -> Bool,
+    Ge ">=" 3 Int -> Bool,
+    Eq "==" 3 _ -> Bool,
+    Ne "!=" 3 _ -> Bool,
+    /// Short-circuits.
+    And "&&" 2 Bool -> Bool,
+    /// Short-circuits.
+    Or "||" 1 Bool -> Bool,
 }
 
 /// An unresolved expression.

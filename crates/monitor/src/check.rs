@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use parbs_obs::EventKind;
 
-use crate::ast::{ADecl, AExpr, AInit, BinOp, Sp, UnOp};
+use crate::ast::{ADecl, AExpr, AInit, Sp, UnOp};
 use crate::fields::{self, Ty};
 use crate::ir::{
     Action, Expr, InputDef, Part, Removal, SpecIr, StateDef, StateKind, Step, TriggerDef,
@@ -34,9 +34,6 @@ struct StateMeta {
     arity: usize,
     ty: Option<Ty>,
     kind: StateKind,
-    /// True for maps and counters (the only `size()`-able streams).
-    sizeable: bool,
-    len_lint: Option<u64>,
 }
 
 #[derive(Default)]
@@ -86,7 +83,7 @@ impl Checker {
     /// Pass 1: register every name; resolve event kinds and window shapes.
     fn declare(&mut self, decls: &[ADecl]) -> Result<(), SpecError> {
         for decl in decls {
-            match decl {
+            let (name, arity, ty, kind) = match decl {
                 ADecl::Input { name, kind, .. } => {
                     self.fresh(name)?;
                     let Some(kind_id) = EventKind::parse(&kind.node) else {
@@ -106,26 +103,10 @@ impl Checker {
                         kind: kind_id,
                         guard: None,
                     });
+                    continue;
                 }
-                ADecl::Map { name, keys, .. } => {
-                    self.add_state(
-                        name,
-                        keys.len(),
-                        Some(Ty::Int),
-                        StateKind::Table { default: 0 },
-                        true,
-                        None,
-                    )?;
-                }
-                ADecl::Counter { name, keys, .. } => {
-                    self.add_state(
-                        name,
-                        keys.len(),
-                        Some(Ty::Int),
-                        StateKind::Table { default: 0 },
-                        true,
-                        None,
-                    )?;
+                ADecl::Map { name, keys, .. } | ADecl::Counter { name, keys, .. } => {
+                    (name, keys.len(), Some(Ty::Int), StateKind::Table { default: 0 })
                 }
                 ADecl::Hold { name, init, .. } => {
                     let (ty, default) = match init.as_ref().map(|i| i.node) {
@@ -133,26 +114,28 @@ impl Checker {
                         Some(AInit::Bool(b)) => (Some(Ty::Bool), i64::from(b)),
                         None => (None, 0),
                     };
-                    self.add_state(name, 0, ty, StateKind::Table { default }, false, None)?;
+                    (name, 0, ty, StateKind::Table { default })
                 }
                 ADecl::Window { name, keys, len, tumbling, .. } => {
-                    if len.node <= 0 {
+                    let Ok(cycles @ 1..) = u64::try_from(len.node) else {
                         return Err(err(
                             len.line,
                             len.col,
                             format!("window '{}' length must be positive", name.node),
                         ));
-                    }
-                    let cycles = u64::try_from(len.node).expect("length was checked positive");
+                    };
                     let kind = if *tumbling {
                         StateKind::Tumbling { len: cycles }
                     } else {
                         StateKind::Sliding { len: cycles }
                     };
-                    self.add_state(name, keys.len(), Some(Ty::Int), kind, false, Some(cycles))?;
+                    (name, keys.len(), Some(Ty::Int), kind)
                 }
-                ADecl::Trigger { .. } => {}
-            }
+                ADecl::Trigger { .. } => continue,
+            };
+            self.fresh(name)?;
+            self.state_names.insert(name.node.clone(), self.states.len());
+            self.states.push(StateMeta { name: name.node.clone(), arity, ty, kind });
         }
         Ok(())
     }
@@ -161,28 +144,6 @@ impl Checker {
         if self.input_names.contains_key(&name.node) || self.state_names.contains_key(&name.node) {
             return Err(err(name.line, name.col, format!("duplicate stream name '{}'", name.node)));
         }
-        Ok(())
-    }
-
-    fn add_state(
-        &mut self,
-        name: &Sp<String>,
-        arity: usize,
-        ty: Option<Ty>,
-        kind: StateKind,
-        sizeable: bool,
-        len_lint: Option<u64>,
-    ) -> Result<(), SpecError> {
-        self.fresh(name)?;
-        self.state_names.insert(name.node.clone(), self.states.len());
-        self.states.push(StateMeta {
-            name: name.node.clone(),
-            arity,
-            ty,
-            kind,
-            sizeable,
-            len_lint,
-        });
         Ok(())
     }
 
@@ -208,60 +169,33 @@ impl Checker {
             ADecl::Input { name, guard, .. } => {
                 if let Some(g) = guard {
                     let idx = self.input_names[&name.node];
-                    let kind = self.inputs[idx].kind;
-                    let (ge, ty) = self.resolve(g, kind)?;
-                    if ty != Ty::Bool {
-                        return Err(err(
-                            g.line,
-                            g.col,
-                            format!("input guard must be Bool, found {}", ty.name()),
-                        ));
-                    }
-                    self.inputs[idx].guard = Some(ge);
+                    let guard = self.typed(g, self.inputs[idx].kind, Ty::Bool, "input guard")?;
+                    self.inputs[idx].guard = Some(guard);
                 }
             }
             ADecl::Map { name, keys, arms, removes } => {
                 let state = self.state_names[&name.node];
                 for arm in arms {
-                    let input = self.input_idx(&arm.input)?;
-                    let kind = self.inputs[input].kind;
-                    let rkeys = self.resolve_keys(keys, kind)?;
-                    let (value, ty) = self.resolve(&arm.value, kind)?;
-                    if ty != Ty::Int {
-                        return Err(err(
-                            arm.value.line,
-                            arm.value.col,
-                            format!("map value must be Int, found {}", ty.name()),
-                        ));
-                    }
-                    self.steps
-                        .push(Step { input, action: Action::Set { state, keys: rkeys, value } });
+                    self.update(&arm.input, keys, Some(&arm.value), "map value", |keys, value| {
+                        Action::Set { state, keys, value }
+                    })?;
                 }
                 for target in removes {
                     let input = self.input_idx(target)?;
-                    let kind = self.inputs[input].kind;
-                    let rkeys = self.resolve_keys(keys, kind)?;
-                    self.removals.push(Removal::Entry { input, state, keys: rkeys });
+                    let keys = self.resolve_keys(keys, self.inputs[input].kind)?;
+                    self.removals.push(Removal::Entry { input, state, keys });
                 }
             }
             ADecl::Counter { name, keys, arms, resets } => {
                 let state = self.state_names[&name.node];
                 for arm in arms {
-                    let input = self.input_idx(&arm.input)?;
-                    let kind = self.inputs[input].kind;
-                    let rkeys = self.resolve_keys(keys, kind)?;
-                    let (value, ty) = self.resolve(&arm.value, kind)?;
-                    if ty != Ty::Int {
-                        return Err(err(
-                            arm.value.line,
-                            arm.value.col,
-                            format!("counter delta must be Int, found {}", ty.name()),
-                        ));
-                    }
-                    self.steps.push(Step {
-                        input,
-                        action: Action::Add { state, keys: rkeys, value, neg: arm.neg },
-                    });
+                    self.update(
+                        &arm.input,
+                        keys,
+                        Some(&arm.value),
+                        "counter delta",
+                        |keys, value| Action::Add { state, keys, value, neg: arm.neg },
+                    )?;
                 }
                 for target in resets {
                     let input = self.input_idx(target)?;
@@ -298,36 +232,16 @@ impl Checker {
             }
             ADecl::Window { name, keys, sum, input, .. } => {
                 let state = self.state_names[&name.node];
-                let input = self.input_idx(input)?;
-                let kind = self.inputs[input].kind;
-                let rkeys = self.resolve_keys(keys, kind)?;
-                let value = match sum {
-                    None => Expr::Int(1),
-                    Some(e) => {
-                        let (ve, ty) = self.resolve(e, kind)?;
-                        if ty != Ty::Int {
-                            return Err(err(
-                                e.line,
-                                e.col,
-                                format!("window sum must be Int, found {}", ty.name()),
-                            ));
-                        }
-                        ve
-                    }
-                };
-                self.steps.push(Step { input, action: Action::Push { state, keys: rkeys, value } });
+                self.update(input, keys, sum.as_ref(), "window sum", |keys, value| Action::Push {
+                    state,
+                    keys,
+                    value,
+                })?;
             }
             ADecl::Trigger { severity, name, input, cond, message } => {
                 let input = self.input_idx(input)?;
                 let kind = self.inputs[input].kind;
-                let (ce, ty) = self.resolve(cond, kind)?;
-                if ty != Ty::Bool {
-                    return Err(err(
-                        cond.line,
-                        cond.col,
-                        format!("trigger condition must be Bool, found {}", ty.name()),
-                    ));
-                }
+                let cond = self.typed(cond, kind, Ty::Bool, "trigger condition")?;
                 let parts = match message {
                     Some(template) => self.template(template, kind)?,
                     None => vec![Part::Lit(name.node.clone())],
@@ -336,7 +250,7 @@ impl Checker {
                 self.triggers.push(TriggerDef {
                     severity: *severity,
                     name: name.node.clone(),
-                    cond: ce,
+                    cond,
                     message: parts,
                 });
                 self.steps.push(Step { input, action: Action::Fire { trigger } });
@@ -345,27 +259,53 @@ impl Checker {
         Ok(())
     }
 
+    /// Resolves one Int-valued update arm — its input, the stream's `keys`
+    /// on that input's event kind and its `value` (1 when absent; `what`
+    /// names it in a type error) — and pushes the step `action` builds.
+    fn update(
+        &mut self,
+        input: &Sp<String>,
+        keys: &[Sp<AExpr>],
+        value: Option<&Sp<AExpr>>,
+        what: &str,
+        action: impl FnOnce(Vec<Expr>, Expr) -> Action,
+    ) -> Result<(), SpecError> {
+        let input = self.input_idx(input)?;
+        let kind = self.inputs[input].kind;
+        let keys = self.resolve_keys(keys, kind)?;
+        let value = match value {
+            Some(v) => self.typed(v, kind, Ty::Int, what)?,
+            None => Expr::Int(1),
+        };
+        self.steps.push(Step { input, action: action(keys, value) });
+        Ok(())
+    }
+
     fn resolve_keys(
         &mut self,
         keys: &[Sp<AExpr>],
         kind: EventKind,
     ) -> Result<Vec<Expr>, SpecError> {
-        keys.iter()
-            .map(|k| {
-                let (ke, ty) = self.resolve(k, kind)?;
-                if ty != Ty::Int {
-                    return Err(err(
-                        k.line,
-                        k.col,
-                        format!("stream keys must be Int, found {}", ty.name()),
-                    ));
-                }
-                Ok(ke)
-            })
-            .collect()
+        keys.iter().map(|k| self.typed(k, kind, Ty::Int, "stream keys")).collect()
     }
 
-    #[allow(clippy::too_many_lines)]
+    /// Resolves `e`, which must be of type `want`; `what` names it in the
+    /// error.
+    fn typed(
+        &mut self,
+        e: &Sp<AExpr>,
+        kind: EventKind,
+        want: Ty,
+        what: &str,
+    ) -> Result<Expr, SpecError> {
+        let (expr, ty) = self.resolve(e, kind)?;
+        if ty != want {
+            let message = format!("{what} must be {}, found {}", want.name(), ty.name());
+            return Err(err(e.line, e.col, message));
+        }
+        Ok(expr)
+    }
+
     fn resolve(&mut self, e: &Sp<AExpr>, kind: EventKind) -> Result<(Expr, Ty), SpecError> {
         match &e.node {
             AExpr::Int(n) => Ok((Expr::Int(*n), Ty::Int)),
@@ -436,7 +376,9 @@ impl Checker {
                         format!("unknown stream '{}'", name.node),
                     ));
                 };
-                if !self.states[si].sizeable || self.states[si].arity == 0 {
+                // Only keyed maps and counters (keyed tables) have a size.
+                let state = &self.states[si];
+                if state.arity == 0 || !matches!(state.kind, StateKind::Table { .. }) {
                     return Err(err(
                         name.line,
                         name.col,
@@ -451,81 +393,34 @@ impl Checker {
             }
             AExpr::Un(op, inner) => {
                 let (ie, ty) = self.resolve(inner, kind)?;
-                match op {
-                    UnOp::Not if ty != Ty::Bool => Err(err(
-                        e.line,
-                        e.col,
-                        format!("'!' expects a Bool operand, found {}", ty.name()),
-                    )),
-                    UnOp::Neg if ty != Ty::Int => Err(err(
-                        e.line,
-                        e.col,
-                        format!("unary '-' expects an Int operand, found {}", ty.name()),
-                    )),
-                    _ => Ok((Expr::Un(*op, Box::new(ie)), ty)),
+                let (want, what) = match op {
+                    UnOp::Not => (Ty::Bool, "'!' expects a Bool operand"),
+                    UnOp::Neg => (Ty::Int, "unary '-' expects an Int operand"),
+                };
+                if ty != want {
+                    return Err(err(e.line, e.col, format!("{what}, found {}", ty.name())));
                 }
+                Ok((Expr::Un(*op, Box::new(ie)), ty))
             }
             AExpr::Bin(op, lhs, rhs) => {
                 let (le, lty) = self.resolve(lhs, kind)?;
                 let (re, rty) = self.resolve(rhs, kind)?;
-                let expr = Expr::Bin(*op, Box::new(le), Box::new(re));
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        if lty != Ty::Int || rty != Ty::Int {
-                            let bad = if lty == Ty::Int { rty } else { lty };
-                            return Err(err(
-                                e.line,
-                                e.col,
-                                format!(
-                                    "'{}' expects Int operands, found {}",
-                                    op.glyph(),
-                                    bad.name()
-                                ),
-                            ));
-                        }
-                        Ok((expr, Ty::Int))
+                let message = match op.operands() {
+                    None if lty != rty => {
+                        format!("cannot compare {} with {}", lty.name(), rty.name())
                     }
-                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        if lty != Ty::Int || rty != Ty::Int {
-                            let bad = if lty == Ty::Int { rty } else { lty };
-                            return Err(err(
-                                e.line,
-                                e.col,
-                                format!(
-                                    "'{}' expects Int operands, found {}",
-                                    op.glyph(),
-                                    bad.name()
-                                ),
-                            ));
-                        }
-                        Ok((expr, Ty::Bool))
+                    Some(want) if lty != want || rty != want => {
+                        let bad = if lty == want { rty } else { lty };
+                        format!(
+                            "'{}' expects {} operands, found {}",
+                            op.glyph(),
+                            want.name(),
+                            bad.name()
+                        )
                     }
-                    BinOp::Eq | BinOp::Ne => {
-                        if lty != rty {
-                            return Err(err(
-                                e.line,
-                                e.col,
-                                format!("cannot compare {} with {}", lty.name(), rty.name()),
-                            ));
-                        }
-                        Ok((expr, Ty::Bool))
-                    }
-                    BinOp::And | BinOp::Or => {
-                        if lty != Ty::Bool || rty != Ty::Bool {
-                            let bad = if lty == Ty::Bool { rty } else { lty };
-                            return Err(err(
-                                e.line,
-                                e.col,
-                                format!(
-                                    "'{}' expects Bool operands, found {}",
-                                    op.glyph(),
-                                    bad.name()
-                                ),
-                            ));
-                        }
-                        Ok((expr, Ty::Bool))
-                    }
-                }
+                    _ => return Ok((Expr::Bin(*op, Box::new(le), Box::new(re)), op.result())),
+                };
+                Err(err(e.line, e.col, message))
             }
         }
     }
@@ -588,14 +483,12 @@ impl Checker {
             if !self.read_states.contains(&i) {
                 lints.push(format!("stream '{}' is never read", state.name));
             }
-            if let Some(len) = state.len_lint {
-                if len >= 1_000_000 && matches!(state.kind, StateKind::Sliding { .. }) {
-                    lints.push(format!(
-                        "window '{}' spans {len} cycles; sliding windows buffer every \
-                         event in the span, consider a tumbling window",
-                        state.name
-                    ));
-                }
+            if let StateKind::Sliding { len: len @ 1_000_000.. } = state.kind {
+                lints.push(format!(
+                    "window '{}' spans {len} cycles; sliding windows buffer every event in \
+                     the span, consider a tumbling window",
+                    state.name
+                ));
             }
         }
         lints

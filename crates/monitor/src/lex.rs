@@ -4,107 +4,85 @@
 //! type error can point at the offending spot; the workspace's golden
 //! tests in `tests/spec_errors.rs` pin the exact rendered positions down.
 
+use crate::ast::BinOp;
 use crate::SpecError;
 
-/// One lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    /// Identifier (stream, field or event-kind name).
-    Ident(String),
-    /// Double-quoted string literal (trigger names, message templates).
-    Str(String),
-    /// Unsigned integer literal (fits i64).
-    Int(i64),
-    /// `input`
-    KwInput,
-    /// `map`
-    KwMap,
-    /// `counter`
-    KwCounter,
-    /// `hold`
-    KwHold,
-    /// `window`
-    KwWindow,
-    /// `trigger`
-    KwTrigger,
-    /// `when`
-    KwWhen,
-    /// `on`
-    KwOn,
-    /// `remove`
-    KwRemove,
-    /// `add`
-    KwAdd,
-    /// `sub`
-    KwSub,
-    /// `reset`
-    KwReset,
-    /// `init`
-    KwInit,
-    /// `over`
-    KwOver,
-    /// `in`
-    KwIn,
-    /// `tumbling`
-    KwTumbling,
-    /// `count`
-    KwCount,
-    /// `sum`
-    KwSum,
-    /// `size`
-    KwSize,
-    /// `message`
-    KwMessage,
-    /// `warn`
-    KwWarn,
-    /// `error`
-    KwError,
-    /// `true`
-    True,
-    /// `false`
-    False,
-    /// `:=`
-    Assign,
-    /// `[`
-    LBracket,
-    /// `]`
-    RBracket,
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `,`
-    Comma,
-    /// `!`
-    Bang,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
-    /// `*`
-    Star,
-    /// `/`
-    Slash,
-    /// `%`
-    Percent,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `==`
-    EqEq,
-    /// `!=`
-    Ne,
-    /// `&&`
-    AndAnd,
-    /// `||`
-    OrOr,
-    /// End of input.
-    Eof,
+/// Declares [`Tok`] from one `Variant "text"` entry per fixed token: the
+/// variants, their text ([`Tok::glyph`]) and the lookup from text to token
+/// ([`Tok::fixed`]), which serves words and symbols alike. The binary
+/// operators are not entries: they lex to [`Tok::Bin`] through [`BinOp`]'s
+/// own table.
+macro_rules! tokens {
+    ($($tok:ident $text:literal,)*) => {
+        /// One lexical token.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Tok {
+            /// Identifier (stream, field or event-kind name).
+            Ident(String),
+            /// Double-quoted string literal (trigger names, message templates).
+            Str(String),
+            /// Unsigned integer literal (fits i64).
+            Int(i64),
+            /// A binary operator; `-` in prefix position is unary minus.
+            Bin(BinOp),
+            $(#[doc = concat!("`", $text, "`")] $tok,)*
+            /// End of input.
+            Eof,
+        }
+
+        impl Tok {
+            fn glyph(&self) -> &'static str {
+                match self {
+                    $(Tok::$tok => $text,)*
+                    Tok::Bin(op) => op.glyph(),
+                    Tok::Ident(_) | Tok::Str(_) | Tok::Int(_) | Tok::Eof => unreachable!(),
+                }
+            }
+
+            /// The fixed token spelled `text`: a word, a symbol or a binary
+            /// operator.
+            fn fixed(text: &str) -> Option<Tok> {
+                Some(match text {
+                    $($text => Tok::$tok,)*
+                    _ => return BinOp::parse(text).map(Tok::Bin),
+                })
+            }
+        }
+    };
+}
+
+tokens! {
+    KwInput "input",
+    KwMap "map",
+    KwCounter "counter",
+    KwHold "hold",
+    KwWindow "window",
+    KwTrigger "trigger",
+    KwWhen "when",
+    KwOn "on",
+    KwRemove "remove",
+    KwAdd "add",
+    KwSub "sub",
+    KwReset "reset",
+    KwInit "init",
+    KwOver "over",
+    KwIn "in",
+    KwTumbling "tumbling",
+    KwCount "count",
+    KwSum "sum",
+    KwSize "size",
+    KwMessage "message",
+    KwWarn "warn",
+    KwError "error",
+    True "true",
+    False "false",
+    Assign ":=",
+    LBracket "[",
+    RBracket "]",
+    LParen "(",
+    RParen ")",
+    Comma ",",
+    Bang "!",
 }
 
 impl Tok {
@@ -117,56 +95,6 @@ impl Tok {
             Tok::Int(n) => format!("'{n}'"),
             Tok::Eof => "end of spec".to_owned(),
             other => format!("'{}'", other.glyph()),
-        }
-    }
-
-    fn glyph(&self) -> &'static str {
-        match self {
-            Tok::KwInput => "input",
-            Tok::KwMap => "map",
-            Tok::KwCounter => "counter",
-            Tok::KwHold => "hold",
-            Tok::KwWindow => "window",
-            Tok::KwTrigger => "trigger",
-            Tok::KwWhen => "when",
-            Tok::KwOn => "on",
-            Tok::KwRemove => "remove",
-            Tok::KwAdd => "add",
-            Tok::KwSub => "sub",
-            Tok::KwReset => "reset",
-            Tok::KwInit => "init",
-            Tok::KwOver => "over",
-            Tok::KwIn => "in",
-            Tok::KwTumbling => "tumbling",
-            Tok::KwCount => "count",
-            Tok::KwSum => "sum",
-            Tok::KwSize => "size",
-            Tok::KwMessage => "message",
-            Tok::KwWarn => "warn",
-            Tok::KwError => "error",
-            Tok::True => "true",
-            Tok::False => "false",
-            Tok::Assign => ":=",
-            Tok::LBracket => "[",
-            Tok::RBracket => "]",
-            Tok::LParen => "(",
-            Tok::RParen => ")",
-            Tok::Comma => ",",
-            Tok::Bang => "!",
-            Tok::Plus => "+",
-            Tok::Minus => "-",
-            Tok::Star => "*",
-            Tok::Slash => "/",
-            Tok::Percent => "%",
-            Tok::Lt => "<",
-            Tok::Le => "<=",
-            Tok::Gt => ">",
-            Tok::Ge => ">=",
-            Tok::EqEq => "==",
-            Tok::Ne => "!=",
-            Tok::AndAnd => "&&",
-            Tok::OrOr => "||",
-            Tok::Ident(_) | Tok::Str(_) | Tok::Int(_) | Tok::Eof => unreachable!(),
         }
     }
 }
@@ -182,36 +110,6 @@ pub struct Token {
     pub col: u32,
 }
 
-fn keyword(word: &str) -> Option<Tok> {
-    Some(match word {
-        "input" => Tok::KwInput,
-        "map" => Tok::KwMap,
-        "counter" => Tok::KwCounter,
-        "hold" => Tok::KwHold,
-        "window" => Tok::KwWindow,
-        "trigger" => Tok::KwTrigger,
-        "when" => Tok::KwWhen,
-        "on" => Tok::KwOn,
-        "remove" => Tok::KwRemove,
-        "add" => Tok::KwAdd,
-        "sub" => Tok::KwSub,
-        "reset" => Tok::KwReset,
-        "init" => Tok::KwInit,
-        "over" => Tok::KwOver,
-        "in" => Tok::KwIn,
-        "tumbling" => Tok::KwTumbling,
-        "count" => Tok::KwCount,
-        "sum" => Tok::KwSum,
-        "size" => Tok::KwSize,
-        "message" => Tok::KwMessage,
-        "warn" => Tok::KwWarn,
-        "error" => Tok::KwError,
-        "true" => Tok::True,
-        "false" => Tok::False,
-        _ => return None,
-    })
-}
-
 /// Tokenizes `src`, ending the stream with an [`Tok::Eof`] token.
 ///
 /// `#` starts a comment running to end of line. Offsets in the returned
@@ -219,140 +117,56 @@ fn keyword(word: &str) -> Option<Tok> {
 /// strings can be re-lexed with their own origin.
 pub fn lex(src: &str, base_line: u32) -> Result<Vec<Token>, SpecError> {
     let mut out = Vec::new();
-    let mut line = base_line;
-    let mut col: u32 = 1;
-    let mut chars = src.chars().peekable();
-    macro_rules! bump {
-        () => {{
-            let c = chars.next();
-            if c == Some('\n') {
-                line += 1;
-                col = 1;
-            } else if c.is_some() {
-                col += 1;
-            }
-            c
-        }};
-    }
-    loop {
-        let (tline, tcol) = (line, col);
-        let Some(&c) = chars.peek() else {
-            out.push(Token { tok: Tok::Eof, line, col });
-            return Ok(out);
-        };
-        match c {
-            ' ' | '\t' | '\r' | '\n' => {
-                bump!();
-            }
-            '#' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    bump!();
-                }
-            }
+    let (mut line, mut col) = (base_line, 1);
+    let mut rest = src;
+    while let Some(c) = rest.chars().next() {
+        let here = |message: &str| SpecError::at(line, col, message);
+        // The token's length in bytes, and the token (none for blanks and
+        // comments).
+        let (len, tok) = match c {
+            ' ' | '\t' | '\r' | '\n' => (1, None),
+            '#' => (rest.find('\n').unwrap_or(rest.len()), None),
             '"' => {
-                bump!();
-                let mut s = String::new();
-                loop {
-                    match chars.peek() {
-                        None | Some('\n') => {
-                            return Err(SpecError::at(tline, tcol, "unterminated string literal"))
-                        }
-                        Some('"') => {
-                            bump!();
-                            break;
-                        }
-                        Some(&c) => {
-                            s.push(c);
-                            bump!();
-                        }
-                    }
-                }
-                out.push(Token { tok: Tok::Str(s), line: tline, col: tcol });
+                let end = rest[1..].find(['"', '\n']).map(|i| i + 1);
+                let end = end.filter(|&i| rest[i..].starts_with('"'));
+                let end = end.ok_or_else(|| here("unterminated string literal"))?;
+                (end + 1, Some(Tok::Str(rest[1..end].to_owned())))
             }
             c if c.is_ascii_digit() => {
-                let mut n: i64 = 0;
-                while let Some(&c) = chars.peek() {
-                    let Some(d) = c.to_digit(10) else { break };
-                    n = n.checked_mul(10).and_then(|n| n.checked_add(i64::from(d))).ok_or_else(
-                        || SpecError::at(tline, tcol, "integer literal does not fit in i64"),
-                    )?;
-                    bump!();
-                }
-                out.push(Token { tok: Tok::Int(n), line: tline, col: tcol });
+                let len = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+                let n =
+                    rest[..len].parse().map_err(|_| here("integer literal does not fit in i64"))?;
+                (len, Some(Tok::Int(n)))
             }
             c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut word = String::new();
-                while let Some(&c) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        word.push(c);
-                        bump!();
-                    } else {
-                        break;
-                    }
-                }
-                let tok = keyword(&word).unwrap_or(Tok::Ident(word));
-                out.push(Token { tok, line: tline, col: tcol });
+                let word = |c: char| c.is_ascii_alphanumeric() || c == '_';
+                let len = rest.find(|c| !word(c)).unwrap_or(rest.len());
+                let text = &rest[..len];
+                (len, Some(Tok::fixed(text).unwrap_or_else(|| Tok::Ident(text.to_owned()))))
             }
             _ => {
-                bump!();
-                let next = chars.peek().copied();
-                let tok = match c {
-                    ':' if next == Some('=') => {
-                        bump!();
-                        Tok::Assign
-                    }
-                    '[' => Tok::LBracket,
-                    ']' => Tok::RBracket,
-                    '(' => Tok::LParen,
-                    ')' => Tok::RParen,
-                    ',' => Tok::Comma,
-                    '+' => Tok::Plus,
-                    '-' => Tok::Minus,
-                    '*' => Tok::Star,
-                    '/' => Tok::Slash,
-                    '%' => Tok::Percent,
-                    '!' if next == Some('=') => {
-                        bump!();
-                        Tok::Ne
-                    }
-                    '!' => Tok::Bang,
-                    '<' if next == Some('=') => {
-                        bump!();
-                        Tok::Le
-                    }
-                    '<' => Tok::Lt,
-                    '>' if next == Some('=') => {
-                        bump!();
-                        Tok::Ge
-                    }
-                    '>' => Tok::Gt,
-                    '=' if next == Some('=') => {
-                        bump!();
-                        Tok::EqEq
-                    }
-                    '&' if next == Some('&') => {
-                        bump!();
-                        Tok::AndAnd
-                    }
-                    '|' if next == Some('|') => {
-                        bump!();
-                        Tok::OrOr
-                    }
-                    other => {
-                        return Err(SpecError::at(
-                            tline,
-                            tcol,
-                            format!("unexpected character '{other}'"),
-                        ))
-                    }
+                // A symbol: the longest of its two- and one-character texts
+                // that spells a token.
+                let one = c.len_utf8();
+                let two = rest[one..].chars().next().map_or(one, |d| one + d.len_utf8());
+                let Some((len, tok)) =
+                    [two, one].into_iter().find_map(|len| Some((len, Tok::fixed(&rest[..len])?)))
+                else {
+                    return Err(here(&format!("unexpected character '{c}'")));
                 };
-                out.push(Token { tok, line: tline, col: tcol });
+                (len, Some(tok))
             }
+        };
+        if let Some(tok) = tok {
+            out.push(Token { tok, line, col });
         }
+        for c in rest[..len].chars() {
+            (line, col) = if c == '\n' { (line + 1, 1) } else { (line, col + 1) };
+        }
+        rest = &rest[len..];
     }
+    out.push(Token { tok: Tok::Eof, line, col });
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -369,7 +183,7 @@ mod tests {
         assert_eq!(toks[2].tok, Tok::Assign);
         let when = toks.iter().find(|t| t.tok == Tok::KwWhen).unwrap();
         assert_eq!((when.line, when.col), (2, 3));
-        let ge = toks.iter().find(|t| t.tok == Tok::Ge).unwrap();
+        let ge = toks.iter().find(|t| t.tok == Tok::Bin(BinOp::Ge)).unwrap();
         assert_eq!(ge.col, 10);
         assert_eq!(toks.last().unwrap().tok, Tok::Eof);
     }

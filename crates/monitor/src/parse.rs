@@ -1,7 +1,8 @@
 //! Recursive-descent parser: token stream → untyped [`ADecl`] list.
 //!
-//! Expressions use Pratt-style precedence climbing:
-//! `||` < `&&` < comparisons < `+ -` < `* / %` < unary `! -`.
+//! Expressions use Pratt-style precedence climbing on each operator's
+//! [`BinOp::binding_power`]: `||` < `&&` < comparisons < `+ -` < `* / %`
+//! < unary `! -`.
 //!
 //! Every parenthesis, index bracket, unary operator and chained binary
 //! operator nests the expression tree one level deeper. Past
@@ -42,21 +43,18 @@ impl Parser {
         &self.toks[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let t = self.toks[self.pos].clone();
+    fn advance(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat(&mut self, tok: &Tok) -> bool {
-        if &self.peek().tok == tok {
+        let found = &self.peek().tok == tok;
+        if found {
             self.advance();
-            true
-        } else {
-            false
         }
+        found
     }
 
     fn err_here(&self, message: impl Into<String>) -> SpecError {
@@ -64,79 +62,87 @@ impl Parser {
         SpecError::at(t.line, t.col, message)
     }
 
-    fn expect(&mut self, tok: &Tok, what: &str) -> Result<Token, SpecError> {
-        if &self.peek().tok == tok {
-            Ok(self.advance())
+    /// The error at a token that is not `what`.
+    fn unexpected(&self, what: &str) -> SpecError {
+        self.err_here(format!("expected {what}, found {}", self.peek().tok.describe()))
+    }
+
+    fn expect(&mut self, tok: &Tok, what: &str) -> Result<(), SpecError> {
+        if self.eat(tok) {
+            Ok(())
         } else {
-            Err(self.err_here(format!("expected {what}, found {}", self.peek().tok.describe())))
+            Err(self.unexpected(what))
         }
+    }
+
+    /// Consumes the current token when `pick` accepts it, with its position;
+    /// otherwise fails expecting `what`.
+    fn take<T>(
+        &mut self,
+        what: &str,
+        pick: impl FnOnce(&Tok) -> Option<T>,
+    ) -> Result<Sp<T>, SpecError> {
+        let t = self.peek();
+        let Some(node) = pick(&t.tok) else { return Err(self.unexpected(what)) };
+        let node = Sp::new(node, t.line, t.col);
+        self.advance();
+        Ok(node)
     }
 
     fn ident(&mut self, what: &str) -> Result<Sp<String>, SpecError> {
-        let t = self.peek().clone();
-        if let Tok::Ident(name) = t.tok {
-            self.advance();
-            Ok(Sp::new(name, t.line, t.col))
-        } else {
-            Err(self.err_here(format!("expected {what}, found {}", t.tok.describe())))
-        }
+        self.take(what, |t| if let Tok::Ident(name) = t { Some(name.clone()) } else { None })
     }
 
     fn string(&mut self, what: &str) -> Result<Sp<String>, SpecError> {
-        let t = self.peek().clone();
-        if let Tok::Str(s) = t.tok {
-            self.advance();
-            Ok(Sp::new(s, t.line, t.col))
-        } else {
-            Err(self.err_here(format!("expected {what}, found {}", t.tok.describe())))
+        self.take(what, |t| if let Tok::Str(s) = t { Some(s.clone()) } else { None })
+    }
+
+    /// One `item`, then one more after each comma.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        let mut items = vec![item(self)?];
+        while self.eat(&Tok::Comma) {
+            items.push(item(self)?);
         }
+        Ok(items)
     }
 
     /// Parses the whole token stream into declarations.
     pub(crate) fn spec(&mut self) -> Result<Vec<ADecl>, SpecError> {
         let mut decls = Vec::new();
         loop {
-            match self.peek().tok {
+            let decl = match self.peek().tok {
                 Tok::Eof => return Ok(decls),
-                Tok::KwInput => decls.push(self.input()?),
-                Tok::KwMap => decls.push(self.map()?),
-                Tok::KwCounter => decls.push(self.counter()?),
-                Tok::KwHold => decls.push(self.hold()?),
-                Tok::KwWindow => decls.push(self.window()?),
-                Tok::KwTrigger => decls.push(self.trigger()?),
+                Tok::KwInput => Self::input,
+                Tok::KwMap => Self::map,
+                Tok::KwCounter => Self::counter,
+                Tok::KwHold => Self::hold,
+                Tok::KwWindow => Self::window,
+                Tok::KwTrigger => Self::trigger,
                 _ => {
-                    return Err(self.err_here(format!(
-                        "expected a declaration (input, map, counter, hold, window or trigger), \
-                         found {}",
-                        self.peek().tok.describe()
-                    )))
+                    return Err(self.unexpected(
+                        "a declaration (input, map, counter, hold, window or trigger)",
+                    ))
                 }
-            }
+            };
+            self.advance();
+            decls.push(decl(self)?);
         }
     }
 
-    fn input(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let name = self.ident("stream name after 'input'")?;
-        self.expect(&Tok::Assign, "':=' after stream name")?;
-        let kind = self.ident("an event kind")?;
-        let guard = if self.eat(&Tok::KwWhen) { Some(self.expr()?) } else { None };
-        Ok(ADecl::Input { name, kind, guard })
-    }
-
-    /// Parses `[k1, k2]` after a state name; empty when absent.
-    fn key_list(&mut self) -> Result<Vec<Sp<AExpr>>, SpecError> {
+    /// A declaration's head after its keyword: the stream name (`what`
+    /// when missing), a keyed declaration's `[k1, k2]` and `:=`.
+    fn head(&mut self, what: &str, keyed: bool) -> Result<(Sp<String>, Vec<Sp<AExpr>>), SpecError> {
+        let name = self.ident(what)?;
         let mut keys = Vec::new();
-        if self.eat(&Tok::LBracket) {
-            loop {
-                keys.push(self.expr()?);
-                if !self.eat(&Tok::Comma) {
-                    break;
-                }
-            }
+        if keyed && self.eat(&Tok::LBracket) {
+            keys = self.list(Self::expr)?;
             self.expect(&Tok::RBracket, "']' after key list")?;
         }
-        Ok(keys)
+        self.expect(&Tok::Assign, "':=' after stream name")?;
+        Ok((name, keys))
     }
 
     fn on_input(&mut self) -> Result<Sp<String>, SpecError> {
@@ -144,164 +150,104 @@ impl Parser {
         self.ident("an input stream name after 'on'")
     }
 
+    /// `value on input`.
+    fn value_arm(&mut self) -> Result<AValueArm, SpecError> {
+        let value = self.expr()?;
+        Ok(AValueArm { value, input: self.on_input()? })
+    }
+
+    fn input(&mut self) -> Result<ADecl, SpecError> {
+        let (name, _) = self.head("stream name after 'input'", false)?;
+        let kind = self.ident("an event kind")?;
+        let guard = if self.eat(&Tok::KwWhen) { Some(self.expr()?) } else { None };
+        Ok(ADecl::Input { name, kind, guard })
+    }
+
     fn map(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let name = self.ident("stream name after 'map'")?;
-        let keys = self.key_list()?;
-        self.expect(&Tok::Assign, "':=' after stream name")?;
-        let mut arms = Vec::new();
-        let mut removes = Vec::new();
-        loop {
-            if self.eat(&Tok::KwRemove) {
-                removes.push(self.on_input()?);
+        let (name, keys) = self.head("stream name after 'map'", true)?;
+        let (mut arms, mut removes) = (Vec::new(), Vec::new());
+        self.list(|p| {
+            if p.eat(&Tok::KwRemove) {
+                removes.push(p.on_input()?);
             } else {
-                let value = self.expr()?;
-                let input = self.on_input()?;
-                arms.push(AValueArm { value, input });
+                arms.push(p.value_arm()?);
             }
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
+            Ok(())
+        })?;
         Ok(ADecl::Map { name, keys, arms, removes })
     }
 
     fn counter(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let name = self.ident("stream name after 'counter'")?;
-        let keys = self.key_list()?;
-        self.expect(&Tok::Assign, "':=' after stream name")?;
-        let mut arms = Vec::new();
-        let mut resets = Vec::new();
-        loop {
-            if self.eat(&Tok::KwReset) {
-                resets.push(self.on_input()?);
-            } else {
-                let neg = match &self.peek().tok {
-                    Tok::KwAdd => false,
-                    Tok::KwSub => true,
-                    other => {
-                        return Err(self.err_here(format!(
-                            "expected 'add', 'sub' or 'reset' in counter arm, found {}",
-                            other.describe()
-                        )))
-                    }
-                };
-                self.advance();
-                let value = self.expr()?;
-                let input = self.on_input()?;
-                arms.push(ACounterArm { neg, value, input });
+        let (name, keys) = self.head("stream name after 'counter'", true)?;
+        let (mut arms, mut resets) = (Vec::new(), Vec::new());
+        self.list(|p| {
+            if p.eat(&Tok::KwReset) {
+                resets.push(p.on_input()?);
+                return Ok(());
             }
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
+            let neg = p.take("'add', 'sub' or 'reset' in counter arm", |t| match t {
+                Tok::KwAdd => Some(false),
+                Tok::KwSub => Some(true),
+                _ => None,
+            })?;
+            let AValueArm { value, input } = p.value_arm()?;
+            arms.push(ACounterArm { neg: neg.node, value, input });
+            Ok(())
+        })?;
         Ok(ADecl::Counter { name, keys, arms, resets })
     }
 
     fn hold(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let name = self.ident("stream name after 'hold'")?;
-        self.expect(&Tok::Assign, "':=' after stream name")?;
-        let mut arms = Vec::new();
-        loop {
-            let value = self.expr()?;
-            let input = self.on_input()?;
-            arms.push(AValueArm { value, input });
-            if !self.eat(&Tok::Comma) {
-                break;
-            }
-        }
-        let init = if self.eat(&Tok::KwInit) {
-            let (line, col) = (self.peek().line, self.peek().col);
-            let lit = match self.peek().tok.clone() {
-                Tok::Int(n) => {
-                    self.advance();
-                    AInit::Int(n)
-                }
-                Tok::Minus => {
-                    self.advance();
-                    let Tok::Int(n) = self.peek().tok.clone() else {
-                        return Err(self.err_here(format!(
-                            "expected an integer after '-', found {}",
-                            self.peek().tok.describe()
-                        )));
-                    };
-                    self.advance();
-                    AInit::Int(-n)
-                }
-                Tok::True => {
-                    self.advance();
-                    AInit::Bool(true)
-                }
-                Tok::False => {
-                    self.advance();
-                    AInit::Bool(false)
-                }
-                other => {
-                    return Err(self.err_here(format!(
-                        "expected a literal after 'init', found {}",
-                        other.describe()
-                    )))
-                }
-            };
-            Some(Sp::new(lit, line, col))
-        } else {
-            None
-        };
+        let (name, _) = self.head("stream name after 'hold'", false)?;
+        let arms = self.list(Self::value_arm)?;
+        let init = if self.eat(&Tok::KwInit) { Some(self.init()?) } else { None };
         Ok(ADecl::Hold { name, arms, init })
     }
 
-    fn window(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let name = self.ident("stream name after 'window'")?;
-        let keys = self.key_list()?;
-        self.expect(&Tok::Assign, "':=' after stream name")?;
-        let sum = match &self.peek().tok {
-            Tok::KwCount => {
-                self.advance();
-                None
-            }
-            Tok::KwSum => {
-                self.advance();
-                Some(self.expr()?)
-            }
-            other => {
-                return Err(self.err_here(format!(
-                    "expected 'count' or 'sum' in window declaration, found {}",
-                    other.describe()
-                )))
-            }
+    /// The literal after `init`: an integer, possibly negated, or a boolean.
+    fn init(&mut self) -> Result<Sp<AInit>, SpecError> {
+        let (line, col) = (self.peek().line, self.peek().col);
+        let lit = if self.eat(&Tok::Bin(BinOp::Sub)) {
+            self.take("an integer after '-'", |t| match *t {
+                Tok::Int(n) => Some(AInit::Int(-n)),
+                _ => None,
+            })?
+        } else {
+            self.take("a literal after 'init'", |t| match *t {
+                Tok::Int(n) => Some(AInit::Int(n)),
+                Tok::True => Some(AInit::Bool(true)),
+                Tok::False => Some(AInit::Bool(false)),
+                _ => None,
+            })?
         };
+        Ok(Sp::new(lit.node, line, col))
+    }
+
+    fn window(&mut self) -> Result<ADecl, SpecError> {
+        let (name, keys) = self.head("stream name after 'window'", true)?;
+        let sum = self.take("'count' or 'sum' in window declaration", |t| match t {
+            Tok::KwCount => Some(false),
+            Tok::KwSum => Some(true),
+            _ => None,
+        })?;
+        let sum = if sum.node { Some(self.expr()?) } else { None };
         self.expect(&Tok::KwOver, "'over'")?;
         let input = self.ident("an input stream name after 'over'")?;
         self.expect(&Tok::KwIn, "'in'")?;
-        let t = self.peek().clone();
-        let Tok::Int(n) = t.tok else {
-            return Err(self.err_here(format!(
-                "expected a window length in cycles, found {}",
-                t.tok.describe()
-            )));
-        };
-        self.advance();
-        let len = Sp::new(n, t.line, t.col);
+        let len = self.take("a window length in cycles", |t| match *t {
+            Tok::Int(n) => Some(n),
+            _ => None,
+        })?;
         let tumbling = self.eat(&Tok::KwTumbling);
         Ok(ADecl::Window { name, keys, sum, input, len, tumbling })
     }
 
     fn trigger(&mut self) -> Result<ADecl, SpecError> {
-        self.advance();
-        let severity = match &self.peek().tok {
-            Tok::KwWarn => Severity::Warn,
-            Tok::KwError => Severity::Error,
-            other => {
-                return Err(self.err_here(format!(
-                    "expected 'warn' or 'error' after 'trigger', found {}",
-                    other.describe()
-                )))
-            }
-        };
-        self.advance();
+        let severity = self.take("'warn' or 'error' after 'trigger'", |t| match t {
+            Tok::KwWarn => Some(Severity::Warn),
+            Tok::KwError => Some(Severity::Error),
+            _ => None,
+        })?;
         let name = self.string("a quoted trigger name")?;
         let input = self.on_input()?;
         self.expect(&Tok::KwWhen, "'when'")?;
@@ -311,7 +257,7 @@ impl Parser {
         } else {
             None
         };
-        Ok(ADecl::Trigger { severity, name, input, cond, message })
+        Ok(ADecl::Trigger { severity: severity.node, name, input, cond, message })
     }
 
     /// Parses one expression (entry point also used for message-template holes).
@@ -319,108 +265,74 @@ impl Parser {
         self.bin_expr(0)
     }
 
-    /// The binary operator at the current token and its binding power.
-    fn bin_op(&self) -> Option<(BinOp, u8)> {
-        Some(match &self.peek().tok {
-            Tok::OrOr => (BinOp::Or, 1),
-            Tok::AndAnd => (BinOp::And, 2),
-            Tok::Lt => (BinOp::Lt, 3),
-            Tok::Le => (BinOp::Le, 3),
-            Tok::Gt => (BinOp::Gt, 3),
-            Tok::Ge => (BinOp::Ge, 3),
-            Tok::EqEq => (BinOp::Eq, 3),
-            Tok::Ne => (BinOp::Ne, 3),
-            Tok::Plus => (BinOp::Add, 4),
-            Tok::Minus => (BinOp::Sub, 4),
-            Tok::Star => (BinOp::Mul, 5),
-            Tok::Slash => (BinOp::Div, 5),
-            Tok::Percent => (BinOp::Mod, 5),
-            _ => return None,
-        })
-    }
-
     fn bin_expr(&mut self, min_bp: u8) -> Result<Sp<AExpr>, SpecError> {
         let outer = self.depth;
         let mut lhs = self.unary()?;
-        while let Some((bin, bp)) = self.bin_op().filter(|&(_, bp)| bp >= min_bp) {
+        while let Tok::Bin(op) = self.peek().tok {
+            if op.binding_power() < min_bp {
+                break;
+            }
             // Each operator nests the tree built so far one level deeper.
             self.nest()?;
             self.advance();
-            let rhs = self.bin_expr(bp + 1)?;
+            let rhs = self.bin_expr(op.binding_power() + 1)?;
             let (line, col) = (lhs.line, lhs.col);
-            lhs = Sp::new(AExpr::Bin(bin, Box::new(lhs), Box::new(rhs)), line, col);
+            lhs = Sp::new(AExpr::Bin(op, Box::new(lhs), Box::new(rhs)), line, col);
         }
         self.depth = outer;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Sp<AExpr>, SpecError> {
-        let t = self.peek().clone();
-        let op = match t.tok {
+        let (line, col) = (self.peek().line, self.peek().col);
+        let op = match self.peek().tok {
             Tok::Bang => UnOp::Not,
-            Tok::Minus => UnOp::Neg,
+            Tok::Bin(BinOp::Sub) => UnOp::Neg,
             _ => return self.primary(),
         };
         self.nest()?;
         self.advance();
         let inner = self.unary()?;
         self.depth -= 1;
-        Ok(Sp::new(AExpr::Un(op, Box::new(inner)), t.line, t.col))
+        Ok(Sp::new(AExpr::Un(op, Box::new(inner)), line, col))
     }
 
     fn primary(&mut self) -> Result<Sp<AExpr>, SpecError> {
         let t = self.peek().clone();
-        match t.tok {
-            Tok::Int(n) => {
-                self.advance();
-                Ok(Sp::new(AExpr::Int(n), t.line, t.col))
-            }
-            Tok::True => {
-                self.advance();
-                Ok(Sp::new(AExpr::Bool(true), t.line, t.col))
-            }
-            Tok::False => {
-                self.advance();
-                Ok(Sp::new(AExpr::Bool(false), t.line, t.col))
-            }
+        let node = match t.tok {
+            Tok::Int(n) => AExpr::Int(n),
+            Tok::True | Tok::False => AExpr::Bool(t.tok == Tok::True),
             Tok::LParen => {
                 self.nest()?;
                 self.advance();
                 let inner = self.expr()?;
                 self.depth -= 1;
                 self.expect(&Tok::RParen, "')'")?;
-                Ok(inner)
+                return Ok(inner);
             }
             Tok::KwSize => {
                 self.advance();
                 self.expect(&Tok::LParen, "'(' after 'size'")?;
                 let name = self.ident("a stream name inside size(..)")?;
                 self.expect(&Tok::RParen, "')'")?;
-                Ok(Sp::new(AExpr::Size(name), t.line, t.col))
+                return Ok(Sp::new(AExpr::Size(name), t.line, t.col));
             }
             Tok::Ident(name) => {
                 self.advance();
-                if self.peek().tok == Tok::LBracket {
-                    self.nest()?;
-                    self.advance();
-                    let mut keys = Vec::new();
-                    loop {
-                        keys.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.depth -= 1;
-                    self.expect(&Tok::RBracket, "']' after key list")?;
-                    Ok(Sp::new(AExpr::Index(name, keys), t.line, t.col))
-                } else {
-                    Ok(Sp::new(AExpr::Name(name), t.line, t.col))
+                if self.peek().tok != Tok::LBracket {
+                    return Ok(Sp::new(AExpr::Name(name), t.line, t.col));
                 }
+                self.nest()?;
+                self.advance();
+                let keys = self.list(Self::expr)?;
+                self.depth -= 1;
+                self.expect(&Tok::RBracket, "']' after key list")?;
+                return Ok(Sp::new(AExpr::Index(name, keys), t.line, t.col));
             }
-            other => {
-                Err(self.err_here(format!("expected an expression, found {}", other.describe())))
-            }
-        }
+            _ => return Err(self.unexpected("an expression")),
+        };
+        self.advance();
+        Ok(Sp::new(node, t.line, t.col))
     }
 
     /// True when every token has been consumed (used for template holes).
