@@ -9,9 +9,9 @@
 
 use parbs::{AbstractBatch, AbstractPolicy, ParBsConfig};
 use parbs_sim::experiments::{
-    batching_kinds, ext_scheduler_kinds, fig11_caps, marking_cap_kinds, named_rows,
-    param_sweep_axes, priority_opportunistic_plan, priority_weighted_plan, ranking_kinds,
-    table3_rows, zoo_rows, PlanRow, SweepPlan, SweepRow, ZooRow,
+    batching_kinds, ext_scheduler_kinds, fig11_caps, latency_histograms, marking_cap_kinds,
+    named_rows, param_sweep_axes, priority_opportunistic_plan, priority_weighted_plan,
+    ranking_kinds, table3_rows, zoo_rows, PlanRow, SweepPlan, SweepRow, ZooRow,
 };
 use parbs_sim::{EvalOverrides, Harness, SchedulerKind, SimConfig};
 use parbs_workloads::{
@@ -377,7 +377,7 @@ fn fig10_16core(args: &Args) {
 /// Case Studies I and II under each row (the middle and right panels).
 fn variant_figure(args: &Args, figure: u32, left: &str, rows: &[PlanRow]) {
     let harness = args.harness(4);
-    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
+    let mixes = random_mixes(4, args.mixes4_or(30), args.seed);
     print_summaries(
         &format!("Figure {figure} (left) — {left}, averages"),
         &SweepPlan::new(&mixes, rows).run(&harness, args.jobs),
@@ -403,7 +403,7 @@ fn fig12_batching_choice(args: &Args) {
 /// 4 x lbm and 4 x matlab mixes that isolate the parallelism component.
 fn fig13_within_batch(args: &Args) {
     let harness = args.harness(4);
-    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
+    let mixes = random_mixes(4, args.mixes4_or(30), args.seed);
     let rows = SweepPlan::new(&mixes, &ranking_kinds()).run(&harness, args.jobs);
     print_summaries("Figure 13 (left) — within-batch policy, averages", &rows);
     for (names, title) in [
@@ -520,7 +520,7 @@ fn table4_summary(args: &Args) {
 /// and STFQ under unequal shares.
 fn ext_schedulers(args: &Args) {
     let harness = args.harness(4);
-    let mixes = random_mixes(4, args.mixes4.min(30), args.seed);
+    let mixes = random_mixes(4, args.mixes4_or(30), args.seed);
     let rows = SweepPlan::new(&mixes, &ext_scheduler_kinds()).run(&harness, args.jobs);
     print_summaries("Extension — seven schedulers, 4-core averages", &rows);
     println!(
@@ -564,7 +564,7 @@ fn param_point(label: &str, cfg: SimConfig, mixes: &[MixSpec], jobs: usize) {
 /// grace policy: PAR-BS vs FR-FCFS at each point of
 /// [`param_sweep_axes`].
 fn ext_param_sweep(args: &Args) {
-    let n = args.mixes4.min(15);
+    let n = args.mixes4_or(15);
     let mixes = random_mixes(4, n, args.seed);
     println!("## Extension — system-parameter sensitivity ({n} workloads per point)\n");
     for (i, (heading, points)) in param_sweep_axes(&args.config(4)).into_iter().enumerate() {
@@ -581,7 +581,8 @@ fn ext_param_sweep(args: &Args) {
 /// for mean slowdown equality.
 fn ext_latency_tail(args: &Args) {
     let harness = args.harness(4);
-    let n = args.mixes4.min(10);
+    let n = args.mixes4_or(10);
+    let kinds = SchedulerKind::paper_five();
     println!("## Extension — read-latency distribution (cycles)\n");
     for (name, mixes) in [
         ("Case Study I".to_owned(), vec![case_study_1()]),
@@ -592,13 +593,7 @@ fn ext_latency_tail(args: &Args) {
             "{:10} {:>8} {:>8} {:>8} {:>8} {:>8}",
             "scheduler", "mean", "p50", "p95", "p99", "max"
         );
-        for kind in SchedulerKind::paper_five() {
-            let mut h = parbs_metrics::LatencyHistogram::new();
-            for mix in &mixes {
-                h.merge(
-                    &harness.shared_system(mix, &kind, &EvalOverrides::none()).run().read_latency,
-                );
-            }
+        for (kind, h) in kinds.iter().zip(latency_histograms(&harness, &kinds, &mixes, args.jobs)) {
             println!(
                 "{:10} {:>8.0} {:>8} {:>8} {:>8} {:>8}",
                 kind.name(),
@@ -619,7 +614,7 @@ fn ext_latency_tail(args: &Args) {
 /// three CPU threads per mix. `zoo-sweep` runs the same plan, with the mix
 /// count given as its argument.
 fn ext_zoo(args: &Args) {
-    let mixes = zoo_mixes(args.mixes4.min(30), args.seed);
+    let mixes = zoo_mixes(args.mixes4_or(30), args.seed);
     let sweep = SweepPlan::new(&mixes, &named_rows(SchedulerKind::zoo_seven()));
     let rows = zoo_rows(sweep.run(&args.harness(4), args.jobs), &mixes);
     print_zoo(

@@ -548,6 +548,17 @@ impl Args {
     fn harness(&self, cores: usize) -> Harness {
         Harness::new(self.config(cores))
     }
+
+    /// The 4-core mix count of a regeneration that runs `default` mixes at
+    /// paper scale: `--mixes` when given, else `default`, or the `--quick`
+    /// count when that is smaller.
+    fn mixes4_or(&self, default: usize) -> usize {
+        if self.has("--mixes") {
+            self.mixes4
+        } else {
+            self.mixes4.min(default)
+        }
+    }
 }
 
 /// Resolves a `--spec` argument: `prelude:<name>` for a built-in spec,
@@ -1168,6 +1179,14 @@ mod tests {
     fn mixes_sets_only_the_four_core_count() {
         let a = parse(&["table4_summary", "--mixes", "7"]);
         assert_eq!((a.mixes4, a.mixes8, a.mixes16), (7, 16, 12));
+    }
+
+    #[test]
+    fn a_regeneration_default_mix_count_yields_to_mixes() {
+        assert_eq!(parse(&["ext_zoo"]).mixes4_or(30), 30);
+        assert_eq!(parse(&["ext_zoo", "--quick"]).mixes4_or(30), 10);
+        assert_eq!(parse(&["ext_zoo", "--mixes", "40"]).mixes4_or(30), 40);
+        assert_eq!(parse(&["ext_zoo", "--quick", "--mixes", "12"]).mixes4_or(10), 12);
     }
 
     #[test]

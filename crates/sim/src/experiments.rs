@@ -17,7 +17,7 @@
 
 use parbs::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
 use parbs_dram::MappingPolicy;
-use parbs_metrics::{class_fairness, ClassFairness, SchedulerSummary};
+use parbs_metrics::{class_fairness, ClassFairness, LatencyHistogram, SchedulerSummary};
 use parbs_workloads::{all_benchmarks, classify, BenchmarkProfile, MixSpec};
 
 use crate::{EvalJob, EvalOverrides, EvalPlan, Harness, MixEvaluation, SchedulerKind, SimConfig};
@@ -419,6 +419,34 @@ pub fn table3_row(cfg: &SimConfig, bench: &'static BenchmarkProfile) -> Table3Ro
 pub fn table3_rows(harness: &Harness, jobs: usize) -> Vec<Table3Row> {
     let benches: Vec<&'static BenchmarkProfile> = all_benchmarks().iter().collect();
     crate::executor::scope_map(&benches, jobs, |&bench| table3_row(harness.config(), bench))
+}
+
+/// One read-latency histogram per kind of `kinds`, over `mixes`: the shared
+/// runs of every (kind, mix) pair on `harness`, fanned over up to `jobs`
+/// worker threads and merged per kind in mix order (`ext_latency_tail`).
+#[must_use]
+pub fn latency_histograms(
+    harness: &Harness,
+    kinds: &[SchedulerKind],
+    mixes: &[MixSpec],
+    jobs: usize,
+) -> Vec<LatencyHistogram> {
+    let runs: Vec<(&SchedulerKind, &MixSpec)> =
+        kinds.iter().flat_map(|kind| mixes.iter().map(move |mix| (kind, mix))).collect();
+    let mut runs = crate::executor::scope_map(&runs, jobs, |&(kind, mix)| {
+        harness.shared_system(mix, kind, &EvalOverrides::none()).run().read_latency
+    })
+    .into_iter();
+    kinds
+        .iter()
+        .map(|_| {
+            let mut merged = LatencyHistogram::new();
+            for h in runs.by_ref().take(mixes.len()) {
+                merged.merge(&h);
+            }
+            merged
+        })
+        .collect()
 }
 
 /// Micro-experiments behind the motivation figures (Figs. 1 and 2).

@@ -272,6 +272,14 @@ fn stdout_of(args: &[&str]) -> String {
 }
 
 #[test]
+fn an_explicit_mix_count_is_honored() {
+    // `ext_latency_tail` runs 10 mixes by default, and used to cap
+    // `--mixes` there too.
+    let out = stdout_of(&["ext_latency_tail", "--mixes", "11", "--target", "200"]);
+    assert!(out.contains("11 random 4-core workloads"), "{out}");
+}
+
+#[test]
 fn zoo_trigger_table_counts_the_runs_the_zoo_table_reports() {
     // The zoo table runs on the default system seed (0x5EED = 24301); the
     // trigger table used to re-simulate every cell at `--seed` (42).
