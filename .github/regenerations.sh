@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Runs the 21 figure and table regenerations (the five analytic ones with
-# no flags, the rest at --quick) and compares the SHA-256 of each one's
-# stdout with tests/golden/regenerations.txt. A regeneration that fails,
-# or whose stdout moved, is named; the script exits 1 after checking all.
+# Runs every figure and table regeneration `parbs-sim --list` names (the
+# analytic ones, which read no flags, first and with none; the rest at
+# --quick) and compares the SHA-256 of each one's stdout with
+# tests/golden/regenerations.txt. A regeneration that fails, whose stdout
+# moved or that the golden file lacks is named; the script exits 1 after
+# checking all.
 #
 #   .github/regenerations.sh            # check against the golden file
 #   .github/regenerations.sh --record   # rewrite the golden file
@@ -21,10 +23,19 @@ case "${1:-}" in
 esac
 test -x "$bin" || { echo "$bin is not built (cargo build --release -p parbs-sim)" >&2; exit 2; }
 
-analytic="fig01_overlap fig02_parallelism fig03_batch_abstract table1_cost table2_config"
-simulated="fig05_case1 fig06_case2 fig07_case3 fig08_4core_avg fig09_8core fig10_16core
-  fig11_marking_cap fig12_batching_choice fig13_within_batch fig14_priorities
-  table3_benchmarks table4_summary ext_schedulers ext_param_sweep ext_latency_tail ext_zoo"
+# The regenerations section of --list: one `  name  description` line per
+# regeneration, followed by a `      [--flag ...]` line when it reads flags.
+# Line 1 gets the analytic names, line 2 the simulated ones, in list order.
+names=$("$bin" --list | awk '
+  /^regenerations/ { on = 1; next }
+  !on { next }
+  /^  [^ ]/ { if (name != "") analytic = analytic " " name; name = $1; next }
+  /^      \[/ { if (name != "") simulated = simulated " " name; name = "" }
+  END { if (name != "") analytic = analytic " " name; print analytic; print simulated }')
+analytic=$(sed -n 1p <<<"$names")
+simulated=$(sed -n 2p <<<"$names")
+test -n "$analytic" && test -n "$simulated" \
+  || { echo "$bin --list named no analytic or no simulated regenerations" >&2; exit 2; }
 
 lines=""
 failed=0
@@ -63,9 +74,11 @@ if $record; then
   echo "recorded $(printf '%s' "$lines" | wc -l) regenerations in $golden"
   exit 0
 fi
-if [ "$(grep -vc '^#' "$golden")" -ne "$(printf '%s' "$lines" | wc -l)" ]; then
-  echo "$golden names regenerations this script does not run" >&2
-  failed=1
-fi
+for n in $(grep -v '^#' "$golden" | cut -d' ' -f1); do
+  case " $analytic $simulated " in
+    *" $n "*) ;;
+    *) echo "$n: in $golden but not in $bin --list" >&2; failed=1 ;;
+  esac
+done
 test "$failed" -eq 0 && echo "all $(printf '%s' "$lines" | wc -l) regenerations match $golden"
 exit "$failed"
