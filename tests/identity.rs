@@ -16,9 +16,10 @@
 //! the checkpoint mix and on Case Study 3, whose four intensive threads make
 //! STFQ's resumed run depend on the weights too. The traces are Chrome
 //! under PAR-BS and JSONL under PAR-BS, BLISS and ATLAS, which together
-//! emit every event kind; the `prelude:invariants` and `prelude:qos`
-//! verdicts on Case Study 1 are digested online and on replay of its
-//! JSONL trace. The static analyses are digested too: every scheduler's
+//! emit every event kind, and JSONL under uncapped and static-batching
+//! PAR-BS, which write a `null` cap and non-exclusive batches; the
+//! `prelude:invariants` and `prelude:qos` verdicts on Case Study 1 are
+//! digested online and on replay of its JSONL trace. The static analyses are digested too: every scheduler's
 //! `check-keys` report, its `check-liveness` report and witness on the
 //! tiny geometry and on a one-adversary geometry, and the states and
 //! commands of `check-timing`'s depth-4 differential check on the 1- and
@@ -34,7 +35,7 @@
 //! are covered at small targets: the paper's five on two of Fig. 8's
 //! random 4-core mixes, on Fig. 9's 8-core mix, on Fig. 10's intensive
 //! 16-core mix and on one of Table 4's random 8-core mixes; every Table 3
-//! row; the zoo on the accelerator case study with its CPU/accelerator
+//! row, at a target long enough that no two benchmarks share a row; the zoo on the accelerator case study with its CPU/accelerator
 //! split; and each scheduler's read-latency histogram on Case Study 1.
 //!
 //! `PARBS_RECORD_IDENTITY=1 cargo test --test identity` rewrites the file.
@@ -43,6 +44,7 @@
 
 use std::collections::BTreeMap;
 
+use parbs::{BatchingMode, ParBsConfig};
 use parbs_monitor::{prelude, replay_jsonl, Spec};
 use parbs_sim::analyze::{
     check_scheduler_keys, check_scheduler_liveness, run_differential, LivenessConfig, McConfig,
@@ -264,12 +266,13 @@ fn differential_case(ranks: usize) -> (String, u64) {
     (format!("check-timing/depth4/{ranks}-rank"), digest(w))
 }
 
-/// Case Study 1's channel-0 event trace in `format` under `kind`.
-fn cs1_trace(kind: &SchedulerKind, format: TraceFormat) -> (String, u64) {
+/// Case Study 1's channel-0 event trace in `format` under `kind`, named
+/// `trace/CS1/<label>/<format>`.
+fn cs1_trace(label: &str, kind: &SchedulerKind, format: TraceFormat) -> (String, u64) {
     let opts = ObserveOptions { check_invariants: false, trace: Some(format), spec: None };
     let obs = run_observed(config(4, 2_000), &case_study_1(), kind, &opts);
     let trace = obs.trace.expect("a trace was requested");
-    let case = format!("trace/CS1/{}/{}", kind.name(), format.name());
+    let case = format!("trace/CS1/{label}/{}", format.name());
     (case, digest_bytes(trace.as_bytes()))
 }
 
@@ -382,7 +385,7 @@ fn cases() -> Vec<Case> {
         all_benchmarks()
             .iter()
             .map(|bench| {
-                let row = table3_row(&config(4, 1_000), bench);
+                let row = table3_row(&config(4, 20_000), bench);
                 (format!("table3/{}", bench.name), table3(&row))
             })
             .collect()
@@ -451,15 +454,22 @@ fn cases() -> Vec<Case> {
         cases.push(Box::new(move || analysis_cases(&kind)));
     }
     let parbs = SchedulerKind::ParBs(Default::default());
-    let bliss = SchedulerKind::Bliss;
-    let atlas = SchedulerKind::Atlas;
-    for (kind, format) in [
-        (parbs.clone(), TraceFormat::Jsonl),
-        (parbs, TraceFormat::Chrome),
-        (bliss, TraceFormat::Jsonl),
-        (atlas, TraceFormat::Jsonl),
+    // The two PAR-BS variants write the `BatchFormed` encodings the default
+    // never does: `"cap":null` and `"exclusive":false`.
+    let no_cap = SchedulerKind::ParBs(ParBsConfig { marking_cap: None, ..Default::default() });
+    let static_400 = SchedulerKind::ParBs(ParBsConfig {
+        batching: BatchingMode::Static { duration: 400 },
+        ..Default::default()
+    });
+    for (label, kind, format) in [
+        ("PAR-BS", parbs.clone(), TraceFormat::Jsonl),
+        ("PAR-BS", parbs, TraceFormat::Chrome),
+        ("PAR-BS-no-cap", no_cap, TraceFormat::Jsonl),
+        ("PAR-BS-static-400", static_400, TraceFormat::Jsonl),
+        ("BLISS", SchedulerKind::Bliss, TraceFormat::Jsonl),
+        ("ATLAS", SchedulerKind::Atlas, TraceFormat::Jsonl),
     ] {
-        cases.push(Box::new(move || vec![cs1_trace(&kind, format)]));
+        cases.push(Box::new(move || vec![cs1_trace(label, &kind, format)]));
     }
     cases.push(Box::new(|| cs1_verdicts("invariants", &prelude::invariants())));
     cases.push(Box::new(|| cs1_verdicts("qos", &prelude::qos())));
