@@ -160,6 +160,64 @@ proptest! {
             Err(e) => prop_assert_eq!(parse_jsonl(&doc), Err((2, e))),
         }
     }
+
+    /// The keys the reader requires: without any one top-level key a
+    /// record fails naming that key, except for the derived `latency`,
+    /// which the reader ignores, and `class` and `data_end`, whose absence
+    /// reads as `None`. `cap` is required even when it is `null`.
+    #[test]
+    fn a_record_without_one_key_fails_naming_it_unless_the_key_is_optional(
+        pick in any::<u8>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u64>(),
+        d in any::<u64>(),
+        flags in any::<u8>(),
+        len in 0usize..5,
+        which in any::<usize>(),
+    ) {
+        let event = build_event(pick, a, b, c, d, flags, len);
+        let json = event.to_json();
+        let mut kept = members(&json);
+        let gone = kept.remove(which % kept.len());
+        let key = gone.split('"').nth(1).expect("a member starts with its quoted key");
+        let parsed = Event::from_json(&format!("{{{}}}", kept.join(",")));
+        let mut want = event;
+        match (&mut want, key) {
+            (_, "latency") => {}
+            (Event::CommandIssued { service, .. }, "class") => *service = None,
+            (Event::CommandIssued { data_end, .. }, "data_end") => *data_end = None,
+            _ => {
+                let e = match parsed {
+                    Ok(p) => return Err(TestCaseError::Fail(format!("without '{key}': {p:?}"))),
+                    Err(e) => e,
+                };
+                prop_assert!(e.message.contains(&format!("'{key}'")), "without '{}': {}", key, e);
+                return Ok(());
+            }
+        }
+        prop_assert_eq!(parsed, Ok(want), "without '{}'", key);
+    }
+}
+
+/// The top-level `"key":value` members of a record, in order. Event
+/// strings hold no brackets or commas, so depth counting finds them.
+fn members(record: &str) -> Vec<&str> {
+    let inner = &record[1..record.len() - 1];
+    let (mut out, mut depth, mut start) = (Vec::new(), 0, 0);
+    for (i, b) in inner.bytes().enumerate() {
+        match b {
+            b'[' | b'{' => depth += 1,
+            b']' | b'}' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(&inner[start..i]);
+                start = i + 1;
+            }
+            _ => {}
+        }
+    }
+    out.push(&inner[start..]);
+    out
 }
 
 /// Applies one edit to a record: `op` 0 replaces, 1 inserts before, 2
