@@ -252,6 +252,7 @@ impl Checker {
                     name: name.node.clone(),
                     cond,
                     message: parts,
+                    thread: fields::lookup(kind, "thread").map(|f| f.get),
                 });
                 self.steps.push(Step { input, action: Action::Fire { trigger } });
             }

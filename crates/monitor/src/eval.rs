@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use parbs_obs::{Event, EventSink};
 
 use crate::ast::{BinOp, Severity, UnOp};
-use crate::fields::{self, Ty};
+use crate::fields::Ty;
 use crate::ir::{Action, Expr, Part, Removal, StateDef, StateKind};
 use crate::Spec;
 
@@ -331,7 +331,7 @@ impl EventSink for Monitor {
                         severity: def.severity,
                         name: def.name.clone(),
                         at,
-                        thread: fields::thread_of(event),
+                        thread: def.thread.and_then(|get| usize::try_from(get(event)).ok()),
                         message,
                     });
                 }

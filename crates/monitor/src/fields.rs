@@ -1,17 +1,19 @@
-//! The field catalog: the one list of names a spec may read on each event
-//! kind. Each entry carries the field's name, its type and its projection
-//! to `i64`, so name resolution, type checking, evaluation and an alarm's
-//! thread (the kind's `thread` entry) all read the same entry. Kinds come
-//! from `parbs_obs::EventKind`, the one list of kinds shared with the
-//! JSONL writer and reader. Replayed events reach the same entries as live
-//! ones: the reader resolves a record's `type` through that list and
-//! rejects a record that repeats a key, so no entry reads a field whose
-//! value the record left ambiguous.
+//! The field catalog: the names a spec may read on each event kind, each
+//! with its type and its projection to `i64`, so name resolution, type
+//! checking and evaluation all read the same entry. The kinds and their
+//! integer and boolean payload fields, under their Rust names, come from
+//! the `events!` table of `parbs_obs` through `EventKind::field`: the one
+//! declaration the JSONL writer and reader also come from. Replayed events
+//! reach the same projections as live ones: the reader resolves a
+//! record's `type` through that table and rejects a record that repeats a
+//! key, so no projection reads a field whose value the record left
+//! ambiguous.
 //!
-//! Most fields are verbatim event payload; a few are *derived* so specs can
-//! express checks that need structured payloads (`rank_permutation` /
-//! `rank_sorted` fold the `RankComputed` entry list into the two Rule 3
-//! checks of the invariant prelude).
+//! This module adds the *derived* fields, which fold payloads a spec
+//! cannot read directly (options, the command and service enums, lists)
+//! into integers and bools, and compute spans and latencies;
+//! `rank_permutation` / `rank_sorted` fold the `RankComputed` entry list
+//! into the two Rule 3 checks of the invariant prelude.
 
 use parbs_obs::{CmdKind, Event, EventKind, RankEntry, ServiceClass};
 
@@ -37,11 +39,9 @@ impl Ty {
 /// One spec-readable field of an event kind.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FieldDef {
-    /// The name a spec reads the field by.
-    pub name: &'static str,
     /// The field's expression type.
     pub ty: Ty,
-    /// Projects an event of the entry's kind to `i64` (booleans as 0/1,
+    /// Projects an event of the field's kind to `i64` (booleans as 0/1,
     /// absent optional values as 0, integers clamped to `i64::MAX`).
     pub get: fn(&Event) -> i64,
 }
@@ -52,118 +52,57 @@ fn int<T: TryInto<i64>>(v: T) -> i64 {
     v.try_into().unwrap_or(i64::MAX)
 }
 
-/// Builds one kind's catalog: the shared `at` entry, then one entry per
-/// `name: Ty = |payload bindings| projection` line, each projection
-/// matching `Event::$variant`.
-macro_rules! fields {
-    ($variant:ident { $($name:literal : $ty:ident = |$($bind:ident),+| $get:expr),* $(,)? }) => {
-        &[
-            FieldDef { name: "at", ty: Ty::Int, get: |e| int(e.at()) },
-            $(FieldDef {
-                name: $name,
+/// Builds the derived fields from one `Variant "name": Ty = |payload
+/// bindings| projection` line each, the projection matching
+/// `Event::$variant`.
+macro_rules! derived {
+    ($($variant:ident $name:literal: $ty:ident = |$($bind:ident),+| $get:expr,)*) => {
+        &[$((
+            EventKind::$variant,
+            $name,
+            FieldDef {
                 ty: Ty::$ty,
                 get: |e| match e {
                     Event::$variant { $($bind,)+ .. } => $get,
                     _ => 0,
                 },
-            },)*
-        ]
+            },
+        ),)*]
     };
 }
 
-/// The readable fields of `kind`, `at` first.
-#[must_use]
-pub(crate) fn catalog(kind: EventKind) -> &'static [FieldDef] {
-    match kind {
-        EventKind::Enqueued => fields!(Enqueued {
-            "request": Int = |request| int(*request),
-            "thread": Int = |thread| int(*thread),
-            "write": Bool = |write| int(*write),
-            "rank": Int = |rank| int(*rank),
-            "bank": Int = |bank| int(*bank),
-            "row": Int = |row| int(*row),
-        }),
-        EventKind::Marked => fields!(Marked {
-            "request": Int = |request| int(*request),
-            "thread": Int = |thread| int(*thread),
-            "rank": Int = |rank| int(*rank),
-            "bank": Int = |bank| int(*bank),
-        }),
-        EventKind::BatchFormed => fields!(BatchFormed {
-            "id": Int = |id| int(*id),
-            "marked": Int = |marked| int(*marked),
-            "cap": Int = |cap| cap.map_or(0, int),
-            "has_cap": Bool = |cap| int(cap.is_some()),
-            "exclusive": Bool = |exclusive| int(*exclusive),
-            "threads": Int = |per_thread| int(per_thread.len()),
-        }),
-        EventKind::BatchDrained => fields!(BatchDrained {
-            "id": Int = |id| int(*id),
-            "formed_at": Int = |formed_at| int(*formed_at),
-            "span": Int = |at, formed_at| int(at.saturating_sub(*formed_at)),
-        }),
-        EventKind::RankComputed => fields!(RankComputed {
-            "batch": Int = |batch| int(*batch),
-            "max_total": Bool = |max_total| int(*max_total),
-            "threads": Int = |entries| int(entries.len()),
-            "rank_permutation": Bool = |entries| int(rank_permutation(entries)),
-            "rank_sorted": Bool = |entries| int(rank_sorted(entries)),
-        }),
-        EventKind::CommandIssued => fields!(CommandIssued {
-            "request": Int = |request| int(*request),
-            "thread": Int = |thread| int(*thread),
-            "rank": Int = |rank| int(*rank),
-            "bank": Int = |bank| int(*bank),
-            "row": Int = |row| int(*row),
-            "col": Int = |col| int(*col),
-            "marked": Bool = |marked| int(*marked),
-            "rd": Bool = |kind| int(*kind == CmdKind::Read),
-            "wr": Bool = |kind| int(*kind == CmdKind::Write),
-            "act": Bool = |kind| int(*kind == CmdKind::Activate),
-            "pre": Bool = |kind| int(*kind == CmdKind::Precharge),
-            "hit": Bool = |service| int(*service == Some(ServiceClass::Hit)),
-            "closed": Bool = |service| int(*service == Some(ServiceClass::Closed)),
-            "conflict": Bool = |service| int(*service == Some(ServiceClass::Conflict)),
-            "has_service": Bool = |service| int(service.is_some()),
-            "has_data_end": Bool = |data_end| int(data_end.is_some()),
-            "data_end": Int = |data_end| data_end.map_or(0, int),
-        }),
-        EventKind::Completed => fields!(Completed {
-            "request": Int = |request| int(*request),
-            "thread": Int = |thread| int(*thread),
-            "write": Bool = |write| int(*write),
-            "arrival": Int = |arrival| int(*arrival),
-            "finish": Int = |finish| int(*finish),
-            "latency": Int = |arrival, finish| int(finish.saturating_sub(*arrival)),
-        }),
-        EventKind::WriteDrain => fields!(WriteDrain {
-            "start": Bool = |start| int(*start),
-            "queued": Int = |queued| int(*queued),
-        }),
-        EventKind::Refresh => fields!(Refresh { "rank": Int = |rank| int(*rank) }),
-        EventKind::BusSample => fields!(BusSample {
-            "busy_banks": Int = |busy_banks| int(*busy_banks),
-            "queued_reads": Int = |queued_reads| int(*queued_reads),
-            "queued_writes": Int = |queued_writes| int(*queued_writes),
-        }),
-        EventKind::BlacklistSet => fields!(BlacklistSet {
-            "thread": Int = |thread| int(*thread),
-            "consecutive": Int = |consecutive| int(*consecutive),
-        }),
-        EventKind::BlacklistCleared => fields!(BlacklistCleared {
-            "cleared": Int = |cleared| int(*cleared),
-        }),
-        EventKind::QuantumRolled => fields!(QuantumRolled {
-            "quantum": Int = |quantum| int(*quantum),
-            "threads": Int = |ranking| int(ranking.len()),
-        }),
-    }
-}
+/// The derived fields, each with its kind and name.
+const DERIVED: &[(EventKind, &str, FieldDef)] = derived! {
+    BatchFormed "cap": Int = |cap| cap.map_or(0, int),
+    BatchFormed "has_cap": Bool = |cap| int(cap.is_some()),
+    BatchFormed "threads": Int = |per_thread| int(per_thread.len()),
+    BatchDrained "span": Int = |at, formed_at| int(at.saturating_sub(*formed_at)),
+    RankComputed "threads": Int = |entries| int(entries.len()),
+    RankComputed "rank_permutation": Bool = |entries| int(rank_permutation(entries)),
+    RankComputed "rank_sorted": Bool = |entries| int(rank_sorted(entries)),
+    CommandIssued "rd": Bool = |kind| int(*kind == CmdKind::Read),
+    CommandIssued "wr": Bool = |kind| int(*kind == CmdKind::Write),
+    CommandIssued "act": Bool = |kind| int(*kind == CmdKind::Activate),
+    CommandIssued "pre": Bool = |kind| int(*kind == CmdKind::Precharge),
+    CommandIssued "hit": Bool = |service| int(*service == Some(ServiceClass::Hit)),
+    CommandIssued "closed": Bool = |service| int(*service == Some(ServiceClass::Closed)),
+    CommandIssued "conflict": Bool = |service| int(*service == Some(ServiceClass::Conflict)),
+    CommandIssued "has_service": Bool = |service| int(service.is_some()),
+    CommandIssued "has_data_end": Bool = |data_end| int(data_end.is_some()),
+    CommandIssued "data_end": Int = |data_end| data_end.map_or(0, int),
+    Completed "latency": Int = |arrival, finish| int(finish.saturating_sub(*arrival)),
+    QuantumRolled "threads": Int = |ranking| int(ranking.len()),
+};
 
-/// Looks up `name` among the fields of `kind`.
+/// Looks up `name` among the fields of `kind`: its integer and boolean
+/// payload fields, then its derived fields.
 #[must_use]
-pub(crate) fn lookup(kind: EventKind, name: &str) -> Option<&'static FieldDef> {
-    catalog(kind).iter().find(|f| f.name == name)
+pub(crate) fn lookup(kind: EventKind, name: &str) -> Option<FieldDef> {
+    if let Some(field) = kind.field(name) {
+        let ty = if field.boolean { Ty::Bool } else { Ty::Int };
+        return Some(FieldDef { ty, get: field.get });
+    }
+    DERIVED.iter().find(|&&(k, n, _)| k == kind && n == name).map(|&(.., field)| field)
 }
 
 /// Derived `rank_permutation`: ranks are exactly `0..n`, each once.
@@ -184,17 +123,6 @@ fn rank_sorted(entries: &[RankEntry]) -> bool {
     })
 }
 
-/// The thread an event concerns: its kind's `thread` field, when it has
-/// one.
-///
-/// Alarms carry this so verdicts can be compared per thread, online
-/// against offline replay and against recorded verdicts.
-#[must_use]
-pub(crate) fn thread_of(event: &Event) -> Option<usize> {
-    let field = lookup(event.kind(), "thread")?;
-    usize::try_from((field.get)(event)).ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,13 +135,13 @@ mod tests {
     #[test]
     fn catalog_fields_are_unique_and_include_at() {
         for kind in EventKind::ALL {
-            let cat = catalog(kind);
-            assert_eq!(cat[0].name, "at");
-            for (i, field) in cat.iter().enumerate() {
+            assert_eq!(lookup(kind, "at").map(|f| f.ty), Some(Ty::Int));
+            let derived: Vec<&str> = DERIVED.iter().filter(|d| d.0 == kind).map(|d| d.1).collect();
+            for (i, name) in derived.iter().enumerate() {
                 assert!(
-                    cat[i + 1..].iter().all(|f| f.name != field.name),
+                    kind.field(name).is_none() && !derived[i + 1..].contains(name),
                     "duplicate field {} on {}",
-                    field.name,
+                    name,
                     kind.name()
                 );
             }
@@ -243,7 +171,8 @@ mod tests {
         assert_eq!(project(&done, "latency"), 6);
         let drained = Event::BatchDrained { at: 50, id: 1, formed_at: 20 };
         assert_eq!(project(&drained, "span"), 30);
-        assert_eq!(thread_of(&done), Some(2));
-        assert_eq!(thread_of(&drained), None);
+        let thread = |e: &Event| lookup(e.kind(), "thread").map(|f| (f.get)(e));
+        assert_eq!(thread(&done), Some(2));
+        assert_eq!(thread(&drained), None);
     }
 }

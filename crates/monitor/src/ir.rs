@@ -109,6 +109,9 @@ pub(crate) struct TriggerDef {
     pub name: String,
     pub cond: Expr,
     pub message: Vec<Part>,
+    /// The projection of the input kind's `thread` field, when it has one:
+    /// the thread an alarm concerns.
+    pub thread: Option<fn(&Event) -> i64>,
 }
 
 /// A fully compiled spec.

@@ -4,6 +4,14 @@
 //! cycles — so this crate stays a leaf: the DRAM substrate, the schedulers
 //! and the sim runner all *emit* events without this crate depending on any
 //! of their types. Every event carries the processor cycle it happened at.
+//!
+//! Each kind is declared once, in the `events!` table below: its variant,
+//! its JSONL `type` tag and its payload fields, each with its JSONL key and
+//! codec. The table generates the [`Event`] and [`EventKind`] enums, the
+//! JSONL writer and reader, and the integer and boolean fields a monitor
+//! spec reads, so a new kind or field is one table line.
+
+use crate::json::{self, Codec, NoneAsNull, NoneOmitted, Objects, Pairs, ParseEventError, Plain};
 
 /// The DRAM command class an issued command belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,100 +104,179 @@ pub struct RankEntry {
     pub total_load: u32,
 }
 
-/// The kind of an [`Event`]: its variant without the payload.
-///
-/// This is the one list of kinds. Its [`name`](EventKind::name) is both
-/// the JSONL `type` tag and the kind a monitor spec names after
-/// `input name :=`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// [`Event::Enqueued`].
-    Enqueued,
-    /// [`Event::Marked`].
-    Marked,
-    /// [`Event::BatchFormed`].
-    BatchFormed,
-    /// [`Event::BatchDrained`].
-    BatchDrained,
-    /// [`Event::RankComputed`].
-    RankComputed,
-    /// [`Event::CommandIssued`].
-    CommandIssued,
-    /// [`Event::Completed`].
-    Completed,
-    /// [`Event::WriteDrain`].
-    WriteDrain,
-    /// [`Event::Refresh`].
-    Refresh,
-    /// [`Event::BusSample`].
-    BusSample,
-    /// [`Event::BlacklistSet`].
-    BlacklistSet,
-    /// [`Event::BlacklistCleared`].
-    BlacklistCleared,
-    /// [`Event::QuantumRolled`].
-    QuantumRolled,
+/// An integer or boolean payload field, as a monitor spec reads it (see
+/// [`EventKind::field`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Field {
+    /// True for a bool field, false for an integer one.
+    pub boolean: bool,
+    /// Reads the field of an event of its kind: a bool as 0 or 1, an
+    /// integer clamped to `i64::MAX`. Events of other kinds read 0.
+    pub get: fn(&Event) -> i64,
 }
 
-impl EventKind {
-    /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 13] = [
-        EventKind::Enqueued,
-        EventKind::Marked,
-        EventKind::BatchFormed,
-        EventKind::BatchDrained,
-        EventKind::RankComputed,
-        EventKind::CommandIssued,
-        EventKind::Completed,
-        EventKind::WriteDrain,
-        EventKind::Refresh,
-        EventKind::BusSample,
-        EventKind::BlacklistSet,
-        EventKind::BlacklistCleared,
-        EventKind::QuantumRolled,
-    ];
+/// The spec field `get` reads, when `codec` encodes an integer or a bool.
+fn spec_field<T, C: Codec<T>>(_codec: &C, get: fn(&Event) -> i64) -> Option<Field> {
+    C::BOOLEAN.map(|boolean| Field { boolean, get })
+}
 
-    /// The kind's name: the JSONL `type` tag and the spec-language kind.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::Enqueued => "enqueued",
-            EventKind::Marked => "marked",
-            EventKind::BatchFormed => "batch_formed",
-            EventKind::BatchDrained => "batch_drained",
-            EventKind::RankComputed => "rank_computed",
-            EventKind::CommandIssued => "command_issued",
-            EventKind::Completed => "completed",
-            EventKind::WriteDrain => "write_drain",
-            EventKind::Refresh => "refresh",
-            EventKind::BusSample => "bus_sample",
-            EventKind::BlacklistSet => "blacklist_set",
-            EventKind::BlacklistCleared => "blacklist_cleared",
-            EventKind::QuantumRolled => "quantum_rolled",
+/// Declares the event vocabulary from one entry per kind: its doc, its
+/// variant and its JSONL `type` tag, then one line per payload field: its
+/// doc, name and type, `= "key"` where its JSONL key is not its name, and
+/// `=> codec` where its type alone does not decide its encoding (the
+/// default is [`Plain`]). A last `"key" = value` line adds a key the
+/// writer derives and the reader ignores.
+///
+/// It generates [`Event`], [`EventKind`] (`ALL` in table order, `name`,
+/// `parse` and `field`), [`Event::at`], [`Event::kind`],
+/// [`Event::to_json`] and [`Event::from_json`].
+macro_rules! events {
+    (@codec) => { Plain };
+    (@codec $codec:expr) => { $codec };
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident $tag:literal {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty $(= $key:literal)? $(=> $codec:expr)?,)*
+            $($derived:literal = $value:expr,)*
         }
-    }
+    )*) => {
+        /// One observable occurrence in the memory system.
+        ///
+        /// The stream emitted by an instrumented controller is totally
+        /// ordered by emission (and non-decreasing in `at`); sinks may rely
+        /// on seeing a request's `Enqueued` before its commands and its
+        /// commands before its `Completed`.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Event {
+            $($(#[$doc])* $variant { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
 
-    /// Inverse of [`EventKind::name`].
-    #[must_use]
-    pub fn parse(name: &str) -> Option<EventKind> {
-        EventKind::ALL.into_iter().find(|k| k.name() == name)
-    }
+        /// The kind of an [`Event`]: its variant without the payload.
+        ///
+        /// Its [`name`](EventKind::name) is both the JSONL `type` tag and
+        /// the kind a monitor spec names after `input name :=`.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum EventKind {
+            $(#[doc = concat!("[`Event::", stringify!($variant), "`].")] $variant,)*
+        }
+
+        impl EventKind {
+            /// Every kind, in declaration order.
+            pub const ALL: [EventKind; [$($tag),*].len()] = [$(EventKind::$variant),*];
+
+            /// The kind's name: the JSONL `type` tag and the spec-language
+            /// kind.
+            #[must_use]
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$variant => $tag,)*
+                }
+            }
+
+            /// Inverse of [`EventKind::name`].
+            #[must_use]
+            pub fn parse(name: &str) -> Option<EventKind> {
+                Some(match name {
+                    $($tag => EventKind::$variant,)*
+                    _ => return None,
+                })
+            }
+
+            /// The integer or boolean payload field of this kind a monitor
+            /// spec reads as `name`, the field's Rust name (`at` included).
+            #[must_use]
+            pub fn field(self, name: &str) -> Option<Field> {
+                match self {
+                    $(EventKind::$variant => match name {
+                        $(stringify!($field) => spec_field::<$ty, _>(
+                            &events!(@codec $($codec)?),
+                            |e| match e {
+                                Event::$variant { $field, .. } => {
+                                    Codec::<$ty>::project(&events!(@codec $($codec)?), $field)
+                                }
+                                _ => 0,
+                            },
+                        ),)*
+                        _ => None,
+                    },)*
+                }
+            }
+        }
+
+        impl Event {
+            /// The processor cycle the event occurred at.
+            #[must_use]
+            pub fn at(&self) -> u64 {
+                match *self {
+                    $(Event::$variant { at, .. })|* => at,
+                }
+            }
+
+            /// The event's kind: its variant without the payload.
+            #[must_use]
+            pub fn kind(&self) -> EventKind {
+                match self {
+                    $(Event::$variant { .. } => EventKind::$variant,)*
+                }
+            }
+
+            /// Renders the event as a single-line JSON object (the JSONL
+            /// record format; all JSON in this crate is hand-rolled — no
+            /// serializer dependency).
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                let mut out = String::with_capacity(96);
+                match self {
+                    $(Event::$variant { $($field),* } => {
+                        out.push_str(concat!("{\"type\":\"", $tag, "\""));
+                        $(Codec::<$ty>::write(
+                            &events!(@codec $($codec)?),
+                            $field,
+                            events!(@key $field $($key)?),
+                            &mut out,
+                        );)*
+                        $(Plain.write(&$value, $derived, &mut out);)*
+                    })*
+                }
+                out.push('}');
+                out
+            }
+
+            /// Parses one JSONL record (as produced by [`Event::to_json`] /
+            /// [`crate::JsonlSink`]) back into the event it came from.
+            ///
+            /// # Errors
+            ///
+            /// Returns a [`ParseEventError`] naming the offending field when
+            /// the line is not valid JSON, repeats a key, is missing a
+            /// field, or types a field wrongly — replay must never silently
+            /// drop or zero a field.
+            pub fn from_json(line: &str) -> Result<Event, ParseEventError> {
+                json::read_record(line, |kind, r| {
+                    Ok(match kind {
+                        $(EventKind::$variant => Event::$variant {
+                            $($field: Codec::<$ty>::read(
+                                &events!(@codec $($codec)?),
+                                r,
+                                events!(@key $field $($key)?),
+                            )?,)*
+                        },)*
+                    })
+                })
+            }
+        }
+    };
 }
 
-/// One observable occurrence in the memory system.
-///
-/// The stream emitted by an instrumented controller is totally ordered by
-/// emission (and non-decreasing in `at`); sinks may rely on seeing a
-/// request's `Enqueued` before its commands and its commands before its
-/// `Completed`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+events! {
     /// A request entered the controller's read or write buffer.
-    Enqueued {
+    Enqueued "enqueued" {
         /// Arrival cycle.
         at: u64,
         /// Request id.
-        request: u64,
+        request: u64 = "req",
         /// Issuing thread.
         thread: usize,
         /// True for writes.
@@ -200,22 +287,22 @@ pub enum Event {
         bank: usize,
         /// Target row.
         row: u64,
-    },
+    }
     /// A queued read was marked into the current batch (PAR-BS Rule 1).
-    Marked {
+    Marked "marked" {
         /// Marking cycle.
         at: u64,
         /// Request id.
-        request: u64,
+        request: u64 = "req",
         /// Issuing thread.
         thread: usize,
         /// Target rank within the channel.
         rank: usize,
         /// Target bank (channel-global index).
         bank: usize,
-    },
+    }
     /// A new batch formed. Emitted *before* the batch's `Marked` events.
-    BatchFormed {
+    BatchFormed "batch_formed" {
         /// Formation cycle.
         at: u64,
         /// Batch sequence number (1-based; matches `ParBsStats::batches_formed`).
@@ -223,25 +310,25 @@ pub enum Event {
         /// Number of requests marked at formation.
         marked: u32,
         /// Marking-Cap in force (`None` = uncapped).
-        cap: Option<u32>,
+        cap: Option<u32> => NoneAsNull,
         /// True when batches are exclusive (full/empty-slot batching): batch
         /// N+1 may only form after batch N drains. Static time-based
         /// batching renews marks on a period instead and sets this false.
         exclusive: bool,
         /// Requests marked at formation per thread, sorted by thread index.
-        per_thread: Vec<(usize, u32)>,
-    },
+        per_thread: Vec<(usize, u32)> => Pairs("thread", "count"),
+    }
     /// The previous batch's last marked request finished (batch drained).
-    BatchDrained {
+    BatchDrained "batch_drained" {
         /// Drain observation cycle.
         at: u64,
         /// Batch sequence number.
         id: u64,
         /// Cycle the batch formed at (span start).
         formed_at: u64,
-    },
+    }
     /// A thread ranking was computed over the marked requests (Rule 3).
-    RankComputed {
+    RankComputed "rank_computed" {
         /// Computation cycle.
         at: u64,
         /// Batch sequence number the ranking belongs to.
@@ -250,18 +337,18 @@ pub enum Event {
         /// i.e. an invariant checker may check the ordering.
         max_total: bool,
         /// Ranking entries, sorted by ascending rank.
-        entries: Vec<RankEntry>,
-    },
+        entries: Vec<RankEntry> = "ranking" => Objects(["thread", "rank", "max", "total"]),
+    }
     /// A DRAM command was placed on the command bus for a request.
-    CommandIssued {
+    CommandIssued "command_issued" {
         /// Issue cycle.
         at: u64,
         /// Request id the command belongs to.
-        request: u64,
+        request: u64 = "req",
         /// Issuing thread.
         thread: usize,
         /// Command class.
-        kind: CmdKind,
+        kind: CmdKind = "cmd",
         /// Target rank within the channel.
         rank: usize,
         /// Target bank (channel-global index).
@@ -273,16 +360,16 @@ pub enum Event {
         /// Whether the request was marked (in the current batch).
         marked: bool,
         /// Row-buffer classification, present on the request's first command.
-        service: Option<ServiceClass>,
+        service: Option<ServiceClass> = "class" => NoneOmitted,
         /// For column commands: the cycle the data transfer ends.
-        data_end: Option<u64>,
-    },
+        data_end: Option<u64> => NoneOmitted,
+    }
     /// A request's data transfer (plus front-end latency) completed.
-    Completed {
+    Completed "completed" {
         /// Cycle the completion was scheduled (column-command issue time).
         at: u64,
         /// Request id.
-        request: u64,
+        request: u64 = "req",
         /// Issuing thread.
         thread: usize,
         /// True for writes.
@@ -291,25 +378,26 @@ pub enum Event {
         arrival: u64,
         /// Cycle the requesting core observes the data (span end).
         finish: u64,
-    },
+        "latency" = finish.saturating_sub(*arrival),
+    }
     /// The controller entered (`start = true`) or left write-drain mode.
-    WriteDrain {
+    WriteDrain "write_drain" {
         /// Transition cycle.
         at: u64,
         /// True when draining begins, false when it ends.
         start: bool,
         /// Write-buffer occupancy at the transition.
         queued: u32,
-    },
+    }
     /// An all-bank refresh was issued to one rank.
-    Refresh {
+    Refresh "refresh" {
         /// Issue cycle.
         at: u64,
         /// Refreshed rank.
         rank: usize,
-    },
+    }
     /// Periodic bank/bus occupancy sample (emitted on change only).
-    BusSample {
+    BusSample "bus_sample" {
         /// Sample cycle.
         at: u64,
         /// Banks currently servicing a request.
@@ -318,197 +406,35 @@ pub enum Event {
         queued_reads: u32,
         /// Queued write requests.
         queued_writes: u32,
-    },
+    }
     /// BLISS blacklisted a thread after it was serviced too many times in a
     /// row.
-    BlacklistSet {
+    BlacklistSet "blacklist_set" {
         /// Blacklisting cycle.
         at: u64,
         /// The thread that crossed the consecutive-service threshold.
         thread: usize,
         /// Consecutive column commands the thread had received.
         consecutive: u32,
-    },
+    }
     /// BLISS's periodic clearing interval expired and the blacklist was
     /// emptied.
-    BlacklistCleared {
+    BlacklistCleared "blacklist_cleared" {
         /// Clearing cycle.
         at: u64,
         /// Threads removed from the blacklist.
         cleared: u32,
-    },
+    }
     /// An ATLAS quantum expired: long-term attained service was aged and the
     /// least-attained-service thread ranking recomputed.
-    QuantumRolled {
+    QuantumRolled "quantum_rolled" {
         /// Rollover cycle.
         at: u64,
         /// 1-based quantum sequence number.
         quantum: u64,
         /// `(thread, rank, attained_service)` entries, sorted by ascending
         /// rank (rank 0 = least attained service = highest priority).
-        ranking: Vec<(usize, u32, u64)>,
-    },
-}
-
-impl Event {
-    /// The processor cycle the event occurred at.
-    #[must_use]
-    pub fn at(&self) -> u64 {
-        match *self {
-            Event::Enqueued { at, .. }
-            | Event::Marked { at, .. }
-            | Event::BatchFormed { at, .. }
-            | Event::BatchDrained { at, .. }
-            | Event::RankComputed { at, .. }
-            | Event::CommandIssued { at, .. }
-            | Event::Completed { at, .. }
-            | Event::WriteDrain { at, .. }
-            | Event::Refresh { at, .. }
-            | Event::BusSample { at, .. }
-            | Event::BlacklistSet { at, .. }
-            | Event::BlacklistCleared { at, .. }
-            | Event::QuantumRolled { at, .. } => at,
-        }
-    }
-
-    /// The event's kind: its variant without the payload.
-    #[must_use]
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::Enqueued { .. } => EventKind::Enqueued,
-            Event::Marked { .. } => EventKind::Marked,
-            Event::BatchFormed { .. } => EventKind::BatchFormed,
-            Event::BatchDrained { .. } => EventKind::BatchDrained,
-            Event::RankComputed { .. } => EventKind::RankComputed,
-            Event::CommandIssued { .. } => EventKind::CommandIssued,
-            Event::Completed { .. } => EventKind::Completed,
-            Event::WriteDrain { .. } => EventKind::WriteDrain,
-            Event::Refresh { .. } => EventKind::Refresh,
-            Event::BusSample { .. } => EventKind::BusSample,
-            Event::BlacklistSet { .. } => EventKind::BlacklistSet,
-            Event::BlacklistCleared { .. } => EventKind::BlacklistCleared,
-            Event::QuantumRolled { .. } => EventKind::QuantumRolled,
-        }
-    }
-
-    /// Renders the event as a single-line JSON object (the JSONL record
-    /// format; all JSON in this crate is hand-rolled — no serializer
-    /// dependency).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::with_capacity(96);
-        let _ = write!(s, "{{\"type\":\"{}\",\"at\":{}", self.kind().name(), self.at());
-        match self {
-            Event::Enqueued { request, thread, write, rank, bank, row, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"req\":{request},\"thread\":{thread},\"write\":{write},\"rank\":{rank},\"bank\":{bank},\"row\":{row}"
-                );
-            }
-            Event::Marked { request, thread, rank, bank, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"req\":{request},\"thread\":{thread},\"rank\":{rank},\"bank\":{bank}"
-                );
-            }
-            Event::BatchFormed { id, marked, cap, exclusive, per_thread, .. } => {
-                let _ = write!(s, ",\"id\":{id},\"marked\":{marked},\"cap\":");
-                match cap {
-                    Some(c) => {
-                        let _ = write!(s, "{c}");
-                    }
-                    None => s.push_str("null"),
-                }
-                let _ = write!(s, ",\"exclusive\":{exclusive},\"per_thread\":[");
-                for (i, (t, n)) in per_thread.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "[{t},{n}]");
-                }
-                s.push(']');
-            }
-            Event::BatchDrained { id, formed_at, .. } => {
-                let _ = write!(s, ",\"id\":{id},\"formed_at\":{formed_at}");
-            }
-            Event::RankComputed { batch, max_total, entries, .. } => {
-                let _ = write!(s, ",\"batch\":{batch},\"max_total\":{max_total},\"ranking\":[");
-                for (i, e) in entries.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(
-                        s,
-                        "{{\"thread\":{},\"rank\":{},\"max\":{},\"total\":{}}}",
-                        e.thread, e.rank, e.max_bank_load, e.total_load
-                    );
-                }
-                s.push(']');
-            }
-            Event::CommandIssued {
-                request,
-                thread,
-                kind,
-                rank,
-                bank,
-                row,
-                col,
-                marked,
-                service,
-                data_end,
-                ..
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"req\":{request},\"thread\":{thread},\"cmd\":\"{}\",\"rank\":{rank},\"bank\":{bank},\"row\":{row},\"col\":{col},\"marked\":{marked}",
-                    kind.short()
-                );
-                if let Some(class) = service {
-                    let _ = write!(s, ",\"class\":\"{}\"", class.name());
-                }
-                if let Some(end) = data_end {
-                    let _ = write!(s, ",\"data_end\":{end}");
-                }
-            }
-            Event::Completed { request, thread, write, arrival, finish, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"req\":{request},\"thread\":{thread},\"write\":{write},\"arrival\":{arrival},\"finish\":{finish},\"latency\":{}",
-                    finish.saturating_sub(*arrival)
-                );
-            }
-            Event::WriteDrain { start, queued, .. } => {
-                let _ = write!(s, ",\"start\":{start},\"queued\":{queued}");
-            }
-            Event::Refresh { rank, .. } => {
-                let _ = write!(s, ",\"rank\":{rank}");
-            }
-            Event::BusSample { busy_banks, queued_reads, queued_writes, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"busy_banks\":{busy_banks},\"queued_reads\":{queued_reads},\"queued_writes\":{queued_writes}"
-                );
-            }
-            Event::BlacklistSet { thread, consecutive, .. } => {
-                let _ = write!(s, ",\"thread\":{thread},\"consecutive\":{consecutive}");
-            }
-            Event::BlacklistCleared { cleared, .. } => {
-                let _ = write!(s, ",\"cleared\":{cleared}");
-            }
-            Event::QuantumRolled { quantum, ranking, .. } => {
-                let _ = write!(s, ",\"quantum\":{quantum},\"ranking\":[");
-                for (i, (t, r, svc)) in ranking.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "{{\"thread\":{t},\"rank\":{r},\"attained\":{svc}}}");
-                }
-                s.push(']');
-            }
-        }
-        s.push('}');
-        s
+        ranking: Vec<(usize, u32, u64)> => Objects(["thread", "rank", "attained"]),
     }
 }
 

@@ -1,6 +1,9 @@
-//! Parsing JSONL records back into [`Event`]s — the inverse of
-//! [`Event::to_json`], used by offline trace replay (`parbs-sim monitor
-//! --replay`).
+//! The JSONL record format: the parser that reads a record back and the
+//! codecs that write and read each field. [`Event::to_json`] and
+//! [`Event::from_json`] come from the `events!` table in `event.rs`, which
+//! names each field's JSONL key and, where its type alone does not decide
+//! the encoding, its codec; this module supplies the codecs. Offline trace
+//! replay (`parbs-sim monitor --replay`) reads records through it.
 //!
 //! The grammar accepted here is ordinary JSON (the parser is a small
 //! hand-rolled recursive-descent over a value enum; no serializer/
@@ -11,10 +14,12 @@
 //! through one typed getter that rejects values its field cannot hold.
 //! The workspace test `tests/event_roundtrip.rs` property-tests both
 //! directions: for every variant `Event::from_json(&e.to_json()) == e`,
-//! and a randomly edited record either fails or parses to an event that
-//! round-trips.
+//! a randomly edited record either fails or parses to an event that
+//! round-trips, and a record without one of its keys fails naming the
+//! key unless the key is optional.
 
 use std::collections::BTreeMap;
+use std::fmt::{Display, Write as _};
 
 use crate::{CmdKind, Event, EventKind, RankEntry, ServiceClass};
 
@@ -260,12 +265,13 @@ impl<'a> Parser<'a> {
 }
 
 /// Field accessors over one parsed object: a whole record, or one entry
-/// of a record's `ranking` list.
-struct Record<'a> {
+/// of a list of objects in it.
+pub(crate) struct Record<'a> {
     /// The record's `type` tag.
     ty: &'a str,
-    /// What the object is within the record: `record` or `ranking entry`.
-    part: &'static str,
+    /// What the object is within the record: `record`, or `<key> entry`
+    /// for an entry of the list at `key`.
+    part: &'a str,
     fields: &'a BTreeMap<String, Value>,
 }
 
@@ -304,18 +310,6 @@ impl<'a> Record<'a> {
     fn mistyped<T>(&self, key: &str, want: &str, got: &Value) -> Result<T, ParseEventError> {
         err(format!("field '{key}' of '{}' {} must be {want}, got {got:?}", self.ty, self.part))
     }
-
-    /// The entries of the `ranking` list, each an object.
-    fn ranking(&self) -> Result<Vec<Record<'a>>, ParseEventError> {
-        let ty = self.ty;
-        self.arr("ranking")?
-            .iter()
-            .map(|v| match v {
-                Value::Obj(fields) => Ok(Record { ty, part: "ranking entry", fields }),
-                other => err(format!("ranking entries must be objects, got {other:?}")),
-            })
-            .collect()
-    }
 }
 
 /// The reader's one integer getter: `v` as a `T`, failing when `v` is not
@@ -329,161 +323,262 @@ fn int<T: TryFrom<u64>>(v: &Value, what: std::fmt::Arguments<'_>) -> Result<T, P
     })
 }
 
-impl Event {
-    /// Parses one JSONL record (as produced by [`Event::to_json`] /
-    /// [`crate::JsonlSink`]) back into the event it came from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ParseEventError`] naming the offending field when the
-    /// line is not valid JSON, repeats a key, is missing a field, or types
-    /// a field wrongly — replay must never silently drop or zero a field.
-    pub fn from_json(line: &str) -> Result<Event, ParseEventError> {
-        let mut p = Parser::new(line);
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != line.len() {
-            return err(format!("trailing garbage after record at byte {}", p.pos));
+/// Parses `line` as one JSONL record and builds its event with `build`,
+/// from the kind its `type` tag names and the record's fields.
+pub(crate) fn read_record(
+    line: &str,
+    build: impl FnOnce(EventKind, &Record<'_>) -> Result<Event, ParseEventError>,
+) -> Result<Event, ParseEventError> {
+    let mut p = Parser::new(line);
+    let value = p.value()?;
+    p.skip_ws();
+    if p.pos != line.len() {
+        return err(format!("trailing garbage after record at byte {}", p.pos));
+    }
+    let Value::Obj(fields) = &value else {
+        return err("a JSONL record must be a JSON object");
+    };
+    let Some(Value::Str(ty)) = fields.get("type") else {
+        return err("record has no string 'type' field");
+    };
+    let Some(kind) = EventKind::parse(ty) else {
+        return err(format!("unknown event type '{ty}'"));
+    };
+    build(kind, &Record { ty, part: "record", fields })
+}
+
+/// How a field of type `T` is encoded: written to a JSONL record, read
+/// back from one and, for integers and bools, read by a monitor spec. A
+/// line of the `events!` table names its codec where the field's type
+/// alone does not decide the encoding; every other field is [`Plain`].
+pub(crate) trait Codec<T> {
+    /// `Some(true)` for a bool and `Some(false)` for an integer, which a
+    /// monitor spec reads through [`Codec::project`]; `None` keeps the
+    /// field out of specs.
+    const BOOLEAN: Option<bool> = None;
+
+    /// Appends the field to a record as `,"key":value`.
+    fn write(&self, v: &T, key: &str, out: &mut String);
+
+    /// Reads the field at `key` of `r`.
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<T, ParseEventError>;
+
+    /// The field as a monitor spec reads it: a bool as 0 or 1, an integer
+    /// clamped to `i64::MAX`.
+    fn project(&self, _v: &T) -> i64 {
+        0
+    }
+}
+
+/// The encoding a field's type decides: integers as numbers, bools as
+/// `true`/`false`, command kinds and service classes by name.
+pub(crate) struct Plain;
+
+/// The integer field types.
+trait Int: Copy + Display + TryFrom<u64> + TryInto<i64> {}
+
+impl Int for u64 {}
+impl Int for u32 {}
+impl Int for usize {}
+
+impl<T: Int> Codec<T> for Plain {
+    const BOOLEAN: Option<bool> = Some(false);
+
+    fn write(&self, v: &T, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{v}");
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<T, ParseEventError> {
+        r.int(key)
+    }
+
+    fn project(&self, v: &T) -> i64 {
+        (*v).try_into().unwrap_or(i64::MAX)
+    }
+}
+
+impl Codec<bool> for Plain {
+    const BOOLEAN: Option<bool> = Some(true);
+
+    fn write(&self, v: &bool, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":{v}");
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<bool, ParseEventError> {
+        r.boolean(key)
+    }
+
+    fn project(&self, v: &bool) -> i64 {
+        i64::from(*v)
+    }
+}
+
+impl Codec<CmdKind> for Plain {
+    fn write(&self, v: &CmdKind, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{}\"", v.short());
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<CmdKind, ParseEventError> {
+        let cmd = r.str(key)?;
+        CmdKind::parse_short(cmd).map_or_else(|| err(format!("unknown command kind '{cmd}'")), Ok)
+    }
+}
+
+impl Codec<ServiceClass> for Plain {
+    fn write(&self, v: &ServiceClass, key: &str, out: &mut String) {
+        let _ = write!(out, ",\"{key}\":\"{}\"", v.name());
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<ServiceClass, ParseEventError> {
+        let class = r.str(key)?;
+        ServiceClass::parse_name(class)
+            .map_or_else(|| err(format!("unknown service class '{class}'")), Ok)
+    }
+}
+
+/// An optional field written as `null` when absent. The key is required.
+pub(crate) struct NoneAsNull;
+
+impl<T> Codec<Option<T>> for NoneAsNull
+where
+    Plain: Codec<T>,
+{
+    fn write(&self, v: &Option<T>, key: &str, out: &mut String) {
+        match v {
+            Some(v) => Plain.write(v, key, out),
+            None => {
+                let _ = write!(out, ",\"{key}\":null");
+            }
         }
-        let Value::Obj(fields) = &value else {
-            return err("a JSONL record must be a JSON object");
-        };
-        let Some(Value::Str(ty)) = fields.get("type") else {
-            return err("record has no string 'type' field");
-        };
-        let r = Record { ty, part: "record", fields };
-        let at = r.int("at")?;
-        let Some(kind) = EventKind::parse(ty) else {
-            return err(format!("unknown event type '{ty}'"));
-        };
-        Ok(match kind {
-            EventKind::Enqueued => Event::Enqueued {
-                at,
-                request: r.int("req")?,
-                thread: r.int("thread")?,
-                write: r.boolean("write")?,
-                rank: r.int("rank")?,
-                bank: r.int("bank")?,
-                row: r.int("row")?,
-            },
-            EventKind::Marked => Event::Marked {
-                at,
-                request: r.int("req")?,
-                thread: r.int("thread")?,
-                rank: r.int("rank")?,
-                bank: r.int("bank")?,
-            },
-            EventKind::BatchFormed => Event::BatchFormed {
-                at,
-                id: r.int("id")?,
-                marked: r.int("marked")?,
-                cap: match r.get("cap")? {
-                    Value::Null => None,
-                    _ => Some(r.int("cap")?),
-                },
-                exclusive: r.boolean("exclusive")?,
-                per_thread: r
-                    .arr("per_thread")?
-                    .iter()
-                    .map(|v| match v {
-                        Value::Arr(pair) if pair.len() == 2 => Ok((
-                            int(&pair[0], format_args!("per_thread thread"))?,
-                            int(&pair[1], format_args!("per_thread count"))?,
-                        )),
-                        _ => {
-                            err(format!("per_thread entries must be two-element arrays, got {v:?}"))
-                        }
-                    })
-                    .collect::<Result<_, _>>()?,
-            },
-            EventKind::BatchDrained => {
-                Event::BatchDrained { at, id: r.int("id")?, formed_at: r.int("formed_at")? }
-            }
-            EventKind::RankComputed => Event::RankComputed {
-                at,
-                batch: r.int("batch")?,
-                max_total: r.boolean("max_total")?,
-                entries: r
-                    .ranking()?
-                    .iter()
-                    .map(|e| {
-                        Ok(RankEntry {
-                            thread: e.int("thread")?,
-                            rank: e.int("rank")?,
-                            max_bank_load: e.int("max")?,
-                            total_load: e.int("total")?,
-                        })
-                    })
-                    .collect::<Result<_, ParseEventError>>()?,
-            },
-            EventKind::CommandIssued => {
-                let cmd = r.str("cmd")?;
-                let Some(kind) = CmdKind::parse_short(cmd) else {
-                    return err(format!("unknown command kind '{cmd}'"));
-                };
-                let service = if fields.contains_key("class") {
-                    let class = r.str("class")?;
-                    let Some(service) = ServiceClass::parse_name(class) else {
-                        return err(format!("unknown service class '{class}'"));
-                    };
-                    Some(service)
-                } else {
-                    None
-                };
-                Event::CommandIssued {
-                    at,
-                    request: r.int("req")?,
-                    thread: r.int("thread")?,
-                    kind,
-                    rank: r.int("rank")?,
-                    bank: r.int("bank")?,
-                    row: r.int("row")?,
-                    col: r.int("col")?,
-                    marked: r.boolean("marked")?,
-                    service,
-                    data_end: if fields.contains_key("data_end") {
-                        Some(r.int("data_end")?)
-                    } else {
-                        None
-                    },
-                }
-            }
-            EventKind::Completed => Event::Completed {
-                at,
-                request: r.int("req")?,
-                thread: r.int("thread")?,
-                write: r.boolean("write")?,
-                arrival: r.int("arrival")?,
-                finish: r.int("finish")?,
-            },
-            EventKind::WriteDrain => {
-                Event::WriteDrain { at, start: r.boolean("start")?, queued: r.int("queued")? }
-            }
-            EventKind::Refresh => Event::Refresh { at, rank: r.int("rank")? },
-            EventKind::BusSample => Event::BusSample {
-                at,
-                busy_banks: r.int("busy_banks")?,
-                queued_reads: r.int("queued_reads")?,
-                queued_writes: r.int("queued_writes")?,
-            },
-            EventKind::BlacklistSet => Event::BlacklistSet {
-                at,
-                thread: r.int("thread")?,
-                consecutive: r.int("consecutive")?,
-            },
-            EventKind::BlacklistCleared => {
-                Event::BlacklistCleared { at, cleared: r.int("cleared")? }
-            }
-            EventKind::QuantumRolled => Event::QuantumRolled {
-                at,
-                quantum: r.int("quantum")?,
-                ranking: r
-                    .ranking()?
-                    .iter()
-                    .map(|e| Ok((e.int("thread")?, e.int("rank")?, e.int("attained")?)))
-                    .collect::<Result<_, ParseEventError>>()?,
-            },
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<Option<T>, ParseEventError> {
+        match r.get(key)? {
+            Value::Null => Ok(None),
+            _ => Plain.read(r, key).map(Some),
+        }
+    }
+}
+
+/// An optional field left out of the record when absent.
+pub(crate) struct NoneOmitted;
+
+impl<T> Codec<Option<T>> for NoneOmitted
+where
+    Plain: Codec<T>,
+{
+    fn write(&self, v: &Option<T>, key: &str, out: &mut String) {
+        if let Some(v) = v {
+            Plain.write(v, key, out);
+        }
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<Option<T>, ParseEventError> {
+        if r.fields.contains_key(key) {
+            Plain.read(r, key).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+/// Appends `,"key":[...]`, writing each item with `item`.
+fn write_list<T>(out: &mut String, key: &str, items: &[T], item: impl Fn(&mut String, &T)) {
+    let _ = write!(out, ",\"{key}\":[");
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, x);
+    }
+    out.push(']');
+}
+
+/// A list of integer pairs, each written as a two-element array. The two
+/// names label the pair's cells in errors.
+pub(crate) struct Pairs(pub &'static str, pub &'static str);
+
+impl<A: Int, B: Int> Codec<Vec<(A, B)>> for Pairs {
+    fn write(&self, v: &Vec<(A, B)>, key: &str, out: &mut String) {
+        write_list(out, key, v, |out, (a, b)| {
+            let _ = write!(out, "[{a},{b}]");
+        });
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<Vec<(A, B)>, ParseEventError> {
+        r.arr(key)?
+            .iter()
+            .map(|v| match v {
+                Value::Arr(pair) if pair.len() == 2 => Ok((
+                    int(&pair[0], format_args!("{key} {}", self.0))?,
+                    int(&pair[1], format_args!("{key} {}", self.1))?,
+                )),
+                _ => err(format!("{key} entries must be two-element arrays, got {v:?}")),
+            })
+            .collect()
+    }
+}
+
+/// A list written as one object per entry, with these keys for an entry's
+/// cells.
+pub(crate) struct Objects<const N: usize>(pub [&'static str; N]);
+
+/// A list entry of `N` integer cells, as [`Objects`] writes and reads it.
+pub(crate) trait Entry<const N: usize>: Sized {
+    /// The cells, in key order.
+    fn cells(&self) -> [&dyn Display; N];
+
+    /// Reads the cells at `keys` of one entry object.
+    fn read(r: &Record<'_>, keys: [&str; N]) -> Result<Self, ParseEventError>;
+}
+
+impl Entry<4> for RankEntry {
+    fn cells(&self) -> [&dyn Display; 4] {
+        [&self.thread, &self.rank, &self.max_bank_load, &self.total_load]
+    }
+
+    fn read(
+        r: &Record<'_>,
+        [thread, rank, max, total]: [&str; 4],
+    ) -> Result<Self, ParseEventError> {
+        Ok(RankEntry {
+            thread: r.int(thread)?,
+            rank: r.int(rank)?,
+            max_bank_load: r.int(max)?,
+            total_load: r.int(total)?,
         })
+    }
+}
+
+impl<A: Int, B: Int, C: Int> Entry<3> for (A, B, C) {
+    fn cells(&self) -> [&dyn Display; 3] {
+        [&self.0, &self.1, &self.2]
+    }
+
+    fn read(r: &Record<'_>, [a, b, c]: [&str; 3]) -> Result<Self, ParseEventError> {
+        Ok((r.int(a)?, r.int(b)?, r.int(c)?))
+    }
+}
+
+impl<E: Entry<N>, const N: usize> Codec<Vec<E>> for Objects<N> {
+    fn write(&self, v: &Vec<E>, key: &str, out: &mut String) {
+        write_list(out, key, v, |out, entry| {
+            for (i, (k, cell)) in self.0.iter().zip(entry.cells()).enumerate() {
+                let _ = write!(out, "{}\"{k}\":{cell}", if i == 0 { '{' } else { ',' });
+            }
+            out.push('}');
+        });
+    }
+
+    fn read(&self, r: &Record<'_>, key: &str) -> Result<Vec<E>, ParseEventError> {
+        let part = format!("{key} entry");
+        r.arr(key)?
+            .iter()
+            .map(|v| match v {
+                Value::Obj(fields) => E::read(&Record { ty: r.ty, part: &part, fields }, self.0),
+                other => err(format!("{key} entries must be objects, got {other:?}")),
+            })
+            .collect()
     }
 }
 
