@@ -17,7 +17,9 @@
 
 use parbs::{BatchingMode, ParBsConfig, Ranking, ThreadPriority};
 use parbs_dram::MappingPolicy;
-use parbs_metrics::{class_fairness, ClassFairness, LatencyHistogram, SchedulerSummary};
+use parbs_metrics::{
+    class_fairness, geometric_mean, ClassFairness, LatencyHistogram, SchedulerSummary,
+};
 use parbs_workloads::{all_benchmarks, classify, BenchmarkProfile, MixSpec};
 
 use crate::{EvalJob, EvalOverrides, EvalPlan, Harness, MixEvaluation, SchedulerKind, SimConfig};
@@ -245,12 +247,9 @@ pub fn zoo_rows(rows: Vec<SweepRow>, mixes: &[MixSpec]) -> Vec<ZooRow> {
                 .zip(mixes)
                 .map(|(e, mix)| class_fairness(&e.metrics.slowdowns, &mix.accel_mask()))
                 .collect();
-            let gmean = |f: fn(&ClassFairness) -> f64| {
-                let log_sum: f64 = splits.iter().map(|s| f(s).max(f64::MIN_POSITIVE).ln()).sum();
-                (log_sum / splits.len().max(1) as f64).exp()
-            };
+            let cpu_unfairness: Vec<f64> = splits.iter().map(|s| s.cpu_unfairness).collect();
             ZooRow {
-                cpu_unfairness: gmean(|s| s.cpu_unfairness),
+                cpu_unfairness: geometric_mean(&cpu_unfairness),
                 cpu_max_slowdown: splits.iter().map(|s| s.cpu_max_slowdown).fold(0.0, f64::max),
                 accel_max_slowdown: splits.iter().map(|s| s.accel_max_slowdown).fold(0.0, f64::max),
                 row,
