@@ -40,13 +40,14 @@
 //!
 //! ## One vocabulary
 //!
-//! Spec inputs name the kinds of `parbs_obs::EventKind`, the same list the
-//! JSONL writer tags records with and the reader dispatches on. Each
-//! readable field is one catalog entry holding its name, type and
-//! projection; the checker resolves names to the entry, the compiled
-//! expression holds its projection, and an alarm's thread is the kind's
-//! `thread` entry. A replayed record that repeats a key is a parse error,
-//! never a silently chosen value.
+//! Spec inputs name the kinds of `parbs_obs::EventKind`, which the same
+//! table as the JSONL writer and reader declares. The readable fields
+//! are that table's integer and boolean fields, under their Rust names,
+//! plus a few derived ones; each is a type and a projection the checker
+//! picks by name at compile time, so the compiled expression holds the
+//! projection and a trigger holds its kind's `thread` projection for its
+//! alarms. A replayed record that repeats a key is a parse error, never a
+//! silently chosen value.
 //!
 //! ## Entry points
 //!
