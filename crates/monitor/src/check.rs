@@ -15,7 +15,8 @@ use parbs_obs::EventKind;
 use crate::ast::{ADecl, AExpr, AInit, Sp, UnOp};
 use crate::fields::{self, Ty};
 use crate::ir::{
-    Action, Expr, InputDef, Part, Removal, SpecIr, StateDef, StateKind, Step, TriggerDef,
+    Action, Expr, InputDef, Part, Plan, Removal, SpecIr, StateDef, StateKind, Step, TriggerDef,
+    MAX_KEYS,
 };
 use crate::lex::lex;
 use crate::parse::Parser;
@@ -24,7 +25,8 @@ use crate::SpecError;
 /// Compiles spec source to IR.
 pub(crate) fn compile(src: &str) -> Result<SpecIr, SpecError> {
     let decls = Parser::new(lex(src, 1)?).spec()?;
-    Checker::default().run(decls)
+    let plans = vec![Plan::default(); EventKind::ALL.len()];
+    Checker { plans, ..Checker::default() }.run(decls)
 }
 
 /// Pass-1 metadata for one state stream; `ty` stays `None` for a hold with
@@ -42,8 +44,7 @@ struct Checker {
     input_names: HashMap<String, usize>,
     states: Vec<StateMeta>,
     state_names: HashMap<String, usize>,
-    steps: Vec<Step>,
-    removals: Vec<Removal>,
+    plans: Vec<Plan>,
     triggers: Vec<TriggerDef>,
     read_states: HashSet<usize>,
     used_inputs: HashSet<usize>,
@@ -73,8 +74,7 @@ impl Checker {
         Ok(SpecIr {
             inputs: self.inputs,
             states,
-            steps: self.steps,
-            removals: self.removals,
+            plans: self.plans,
             triggers: self.triggers,
             lints,
         })
@@ -98,6 +98,7 @@ impl Checker {
                         ));
                     };
                     self.input_names.insert(name.node.clone(), self.inputs.len());
+                    self.plans[kind_id as usize].inputs.push(self.inputs.len());
                     self.inputs.push(InputDef {
                         name: name.node.clone(),
                         kind: kind_id,
@@ -134,6 +135,10 @@ impl Checker {
                 ADecl::Trigger { .. } => continue,
             };
             self.fresh(name)?;
+            if arity > MAX_KEYS {
+                let message = format!("'{}' has {arity} keys; the limit is {MAX_KEYS}", name.node);
+                return Err(err(name.line, name.col, message));
+            }
             self.state_names.insert(name.node.clone(), self.states.len());
             self.states.push(StateMeta { name: name.node.clone(), arity, ty, kind });
         }
@@ -145,6 +150,10 @@ impl Checker {
             return Err(err(name.line, name.col, format!("duplicate stream name '{}'", name.node)));
         }
         Ok(())
+    }
+
+    fn plan(&mut self, input: usize) -> &mut Plan {
+        &mut self.plans[self.inputs[input].kind as usize]
     }
 
     /// Resolves an `on <input>` target, marking the input used.
@@ -183,7 +192,7 @@ impl Checker {
                 for target in removes {
                     let input = self.input_idx(target)?;
                     let keys = self.resolve_keys(keys, self.inputs[input].kind)?;
-                    self.removals.push(Removal::Entry { input, state, keys });
+                    self.plan(input).removals.push(Removal::Entry { input, state, keys });
                 }
             }
             ADecl::Counter { name, keys, arms, resets } => {
@@ -199,7 +208,7 @@ impl Checker {
                 }
                 for target in resets {
                     let input = self.input_idx(target)?;
-                    self.removals.push(Removal::Clear { input, state });
+                    self.plan(input).removals.push(Removal::Clear { input, state });
                 }
             }
             ADecl::Hold { name, arms, .. } => {
@@ -224,7 +233,7 @@ impl Checker {
                         }
                         Some(_) => {}
                     }
-                    self.steps.push(Step {
+                    self.plan(input).steps.push(Step {
                         input,
                         action: Action::Set { state, keys: Vec::new(), value },
                     });
@@ -254,7 +263,7 @@ impl Checker {
                     message: parts,
                     thread: fields::lookup(kind, "thread").map(|f| f.get),
                 });
-                self.steps.push(Step { input, action: Action::Fire { trigger } });
+                self.plan(input).steps.push(Step { input, action: Action::Fire { trigger } });
             }
         }
         Ok(())
@@ -278,7 +287,7 @@ impl Checker {
             Some(v) => self.typed(v, kind, Ty::Int, what)?,
             None => Expr::Int(1),
         };
-        self.steps.push(Step { input, action: action(keys, value) });
+        self.plan(input).steps.push(Step { input, action: action(keys, value) });
         Ok(())
     }
 

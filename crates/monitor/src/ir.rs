@@ -36,6 +36,9 @@ pub(crate) enum Expr {
     Bin(BinOp, Box<Expr>, Box<Expr>),
 }
 
+/// The most keys a stream may declare: a key tuple is a fixed-width array.
+pub(crate) const MAX_KEYS: usize = 4;
+
 /// A matched input stream: an event kind plus an optional guard.
 #[derive(Debug, Clone)]
 pub(crate) struct InputDef {
@@ -114,13 +117,21 @@ pub(crate) struct TriggerDef {
     pub thread: Option<fn(&Event) -> i64>,
 }
 
+/// One event kind's inputs and their steps and removals, in declaration order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Plan {
+    pub inputs: Vec<usize>,
+    pub steps: Vec<Step>,
+    pub removals: Vec<Removal>,
+}
+
 /// A fully compiled spec.
 #[derive(Debug, Clone)]
 pub(crate) struct SpecIr {
     pub inputs: Vec<InputDef>,
     pub states: Vec<StateDef>,
-    pub steps: Vec<Step>,
-    pub removals: Vec<Removal>,
+    /// One plan per event kind, indexed by `EventKind as usize`.
+    pub plans: Vec<Plan>,
     pub triggers: Vec<TriggerDef>,
     /// Non-fatal observations (unused streams, very large windows) for
     /// `parbs-sim check-spec`.
