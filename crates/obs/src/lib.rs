@@ -55,6 +55,6 @@ mod sink;
 pub use chrome::ChromeTraceSink;
 pub use counter::CounterSink;
 pub use event::{CmdKind, Event, EventKind, Field, RankEntry, ServiceClass};
-pub use json::{parse_jsonl, ParseEventError};
+pub use json::{parse_jsonl, read_jsonl, JsonlError, ParseEventError};
 pub use jsonl::JsonlSink;
 pub use sink::{downcast_sink, CollectSink, EventSink, FanoutSink};

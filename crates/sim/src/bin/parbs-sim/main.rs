@@ -1068,9 +1068,9 @@ fn monitor(args: &Args) {
         fail("usage: parbs-sim monitor --spec <file|prelude:name> --replay <jsonl>");
     };
     let spec = load_spec(spec_arg);
-    let text = std::fs::read_to_string(trace_path)
+    let trace = std::fs::File::open(trace_path)
         .unwrap_or_else(|e| fail(format!("cannot read trace {trace_path}: {e}")));
-    let mon = parbs_monitor::replay_jsonl(&spec, &text)
+    let mon = parbs_monitor::replay_jsonl(&spec, std::io::BufReader::new(trace))
         .unwrap_or_else(|e| fail(format!("{trace_path}: {e}")));
     println!("{}", mon.summary());
     for a in mon.alarms() {

@@ -44,7 +44,7 @@ fn assert_identical_and_clean(mix: &MixSpec, kind: &SchedulerKind, spec: &Spec) 
     // Offline: replaying channel 0's JSONL trace must reproduce channel 0's
     // online verdict event for event.
     let trace = obs.trace.expect("jsonl trace requested");
-    let replayed = replay_jsonl(spec, &trace).expect("round-trip trace replays");
+    let replayed = replay_jsonl(spec, trace.as_bytes()).expect("round-trip trace replays");
     let ch0 = obs.monitors.iter().find(|m| m.channel == 0).expect("channel 0 monitored");
     assert_eq!(replayed.events, ch0.events, "{label}: replay saw the online event stream");
     assert_eq!(monitor_verdicts(&replayed), Vec::<Verdict>::new(), "{label}: replay is clean");
@@ -85,7 +85,8 @@ fn qos_spec_runs_clean_across_the_zoo() {
         };
         let obs = run_observed(cfg, &mix, &kind, &opts);
         assert!(obs.monitors.iter().all(|m| m.ok), "{}: {:?}", kind.name(), obs.monitors);
-        let replayed = replay_jsonl(&spec, &obs.trace.expect("jsonl trace")).expect("replays");
+        let replayed =
+            replay_jsonl(&spec, obs.trace.expect("jsonl trace").as_bytes()).expect("replays");
         let ch0 = obs.monitors.iter().find(|m| m.channel == 0).expect("channel 0");
         let online: Vec<(String, parbs_monitor::Severity, u64)> = ch0.trigger_counts.clone();
         let offline: Vec<(String, parbs_monitor::Severity, u64)> =
@@ -134,6 +135,6 @@ fn broken_scheduler_verdicts_are_identical_online_and_offline() {
     assert_eq!(monitor_verdicts(&mon), recorded, "online verdicts match the recorded triples");
 
     // Offline replay of the same trace reproduces the same verdicts again.
-    let replayed = replay_jsonl(&spec, &jsonl.into_string()).expect("trace replays");
+    let replayed = replay_jsonl(&spec, jsonl.into_string().as_bytes()).expect("trace replays");
     assert_eq!(monitor_verdicts(&replayed), recorded, "offline replay reaches the same verdicts");
 }
