@@ -449,9 +449,12 @@ impl Controller {
                         "refresh bookkeeping must advance monotonically"
                     );
                     self.last_refresh[rank] = now;
-                    // Refresh closes the rank's rows: row-hit bits changed.
-                    self.reads.invalidate();
-                    self.writes.invalidate();
+                    // Refresh closes the rank's rows: the row-hit bits of
+                    // requests to its banks changed.
+                    let per_rank = self.channel.banks_per_rank();
+                    let banks = rank * per_rank..(rank + 1) * per_rank;
+                    self.reads.invalidate_banks(banks.clone());
+                    self.writes.invalidate_banks(banks);
                 }
                 return;
             }
@@ -625,14 +628,14 @@ impl Controller {
         }
         self.scheduler.on_command(&cmd, &req, now);
         self.stats.commands_issued += 1;
-        // Activate/precharge change a bank's open row, which feeds every
-        // row-hit-aware priority key and every write key; invalidate both
-        // key caches. Column commands leave bank state untouched (any
+        // Activate/precharge change a bank's open row, which feeds the
+        // row-hit-aware priority keys and the write keys of requests to that
+        // bank only. Column commands leave bank state untouched (any
         // priority change they trigger inside the scheduler must surface
         // via pre_schedule).
         if matches!(cmd.kind, CommandKind::Activate | CommandKind::Precharge) {
-            self.reads.invalidate();
-            self.writes.invalidate();
+            self.reads.invalidate_banks(cmd.bank..cmd.bank + 1);
+            self.writes.invalidate_banks(cmd.bank..cmd.bank + 1);
         }
         if let Some((_, end)) = data {
             let finish = end + self.config.timing.front_latency;
@@ -731,7 +734,7 @@ impl Controller {
     /// whose requesters are threads `0..threads`. The cached priority keys
     /// are invalidated, not restored: the first scheduling slot after
     /// resume recomputes them from the restored scheduler state and
-    /// re-sorts their walk order, so the command stream continues
+    /// rebuilds their walk order, so the command stream continues
     /// bit-for-bit. The earliest pending finish is recomputed from the
     /// restored completions.
     ///
@@ -753,10 +756,10 @@ impl Controller {
                 "controller has a protocol checker or event sink attached",
             ));
         }
-        self.reads.requests = r.get()?;
-        self.writes.requests = r.get()?;
-        self.reads.invalidate();
-        self.writes.invalidate();
+        // Rebuilt buffers hold every request stale: the first walk re-keys
+        // them all.
+        self.reads = r.get::<Vec<Request>>()?.into_iter().collect();
+        self.writes = r.get::<Vec<Request>>()?.into_iter().collect();
         let banks = self.channel.bank_count();
         for req in self.reads.iter().chain(self.writes.iter()) {
             check_index("channel bank count implied by a queued request", banks, req.addr.bank)?;
@@ -796,58 +799,90 @@ fn check_index(what: &'static str, len: usize, found: usize) -> Result<(), parbs
 
 /// One request queue with its cached priority keys and walk order (see
 /// the key-caching contract on [`MemoryScheduler`]): reads keyed by the
-/// scheduler, writes FR-FCFS, both invalidated by the same events.
+/// scheduler, writes FR-FCFS, both invalidated by the same scoped events.
+/// An arrival marks only itself stale, an activate, precharge or refresh
+/// only the requests to the banks it touched
+/// ([`RequestBuffer::invalidate_banks`]), and a `pre_schedule` that reports
+/// a change, scheduler mutation and restore every request.
+///
+/// The walk order stays sorted by (descending stored key, ascending
+/// index), the order repeated strict-max scans would visit, without a
+/// re-sort: an arrival is appended, a removal takes out one entry and
+/// re-inserts the request moved into the freed slot, and
+/// [`RequestBuffer::order`] takes out the stale requests, re-keys them and
+/// binary-inserts them.
 #[derive(Default)]
 struct RequestBuffer {
     /// The queued requests, in no particular order.
     requests: Vec<Request>,
-    /// Packed keys (larger = served first), aligned with `requests` unless
-    /// `keys_stale`.
+    /// Packed keys (larger = served first), aligned with `requests`; an
+    /// arrival's is 0 until it is first keyed.
     keys: Vec<u128>,
-    /// Set by arrival, activate, precharge, refresh, a `pre_schedule` that
-    /// reports a change, scheduler mutation and restore.
-    keys_stale: bool,
-    /// The indices of `requests` by descending key unless `order_stale`.
+    /// Per request: its key is recomputed before the next walk.
+    stale: Vec<bool>,
+    /// Set with any `stale` flag, cleared by [`RequestBuffer::order`].
+    any_stale: bool,
+    /// The indices of `requests` by descending stored key, ties by index.
     order: Vec<usize>,
-    /// Set by re-keying and by a removal.
-    order_stale: bool,
 }
 
 impl RequestBuffer {
     /// Queues `req`; its key is computed at the next [`RequestBuffer::order`].
+    /// Key 0 at the largest index sorts last, so the order stays sorted.
     fn push(&mut self, req: Request) {
+        self.order.push(self.requests.len());
         self.requests.push(req);
-        self.keys_stale = true;
+        self.keys.push(0);
+        self.stale.push(true);
+        self.any_stale = true;
     }
 
     /// Removes the request at index `i`, moving the last request into its
-    /// slot. Clean keys follow it; the walk order named the moved request
-    /// by its old index, so it is re-sorted.
+    /// slot, and re-inserts the moved request's entry under its new index.
     fn swap_remove(&mut self, i: usize) {
-        self.requests.swap_remove(i);
-        if !self.keys_stale {
-            self.keys.swap_remove(i);
+        let last = self.requests.len() - 1;
+        self.unlink(i);
+        if i != last {
+            self.unlink(last);
         }
-        self.order_stale = true;
+        self.requests.swap_remove(i);
+        self.keys.swap_remove(i);
+        self.stale.swap_remove(i);
+        if i != last {
+            self.link(i);
+        }
     }
 
     /// Marks every cached key stale.
     fn invalidate(&mut self) {
-        self.keys_stale = true;
+        self.stale.fill(true);
+        self.any_stale = true;
+    }
+
+    /// Marks the keys of the requests to `banks` stale.
+    fn invalidate_banks(&mut self, banks: std::ops::Range<usize>) {
+        for (stale, req) in self.stale.iter_mut().zip(&self.requests) {
+            if banks.contains(&req.addr.bank) {
+                *stale = true;
+                self.any_stale = true;
+            }
+        }
     }
 
     /// The requests and their walk order, the request indices by
-    /// descending key: re-keyed with `key` and re-sorted only when stale.
-    fn order(&mut self, key: impl FnMut(&Request) -> u128) -> (&[Request], &[usize]) {
-        if self.keys_stale {
-            self.keys.clear();
-            self.keys.extend(self.requests.iter().map(key));
-            self.keys_stale = false;
-            self.order_stale = true;
-        }
-        if self.order_stale {
-            key_order(&self.keys, &mut self.order);
-            self.order_stale = false;
+    /// descending key: only stale requests are re-keyed with `key`.
+    fn order(&mut self, mut key: impl FnMut(&Request) -> u128) -> (&[Request], &[usize]) {
+        if self.any_stale {
+            let stale = &self.stale;
+            self.order.retain(|&i| !stale[i]);
+            for i in 0..self.requests.len() {
+                if self.stale[i] {
+                    self.keys[i] = key(&self.requests[i]);
+                    self.stale[i] = false;
+                    self.link(i);
+                }
+            }
+            self.any_stale = false;
         }
         // Always-on (not debug_assert): a key cache or walk order that
         // drifted out of alignment with its queue silently scrambles
@@ -859,6 +894,33 @@ impl RequestBuffer {
             "priority walk order out of sync with its queue"
         );
         (&self.requests, &self.order)
+    }
+
+    /// Where index `i`, by its stored key, sits or belongs in the order.
+    fn slot(&self, i: usize) -> usize {
+        let at = |j: usize| (std::cmp::Reverse(self.keys[j]), j);
+        self.order.partition_point(|&j| at(j) < at(i))
+    }
+
+    /// Inserts index `i`'s entry where its stored key belongs.
+    fn link(&mut self, i: usize) {
+        let at = self.slot(i);
+        self.order.insert(at, i);
+    }
+
+    /// Takes index `i`'s entry out of the order.
+    fn unlink(&mut self, i: usize) {
+        let at = self.slot(i);
+        debug_assert_eq!(self.order.get(at), Some(&i), "walk order lost index {i}");
+        self.order.remove(at);
+    }
+}
+
+impl FromIterator<Request> for RequestBuffer {
+    fn from_iter<I: IntoIterator<Item = Request>>(requests: I) -> Self {
+        let mut buffer = RequestBuffer::default();
+        requests.into_iter().for_each(|req| buffer.push(req));
+        buffer
     }
 }
 
@@ -922,15 +984,6 @@ fn ready_command(
         request: req.id,
     };
     channel.can_issue(&cmd, now).then_some(cmd)
-}
-
-/// Fills `order` with the indices of `keys` sorted by descending key, ties
-/// broken by ascending index: the order in which repeated strict-max scans
-/// (the first index winning a tie) would visit them.
-fn key_order(keys: &[u128], order: &mut Vec<usize>) {
-    order.clear();
-    order.extend(0..keys.len());
-    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(keys[i]), i));
 }
 
 #[cfg(test)]
@@ -1142,7 +1195,7 @@ mod tests {
         loop {
             ctrl.tick(*now, &mut out);
             *now += 1;
-            if !ctrl.reads.keys_stale && !ctrl.reads.order_stale && !ctrl.pending.is_empty() {
+            if !ctrl.reads.any_stale && !ctrl.pending.is_empty() {
                 return;
             }
             assert!(*now < 1_000_000, "no decision on a cached order");
@@ -1178,11 +1231,11 @@ mod tests {
             ctrl.try_enqueue(read(id, 0, bank, 1, 1, now)).unwrap();
         }
         now = tick_until_reads(&mut ctrl, now, 2);
-        assert!(!ctrl.reads.keys_stale, "id 10 left the queue with clean keys");
+        assert!(!ctrl.reads.any_stale, "id 10 left the queue with clean keys");
         let ids: Vec<u64> = ctrl.reads().iter().map(|r| r.id.0).collect();
         assert_eq!(ids, [11, 12], "the last read moved into the freed slot");
-        // A walk order left unsorted after the removal would still name
-        // slot 2, past the end of the two-read queue.
+        // A walk order that kept the moved read under its old index would
+        // still name slot 2, past the end of the two-read queue.
         tick_until_reads(&mut ctrl, now, 1);
         assert_eq!(ctrl.reads()[0].id, RequestId(12), "the moved read id 11 is served next");
     }
@@ -1260,9 +1313,18 @@ mod tests {
 
 #[cfg(test)]
 mod prop_tests {
-    use super::{key_order, write_key};
+    use super::{write_key, RequestBuffer};
+    use crate::{LineAddr, Request, RequestKind, ThreadId};
     use proptest::collection::vec;
     use proptest::prelude::*;
+
+    /// Fills `order` with the indices of `keys` sorted by descending key,
+    /// ties broken by ascending index: the order a [`RequestBuffer`] keeps.
+    fn key_order(keys: &[u128], order: &mut Vec<usize>) {
+        order.clear();
+        order.extend(0..keys.len());
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(keys[i]), i));
+    }
 
     /// The order repeated strict-max scans visit `keys` in: each scan takes
     /// the largest untried key, the first index winning a tie.
@@ -1292,6 +1354,50 @@ mod prop_tests {
             let mut order = vec![usize::MAX; 3];
             key_order(&keys, &mut order);
             prop_assert_eq!(order, max_scan_order(&keys));
+        }
+
+        /// Random pushes, removals, bank-scoped and full invalidations and
+        /// walks: after every walk the incrementally kept order equals a
+        /// full sort of keys recomputed from scratch. Keys are a function of
+        /// a global epoch, their bank's state and the request id with four
+        /// values, so they tie often, and a removal that re-inserted the
+        /// moved request under a wrong position would show.
+        #[test]
+        fn incremental_walk_order_equals_a_full_sort(
+            ops in vec((0u8..5, 0usize..64), 0..300),
+        ) {
+            const BANKS: usize = 4;
+            let mut buffer = RequestBuffer::default();
+            let (mut epoch, mut banks, mut next_id) = (0u64, [0u64; BANKS], 0u64);
+            for (op, arg) in ops {
+                let key = |r: &Request| {
+                    u128::from((epoch + banks[r.addr.bank] * 3 + r.id.0) % 4) << 100
+                };
+                match op {
+                    0 => {
+                        let addr = LineAddr { channel: 0, bank: arg % BANKS, row: 0, col: 0 };
+                        buffer.push(Request::new(next_id, ThreadId(0), addr, RequestKind::Read, 0));
+                        next_id += 1;
+                    }
+                    1 if !buffer.is_empty() => buffer.swap_remove(arg % buffer.len()),
+                    2 => {
+                        banks[arg % BANKS] += 1;
+                        buffer.invalidate_banks(arg % BANKS..arg % BANKS + 1);
+                    }
+                    3 => {
+                        epoch += 1;
+                        buffer.invalidate();
+                    }
+                    _ => {
+                        let order = buffer.order(key).1.to_vec();
+                        let keys: Vec<u128> = buffer.iter().map(key).collect();
+                        let mut sorted = Vec::new();
+                        key_order(&keys, &mut sorted);
+                        prop_assert_eq!(&buffer.keys, &keys);
+                        prop_assert_eq!(order, sorted);
+                    }
+                }
+            }
         }
 
         /// Writes drain FR-FCFS on both selection paths, so this is the

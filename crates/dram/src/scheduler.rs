@@ -56,15 +56,27 @@ impl SchedView<'_> {
 ///
 /// # Key-caching contract
 ///
-/// The controller recomputes cached keys only on events: a request arrival,
-/// a bank-state-changing command (activate, precharge, refresh), external
-/// scheduler mutation, and whenever `pre_schedule` returns `true`. A policy
-/// whose priorities can change for any *other* reason — the passage of time
-/// (e.g. a row-capture window expiring) or state mutated in
+/// The controller recomputes cached keys only on events, and each event
+/// re-keys only the requests it can change:
+///
+/// - an arrival keys only the new read;
+/// - an activate or precharge on bank `b` re-keys only the reads, and
+///   writes, to `b`;
+/// - a refresh of rank `r` re-keys only the requests to `r`'s banks;
+/// - column commands, completions and stall reports re-key nothing;
+/// - `pre_schedule` returning `true`, [`crate::Controller::scheduler_mut`],
+///   [`crate::Controller::set_comparator_path`] and a restore re-key
+///   everything.
+///
+/// A policy whose priorities can change for any *other* reason — the
+/// passage of time (e.g. a row-capture window expiring), an arrival that
+/// moves the keys of reads already queued, a command that moves the keys
+/// of requests to other banks, or state mutated in
 /// [`MemoryScheduler::on_command`] / [`MemoryScheduler::on_complete`] /
 /// [`MemoryScheduler::on_stall_cycles`] that feeds `priority_key` — MUST
 /// detect that change in its next `pre_schedule` call and return `true`
 /// there, or the controller will keep scheduling on stale keys.
+/// `parbs-sim check-keys` probes each scope for every shipped policy.
 ///
 /// The controller never reorders writes through this trait; reads are
 /// prioritized over writes and writes drain in FR-FCFS order (Section 7.2).
