@@ -123,8 +123,14 @@ fn keys(kinds: &[SchedulerKind]) {
         let report = check_scheduler_keys(&|| build(kind))
             .unwrap_or_else(|e| failed(format!("check-keys: {e}")));
         println!(
-            "check-keys: {}: {} field(s) verified over {} state(s), {} key(s), {} pair(s)",
-            report.scheduler, report.fields, report.states, report.keys, report.pairs
+            "check-keys: {}: {} field(s) verified over {} state(s), {} key(s), {} pair(s), \
+             {} scope probe(s)",
+            report.scheduler,
+            report.fields,
+            report.states,
+            report.keys,
+            report.pairs,
+            report.probes
         );
     }
 }

@@ -16,6 +16,7 @@ fn every_shipped_scheduler_passes_check_keys() {
         assert_eq!(report.scheduler, kind.name());
         assert!(report.states >= 5, "{kind}: state coverage too thin ({})", report.states);
         assert!(report.pairs >= 30, "{kind}: pair coverage too thin ({})", report.pairs);
+        assert!(report.probes >= 20, "{kind}: scope coverage too thin ({})", report.probes);
     }
 }
 
@@ -156,4 +157,78 @@ fn undeclared_layout_is_rejected() {
     let err = check_scheduler_keys(&|| Box::new(NoLayout) as Box<dyn MemoryScheduler>)
         .expect_err("an opted-out scheduler cannot pass the contract check");
     assert!(err.contains("no declared KeyLayout"), "{err}");
+}
+
+/// The mix's arrival count (4 bits above the age), bumped by `on_arrival`
+/// while `pre_schedule` keeps reporting no change: an arrival moves every
+/// queued key, so re-keying only the new read would leave the rest stale.
+static ARRIVALS_LAYOUT: KeyLayout = KeyLayout {
+    fields: &[
+        KeyField { name: "arrivals", semantic: FieldSemantic::Rank, lo: 64, width: 4 },
+        KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
+    ],
+};
+
+struct ArrivalCountScheduler {
+    arrivals: u8,
+}
+
+impl MemoryScheduler for ArrivalCountScheduler {
+    fn name(&self) -> &str {
+        "arrival-count"
+    }
+
+    fn on_arrival(&mut self, _req: &Request, _now: u64) {
+        self.arrivals = (self.arrivals + 1) % 16;
+    }
+
+    fn priority_key(&self, req: &Request, _view: &SchedView<'_>) -> u128 {
+        (u128::from(self.arrivals) << 64) | u128::from(u64::MAX - req.id.0)
+    }
+
+    fn key_layout(&self) -> Option<&'static KeyLayout> {
+        Some(&ARRIVALS_LAYOUT)
+    }
+}
+
+#[test]
+fn a_key_moved_by_another_reads_arrival_is_rejected() {
+    let err = check_scheduler_keys(&|| {
+        Box::new(ArrivalCountScheduler { arrivals: 0 }) as Box<dyn MemoryScheduler>
+    })
+    .expect_err("an arrival that moves queued keys unreported must fail");
+    assert!(err.contains("the arrival of request"), "arrival-scope failure expected: {err}");
+}
+
+/// Bank 0's open/closed bit in every request's key: an activate or
+/// precharge on bank 0 moves the keys of requests to the other banks,
+/// which the controller does not re-key.
+static BANK_ZERO_LAYOUT: KeyLayout = KeyLayout {
+    fields: &[
+        KeyField { name: "bank0_open", semantic: FieldSemantic::Boosted, lo: 64, width: 1 },
+        KeyField { name: "age", semantic: FieldSemantic::Age, lo: 0, width: 64 },
+    ],
+};
+
+struct BankZeroScheduler;
+
+impl MemoryScheduler for BankZeroScheduler {
+    fn name(&self) -> &str {
+        "bank-zero"
+    }
+
+    fn priority_key(&self, req: &Request, view: &SchedView<'_>) -> u128 {
+        (u128::from(view.open_row(0).is_some()) << 64) | u128::from(u64::MAX - req.id.0)
+    }
+
+    fn key_layout(&self) -> Option<&'static KeyLayout> {
+        Some(&BANK_ZERO_LAYOUT)
+    }
+}
+
+#[test]
+fn a_key_that_reads_another_banks_row_is_rejected() {
+    let err = check_scheduler_keys(&|| Box::new(BankZeroScheduler) as Box<dyn MemoryScheduler>)
+        .expect_err("a key that reads another bank's open row must fail");
+    assert!(err.contains("on bank 0"), "bank-scope failure expected: {err}");
 }
