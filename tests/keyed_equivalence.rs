@@ -9,7 +9,9 @@
 //! (NFQ/STFQ), fairness-mode switches (STFM, via synthetic stall reports),
 //! write drains, and refresh. Each mix runs twice: with sparse stall reports,
 //! and with a report every DRAM cycle as `System` sends them, which the
-//! controller forwards without invalidating its cached keys.
+//! controller forwards without invalidating its cached keys. A two-rank
+//! run, with refresh every 3,000 cycles, compares a refresh that re-keys
+//! only its own rank's requests under every scheduler.
 
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -20,10 +22,11 @@ use parbs_baselines::{
     AtlasScheduler, BlissScheduler, FrFcfsScheduler, NfqScheduler, StfmScheduler,
 };
 use parbs_dram::{
-    Command, CommandTraceSink, Completion, Controller, DramConfig, FcfsScheduler, LineAddr,
-    MemoryScheduler, Request, RequestKind, SchedView, ThreadId, TimingParams, DRAM_CYCLE,
+    Command, CommandKind, CommandTraceSink, Completion, Controller, DramConfig, FcfsScheduler,
+    LineAddr, MemoryScheduler, Request, RequestKind, SchedView, ThreadId, TimingParams, DRAM_CYCLE,
 };
 use parbs_obs::downcast_sink;
+use parbs_sim::{SchedulerKind, SimConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,10 +36,11 @@ struct Arrival {
     req: Request,
 }
 
-/// A deterministic 4-thread mix: thread 0 is intensive with high row
-/// locality, thread 1 is intensive with random rows (mcf-like), thread 2 is
-/// moderate, thread 3 is light and bursty. ~15% writes.
-fn mix(seed: u64, count: u64) -> Vec<Arrival> {
+/// A deterministic 4-thread mix over `banks` banks: thread 0 is intensive
+/// with high row locality, thread 1 is intensive with random rows
+/// (mcf-like), thread 2 is moderate, thread 3 is light and bursty. ~15%
+/// writes.
+fn mix(seed: u64, count: u64, banks: usize) -> Vec<Arrival> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut arrivals = Vec::new();
     let mut now = 0u64;
@@ -69,7 +73,7 @@ fn mix(seed: u64, count: u64) -> Vec<Arrival> {
         let kind = if rng.gen_bool(0.15) { RequestKind::Write } else { RequestKind::Read };
         let addr = LineAddr {
             channel: 0,
-            bank: rng.gen_range(0usize..8),
+            bank: rng.gen_range(0usize..banks),
             row: hot_rows[thread],
             col: rng.gen_range(0u64..64),
         };
@@ -148,33 +152,50 @@ fn run(
     (sink.into_trace(), completed)
 }
 
-/// [`assert_paths_agree_on`] the default mix.
-fn assert_paths_agree(name: &str, make: &dyn Fn() -> Box<dyn MemoryScheduler>) {
-    assert_paths_agree_on(name, &mix(0xC0FFEE, 600), make);
+/// The default mix: 600 arrivals over the default 8 banks.
+fn default_mix() -> Vec<Arrival> {
+    mix(0xC0FFEE, 600, 8)
 }
 
-/// Runs `arrivals` through the keyed and comparator paths, under both
-/// stall-report cadences, and asserts the traces are identical.
+/// [`assert_paths_agree_on`] the default mix.
+fn assert_paths_agree(name: &str, make: &dyn Fn() -> Box<dyn MemoryScheduler>) {
+    assert_paths_agree_on(name, &default_mix(), make);
+}
+
+/// [`paths_agree`] on the default configuration under both stall-report
+/// cadences.
 fn assert_paths_agree_on(
     name: &str,
     arrivals: &[Arrival],
     make: &dyn Fn() -> Box<dyn MemoryScheduler>,
 ) {
-    let cfg = DramConfig::default();
     for reports in [StallReports::Sparse, StallReports::EveryDramCycle] {
-        let keyed = Controller::with_checker(cfg.clone(), make());
-        let mut comparator = Controller::with_checker(cfg.clone(), make());
-        comparator.set_comparator_path(true);
-        let (trace_k, done_k) = run(keyed, arrivals, reports);
-        let (trace_c, done_c) = run(comparator, arrivals, reports);
-        let name = format!("{name} ({reports:?} stall reports)");
-        assert_eq!(done_k, arrivals.len(), "{name}: keyed path must drain the whole mix");
-        assert_eq!(done_c, arrivals.len(), "{name}: comparator path must drain the whole mix");
-        assert_eq!(trace_k.len(), trace_c.len(), "{name}: command counts differ");
-        for (i, (k, c)) in trace_k.iter().zip(&trace_c).enumerate() {
-            assert_eq!(k, c, "{name}: traces diverge at command {i}");
-        }
+        paths_agree(name, &DramConfig::default(), arrivals, reports, make);
     }
+}
+
+/// Runs `arrivals` through the keyed and comparator paths on `cfg` under
+/// `reports`, asserts the traces are identical and returns the trace.
+fn paths_agree(
+    name: &str,
+    cfg: &DramConfig,
+    arrivals: &[Arrival],
+    reports: StallReports,
+    make: &dyn Fn() -> Box<dyn MemoryScheduler>,
+) -> Vec<(u64, Command)> {
+    let keyed = Controller::with_checker(cfg.clone(), make());
+    let mut comparator = Controller::with_checker(cfg.clone(), make());
+    comparator.set_comparator_path(true);
+    let (trace_k, done_k) = run(keyed, arrivals, reports);
+    let (trace_c, done_c) = run(comparator, arrivals, reports);
+    let name = format!("{name} ({reports:?} stall reports)");
+    assert_eq!(done_k, arrivals.len(), "{name}: keyed path must drain the whole mix");
+    assert_eq!(done_c, arrivals.len(), "{name}: comparator path must drain the whole mix");
+    assert_eq!(trace_k.len(), trace_c.len(), "{name}: command counts differ");
+    for (i, (k, c)) in trace_k.iter().zip(&trace_c).enumerate() {
+        assert_eq!(k, c, "{name}: traces diverge at command {i}");
+    }
+    trace_k
 }
 
 /// STFM counting the slots in which `pre_schedule` switched its
@@ -241,7 +262,7 @@ fn parbs_eslot_priority_levels_keyed_path_matches_comparator() {
     // threads different marking cadences — the hardest key-staleness case.
     // The levels ride on the requests: thread 2 at level 2, thread 3
     // opportunistic.
-    let mut arrivals = mix(0xC0FFEE, 600);
+    let mut arrivals = default_mix();
     for a in &mut arrivals {
         a.req.priority_level = match a.req.thread.0 {
             2 => Some(2),
@@ -285,7 +306,7 @@ fn per_cycle_stall_reports_switch_stfms_fairness_mode_often() {
         switches: Rc::clone(&switches),
     };
     let ctrl = Controller::with_checker(DramConfig::default(), Box::new(stfm));
-    run(ctrl, &mix(0xC0FFEE, 600), StallReports::EveryDramCycle);
+    run(ctrl, &default_mix(), StallReports::EveryDramCycle);
     assert!(switches.get() >= 100, "only {} fairness-mode switches", switches.get());
 }
 
@@ -301,4 +322,24 @@ fn atlas_keyed_path_matches_comparator() {
     // Quantum rollovers re-rank all threads mid-run; the keyed path must
     // pick the rank changes up on the same cycle the comparator does.
     assert_paths_agree("ATLAS", &|| Box::new(AtlasScheduler::new(&TimingParams::ddr2_800())));
+}
+
+#[test]
+fn every_scheduler_agrees_on_two_ranks_with_rank_scoped_refresh() {
+    // The default geometry has one rank, where every refresh closes every
+    // bank; here a refresh re-keys only the requests to its own rank.
+    let mut cfg = DramConfig::default();
+    cfg.geometry.ranks_per_channel = 2;
+    cfg.timing.t_refi = 3_000;
+    let arrivals = mix(0xC0FFEE, 250, cfg.banks_per_channel());
+    for kind in SchedulerKind::all() {
+        let make = || kind.build(&SimConfig::for_cores(4));
+        let trace = paths_agree(kind.name(), &cfg, &arrivals, StallReports::EveryDramCycle, &make);
+        for rank in 0..2 {
+            assert!(
+                trace.iter().any(|(_, c)| c.kind == CommandKind::Refresh && c.rank == rank),
+                "{kind}: rank {rank} never refreshed"
+            );
+        }
+    }
 }

@@ -6,6 +6,7 @@
 //! single-byte mutations of the preludes each compile to a spec or to an
 //! error positioned inside the source, and every spec that compiles runs
 //! without panicking over a fixed stream that carries every event kind.
+//! Over the same stream, a warn trigger pins the arithmetic's edge cases.
 
 use std::sync::LazyLock;
 
@@ -232,6 +233,26 @@ fn compiles_or_errs_in_place(src: &str) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+#[test]
+fn arithmetic_edge_cases_give_zero_or_wrap() {
+    // `/` and `%` by zero give 0; `i64::MIN / -1`, `i64::MIN % -1` and an
+    // overflowing `+` or `*` wrap, as `ast.rs` documents.
+    let spec = Spec::compile(
+        "input r := refresh\n\
+         trigger warn \"arith\" on r when true message \"{rank / 0} {rank % 0} \
+         {(-9223372036854775807 - 1) / -1} {(-9223372036854775807 - 1) % -1} \
+         {9223372036854775807 + 1} {9223372036854775807 * 2} {-7 / 2} {-7 % 2}\"\n",
+    )
+    .expect("the arithmetic spec compiles");
+    let mut monitor = spec.monitor();
+    for event in EVENTS.iter() {
+        monitor.record(event);
+    }
+    let messages: Vec<&str> = monitor.alarms().iter().map(|a| a.message.as_str()).collect();
+    // The stream carries one refresh.
+    assert_eq!(messages, ["0 0 -9223372036854775808 0 -9223372036854775808 -2 -3 -1"]);
 }
 
 /// The bytes spec text is made of.
