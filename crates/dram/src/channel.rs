@@ -116,38 +116,39 @@ impl Channel {
     /// for column commands).
     #[must_use]
     pub fn can_issue(&self, cmd: &Command, now: u64) -> bool {
+        self.earliest_issue(cmd).is_some_and(|at| now >= at)
+    }
+
+    /// The first cycle at which `cmd` can legally issue if no other command
+    /// issues first, or `None` when the bank state rules it out (an activate
+    /// to an open bank, a column command that misses the open row, a
+    /// precharge to a closed bank). Not rounded to the command clock.
+    #[must_use]
+    pub fn earliest_issue(&self, cmd: &Command) -> Option<u64> {
         let rank = self.cmd_rank(cmd);
-        if now < self.refresh_until[rank] {
-            return false;
-        }
+        let blackout = self.refresh_until[rank];
         if cmd.kind == CommandKind::Refresh {
             // Refresh needs a quiet data bus; it force-precharges the rank.
-            return now >= self.data_bus_free_at;
+            return Some(blackout.max(self.data_bus_free_at));
         }
         let bank = &self.banks[cmd.bank];
-        if now < bank.earliest_issue(cmd.kind) {
-            return false;
-        }
+        let gate = blackout.max(bank.earliest_issue(cmd.kind));
         match cmd.kind {
-            CommandKind::Activate => {
-                now >= self.earliest_activate[rank]
-                    && bank.open_row().is_none()
-                    && self.faw_allows(rank, now)
+            CommandKind::Activate if bank.open_row().is_none() => {
+                Some(gate.max(self.earliest_activate[rank]).max(self.faw_end(rank)))
             }
-            CommandKind::Read | CommandKind::Write => {
-                if now < self.earliest_column || !bank.is_row_hit(cmd.row) {
-                    return false;
-                }
-                let start = now
-                    + if cmd.kind == CommandKind::Write {
-                        self.timing.t_cwl
-                    } else {
-                        self.timing.t_cl
-                    };
-                start >= self.data_bus_free_at + self.rank_switch_penalty(rank)
+            CommandKind::Read | CommandKind::Write if bank.is_row_hit(cmd.row) => {
+                let cas = if cmd.kind == CommandKind::Write {
+                    self.timing.t_cwl
+                } else {
+                    self.timing.t_cl
+                };
+                // The data starts `cas` after the command, on a free bus.
+                let bus = self.data_bus_free_at + self.rank_switch_penalty(rank);
+                Some(gate.max(self.earliest_column).max(bus.saturating_sub(cas)))
             }
-            CommandKind::Precharge => bank.open_row().is_some(),
-            CommandKind::Refresh => unreachable!("handled above"),
+            CommandKind::Precharge if bank.open_row().is_some() => Some(gate),
+            _ => None,
         }
     }
 
@@ -210,14 +211,16 @@ impl Channel {
         }
     }
 
-    /// True if another activate fits into `rank`'s four-activate window at
-    /// `now`: an activate at `t` occupies the window until `t + t_faw`.
-    fn faw_allows(&self, rank: usize, now: u64) -> bool {
-        if self.timing.t_faw == 0 {
-            return true;
+    /// The first cycle another activate fits into `rank`'s four-activate
+    /// window: an activate at `t` occupies the window until `t + t_faw`, so
+    /// the fourth-latest one's window end. The recent activates are in issue
+    /// order, which tRRD keeps non-decreasing.
+    fn faw_end(&self, rank: usize) -> u64 {
+        let recent = &self.recent_activates[rank];
+        match recent.len().checked_sub(4) {
+            Some(i) if self.timing.t_faw > 0 => recent[i] + self.timing.t_faw,
+            _ => 0,
         }
-        let faw = self.timing.t_faw;
-        self.recent_activates[rank].iter().filter(|&&t| t + faw > now).count() < 4
     }
 
     /// Begins an all-bank refresh of `rank` at `now`: every bank of the rank

@@ -2,7 +2,8 @@
 //! (but total-order) scheduling policies, the controller never violates a
 //! DRAM timing constraint and always drains every request; and along long
 //! random command walks, the protocol checker's earliest-issue answer
-//! matches `Channel::can_issue` after every command.
+//! matches `Channel::can_issue` and `Channel::earliest_issue` after every
+//! command.
 
 use std::cmp::Ordering;
 
@@ -198,7 +199,8 @@ fn alphabet(ranks: usize, banks_per_rank: usize) -> Vec<Command> {
 /// issue, each command's first cycle `Channel::can_issue` accepts must equal
 /// the checker's `earliest_issue`, both clamped to one DRAM cycle after the
 /// previous issue; a command either rules out must stay illegal past every
-/// single wait the timing admits.
+/// single wait the timing admits. `Channel::earliest_issue`, rounded up to
+/// the command clock and clamped the same way, must give the same answer.
 fn walk(
     ranks: usize,
     banks_per_rank: usize,
@@ -231,6 +233,18 @@ fn walk(
                 channel_says,
                 checker_says,
                 "{} rank(s) x {} bank(s), tRFC {}, step {}: {:?}",
+                ranks,
+                banks_per_rank,
+                t.t_rfc,
+                i,
+                cmd
+            );
+            let channel_bound =
+                channel.earliest_issue(cmd).map(|e| e.next_multiple_of(DRAM_CYCLE).max(base));
+            prop_assert_eq!(
+                channel_bound,
+                checker_says,
+                "earliest_issue, {} rank(s) x {} bank(s), tRFC {}, step {}: {:?}",
                 ranks,
                 banks_per_rank,
                 t.t_rfc,
