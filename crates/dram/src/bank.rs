@@ -186,6 +186,12 @@ impl Bank {
         now < self.service_end
     }
 
+    /// The end of the bank's in-flight (or estimated) data transfer.
+    #[must_use]
+    pub fn service_end(&self) -> u64 {
+        self.service_end
+    }
+
     /// The thread being serviced, if a transfer is in flight at `now`.
     #[must_use]
     pub fn servicing_thread(&self, now: u64) -> Option<ThreadId> {

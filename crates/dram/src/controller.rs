@@ -90,8 +90,11 @@ pub struct Controller {
     comparator_path: bool,
     /// Reusable per-thread bank bitmasks for [`Controller::sample_blp`].
     blp_masks: Vec<u64>,
-    /// Threads with a non-zero mask in `blp_masks`, in first-touch order.
-    blp_touched: Vec<usize>,
+    /// The last BLP recount's `(thread, banks)` samples, in first-touch order.
+    blp_counts: Vec<(ThreadId, usize)>,
+    /// Recount once `now` reaches this: the earliest transfer end among the
+    /// counted banks, or 0 after a read arrival, a command or a restore.
+    blp_until: u64,
 }
 
 impl std::fmt::Debug for Controller {
@@ -136,7 +139,8 @@ impl Controller {
             last_bus_sample: (0, 0),
             comparator_path: false,
             blp_masks: Vec::new(),
-            blp_touched: Vec::new(),
+            blp_counts: Vec::new(),
+            blp_until: 0,
             config,
         }
     }
@@ -274,6 +278,7 @@ impl Controller {
                     });
                 }
                 self.reads.push(req);
+                self.blp_until = 0;
             }
             RequestKind::Write => {
                 if !self.can_accept_write() {
@@ -442,6 +447,7 @@ impl Controller {
                         self.emit(&Event::Refresh { at: now, rank });
                     }
                     self.channel.refresh_rank(rank, now);
+                    self.issued();
                     self.stats.refreshes += 1;
                     self.stats.commands_issued += 1;
                     assert!(
@@ -512,35 +518,60 @@ impl Controller {
     /// controller until its data transfer ends (the paper's "requests being
     /// serviced in the DRAM banks", measured per Chou et al.'s MLP
     /// definition).
+    ///
+    /// Only a read arrival, a command or the end of a counted bank's
+    /// transfer moves the counts; between them the kept counts are recorded.
     fn sample_blp(&mut self, now: u64) {
+        if now >= self.blp_until {
+            self.recount_blp(now);
+        }
+        for &(thread, banks) in &self.blp_counts {
+            self.stats.record_thread_blp(thread, banks);
+        }
+    }
+
+    /// Recounts the banks working for each thread at `now` into
+    /// `blp_counts` and `blp_until`.
+    fn recount_blp(&mut self, now: u64) {
         // Per-thread bank bitmasks (banks_per_channel ≤ 64) in reusable,
-        // thread-indexed buffers: O(requests + banks) per sample instead of
+        // thread-indexed buffers: O(requests + banks) per recount instead of
         // a linear scan of the pair list per request.
         let masks = &mut self.blp_masks;
-        let touched = &mut self.blp_touched;
+        let counts = &mut self.blp_counts;
+        counts.clear();
         let mut note = |thread: ThreadId, bank: usize| {
             if masks.len() <= thread.0 {
                 masks.resize(thread.0 + 1, 0);
             }
             if masks[thread.0] == 0 {
-                touched.push(thread.0);
+                counts.push((thread, 0));
             }
             masks[thread.0] |= 1 << bank;
         };
         for r in self.reads.iter() {
             note(r.thread, r.addr.bank);
         }
+        let mut until = u64::MAX;
         for b in 0..self.channel.bank_count() {
-            if let Some(t) = self.channel.bank(b).servicing_thread(now) {
+            let bank = self.channel.bank(b);
+            if let Some(t) = bank.servicing_thread(now) {
                 note(t, b);
+                until = until.min(bank.service_end());
             }
         }
-        for &t in self.blp_touched.iter() {
-            let mask = self.blp_masks[t];
-            self.stats.record_thread_blp(ThreadId(t), mask.count_ones() as usize);
-            self.blp_masks[t] = 0;
+        for (thread, banks) in &mut self.blp_counts {
+            *banks = self.blp_masks[thread.0].count_ones() as usize;
+            self.blp_masks[thread.0] = 0;
         }
-        self.blp_touched.clear();
+        self.blp_until = until;
+    }
+
+    /// A command or refresh issued: it can move any request's next command
+    /// and any bank's transfer, so both buffers walk and BLP is recounted.
+    fn issued(&mut self) {
+        self.reads.ready_at = 0;
+        self.writes.ready_at = 0;
+        self.blp_until = 0;
     }
 
     /// Attempts to issue one command for the given queue side: the first
@@ -550,9 +581,16 @@ impl Controller {
     /// keys and [`MemoryScheduler::compare`] are both injective total
     /// orders, so the two paths make identical decisions. Returns true if a
     /// command was placed on the command bus.
+    ///
+    /// A walk that issues nothing stores the first cycle a visited request
+    /// could issue as `ready_at`; the keyed path skips walks until then.
     fn try_issue(&mut self, side: RequestKind, now: u64) -> bool {
         let is_write = side == RequestKind::Write;
         let Controller { reads, writes, scheduler, channel, config, comparator_path, .. } = self;
+        let skip_until = if is_write { writes.ready_at } else { reads.ready_at };
+        if now < skip_until && !*comparator_path {
+            return false;
+        }
         let (channel, grace) = (&*channel, config.timing.t_row_grace);
         let view = SchedView { channel, now };
         let by_comparator: Vec<usize>;
@@ -574,11 +612,17 @@ impl Controller {
             let (queue, order) = reads.order(|r| scheduler.priority_key(r, &view));
             (queue, order, 0)
         };
+        let mut ready_at = u64::MAX;
         let decision = order.iter().find_map(|&i| {
-            ready_command(channel, grace, &queue[i], is_write, now, &mut protected)
-                .map(|cmd| (i, cmd))
+            let (cmd, at) = next_command(channel, grace, &queue[i], is_write, &mut protected)?;
+            ready_at = ready_at.min(at);
+            (at <= now).then_some((i, cmd))
         });
-        let Some((i, cmd)) = decision else { return false };
+        let Some((i, cmd)) = decision else {
+            let buffer = if is_write { writes } else { reads };
+            buffer.ready_at = ready_at;
+            return false;
+        };
         self.apply(i, cmd, is_write, now);
         true
     }
@@ -611,6 +655,7 @@ impl Controller {
             }
         }
         let data = self.channel.issue(&cmd, req.thread, now);
+        self.issued();
         if self.observing() {
             self.emit(&Event::CommandIssued {
                 at: now,
@@ -704,9 +749,9 @@ impl Controller {
     /// Serializes the controller's mutable state: both request buffers,
     /// in-flight completions, statistics, write-drain hysteresis, refresh
     /// bookkeeping, channel timing windows and the scheduling policy's
-    /// internal state. Derived caches (priority keys, their walk order, the
-    /// earliest pending finish) are excluded — they are rebuilt after
-    /// restore.
+    /// internal state. Derived caches (priority keys, their walk order and
+    /// `ready_at`, the BLP counts, the earliest pending finish) are excluded
+    /// — they are rebuilt after restore.
     ///
     /// # Errors
     ///
@@ -736,7 +781,8 @@ impl Controller {
     /// resume recomputes them from the restored scheduler state and
     /// rebuilds their walk order, so the command stream continues
     /// bit-for-bit. The earliest pending finish is recomputed from the
-    /// restored completions.
+    /// restored completions, and the first DRAM edge walks both buffers and
+    /// recounts the BLP samples.
     ///
     /// # Errors
     ///
@@ -760,6 +806,7 @@ impl Controller {
         // them all.
         self.reads = r.get::<Vec<Request>>()?.into_iter().collect();
         self.writes = r.get::<Vec<Request>>()?.into_iter().collect();
+        self.blp_until = 0;
         let banks = self.channel.bank_count();
         for req in self.reads.iter().chain(self.writes.iter()) {
             check_index("channel bank count implied by a queued request", banks, req.addr.bank)?;
@@ -811,6 +858,13 @@ fn check_index(what: &'static str, len: usize, found: usize) -> Result<(), parbs
 /// re-inserts the request moved into the freed slot, and
 /// [`RequestBuffer::order`] takes out the stale requests, re-keys them and
 /// binary-inserts them.
+///
+/// `ready_at` is the first cycle the last walk found any request's next
+/// command issuable, the open-page grace included, so no walk before it can
+/// issue; the keyed path skips walks until then. It drops to 0 when a
+/// request arrives, when any key goes stale (so every key is computed on
+/// the cycle it would be without the skip) and, in both buffers, when any
+/// command or refresh issues. Like the keys, it is not checkpointed.
 #[derive(Default)]
 struct RequestBuffer {
     /// The queued requests, in no particular order.
@@ -824,6 +878,8 @@ struct RequestBuffer {
     any_stale: bool,
     /// The indices of `requests` by descending stored key, ties by index.
     order: Vec<usize>,
+    /// No walk before this cycle can issue a command.
+    ready_at: u64,
 }
 
 impl RequestBuffer {
@@ -835,6 +891,7 @@ impl RequestBuffer {
         self.keys.push(0);
         self.stale.push(true);
         self.any_stale = true;
+        self.ready_at = 0;
     }
 
     /// Removes the request at index `i`, moving the last request into its
@@ -857,6 +914,7 @@ impl RequestBuffer {
     fn invalidate(&mut self) {
         self.stale.fill(true);
         self.any_stale = true;
+        self.ready_at = 0;
     }
 
     /// Marks the keys of the requests to `banks` stale.
@@ -865,6 +923,7 @@ impl RequestBuffer {
             if banks.contains(&req.addr.bank) {
                 *stale = true;
                 self.any_stale = true;
+                self.ready_at = 0;
             }
         }
     }
@@ -938,20 +997,22 @@ fn write_key(hit: bool, id: u64) -> u128 {
     (u128::from(hit) << 64) | u128::from(u64::MAX - id)
 }
 
-/// The command `req` needs next, if it can issue on `channel` at `now`
-/// without closing a `protected` bank, which a higher-priority request
-/// hits; a column command protects its bank from the requests after it.
-fn ready_command(
+/// The command `req` needs next and the first cycle it can issue on
+/// `channel` if no other command issues first. `None` when the bank state
+/// rules it out or it would close a `protected` bank, which a
+/// higher-priority request hits; a column command protects its bank from
+/// the requests after it.
+fn next_command(
     channel: &crate::Channel,
     grace: u64,
     req: &Request,
     is_write: bool,
-    now: u64,
     protected: &mut u64,
-) -> Option<Command> {
+) -> Option<(Command, u64)> {
     let bank = req.addr.bank;
     let b = channel.bank(bank);
     let needed = b.needed_command(req.addr.row, is_write);
+    let mut held_until = 0;
     if needed.is_column() {
         *protected |= 1 << bank;
     } else if needed == CommandKind::Precharge {
@@ -963,12 +1024,8 @@ fn ready_command(
         // time so conflicts cannot starve. Requests of the current batch
         // (marked) override the speculation — batch progress outranks
         // locality speculation just as the BS rule outranks the RH rule.
-        if !req.marked
-            && grace > 0
-            && now < b.last_column_at() + grace
-            && now < b.last_activate_at() + 3 * grace
-        {
-            return None;
+        if !req.marked && grace > 0 {
+            held_until = (b.last_column_at() + grace).min(b.last_activate_at() + 3 * grace);
         }
     }
     let row = match needed {
@@ -983,7 +1040,7 @@ fn ready_command(
         col: req.addr.col,
         request: req.id,
     };
-    channel.can_issue(&cmd, now).then_some(cmd)
+    channel.earliest_issue(&cmd).map(|at| (cmd, at.max(held_until)))
 }
 
 #[cfg(test)]
@@ -1294,6 +1351,80 @@ mod tests {
         assert!(!traces[0].is_empty());
         assert_eq!(traces[0], traces[1], "fresh restore: command trace");
         assert_eq!(traces[0], traces[2], "reused restore: command trace");
+    }
+
+    /// A checked FCFS controller that traces its commands, `reads` queued.
+    fn traced(reads: &[Request]) -> Controller {
+        let mut ctrl =
+            Controller::with_checker(DramConfig::default(), Box::new(FcfsScheduler::new()));
+        ctrl.set_event_sink(Box::new(crate::CommandTraceSink::new()));
+        for req in reads {
+            ctrl.try_enqueue(req.clone()).unwrap();
+        }
+        ctrl
+    }
+
+    /// The cycle and kind of every command `ctrl`'s trace sink recorded.
+    fn issued_commands(ctrl: &mut Controller) -> Vec<(u64, CommandKind)> {
+        let sink = ctrl.take_event_sink().expect("a trace sink is attached");
+        let Ok(sink) = parbs_obs::downcast_sink::<crate::CommandTraceSink>(sink) else {
+            panic!("the attached sink is a CommandTraceSink");
+        };
+        sink.into_trace().into_iter().map(|(at, cmd)| (at, cmd.kind)).collect()
+    }
+
+    /// Ticks every cycle of `cycles`.
+    fn tick_through(ctrl: &mut Controller, cycles: std::ops::RangeInclusive<u64>) {
+        let mut out = Vec::new();
+        cycles.for_each(|now| ctrl.tick(now, &mut out));
+    }
+
+    #[test]
+    fn a_walk_gated_by_trcd_records_it_and_the_read_issues_there() {
+        let t = DramConfig::default().timing;
+        let mut ctrl = traced(&[read(0, 0, 0, 1, 0, 0)]);
+        // The activate issues at 0; the next edge's walk finds the row hit.
+        tick_through(&mut ctrl, 0..=DRAM_CYCLE);
+        assert_eq!(ctrl.reads.ready_at, t.t_rcd, "tRCD gates the read");
+        tick_through(&mut ctrl, DRAM_CYCLE + 1..=t.t_rcd);
+        let issued = issued_commands(&mut ctrl);
+        assert_eq!(issued, [(0, CommandKind::Activate), (t.t_rcd, CommandKind::Read)]);
+    }
+
+    #[test]
+    fn a_conflict_held_by_the_open_page_grace_records_its_end_and_precharges_there() {
+        let t = DramConfig::default().timing;
+        // Read 0 opens row 1 of bank 0 and reads it at tRCD; the unmarked
+        // read 1 to row 2 waits out the grace after that column command.
+        let grace_end = (t.t_rcd + t.t_row_grace).min(3 * t.t_row_grace);
+        assert!(grace_end > t.t_ras.max(t.t_rcd + t.t_rtp), "the grace binds, not tRAS or tRTP");
+        let mut ctrl = traced(&[read(0, 0, 0, 1, 0, 0), read(1, 1, 0, 2, 0, 0)]);
+        tick_through(&mut ctrl, 0..=t.t_rcd + DRAM_CYCLE);
+        assert_eq!(ctrl.reads.ready_at, grace_end);
+        tick_through(&mut ctrl, t.t_rcd + DRAM_CYCLE + 1..=grace_end);
+        let issued = issued_commands(&mut ctrl);
+        assert_eq!(
+            issued,
+            [
+                (0, CommandKind::Activate),
+                (t.t_rcd, CommandKind::Read),
+                (grace_end, CommandKind::Precharge)
+            ]
+        );
+    }
+
+    #[test]
+    fn blp_is_recounted_when_each_transfer_ends() {
+        // Thread 0 reads banks 0 and 1: ACT 0 at 0, ACT 1 at 30 (tRRD), RD 0
+        // at 60 (tRCD) with data [120, 160), RD 1 at 100 (the data bus) with
+        // data [160, 200). Both banks work for the thread on the edges 0 to
+        // 150 (16 samples of 2), bank 1 alone on 160 to 190 (4 samples of 1).
+        let mut ctrl = traced(&[read(0, 0, 0, 1, 0, 0), read(1, 0, 1, 1, 0, 0)]);
+        drain(&mut ctrl);
+        let issued = issued_commands(&mut ctrl);
+        let (act, rd) = (CommandKind::Activate, CommandKind::Read);
+        assert_eq!(issued, [(0, act), (30, act), (60, rd), (100, rd)]);
+        assert_eq!(ctrl.stats().thread_blp_average(ThreadId(0)), (16.0 * 2.0 + 4.0) / 20.0);
     }
 
     #[test]

@@ -78,6 +78,12 @@ impl SchedView<'_> {
 /// there, or the controller will keep scheduling on stale keys.
 /// `parbs-sim check-keys` probes each scope for every shipped policy.
 ///
+/// `pre_schedule` must also return `true` whenever it changes a request's
+/// `marked` bit, even if no key moves: the controller's walk reads `marked`
+/// for the open-page grace, and it skips walks until the first cycle the
+/// last walk found a command issuable, a bound it recomputes only after
+/// such a report, an arrival or a command.
+///
 /// The controller never reorders writes through this trait; reads are
 /// prioritized over writes and writes drain in FR-FCFS order (Section 7.2).
 pub trait MemoryScheduler {
