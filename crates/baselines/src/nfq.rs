@@ -170,9 +170,11 @@ impl MemoryScheduler for NfqScheduler {
     fn pre_schedule(&mut self, _queue: &mut [Request], view: &SchedView<'_>) -> bool {
         // Row-capture windows expire by the mere passage of time; the
         // controller cannot see that, so detect it here per the key-caching
-        // contract. (Windows *opening* coincide with an activate, which the
-        // controller observes itself, but recomputing the whole mask is
-        // simplest and equally correct.)
+        // contract. A window *opens* only with an activate, which already
+        // re-keys the requests to its bank, so only windows that closed are
+        // reported: reporting an opening would re-key the whole queue after
+        // every activate. The full mask is kept, so a window is reported
+        // once it closes.
         let mut mask = 0u64;
         for bank in 0..view.channel.bank_count() {
             let b = view.channel.bank(bank);
@@ -182,7 +184,7 @@ impl MemoryScheduler for NfqScheduler {
                 mask |= 1 << bank;
             }
         }
-        std::mem::replace(&mut self.recent_banks, mask) != mask
+        std::mem::replace(&mut self.recent_banks, mask) & !mask != 0
     }
 
     fn priority_key(&self, req: &Request, view: &SchedView<'_>) -> u128 {

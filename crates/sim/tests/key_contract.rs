@@ -16,7 +16,7 @@ fn every_shipped_scheduler_passes_check_keys() {
         assert_eq!(report.scheduler, kind.name());
         assert!(report.states >= 5, "{kind}: state coverage too thin ({})", report.states);
         assert!(report.pairs >= 30, "{kind}: pair coverage too thin ({})", report.pairs);
-        assert!(report.probes >= 20, "{kind}: scope coverage too thin ({})", report.probes);
+        assert!(report.probes >= 37, "{kind}: scope coverage too thin ({})", report.probes);
     }
 }
 
