@@ -227,21 +227,7 @@ impl MemoryScheduler for AtlasScheduler {
         })
     }
 
-    fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.threads);
-        w.u64(self.quantum_start);
-        w.u64(self.quanta_rolled);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut parbs_snap::SnapReader<'_>,
-    ) -> Result<(), parbs_snap::SnapError> {
-        self.threads = r.get()?;
-        self.quantum_start = r.u64()?;
-        self.quanta_rolled = r.u64()?;
-        Ok(())
-    }
+    parbs_snap::snap_state!(threads, quantum_start, quanta_rolled);
 
     fn set_observing(&mut self, enabled: bool) {
         self.observing = enabled;
@@ -255,17 +241,7 @@ impl MemoryScheduler for AtlasScheduler {
     }
 }
 
-impl parbs_snap::Snap for ThreadService {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.total);
-        w.u64(self.in_quantum);
-        w.u64(self.rank);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ThreadService { total: r.u64()?, in_quantum: r.u64()?, rank: r.u64()? })
-    }
-}
+parbs_snap::snap!(ThreadService { total, in_quantum, rank });
 
 #[cfg(test)]
 mod tests {

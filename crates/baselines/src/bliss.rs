@@ -184,25 +184,7 @@ impl MemoryScheduler for BlissScheduler {
         })
     }
 
-    fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.blacklisted);
-        w.put(&self.last_serviced);
-        w.u32(self.streak);
-        w.u64(self.last_clear);
-        w.bool(self.dirty);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut parbs_snap::SnapReader<'_>,
-    ) -> Result<(), parbs_snap::SnapError> {
-        self.blacklisted = r.get()?;
-        self.last_serviced = r.get()?;
-        self.streak = r.u32()?;
-        self.last_clear = r.u64()?;
-        self.dirty = r.bool()?;
-        Ok(())
-    }
+    parbs_snap::snap_state!(blacklisted, last_serviced, streak, last_clear, dirty);
 
     fn set_observing(&mut self, enabled: bool) {
         self.observing = enabled;

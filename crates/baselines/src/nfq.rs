@@ -224,23 +224,7 @@ impl MemoryScheduler for NfqScheduler {
         hit_b.cmp(&hit_a).then_with(|| dl(a).total_cmp(&dl(b))).then_with(|| a.id.cmp(&b.id))
     }
 
-    fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.clocks);
-        w.put(&self.deadlines);
-        w.put(&self.weights);
-        w.u64(self.recent_banks);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut parbs_snap::SnapReader<'_>,
-    ) -> Result<(), parbs_snap::SnapError> {
-        self.clocks = r.get()?;
-        self.deadlines = r.get()?;
-        self.weights = r.get()?;
-        self.recent_banks = r.u64()?;
-        Ok(())
-    }
+    parbs_snap::snap_state!(clocks, deadlines, weights, recent_banks);
 }
 
 #[cfg(test)]

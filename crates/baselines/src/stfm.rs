@@ -309,44 +309,10 @@ impl MemoryScheduler for StfmScheduler {
         })
     }
 
-    fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.threads);
-        w.put(&self.prioritized);
-        w.put(&self.active_threads);
-        w.u64(self.last_aging);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut parbs_snap::SnapReader<'_>,
-    ) -> Result<(), parbs_snap::SnapError> {
-        self.threads = r.get()?;
-        self.prioritized = r.get()?;
-        self.active_threads = r.get()?;
-        self.last_aging = r.u64()?;
-        Ok(())
-    }
+    parbs_snap::snap_state!(threads, prioritized, active_threads, last_aging);
 }
 
-impl parbs_snap::Snap for ThreadState {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.f64(self.t_shared);
-        w.f64(self.t_interference);
-        w.f64(self.weight);
-        w.bool(self.active);
-        w.u32(self.bank_parallelism);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ThreadState {
-            t_shared: r.f64()?,
-            t_interference: r.f64()?,
-            weight: r.f64()?,
-            active: r.bool()?,
-            bank_parallelism: r.u32()?,
-        })
-    }
-}
+parbs_snap::snap!(ThreadState { t_shared, t_interference, weight, active, bank_parallelism });
 
 #[cfg(test)]
 mod tests {

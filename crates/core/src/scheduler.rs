@@ -478,15 +478,7 @@ impl MemoryScheduler for ParBsScheduler {
     }
 }
 
-impl parbs_snap::Snap for ParBsStats {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.batches_formed);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ParBsStats { batches_formed: r.u64()? })
-    }
-}
+parbs_snap::snap!(ParBsStats { batches_formed });
 
 #[cfg(test)]
 mod tests {

@@ -380,71 +380,10 @@ impl Core {
     }
 }
 
-impl parbs_snap::Snap for MissId {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.0);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(MissId(r.u64()?))
-    }
-}
-
-impl parbs_snap::Snap for CoreStats {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.cycles);
-        w.u64(self.committed);
-        w.u64(self.mem_stall_cycles);
-        w.u64(self.dram_reads);
-        w.u64(self.dram_writes);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(CoreStats {
-            cycles: r.u64()?,
-            committed: r.u64()?,
-            mem_stall_cycles: r.u64()?,
-            dram_reads: r.u64()?,
-            dram_writes: r.u64()?,
-        })
-    }
-}
-
-impl parbs_snap::Snap for Slot {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        match *self {
-            Slot::Compute => w.u8(0),
-            Slot::Load { miss, done } => {
-                w.u8(1);
-                w.put(&miss);
-                w.bool(done);
-            }
-            Slot::Store => w.u8(2),
-        }
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(Slot::Compute),
-            1 => Ok(Slot::Load { miss: r.get()?, done: r.bool()? }),
-            2 => Ok(Slot::Store),
-            t => Err(parbs_snap::SnapError::BadTag { what: "window slot", value: u64::from(t) }),
-        }
-    }
-}
-
-impl parbs_snap::Snap for Miss {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.id);
-        w.u64(self.line);
-        w.bool(self.issued);
-        w.u64(self.episode);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(Miss { id: r.get()?, line: r.u64()?, issued: r.bool()?, episode: r.u64()? })
-    }
-}
+parbs_snap::snap!(MissId { 0 });
+parbs_snap::snap!(CoreStats { cycles, committed, mem_stall_cycles, dram_reads, dram_writes });
+parbs_snap::snap!(enum Slot as "window slot" { 0 => Compute, 1 => Load { miss, done }, 2 => Store });
+parbs_snap::snap!(Miss { id, line, issued, episode });
 
 impl Core {
     /// Serializes the core's mutable state: instruction window, miss table,

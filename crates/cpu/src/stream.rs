@@ -103,35 +103,12 @@ impl InstructionStream for TraceStream {
     }
 }
 
-impl parbs_snap::Snap for Instr {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        match *self {
-            Instr::Compute => w.u8(0),
-            Instr::Load(line) => {
-                w.u8(1);
-                w.u64(line);
-            }
-            Instr::DependentLoad(line) => {
-                w.u8(2);
-                w.u64(line);
-            }
-            Instr::Store(line) => {
-                w.u8(3);
-                w.u64(line);
-            }
-        }
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(Instr::Compute),
-            1 => Ok(Instr::Load(r.u64()?)),
-            2 => Ok(Instr::DependentLoad(r.u64()?)),
-            3 => Ok(Instr::Store(r.u64()?)),
-            t => Err(parbs_snap::SnapError::BadTag { what: "instruction", value: u64::from(t) }),
-        }
-    }
-}
+parbs_snap::snap!(enum Instr as "instruction" {
+    0 => Compute,
+    1 => Load(line),
+    2 => DependentLoad(line),
+    3 => Store(line),
+});
 
 #[cfg(test)]
 mod tests {

@@ -426,36 +426,4 @@ mod prop_tests {
     }
 }
 
-impl parbs_snap::Snap for LineAddr {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.usize(self.channel);
-        w.usize(self.bank);
-        w.u64(self.row);
-        w.u64(self.col);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(LineAddr { channel: r.usize()?, bank: r.usize()?, row: r.u64()?, col: r.u64()? })
-    }
-}
-
-impl parbs_snap::Snap for MappingPolicy {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        let (tag, xor) = match *self {
-            MappingPolicy::RowInterleaved { xor_permute } => (0u8, xor_permute),
-            MappingPolicy::LineInterleaved { xor_permute } => (1u8, xor_permute),
-        };
-        w.u8(tag);
-        w.bool(xor);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        let tag = r.u8()?;
-        let xor_permute = r.bool()?;
-        match tag {
-            0 => Ok(MappingPolicy::RowInterleaved { xor_permute }),
-            1 => Ok(MappingPolicy::LineInterleaved { xor_permute }),
-            t => Err(parbs_snap::SnapError::BadTag { what: "mapping policy", value: u64::from(t) }),
-        }
-    }
-}
+parbs_snap::snap!(LineAddr { channel, bank, row, col });

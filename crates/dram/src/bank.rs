@@ -203,51 +203,17 @@ impl Bank {
     }
 }
 
-impl parbs_snap::Snap for BankState {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        match *self {
-            BankState::Closed => w.u8(0),
-            BankState::Open(row) => {
-                w.u8(1);
-                w.u64(row);
-            }
-        }
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        match r.u8()? {
-            0 => Ok(BankState::Closed),
-            1 => Ok(BankState::Open(r.u64()?)),
-            t => Err(parbs_snap::SnapError::BadTag { what: "bank state", value: u64::from(t) }),
-        }
-    }
-}
-
-impl parbs_snap::Snap for Bank {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.state);
-        w.u64(self.earliest_activate);
-        w.u64(self.earliest_column);
-        w.u64(self.earliest_precharge);
-        w.u64(self.last_activate_at);
-        w.u64(self.last_column_at);
-        w.u64(self.service_end);
-        w.put(&self.service_thread);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(Bank {
-            state: r.get()?,
-            earliest_activate: r.u64()?,
-            earliest_column: r.u64()?,
-            earliest_precharge: r.u64()?,
-            last_activate_at: r.u64()?,
-            last_column_at: r.u64()?,
-            service_end: r.u64()?,
-            service_thread: r.get()?,
-        })
-    }
-}
+parbs_snap::snap!(enum BankState as "bank state" { 0 => Closed, 1 => Open(row) });
+parbs_snap::snap!(Bank {
+    state,
+    earliest_activate,
+    earliest_column,
+    earliest_precharge,
+    last_activate_at,
+    last_column_at,
+    service_end,
+    service_thread,
+});
 
 #[cfg(test)]
 mod tests {

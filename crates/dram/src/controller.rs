@@ -715,25 +715,7 @@ impl Controller {
     }
 }
 
-impl parbs_snap::Snap for Completion {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.put(&self.request);
-        w.put(&self.thread);
-        w.put(&self.kind);
-        w.u64(self.arrival);
-        w.u64(self.finish);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(Completion {
-            request: r.get()?,
-            thread: r.get()?,
-            kind: r.get()?,
-            arrival: r.u64()?,
-            finish: r.u64()?,
-        })
-    }
-}
+parbs_snap::snap!(Completion { request, thread, kind, arrival, finish });
 
 impl Controller {
     /// True if this controller can be checkpointed: protocol checkers and

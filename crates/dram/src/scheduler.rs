@@ -213,7 +213,9 @@ pub trait MemoryScheduler {
     /// Serializes the policy's mutable state for checkpointing. Stateless
     /// policies (FR-FCFS, FCFS) write nothing — the default. Stateful
     /// policies must write every field that influences future decisions
-    /// (virtual clocks, ranks, blacklists, RNG state) in a canonical order.
+    /// (virtual clocks, ranks, blacklists, RNG state) in a canonical order;
+    /// a policy whose state is a list of its fields declares both hooks
+    /// with [`parbs_snap::snap_state!`].
     fn save_state(&self, w: &mut parbs_snap::SnapWriter) {
         let _ = w;
     }

@@ -115,44 +115,18 @@ impl ControllerStats {
     }
 }
 
-impl parbs_snap::Snap for BlpTracker {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.sum);
-        w.u64(self.samples);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(BlpTracker { sum: r.u64()?, samples: r.u64()? })
-    }
-}
-
-impl parbs_snap::Snap for ControllerStats {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.reads_completed);
-        w.u64(self.row_hits);
-        w.u64(self.row_closed);
-        w.u64(self.row_conflicts);
-        w.u64(self.commands_issued);
-        w.u64(self.refreshes);
-        w.put(&self.thread_blp);
-        w.put(&self.thread_read_categories);
-        w.put(&self.read_latency);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ControllerStats {
-            reads_completed: r.u64()?,
-            row_hits: r.u64()?,
-            row_closed: r.u64()?,
-            row_conflicts: r.u64()?,
-            commands_issued: r.u64()?,
-            refreshes: r.u64()?,
-            thread_blp: r.get()?,
-            thread_read_categories: r.get()?,
-            read_latency: r.get()?,
-        })
-    }
-}
+parbs_snap::snap!(BlpTracker { sum, samples });
+parbs_snap::snap!(ControllerStats {
+    reads_completed,
+    row_hits,
+    row_closed,
+    row_conflicts,
+    commands_issued,
+    refreshes,
+    thread_blp,
+    thread_read_categories,
+    read_latency,
+});
 
 #[cfg(test)]
 mod tests {

@@ -478,31 +478,16 @@ impl System {
     }
 }
 
-impl parbs_snap::Snap for ThreadRunStats {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.instructions);
-        w.u64(self.cycles);
-        w.u64(self.mem_stall_cycles);
-        w.u64(self.dram_reads);
-        w.u64(self.dram_writes);
-        w.f64(self.blp);
-        w.f64(self.read_hit_rate);
-        w.u64(self.worst_case_latency);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(ThreadRunStats {
-            instructions: r.u64()?,
-            cycles: r.u64()?,
-            mem_stall_cycles: r.u64()?,
-            dram_reads: r.u64()?,
-            dram_writes: r.u64()?,
-            blp: r.f64()?,
-            read_hit_rate: r.f64()?,
-            worst_case_latency: r.u64()?,
-        })
-    }
-}
+parbs_snap::snap!(ThreadRunStats {
+    instructions,
+    cycles,
+    mem_stall_cycles,
+    dram_reads,
+    dram_writes,
+    blp,
+    read_hit_rate,
+    worst_case_latency,
+});
 
 #[cfg(test)]
 mod tests {

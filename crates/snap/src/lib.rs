@@ -21,7 +21,13 @@
 //!   key, and a `HashSet` as the sorted `Vec<T>` of its elements, so the
 //!   byte stream does not depend on the hasher or on insertion order; a
 //!   load rejects keys that do not strictly ascend
-//!   ([`SnapError::KeyOrder`]), so every map has exactly one encoding.
+//!   ([`SnapError::KeyOrder`]), so every map has exactly one encoding;
+//! * a struct whose encoding is its fields in order declares that order
+//!   once, with [`snap!`]: each field at its own type's encoding, in the
+//!   order listed; an enum declared with [`snap!`] is a `u8` tag followed
+//!   by the variant's fields. A policy's or stream's checkpoint hooks
+//!   that are a list of fields come from [`snap_state!`]. Types whose load
+//!   must check what it decodes keep hand-written impls.
 
 #![forbid(unsafe_code)]
 
@@ -466,6 +472,83 @@ impl Snap for () {
     }
 }
 
+/// Implements [`Snap`] for a type whose encoding is its fields in order,
+/// from one list, so `save` and `load` cannot disagree.
+///
+/// * `snap!(Name { a, b, c })` writes each field with [`SnapWriter::put`]
+///   in the order listed, and reads each with [`SnapReader::get`] into a
+///   struct literal: each field travels at its own type's width, and a
+///   field left out of the list is a compile error. A tuple struct lists
+///   its indices: `snap!(Id { 0 })`.
+/// * `snap!(enum Name as "what" { 0 => Unit, 1 => Tuple(x), 2 => Named { a, b } })`
+///   writes a `u8` tag, then the variant's fields in the order listed; a
+///   tag not in the list loads as [`SnapError::BadTag`] naming `"what"`.
+#[macro_export]
+macro_rules! snap {
+    (enum $ty:ident as $what:literal {
+        $($tag:literal => $variant:ident $(($($tf:ident),*))? $({ $($sf:ident),* })?),* $(,)?
+    }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                match self {
+                    $(Self::$variant $(($($tf),*))? $({ $($sf),* })? => {
+                        w.u8($tag);
+                        $($(w.put($tf);)*)?
+                        $($(w.put($sf);)*)?
+                    })*
+                }
+            }
+
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                match r.u8()? {
+                    $($tag => {
+                        $($(let $tf = r.get()?;)*)?
+                        $($(let $sf = r.get()?;)*)?
+                        Ok(Self::$variant $(($($tf),*))? $({ $($sf),* })?)
+                    })*
+                    value => Err($crate::SnapError::BadTag { what: $what, value: u64::from(value) }),
+                }
+            }
+        }
+    };
+    ($ty:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::Snap for $ty {
+            fn save(&self, w: &mut $crate::SnapWriter) {
+                $(w.put(&self.$field);)*
+            }
+
+            fn load(r: &mut $crate::SnapReader<'_>) -> Result<Self, $crate::SnapError> {
+                Ok(Self { $($field: r.get()?),* })
+            }
+        }
+    };
+}
+
+/// Expands, inside an impl of a trait with `save_state`/`restore_state`
+/// hooks, to the pair for a list of `self` fields: `save_state` writes
+/// them with [`SnapWriter::put`] in the order listed and `restore_state`
+/// reads them back in that order, assigning each as it is read.
+///
+/// `snap_state!(clocks, deadlines, weights)` expands to
+/// `fn save_state(&self, w: &mut SnapWriter)` and
+/// `fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>`.
+#[macro_export]
+macro_rules! snap_state {
+    ($($field:ident),* $(,)?) => {
+        fn save_state(&self, w: &mut $crate::SnapWriter) {
+            $(w.put(&self.$field);)*
+        }
+
+        fn restore_state(
+            &mut self,
+            r: &mut $crate::SnapReader<'_>,
+        ) -> Result<(), $crate::SnapError> {
+            $(self.$field = r.get()?;)*
+            Ok(())
+        }
+    };
+}
+
 /// Incremental 64-bit FNV-1a hasher for config fingerprints: cheap, stable
 /// across platforms and runs, and entirely dependency-free. Not
 /// collision-resistant — it detects *accidental* mismatches (resuming a
@@ -642,6 +725,84 @@ mod tests {
             decode::<HashSet<u64>>(&encode(&vec![0u64, 8, 8])),
             Err(SnapError::KeyOrder { index: 2 })
         );
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Pair {
+        first: u8,
+        second: u64,
+    }
+    crate::snap!(Pair { second, first });
+
+    #[derive(Debug, PartialEq)]
+    struct Id(u32);
+    crate::snap!(Id { 0 });
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Empty,
+        Dot(u8),
+        Line { from: u32, to: bool },
+    }
+    crate::snap!(enum Shape as "shape" { 0 => Empty, 5 => Dot(at), 7 => Line { to, from } });
+
+    #[test]
+    fn snap_writes_fields_in_the_order_listed() {
+        let pair = Pair { first: 0xAA, second: 0x0102 };
+        assert_eq!(encode(&pair), [0x02, 0x01, 0, 0, 0, 0, 0, 0, 0xAA]);
+        assert_eq!(decode::<Pair>(&encode(&pair)).unwrap(), pair);
+        assert_eq!(encode(&Id(0x0A0B_0C0D)), [0x0D, 0x0C, 0x0B, 0x0A]);
+        assert_eq!(decode::<Id>(&[1, 0, 0, 0]).unwrap(), Id(1));
+    }
+
+    #[test]
+    fn snap_enums_write_the_tag_then_the_fields_in_the_order_listed() {
+        let cases = [
+            (Shape::Empty, vec![0]),
+            (Shape::Dot(9), vec![5, 9]),
+            (Shape::Line { from: 3, to: true }, vec![7, 1, 3, 0, 0, 0]),
+        ];
+        for (shape, bytes) in cases {
+            assert_eq!(encode(&shape), bytes);
+            assert_eq!(decode::<Shape>(&bytes).unwrap(), shape);
+        }
+        assert_eq!(decode::<Shape>(&[1]), Err(SnapError::BadTag { what: "shape", value: 1 }));
+        assert_eq!(decode::<Shape>(&[7, 2]), Err(SnapError::BadTag { what: "bool", value: 2 }));
+    }
+
+    trait Hooks {
+        fn save_state(&self, w: &mut SnapWriter);
+        fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+    }
+
+    #[derive(Debug, Default, PartialEq)]
+    struct Policy {
+        clock: u64,
+        flag: bool,
+        weights: Vec<u8>,
+    }
+
+    impl Hooks for Policy {
+        crate::snap_state!(weights, clock, flag);
+    }
+
+    #[test]
+    fn snap_state_saves_and_restores_in_the_order_listed() {
+        let policy = Policy { clock: 4, flag: true, weights: vec![6] };
+        let mut w = SnapWriter::new();
+        policy.save_state(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [1, 0, 0, 0, 0, 0, 0, 0, 6, 4, 0, 0, 0, 0, 0, 0, 0, 1]);
+        let mut restored = Policy::default();
+        let mut r = SnapReader::new(&bytes);
+        restored.restore_state(&mut r).unwrap();
+        r.expect_end().unwrap();
+        assert_eq!(restored, policy);
+        // A restore that fails keeps the fields read before the failure.
+        let mut partial = Policy::default();
+        let err = partial.restore_state(&mut SnapReader::new(&bytes[..12])).unwrap_err();
+        assert_eq!(err, SnapError::Truncated { needed: 8, remaining: 3 });
+        assert_eq!(partial, Policy { weights: vec![6], ..Policy::default() });
     }
 
     #[test]

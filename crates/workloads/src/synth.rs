@@ -319,16 +319,7 @@ impl InstructionStream for SyntheticStream {
     }
 }
 
-impl parbs_snap::Snap for BankCursor {
-    fn save(&self, w: &mut parbs_snap::SnapWriter) {
-        w.u64(self.row);
-        w.u64(self.col);
-    }
-
-    fn load(r: &mut parbs_snap::SnapReader<'_>) -> Result<Self, parbs_snap::SnapError> {
-        Ok(BankCursor { row: r.u64()?, col: r.u64()? })
-    }
-}
+parbs_snap::snap!(BankCursor { row, col });
 
 #[cfg(test)]
 mod tests {
