@@ -869,29 +869,25 @@ fn run(args: &Args) {
             p
         }
     };
-    let save_to = |path: &str, sys: &parbs_sim::System, p: &parbs_sim::RunProgress| {
-        let blob = sys
-            .save_checkpoint(p, &label)
-            .unwrap_or_else(|e| fail(format!("cannot checkpoint: {e}")));
-        if let Err(e) = std::fs::write(path, &blob) {
-            fail(format!("cannot write {path}: {e}"));
-        }
-        println!("checkpoint: wrote {} bytes to {path} at cycle {}", blob.len(), p.cycles());
-    };
     let start = Instant::now();
     // A save lands every `every` cycles: step to the next one, then save
-    // unless the run ended first.
+    // unless the run ended first, so the last save resumes a running
+    // thread.
     loop {
         sys.step_cycles(&mut progress, every);
         if progress.threads_remaining() == 0 || progress.timed_out() {
             break;
         }
         if let Some(path) = ckpt_out {
-            save_to(path, &sys, &progress);
+            let blob = sys
+                .save_checkpoint(&progress, &label)
+                .unwrap_or_else(|e| fail(format!("cannot checkpoint: {e}")));
+            if let Err(e) = std::fs::write(path, &blob) {
+                fail(format!("cannot write {path}: {e}"));
+            }
+            let at = progress.cycles();
+            println!("checkpoint: wrote {} bytes to {path} at cycle {at}", blob.len());
         }
-    }
-    if let Some(path) = ckpt_out {
-        save_to(path, &sys, &progress);
     }
     let r = sys.finish_run(progress);
     println!(
