@@ -12,9 +12,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use parbs_cpu::{CoreStats, MissId};
+use parbs_cpu::{CoreStats, Instr, MissId};
 use parbs_dram::{
-    Completion, ControllerStats, LineAddr, Request, RequestId, RequestKind, ThreadId,
+    Bank, Completion, ControllerStats, LineAddr, Request, RequestId, RequestKind, ThreadId,
+    TimingParams,
 };
 use parbs_metrics::LatencyHistogram;
 use parbs_sim::{CheckpointError, Harness, SchedulerKind, SimConfig, System};
@@ -306,10 +307,11 @@ fn request(id: u64, thread: usize, bank: usize, kind: RequestKind) -> Request {
 }
 
 /// The composite types a checkpoint body decodes: the controller's queues,
-/// completions and statistics, a core's statistics and a latency
-/// histogram, and every hashed map and set (PAR-BS's ranks and granted
-/// budgets, NFQ's clocks, deadlines and weights, BLISS's blacklist and the
-/// memory side's in-flight reads).
+/// completions and statistics, a channel's banks (one open, one closed), a
+/// core's statistics, a stream's queued instructions (every variant) and a
+/// latency histogram, and every hashed map and set (PAR-BS's ranks and
+/// granted budgets, NFQ's clocks, deadlines and weights, BLISS's blacklist
+/// and the memory side's in-flight reads).
 fn fields() -> Vec<Field> {
     let threads = [0usize, 2, 3, 40_000];
     let requests: Vec<Request> = (0..4)
@@ -345,12 +347,18 @@ fn fields() -> Vec<Field> {
     for latency in [90, 400, 7_406] {
         histogram.record(latency);
     }
+    let mut open = Bank::new();
+    open.activate(12, ThreadId(2), 30, &TimingParams::ddr2_800());
+    let banks = vec![open, Bank::new()];
+    let instrs = vec![Instr::Compute, Instr::Load(5), Instr::DependentLoad(77), Instr::Store(9)];
     let misc: (Option<u64>, VecDeque<bool>) = (Some(5), [true, false, true].into());
     vec![
         field(|b| decode_as(b, Vec::<Request>::len), &requests),
         field(|b| decode_as(b, Vec::<Completion>::len), &completions),
         field(|b| decode_as(b, |_: &ControllerStats| 0), &ControllerStats::default()),
+        field(|b| decode_as(b, Vec::<Bank>::len), &banks),
         field(|b| decode_as(b, |_: &CoreStats| 0), &CoreStats::default()),
+        field(|b| decode_as(b, Vec::<Instr>::len), &instrs),
         field(|b| decode_as(b, |_: &LatencyHistogram| 0), &histogram),
         field(|b| decode_as(b, HashMap::<ThreadId, u32>::len), &ranks),
         field(

@@ -8,7 +8,7 @@ use parbs_dram::{Controller, DramConfig, LineAddr, Request, RequestKind, ThreadI
 use parbs_obs::{downcast_sink, ChromeTraceSink};
 use parbs_sim::experiments::{named_rows, priority_weighted_plan, SweepPlan};
 use parbs_sim::{EvalJob, EvalPlan, Harness, SchedulerKind, SimConfig};
-use parbs_workloads::{accel_case_study, case_study_1, cpu_accel_mixes, random_mixes};
+use parbs_workloads::{accel_case_study, case_study_1, cpu_accel_mixes, fig9_8core, random_mixes};
 
 fn quick_cfg() -> SimConfig {
     SimConfig { target_instructions: 800, ..SimConfig::for_cores(4) }
@@ -134,29 +134,49 @@ fn chrome_trace_of_fig3_micro_example_is_byte_identical_across_jobs_levels() {
 fn checkpoint_resume_matches_uninterrupted_run_through_the_harness_seam() {
     // Save at an arbitrary mid-run cycle, rebuild the system from scratch,
     // resume from the blob, and finish: the result must be byte-identical
-    // to the never-interrupted run, for every scheduler.
-    let harness = Harness::new(quick_cfg());
-    let mix = case_study_1();
-    for kind in SchedulerKind::all() {
-        let mut straight = harness.shared_system(&mix, &kind, &Default::default());
-        let expected = straight.run();
+    // to the never-interrupted run, for every scheduler, on one channel of
+    // one rank, on two ranks (per-rank activate windows and refresh
+    // deadlines) and on two channels (a second controller).
+    let mut two_ranks = quick_cfg();
+    two_ranks.dram.geometry.ranks_per_channel = 2;
+    let two_channels = SimConfig { target_instructions: 800, ..SimConfig::for_cores(8) };
+    assert_eq!(two_channels.dram.channels(), 2);
+    let systems =
+        [(quick_cfg(), case_study_1()), (two_ranks, case_study_1()), (two_channels, fig9_8core())];
+    for (cfg, mix) in systems {
+        let (channels, ranks) = (cfg.dram.channels(), cfg.dram.ranks_per_channel());
+        let shape = format!("{}, {channels} channel(s) x {ranks} rank(s)", mix.name);
+        let harness = Harness::new(cfg);
+        for kind in SchedulerKind::all() {
+            let mut straight = harness.shared_system(&mix, &kind, &Default::default());
+            let expected = straight.run();
 
-        let mut first = harness.shared_system(&mix, &kind, &Default::default());
-        let mut progress = first.begin_run();
-        for _ in 0..3_000 {
-            if !first.step_cycle(&mut progress) {
-                break;
+            let mut first = harness.shared_system(&mix, &kind, &Default::default());
+            let mut progress = first.begin_run();
+            for _ in 0..3_000 {
+                if !first.step_cycle(&mut progress) {
+                    break;
+                }
             }
-        }
-        let blob = first.save_checkpoint(&progress, &mix.name).expect("checkpointable system");
-        drop(first);
+            assert!(
+                progress.threads_remaining() > 0,
+                "{shape}: {} finished before the cut",
+                kind.name()
+            );
+            let blob = first.save_checkpoint(&progress, &mix.name).expect("checkpointable system");
+            drop(first);
 
-        let mut second = harness.shared_system(&mix, &kind, &Default::default());
-        let mut progress = second.resume(&blob, &mix.name).expect("fingerprint matches");
-        while second.step_cycle(&mut progress) {}
-        let resumed = second.finish_run(progress);
-        assert_eq!(expected, resumed, "{} diverged after resume", kind.name());
-        assert_eq!(format!("{expected:?}"), format!("{resumed:?}"));
+            let mut second = harness.shared_system(&mix, &kind, &Default::default());
+            let mut progress = second.resume(&blob, &mix.name).expect("fingerprint matches");
+            // State the rest of the run happens not to read must come back
+            // too: saving again reproduces the blob.
+            let again = second.save_checkpoint(&progress, &mix.name).expect("checkpointable");
+            assert!(again == blob, "{shape}: {} save -> resume -> save drifted", kind.name());
+            while second.step_cycle(&mut progress) {}
+            let resumed = second.finish_run(progress);
+            assert_eq!(expected, resumed, "{shape}: {} diverged after resume", kind.name());
+            assert_eq!(format!("{expected:?}"), format!("{resumed:?}"));
+        }
     }
 }
 
